@@ -12,9 +12,10 @@ Four ways to spend n oracle draws:
 
 All four are linear in the samples.  Each one materializes its
 coefficient vector and reduces the sample path through the same
-compensated kernel, so configurations that are algebraically identical
-(a running mean written three ways) produce bit-identical estimates, and
-estimators sharing a StreamKey consume identical raw draws.
+deterministic pairwise-summation kernel, so configurations that are
+algebraically identical (a running mean written three ways) produce
+bit-identical estimates, and estimators sharing a StreamKey consume
+identical raw draws.
 """
 
 from __future__ import annotations
@@ -138,12 +139,17 @@ def _check_budget(n: int) -> int:
 
 def _combine(samples: np.ndarray, coeffs: np.ndarray, init_coeff: float = 0.0,
              init: np.ndarray | None = None) -> np.ndarray:
-    """Compensated linear combination sum_j coeffs[j] * samples[j] (+ the
-    initial-point term).  Single reduction kernel for every estimator."""
-    n, p = samples.shape
-    out = np.empty(p, dtype=float)
-    for k in range(p):
-        out[k] = math.fsum(samples[:, k] * coeffs)
+    """Linear combination sum_j coeffs[j] * samples[j] (+ the
+    initial-point term).  Single reduction kernel for every estimator.
+
+    Each coordinate's terms are laid out contiguously and summed by
+    numpy's pairwise reduction (error O(eps log n) times sum |terms|).
+    The summation order depends only on n, never on memory alignment or
+    thread count, so equal inputs give equal bits everywhere; BLAS dot
+    products are avoided for that reason.
+    """
+    terms = np.ascontiguousarray((coeffs[:, None] * samples).T)
+    out = np.add.reduce(terms, axis=1)
     if init_coeff != 0.0 and init is not None:
         out = out + init_coeff * np.asarray(init, dtype=float)
     return out

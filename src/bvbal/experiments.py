@@ -5,7 +5,11 @@ of sample budgets on one model (synthetic or queueing), with every
 estimator inside a replication consuming identical raw variates: the
 stream for replication r and budget index i is keyed (seed, r, i), and
 each estimator replays that stream through its own perturbation
-schedule.  Risk ratios are therefore paired by construction.
+schedule.  Risk ratios are therefore paired by construction.  The
+stream is drawn once per (replication, budget) cell, and every
+estimator maps that one variate block through its schedule (the
+oracle's ``transform``), which gives the same samples as its own
+``sample_path`` call would.
 
 Reports are deterministic byte-for-byte for a given configuration,
 independent of the worker count: replications are partitioned by index,
@@ -368,9 +372,10 @@ def _run_slice(args) -> np.ndarray:
     for row, r in enumerate(range(lo, hi)):
         col = 0
         for bidx, plans in enumerate(plan_groups):
-            stream = StreamKey(seed, (r, bidx))
+            # one draw per (replication, budget) cell, replayed by every plan
+            block = oracle.draw(plans[0].deltas.shape[0], StreamKey(seed, (r, bidx)))
             for plan in plans:
-                samples = oracle.sample_path(plan.deltas, stream)
+                samples = oracle.transform(plan.deltas, block)
                 est = _combine(samples, plan.coeffs, plan.init_coeff,
                                np.zeros(samples.shape[1]))
                 diff = est - theta

@@ -21,6 +21,12 @@ the same key is bit-identical, and distinct keys yield independent
 streams.  Multi-evaluation oracles split their key into fixed child slots
 (documented per function) so that common-random-number coupling is a
 matter of handing two evaluations the same slot.
+
+Path oracles (the synthetic model here, the queue oracles in
+`bvbal.queueing`) split ``sample_path`` into ``draw``, which turns a
+stream into a variate block, and ``transform``, a deterministic map from
+(deltas, block) to samples that leaves the block unchanged.  Paired
+experiments draw a block once and replay it through every schedule.
 """
 
 from __future__ import annotations
@@ -113,6 +119,20 @@ class BiasOrder:
         return self.q1 / (self.q1 + self.q2)
 
 
+def _positive_deltas(deltas) -> np.ndarray:
+    deltas = np.asarray(deltas, dtype=float)
+    if deltas.ndim != 1:
+        raise ValueError(f"deltas must be 1-d, got shape {deltas.shape}")
+    if not np.all(deltas > 0):
+        raise ValueError("all deltas must be strictly positive")
+    return deltas
+
+
+def _check_block(block: np.ndarray, shape: tuple[int, ...]) -> None:
+    if block.shape != shape:
+        raise ValueError(f"variate block has shape {block.shape}, expected {shape}")
+
+
 def _as_vector(x, name: str) -> np.ndarray:
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.ndim != 1:
@@ -185,13 +205,35 @@ class SyntheticOracleSpec:
         delta = float(delta)
         if not delta > 0:
             raise ValueError(f"delta must be positive, got {delta}")
-        m = self.theta + self.B * delta**self.order.q1
+        return self._means(np.array([[delta]]))[0]
+
+    def _means(self, d: np.ndarray) -> np.ndarray:
+        """Means at the perturbation sizes of column ``d``, shape (n, 1);
+        the one expression behind both `mean` and `transform`, so a
+        noiseless draw equals its mean bit-for-bit."""
+        q1 = self.order.q1
+        m = self.theta + self.B * d**q1
         if self.higher_order_bias is not None:
-            m = m + self.higher_order_bias * delta ** (self.order.q1 + 1.0)
+            m = m + self.higher_order_bias * d ** (q1 + 1.0)
         return m
 
+    def draw(self, n: int, stream: StreamKey) -> np.ndarray:
+        """The variate block of an n-draw path: standard normals of shape
+        (n, dim), row j feeding draw j."""
+        return stream.generator().standard_normal((int(n), self.dim))
+
+    def transform(self, deltas, z: np.ndarray) -> np.ndarray:
+        """Samples at ``deltas`` from a variate block ``z`` made by
+        `draw`; ``z`` is not modified, so one block can be replayed
+        through several schedules."""
+        deltas = _positive_deltas(deltas)
+        _check_block(z, (deltas.shape[0], self.dim))
+        d = deltas[:, None]
+        return self._means(d) + (self.noise_scale * z) / d**self.order.q2
+
     def sample_path(self, deltas, stream: StreamKey) -> np.ndarray:
-        """Draw one sample per entry of ``deltas`` from a single stream.
+        """Draw one sample per entry of ``deltas`` from a single stream;
+        the composition of `draw` and `transform`.
 
         Parameters
         ----------
@@ -206,18 +248,8 @@ class SyntheticOracleSpec:
         -------
         ndarray, shape (n, dim)
         """
-        deltas = np.asarray(deltas, dtype=float)
-        if deltas.ndim != 1:
-            raise ValueError(f"deltas must be 1-d, got shape {deltas.shape}")
-        if not np.all(deltas > 0):
-            raise ValueError("all deltas must be strictly positive")
-        q1, q2 = self.order.q1, self.order.q2
-        d = deltas[:, None]
-        mean = self.theta + self.B * d**q1
-        if self.higher_order_bias is not None:
-            mean = mean + self.higher_order_bias * d ** (q1 + 1.0)
-        z = stream.generator().standard_normal((deltas.shape[0], self.dim))
-        return mean + (self.noise_scale * z) / d**q2
+        deltas = _positive_deltas(deltas)
+        return self.transform(deltas, self.draw(deltas.shape[0], stream))
 
     def sample(self, delta: float, stream: StreamKey) -> np.ndarray:
         """Single draw at perturbation size delta."""

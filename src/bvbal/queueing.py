@@ -22,7 +22,9 @@ one row-major block per call, so a path's prefix is reproducible and two
 oracles sharing a key consume identical variates.  Inverse-transform
 sampling (-log1p(-U) / rate) keeps a uniform block's meaning fixed when
 only rates change, which is what makes common random numbers and
-coupling-based tests exact.
+coupling-based tests exact.  It also lets the oracles' ``draw`` turn the
+block into unit-rate exponentials -log1p(-U) once, in place, for every
+schedule that ``transform`` then maps it through.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import StreamKey
+from .oracles import StreamKey, _check_block, _positive_deltas
 
 __all__ = [
     "QueueParams",
@@ -84,22 +86,23 @@ class TransientSample:
     per_customer_times: np.ndarray
 
 
-def _exponential(u: np.ndarray, rate) -> np.ndarray:
-    # -log1p(-u) maps u in [0, 1) to a finite exponential variate
-    return -np.log1p(-u) / rate
+def _unit_exponentials(u: np.ndarray) -> np.ndarray:
+    """Overwrite a uniform block with unit-rate exponentials -log1p(-u)
+    and return it; -log1p(-u) maps u in [0, 1) to a finite variate, and
+    dividing by a rate gives that rate's exponential."""
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    return np.negative(u, out=u)
 
 
-def _system_times(u_arrivals: np.ndarray, u_services: np.ndarray,
-                  arrival_rate, service_rate) -> np.ndarray:
-    """System times T_1..T_k from uniform blocks of shape (..., k).
+def _system_times(a: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """System times T_1..T_k from interarrival and service times of shape
+    (..., k), by the Lindley sweep over the last axis.
 
-    Rates are scalars or arrays broadcastable against the leading axes
-    (shape (..., 1)), so one call can run many perturbed replications.
-    The first interarrival is consumed but cannot affect system times
-    (the system starts empty).
+    The leading axes hold independent replications, so one call runs many
+    perturbed replications.  The first interarrival cannot affect system
+    times (the system starts empty).
     """
-    a = _exponential(u_arrivals, arrival_rate)
-    s = _exponential(u_services, service_rate)
     k = a.shape[-1]
     times = np.empty_like(s)
     times[..., 0] = s[..., 0]
@@ -113,17 +116,13 @@ def _system_times(u_arrivals: np.ndarray, u_services: np.ndarray,
 def mm1_transient_sample(params: QueueParams, stream: StreamKey) -> TransientSample:
     """One replication of the transient measure from a fresh stream."""
     k = params.num_customers
-    u = stream.generator().random((2, k))
-    times = _system_times(u[0], u[1], params.arrival_rate, params.service_rate)
+    e = _unit_exponentials(stream.generator().random((2, k)))
+    times = _system_times(e[0] / params.arrival_rate, e[1] / params.service_rate)
     return TransientSample(float(times.mean()), times)
 
 
 def _check_deltas(deltas, limit: float, what: str) -> np.ndarray:
-    deltas = np.asarray(deltas, dtype=float)
-    if deltas.ndim != 1:
-        raise ValueError(f"deltas must be 1-d, got shape {deltas.shape}")
-    if not np.all(deltas > 0):
-        raise ValueError("all deltas must be strictly positive")
+    deltas = _positive_deltas(deltas)
     if not np.all(deltas < limit):
         raise ValueError(
             f"delta must stay below the {what} ({limit!r}); a perturbed rate "
@@ -154,28 +153,43 @@ class MM1DerivativeOracle:
     def dim(self) -> int:
         return 1
 
-    def sample_path(self, deltas, stream: StreamKey) -> np.ndarray:
-        """One central-difference draw per delta; draw j consumes row j of
-        a single row-major uniform block of shape (n, 2, 2, k): evaluation
-        slot (+delta first), then process (arrivals, services)."""
+    def _checked(self, deltas) -> np.ndarray:
         rate = (self.params.arrival_rate if self.target == "arrival"
                 else self.params.service_rate)
-        deltas = _check_deltas(deltas, rate, f"{self.target} rate")
-        n = deltas.shape[0]
+        return _check_deltas(deltas, rate, f"{self.target} rate")
+
+    def draw(self, n: int, stream: StreamKey) -> np.ndarray:
+        """The variate block of an n-draw path: one row-major uniform
+        block of shape (n, 2, 2, k), indexed by draw, evaluation slot
+        (+delta first), then process (arrivals, services), turned in
+        place into unit-rate exponentials."""
         k = self.params.num_customers
-        u = stream.generator().random((n, 2, 2, k))
-        if self.crn:
-            u[:, 1] = u[:, 0]
+        return _unit_exponentials(stream.generator().random((int(n), 2, 2, k)))
+
+    def transform(self, deltas, e: np.ndarray) -> np.ndarray:
+        """Central differences at ``deltas`` from a block made by `draw`;
+        the block is not modified.  With ``crn`` both evaluations read
+        slot 0."""
+        deltas = self._checked(deltas)
+        _check_block(e, (deltas.shape[0], 2, 2, self.params.num_customers))
         d = deltas[:, None]
         lam, mu = self.params.arrival_rate, self.params.service_rate
+        up, down = e[:, 0], e[:, 0 if self.crn else 1]
         if self.target == "arrival":
-            up = _system_times(u[:, 0, 0], u[:, 0, 1], lam + d, mu)
-            down = _system_times(u[:, 1, 0], u[:, 1, 1], lam - d, mu)
+            t_up = _system_times(up[:, 0] / (lam + d), up[:, 1] / mu)
+            t_down = _system_times(down[:, 0] / (lam - d), down[:, 1] / mu)
         else:
-            up = _system_times(u[:, 0, 0], u[:, 0, 1], lam, mu + d)
-            down = _system_times(u[:, 1, 0], u[:, 1, 1], lam, mu - d)
-        value = (up.mean(axis=-1) - down.mean(axis=-1)) / (2.0 * deltas)
+            t_up = _system_times(up[:, 0] / lam, up[:, 1] / (mu + d))
+            t_down = _system_times(down[:, 0] / lam, down[:, 1] / (mu - d))
+        value = (t_up.mean(axis=-1) - t_down.mean(axis=-1)) / (2.0 * deltas)
         return value[:, None]
+
+    def sample_path(self, deltas, stream: StreamKey) -> np.ndarray:
+        """One central-difference draw per delta; draw j consumes row j of
+        the block described in `draw`.  The composition of `draw` and
+        `transform`."""
+        deltas = self._checked(deltas)
+        return self.transform(deltas, self.draw(deltas.shape[0], stream))
 
     def sample(self, delta: float, stream: StreamKey) -> np.ndarray:
         return self.sample_path(np.asarray([float(delta)]), stream)[0]
@@ -200,26 +214,43 @@ class MM1GradientOracleSP:
     def dim(self) -> int:
         return 2
 
-    def sample_path(self, deltas, stream: StreamKey) -> np.ndarray:
-        """Draw j consumes row j of one uniform block of shape
-        (n, 2 + 4 k): two direction uniforms, then the (+) replication's
-        arrival and service columns, then the (-) replication's."""
+    def _checked(self, deltas) -> np.ndarray:
         limit = min(self.params.arrival_rate, self.params.service_rate)
-        deltas = _check_deltas(deltas, limit, "smaller rate")
+        return _check_deltas(deltas, limit, "smaller rate")
+
+    def draw(self, n: int, stream: StreamKey) -> np.ndarray:
+        """The variate block of an n-draw path: one uniform block of shape
+        (n, 2 + 4 k), row j feeding draw j.  Its first two columns become
+        the +-1 direction h (from the raw uniforms); the rest, the (+)
+        replication's arrival and service columns then the (-)
+        replication's, become unit-rate exponentials in place."""
+        k = self.params.num_customers
+        block = stream.generator().random((int(n), 2 + 4 * k))
+        block[:, :2] = np.where(block[:, :2] < 0.5, -1.0, 1.0)
+        _unit_exponentials(block[:, 2:])
+        return block
+
+    def transform(self, deltas, block: np.ndarray) -> np.ndarray:
+        """Gradient estimates at ``deltas`` from a block made by `draw`;
+        the block is not modified."""
+        deltas = self._checked(deltas)
         n = deltas.shape[0]
         k = self.params.num_customers
-        block = stream.generator().random((n, 2 + 4 * k))
-        h = np.where(block[:, :2] < 0.5, -1.0, 1.0)
-        u = block[:, 2:].reshape(n, 2, 2, k)
+        _check_block(block, (n, 2 + 4 * k))
+        h = block[:, :2]
+        e = block[:, 2:].reshape(n, 2, 2, k)
         lam, mu = self.params.arrival_rate, self.params.service_rate
-        d = deltas[:, None]
-        dh = d * h
-        up = _system_times(u[:, 0, 0], u[:, 0, 1],
-                           lam + dh[:, :1], mu + dh[:, 1:])
-        down = _system_times(u[:, 1, 0], u[:, 1, 1],
-                             lam - dh[:, :1], mu - dh[:, 1:])
+        dh = deltas[:, None] * h
+        up = _system_times(e[:, 0, 0] / (lam + dh[:, :1]), e[:, 0, 1] / (mu + dh[:, 1:]))
+        down = _system_times(e[:, 1, 0] / (lam - dh[:, :1]), e[:, 1, 1] / (mu - dh[:, 1:]))
         diff = up.mean(axis=-1) - down.mean(axis=-1)
         return diff[:, None] / (2.0 * dh)
+
+    def sample_path(self, deltas, stream: StreamKey) -> np.ndarray:
+        """Draw j consumes row j of the block described in `draw`; the
+        composition of `draw` and `transform`."""
+        deltas = self._checked(deltas)
+        return self.transform(deltas, self.draw(deltas.shape[0], stream))
 
     def sample(self, delta: float, stream: StreamKey) -> np.ndarray:
         return self.sample_path(np.asarray([float(delta)]), stream)[0]

@@ -22,7 +22,7 @@ from bvbal import (
     recursive_estimate,
     weighted_estimate,
 )
-from bvbal.estimators import averaged_coefficients, recursion_coefficients
+from bvbal.estimators import _combine, averaged_coefficients, recursion_coefficients
 
 from helpers import unit_spec
 
@@ -184,6 +184,39 @@ def test_running_mean_equivalence_is_bitwise():
     wtd = weighted_estimate(spec, n, sched, np.full(n, 1.0 / n), key).estimate
     assert np.array_equal(base, rec)
     assert np.array_equal(base, wtd)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_combination_kernel_agrees_with_fsum(p):
+    # the pairwise kernel against the correctly rounded sum of the same
+    # products: |error| <= 1e-14 * sum |c_j x_j| per coordinate
+    rng = np.random.default_rng(100 + p)
+    n = 100_000
+    samples = rng.normal(0.5, 7.0, size=(n, p))
+    coeffs = rng.normal(size=n) / n
+    got = _combine(samples, coeffs)
+    assert got.shape == (p,)
+    for k in range(p):
+        terms = samples[:, k] * coeffs
+        ref = math.fsum(terms)
+        assert abs(got[k] - ref) <= 1e-14 * math.fsum(np.abs(terms))
+
+
+def test_combination_kernel_ignores_buffer_offset():
+    # the same data reduced from views at different element offsets into
+    # larger buffers (so at different alignments) gives identical bits
+    rng = np.random.default_rng(7)
+    n, p = 10_007, 2
+    samples = rng.normal(size=(n, p))
+    coeffs = rng.normal(size=n)
+    want = _combine(samples, coeffs, 0.25, np.array([1.0, -3.0]))
+    for offset in (1, 2, 3):
+        sbuf = np.zeros(n * p + offset)
+        sbuf[offset:] = samples.ravel()
+        cbuf = np.zeros(n + offset)
+        cbuf[offset:] = coeffs
+        got = _combine(sbuf[offset:].reshape(n, p), cbuf[offset:], 0.25, np.array([1.0, -3.0]))
+        assert np.array_equal(got, want)
 
 
 def test_one_hot_weights_pick_one_draw():

@@ -25,6 +25,7 @@ from bvbal import (
     run_experiment,
 )
 from bvbal.calibration import xi_matrix, ztilde_squared
+from bvbal.estimators import _combine
 from bvbal.experiments import CSV_HEADER, MM1_BUDGETS_FULL, weight_distribution_csv
 
 from helpers import unit_spec
@@ -89,8 +90,24 @@ def test_replication_streams_are_addressable():
         delta = 1.0 * float(n) ** (-alpha)  # baseline terminal size
         for r in (0, 7, 39):
             samples = spec.sample_path(np.full(n, delta), StreamKey(17, (r, bidx)))
-            est = math.fsum(samples[:, 0]) / n
+            est = _combine(samples, np.full(n, 1.0 / n))[0]
             assert report.errors("baseline", n)[r] == est * est
+
+
+def test_each_cell_draws_its_stream_once(monkeypatch):
+    # every plan of a (replication, budget) cell replays one draw
+    calls = []
+    original = StreamKey.generator
+
+    def counting(self):
+        calls.append(self.path)
+        return original(self)
+
+    monkeypatch.setattr(StreamKey, "generator", counting)
+    config = small_config()
+    run_experiment(config)
+    cells = [(r, b) for r in range(config.replications) for b in range(len(config.budgets))]
+    assert sorted(calls) == cells
 
 
 def test_mse_and_se_definitions():

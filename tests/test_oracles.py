@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bvbal import (
     BiasOrder,
@@ -88,11 +88,33 @@ def test_noiseless_sample_is_the_mean():
     q2=st.floats(0.5, 4),
     delta=st.floats(0.05, 2.0),
 )
+# the bias terms cancel about 40x here, so an ulp of difference between
+# two power routines would show as an 8e-15 relative error
+@example(theta=0.0, B=3.25, hob=-1.75, q1=1.7651940034611098, q2=1.0, delta=1.8125)
 def test_noiseless_sample_matches_mean_everywhere(theta, B, hob, q1, q2, delta):
     spec = unit_spec(q1=q1, q2=q2, theta=theta, B=B, sigma=0.0, hob=hob)
     draw = spec.sample(delta, StreamKey(11))
-    # scalar and vectorized power paths may differ by an ulp
+    # mean and sample share one mean expression
     assert np.allclose(draw, spec.mean(delta), rtol=5e-15, atol=1e-300)
+
+
+def test_one_draw_replays_through_any_schedule():
+    # samples mapped from one shared draw equal sample_path's, bit for bit,
+    # and mapping leaves the draw untouched
+    spec = SyntheticOracleSpec(
+        theta=np.array([1.0, -2.0]), B=np.array([2.0, 0.5]),
+        noise_scale=np.array([1.0, 3.0]), order=BiasOrder(2.0, 1.0),
+        higher_order_bias=np.array([1.5, -0.7]),
+    )
+    key = StreamKey(23, (4, 1))
+    n = 500
+    z = spec.draw(n, key)
+    before = z.copy()
+    for deltas in (np.full(n, 0.3), np.geomspace(1.0, 0.01, n), 0.9 * np.arange(1, n + 1.0) ** -0.2):
+        assert np.array_equal(spec.transform(deltas, z), spec.sample_path(deltas, key))
+    assert np.array_equal(z, before)
+    with pytest.raises(ValueError):
+        spec.transform(np.full(n - 1, 0.3), z)
 
 
 def test_mean_includes_higher_order_term():

@@ -147,6 +147,27 @@ def test_derivative_oracle_crn_shares_the_block():
     assert got == pytest.approx((up - down) / (2.0 * delta), rel=1e-12)
 
 
+@pytest.mark.parametrize("oracle", [
+    MM1DerivativeOracle(P4, "arrival"),
+    MM1DerivativeOracle(P4, "arrival", crn=True),
+    MM1DerivativeOracle(P4, "service"),
+    MM1DerivativeOracle(P4, "service", crn=True),
+    MM1GradientOracleSP(QueueParams(4.0, 5.0, 7)),
+], ids=["cfd-arrival", "cfd-arrival-crn", "cfd-service", "cfd-service-crn", "sp"])
+def test_one_draw_replays_through_any_schedule(oracle):
+    # samples mapped from one shared draw equal sample_path's, bit for bit,
+    # and mapping leaves the draw untouched
+    key = StreamKey(61, (2, 0))
+    n = 300
+    block = oracle.draw(n, key)
+    before = block.copy()
+    for deltas in (np.full(n, 0.2), np.geomspace(1.5, 0.01, n), 0.5 * np.arange(501, 501 + n) ** -0.1667):
+        assert np.array_equal(oracle.transform(deltas, block), oracle.sample_path(deltas, key))
+    assert np.array_equal(block, before)
+    with pytest.raises(ValueError):
+        oracle.transform(np.full(n + 1, 0.2), block)
+
+
 def test_crn_slashes_the_variance():
     delta, n = 0.05, 4000
     deltas = np.full(n, delta)
