@@ -31,6 +31,7 @@ from .errors import ConfigurationError, InfeasibleError
 from .estimators import (
     DeltaSchedule,
     EstimatorRun,
+    LinearPlan,
     RecursiveParams,
     averaged_estimate,
     baseline_estimate,

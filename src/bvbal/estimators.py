@@ -10,11 +10,15 @@ Four ways to spend n oracle draws:
 * weighted: an explicit linear combination, typically the two-decay
   scheme from `bvbal.calibration`.
 
-All four are linear in the samples.  Each one materializes its
-coefficient vector and reduces the sample path through the same
-deterministic pairwise-summation kernel, so configurations that are
-algebraically identical (a running mean written three ways) produce
-bit-identical estimates, and estimators sharing a StreamKey consume
+All four are linear in the samples, so a `LinearPlan` (perturbation
+sizes, sample coefficients, initial-point coefficient) is the single
+description of an estimator.  The estimators below and the paired
+harness in `bvbal.experiments` build plans through the same constructors
+and reduce a sample path through the plan's one deterministic
+pairwise-summation kernel, so configurations that are algebraically
+identical (a running mean written three ways) produce bit-identical
+estimates, a harness replication reproduces the single-run estimate on
+its stream bit for bit, and estimators sharing a StreamKey consume
 identical raw draws.
 """
 
@@ -38,6 +42,7 @@ __all__ = [
     "DeltaSchedule",
     "RecursiveParams",
     "EstimatorRun",
+    "LinearPlan",
     "baseline_estimate",
     "recursive_estimate",
     "averaged_estimate",
@@ -137,24 +142,6 @@ def _check_budget(n: int) -> int:
     return int(n)
 
 
-def _combine(samples: np.ndarray, coeffs: np.ndarray, init_coeff: float = 0.0,
-             init: np.ndarray | None = None) -> np.ndarray:
-    """Linear combination sum_j coeffs[j] * samples[j] (+ the
-    initial-point term).  Single reduction kernel for every estimator.
-
-    Each coordinate's terms are laid out contiguously and summed by
-    numpy's pairwise reduction (error O(eps log n) times sum |terms|).
-    The summation order depends only on n, never on memory alignment or
-    thread count, so equal inputs give equal bits everywhere; BLAS dot
-    products are avoided for that reason.
-    """
-    terms = np.ascontiguousarray((coeffs[:, None] * samples).T)
-    out = np.add.reduce(terms, axis=1)
-    if init_coeff != 0.0 and init is not None:
-        out = out + init_coeff * np.asarray(init, dtype=float)
-    return out
-
-
 def _steps(c: float, beta: float, n: int, n0: int) -> np.ndarray:
     """Step sizes gamma_j, clamped at 1 (with a warning) when a burn-in
     offset n0 > 0 leaves early steps above 1; without an offset an
@@ -233,18 +220,98 @@ def _resolve_init(init: np.ndarray | None, dim: int) -> np.ndarray:
     return init
 
 
+@dataclass(frozen=True, slots=True)
+class LinearPlan:
+    """An estimator that is linear in its samples: draw j is taken at
+    perturbation size ``deltas[j]`` and the estimate is
+    sum_j coeffs[j] X_j + init_coeff * init.
+
+    The four constructors hold every per-kind rule (budget, schedule,
+    coefficients, validation); `reduce` is the one reduction, shared by
+    the single-run estimators and the paired harness.
+    """
+
+    deltas: np.ndarray
+    coeffs: np.ndarray
+    init_coeff: float = 0.0
+
+    @classmethod
+    def baseline(cls, n: int, schedule: DeltaSchedule) -> "LinearPlan":
+        """Weights 1/n on n draws at the schedule's terminal size."""
+        n = _check_budget(n)
+        return cls(np.full(n, schedule.terminal(n)), np.full(n, 1.0 / n))
+
+    @classmethod
+    def recursive(cls, n: int, schedule: DeltaSchedule,
+                  params: RecursiveParams) -> "LinearPlan":
+        """The final iterate of the recursion along the schedule."""
+        n = _check_budget(n)
+        u, t0 = recursion_coefficients(params.c, params.beta, n, schedule.n0)
+        return cls(schedule.deltas(n), u, t0)
+
+    @classmethod
+    def averaged(cls, n: int, schedule: DeltaSchedule,
+                 params: RecursiveParams) -> "LinearPlan":
+        """The running mean of the recursive iterates; requires beta < 1
+        (at beta = 1 the recursion already averages and there is nothing
+        to gain, so the combination is rejected rather than silently
+        misread)."""
+        n = _check_budget(n)
+        if params.beta >= 1.0:
+            raise ConfigurationError(
+                f"averaging requires beta < 1, got beta = {params.beta}"
+            )
+        ubar, t0bar = averaged_coefficients(params.c, params.beta, n, schedule.n0)
+        return cls(schedule.deltas(n), ubar, t0bar)
+
+    @classmethod
+    def weighted(cls, n: int, schedule: DeltaSchedule,
+                 scheme: "WeightScheme | np.ndarray") -> "LinearPlan":
+        """Explicit weights along the schedule: a solved `WeightScheme` or
+        any weight vector of length n."""
+        n = _check_budget(n)
+        weights = np.asarray(getattr(scheme, "weights", scheme), dtype=float)
+        if weights.shape != (n,):
+            raise ConfigurationError(
+                f"weight vector has length {weights.shape[0] if weights.ndim == 1 else weights.shape}, "
+                f"budget is n={n}"
+            )
+        return cls(schedule.deltas(n), weights)
+
+    def reduce(self, samples: np.ndarray, init: np.ndarray | None = None) -> np.ndarray:
+        """The estimate sum_j coeffs[j] samples[j] + init_coeff * init from
+        a path drawn at ``deltas``; ``init`` defaults to the origin.
+
+        The one reduction kernel for every estimator: each coordinate's
+        terms are laid out contiguously and summed by numpy's pairwise
+        reduction (error O(eps log n) times sum |terms|).  The summation
+        order depends only on n, never on memory alignment or thread
+        count, so equal inputs give equal bits everywhere; BLAS dot
+        products are avoided for that reason.
+        """
+        init = _resolve_init(init, samples.shape[1])
+        terms = np.ascontiguousarray((self.coeffs[:, None] * samples).T)
+        out = np.add.reduce(terms, axis=1)
+        if self.init_coeff != 0.0:
+            out = out + self.init_coeff * init
+        return out
+
+
+def _run(oracle: SampleOracle, plan: LinearPlan, stream: StreamKey,
+         init: np.ndarray | None = None, trace_of=None) -> EstimatorRun:
+    """The run step every estimator shares: draw the plan's path from the
+    stream, reduce it, and trace it with ``trace_of`` if one is given."""
+    samples = oracle.sample_path(plan.deltas, stream)
+    trace = None if trace_of is None else trace_of(samples)
+    return EstimatorRun(plan.reduce(samples, init), samples.shape[0], trace)
+
+
 def baseline_estimate(oracle: SampleOracle, n: int, schedule: DeltaSchedule,
                       stream: StreamKey, trace: bool = False) -> EstimatorRun:
     """Average n draws at the schedule's terminal size
     delta = scale * (n + n0)**(-alpha)."""
-    n = _check_budget(n)
-    delta = schedule.terminal(n)
-    samples = oracle.sample_path(np.full(n, delta), stream)
-    estimate = _combine(samples, np.full(n, 1.0 / n))
-    tr = None
-    if trace:
-        tr = np.cumsum(samples, axis=0) / np.arange(1, n + 1)[:, None]
-    return EstimatorRun(estimate=estimate, n=n, trace=tr)
+    plan = LinearPlan.baseline(n, schedule)
+    return _run(oracle, plan, stream, trace_of=_running_mean if trace else None)
 
 
 def recursive_estimate(oracle: SampleOracle, n: int, schedule: DeltaSchedule,
@@ -253,39 +320,23 @@ def recursive_estimate(oracle: SampleOracle, n: int, schedule: DeltaSchedule,
     """One stochastic-approximation pass along the shrinking schedule.
 
     Consumes exactly n draws; the estimate is the final iterate, computed
-    through the shared coefficient kernel.  A trace, if requested, is the
+    through the shared reduction kernel.  A trace, if requested, is the
     literal iterate sequence (its last entry can differ from the estimate
     by float rounding only).
     """
-    n = _check_budget(n)
-    samples = oracle.sample_path(schedule.deltas(n), stream)
-    init = _resolve_init(params.init, samples.shape[1])
-    u, t0 = recursion_coefficients(params.c, params.beta, n, schedule.n0)
-    estimate = _combine(samples, u, t0, init)
-    tr = _iterate_trace(samples, params, schedule, init) if trace else None
-    return EstimatorRun(estimate=estimate, n=n, trace=tr)
+    plan = LinearPlan.recursive(n, schedule, params)
+    trace_of = (lambda x: _iterate_trace(x, params, schedule)) if trace else None
+    return _run(oracle, plan, stream, params.init, trace_of)
 
 
 def averaged_estimate(oracle: SampleOracle, n: int, schedule: DeltaSchedule,
                       params: RecursiveParams, stream: StreamKey,
                       trace: bool = False) -> EstimatorRun:
-    """Running mean of the recursive iterates; requires beta < 1 (at
-    beta = 1 the recursion already averages and there is nothing to gain,
-    so the combination is rejected rather than silently misread)."""
-    n = _check_budget(n)
-    if params.beta >= 1.0:
-        raise ConfigurationError(
-            f"averaging requires beta < 1, got beta = {params.beta}"
-        )
-    samples = oracle.sample_path(schedule.deltas(n), stream)
-    init = _resolve_init(params.init, samples.shape[1])
-    ubar, t0bar = averaged_coefficients(params.c, params.beta, n, schedule.n0)
-    estimate = _combine(samples, ubar, t0bar, init)
-    tr = None
-    if trace:
-        it = _iterate_trace(samples, params, schedule, init)
-        tr = np.cumsum(it, axis=0) / np.arange(1, n + 1)[:, None]
-    return EstimatorRun(estimate=estimate, n=n, trace=tr)
+    """Running mean of the recursive iterates; requires beta < 1 (see
+    `LinearPlan.averaged`)."""
+    plan = LinearPlan.averaged(n, schedule, params)
+    trace_of = (lambda x: _running_mean(_iterate_trace(x, params, schedule))) if trace else None
+    return _run(oracle, plan, stream, params.init, trace_of)
 
 
 def weighted_estimate(oracle: SampleOracle, n: int, schedule: DeltaSchedule,
@@ -297,27 +348,21 @@ def weighted_estimate(oracle: SampleOracle, n: int, schedule: DeltaSchedule,
     n.  The schedule should already carry the calibrated scale (for a
     solved scheme, scale = eta_star * d).
     """
-    n = _check_budget(n)
-    weights = np.asarray(getattr(scheme, "weights", scheme), dtype=float)
-    if weights.shape != (n,):
-        raise ConfigurationError(
-            f"weight vector has length {weights.shape[0] if weights.ndim == 1 else weights.shape}, "
-            f"budget is n={n}"
-        )
-    samples = oracle.sample_path(schedule.deltas(n), stream)
-    estimate = _combine(samples, weights)
-    tr = None
-    if trace:
-        tr = np.cumsum(weights[:, None] * samples, axis=0)
-    return EstimatorRun(estimate=estimate, n=n, trace=tr)
+    plan = LinearPlan.weighted(n, schedule, scheme)
+    trace_of = (lambda x: np.cumsum(plan.coeffs[:, None] * x, axis=0)) if trace else None
+    return _run(oracle, plan, stream, trace_of=trace_of)
+
+
+def _running_mean(x: np.ndarray) -> np.ndarray:
+    return np.cumsum(x, axis=0) / np.arange(1, x.shape[0] + 1)[:, None]
 
 
 def _iterate_trace(samples: np.ndarray, params: RecursiveParams,
-                   schedule: DeltaSchedule, init: np.ndarray) -> np.ndarray:
+                   schedule: DeltaSchedule) -> np.ndarray:
     n = samples.shape[0]
     gam = _steps(params.c, params.beta, n, schedule.n0)
     out = np.empty_like(samples)
-    cur = init.astype(float)
+    cur = _resolve_init(params.init, samples.shape[1]).astype(float)
     for j in range(n):
         cur = (1.0 - gam[j]) * cur + gam[j] * samples[j]
         out[j] = cur

@@ -5,9 +5,12 @@ of sample budgets on one model (synthetic or queueing), with every
 estimator inside a replication consuming identical raw variates: the
 stream for replication r and budget index i is keyed (seed, r, i), and
 each estimator replays that stream through its own perturbation
-schedule.  Risk ratios are therefore paired by construction.  The
-stream is drawn once per (replication, budget) cell, and every
-estimator maps that one variate block through its schedule (the
+schedule.  Risk ratios are therefore paired by construction.  Each
+entry becomes a `bvbal.estimators.LinearPlan`, the single description of
+an estimator, built by the same constructors the single-run estimators
+use, so a replication's error is that of the single-run estimate on its
+stream.  The stream is drawn once per (replication, budget) cell, and
+every plan maps that one variate block through its schedule (the
 oracle's ``transform``), which gives the same samples as its own
 ``sample_path`` call would.
 
@@ -43,13 +46,7 @@ from .calibration import (
     ztilde_squared,
 )
 from .errors import ConfigurationError
-from .estimators import (
-    DeltaSchedule,
-    _combine,
-    averaged_coefficients,
-    predict_mse_leading,
-    recursion_coefficients,
-)
+from .estimators import DeltaSchedule, LinearPlan, RecursiveParams, predict_mse_leading
 from .oracles import BiasOrder, SampleOracle, StreamKey, SyntheticOracleSpec
 from .queueing import (
     MM1_TRUE_ARRIVAL_DERIVATIVE,
@@ -130,8 +127,12 @@ class EstimatorSetting:
 
     Unset fields resolve to the calibrated defaults for the model's bias
     order: recursive runs get c = 1, beta = 1 and the risk-optimal scale
-    multiplier; averaged runs get beta = 1/2 with the same multiplier;
-    weighted runs get the experiment's inflation cap K.
+    multiplier; averaged runs get c = 1, beta = 1/2 with the same
+    multiplier; weighted runs get the experiment's inflation cap K.
+    Setting a field that the kind ignores raises `ConfigurationError`:
+    baseline takes none of c, beta, d_scale, K; recursive and averaged
+    take no K; weighted takes none of c, beta, d_scale (its scale is the
+    solved eta_star).
     """
 
     kind: str
@@ -148,45 +149,13 @@ class EstimatorSetting:
             )
         if self.label is not None and ("," in self.label or "|" in self.label):
             raise ConfigurationError("label must not contain ',' or '|'")
+        ignored = _IGNORED_FIELDS[self.kind]
+        if any(getattr(self, f) is not None for f in ignored):
+            raise ConfigurationError(f"{self.kind} entries take none of {', '.join(ignored)}")
 
 
-@dataclass(frozen=True)
-class _ResolvedSetting:
-    kind: str
-    label: str
-    c: float
-    beta: float
-    d_scale: float
-    K: float
-
-
-def _resolve_setting(s: EstimatorSetting, order: BiasOrder, default_K: float) -> _ResolvedSetting:
-    free = amrr_recursive_free(order)
-    if s.kind == "baseline":
-        c, beta, d_scale, K = 1.0, 1.0, 1.0, 0.0
-    elif s.kind == "recursive":
-        c = 1.0 if s.c is None else float(s.c)
-        beta = 1.0 if s.beta is None else float(s.beta)
-        d_scale = free.d_scale if s.d_scale is None else float(s.d_scale)
-        K = 0.0
-    elif s.kind == "averaged":
-        c = 1.0 if s.c is None else float(s.c)
-        beta = 0.5 if s.beta is None else float(s.beta)
-        d_scale = free.d_scale if s.d_scale is None else float(s.d_scale)
-        K = 0.0
-    else:  # weighted
-        c, beta = 1.0, 1.0
-        d_scale = 1.0 if s.d_scale is None else float(s.d_scale)
-        K = float(default_K if s.K is None else s.K)
-        if not K > 0:
-            raise ConfigurationError("K must be positive")
-    if s.label is not None:
-        label = s.label
-    elif s.kind == "weighted":
-        label = f"weighted-K{K:g}"
-    else:
-        label = s.kind
-    return _ResolvedSetting(s.kind, label, c, beta, d_scale, K)
+_IGNORED_FIELDS = {"baseline": ("c", "beta", "d_scale", "K"), "recursive": ("K",),
+                   "averaged": ("K",), "weighted": ("c", "beta", "d_scale")}
 
 
 @dataclass(frozen=True)
@@ -283,53 +252,37 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """Everything a worker needs to run one estimator at one budget."""
-
-    label: str
-    kind: str
-    deltas: np.ndarray
-    coeffs: np.ndarray
-    init_coeff: float
-    theory: float | None
-
-
-def _build_plan(rs: _ResolvedSetting, n: int, config: ExperimentConfig,
-                order: BiasOrder, synthetic: bool) -> _Plan:
-    alpha = order.alpha
-    n0 = config.n0
-    d = config.baseline_d
-    theory = None
-    if rs.kind == "baseline":
-        sched = DeltaSchedule(d, alpha, n0)
-        deltas = np.full(n, sched.terminal(n))
-        coeffs = np.full(n, 1.0 / n)
-        init_coeff = 0.0
+def _build_plan(s: EstimatorSetting, n: int,
+                config: ExperimentConfig) -> tuple[str, LinearPlan, float | None]:
+    """Map one entry at budget n to (label, plan, theory), applying the
+    defaults documented on `EstimatorSetting`; theory is the predicted
+    MSE on a synthetic model (None elsewhere or out of regime)."""
+    order = config.order
+    d, alpha, n0 = config.baseline_d, order.alpha, config.n0
+    synthetic = isinstance(config.model, SyntheticOracleSpec)
+    label, theory = s.kind, None
+    if s.kind == "baseline":
+        plan = LinearPlan.baseline(n, DeltaSchedule(d, alpha, n0))
         if synthetic:
             theory = _try_predict("baseline", order, d, config, n)
-    elif rs.kind == "recursive":
-        sched = DeltaSchedule(rs.d_scale * d, alpha, n0)
-        deltas = sched.deltas(n)
-        coeffs, init_coeff = recursion_coefficients(rs.c, rs.beta, n, n0)
-        if synthetic:
-            theory = _try_predict("recursive", order, rs.d_scale * d, config, n,
-                                  c=rs.c, beta=rs.beta)
-    elif rs.kind == "averaged":
-        sched = DeltaSchedule(rs.d_scale * d, alpha, n0)
-        deltas = sched.deltas(n)
-        coeffs, init_coeff = averaged_coefficients(rs.c, rs.beta, n, n0)
-        if synthetic:
-            theory = _try_predict("averaged", order, rs.d_scale * d, config, n,
-                                  c=rs.c, beta=rs.beta)
-    else:  # weighted
-        scheme = optimal_weights(n, n0, order, rs.K)
-        deltas = scheme.deltas(d)
-        coeffs = scheme.weights
-        init_coeff = 0.0
+    elif s.kind == "weighted":
+        K = float(config.K if s.K is None else s.K)
+        if not K > 0:
+            raise ConfigurationError("K must be positive")
+        label = f"weighted-K{K:g}"
+        scheme = optimal_weights(n, n0, order, K)
+        plan = LinearPlan.weighted(n, DeltaSchedule(scheme.eta_star * d, alpha, n0), scheme)
         if synthetic:
             theory = _weighted_theory(scheme, config.model, d)
-    return _Plan(rs.label, rs.kind, deltas, coeffs, float(init_coeff), theory)
+    else:  # recursive or averaged
+        c = 1.0 if s.c is None else float(s.c)
+        beta = (1.0 if s.kind == "recursive" else 0.5) if s.beta is None else float(s.beta)
+        d_scale = amrr_recursive_free(order).d_scale if s.d_scale is None else float(s.d_scale)
+        build = LinearPlan.recursive if s.kind == "recursive" else LinearPlan.averaged
+        plan = build(n, DeltaSchedule(d_scale * d, alpha, n0), RecursiveParams(c, beta))
+        if synthetic:
+            theory = _try_predict(s.kind, order, d_scale * d, config, n, c=c, beta=beta)
+    return (label if s.label is None else s.label), plan, theory
 
 
 def _model_moments(spec: SyntheticOracleSpec) -> tuple[float, float]:
@@ -375,9 +328,11 @@ def _run_slice(args) -> np.ndarray:
             # one draw per (replication, budget) cell, replayed by every plan
             block = oracle.draw(plans[0].deltas.shape[0], StreamKey(seed, (r, bidx)))
             for plan in plans:
+                # bound to a name so each path is freed after the next is
+                # made: freeing it at once re-faulted its pages every plan
+                # (1.6x the page faults, twice the reduce time at n = 1e5)
                 samples = oracle.transform(plan.deltas, block)
-                est = _combine(samples, plan.coeffs, plan.init_coeff,
-                               np.zeros(samples.shape[1]))
+                est = plan.reduce(samples)
                 diff = est - theta
                 out[row, col] = float(diff @ diff)
                 col += 1
@@ -492,15 +447,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     else:
         oracle = config.model.make_oracle()
         theta = config.model.true_value()
-    order = config.order
-    resolved = [_resolve_setting(s, order, config.K) for s in config.estimators]
-    labels = [rs.label for rs in resolved]
+    entries = [[_build_plan(s, n, config) for s in config.estimators]
+               for n in config.budgets]
+    labels = [label for label, _, _ in entries[0]]
     if len(set(labels)) != len(labels):
         raise ConfigurationError(f"estimator labels must be unique, got {labels}")
-    plan_groups = tuple(
-        tuple(_build_plan(rs, n, config, order, synthetic) for rs in resolved)
-        for n in config.budgets
-    )
+    plan_groups = tuple(tuple(plan for _, plan, _ in group) for group in entries)
 
     R = config.replications
     workers = max(1, int(workers))
@@ -521,17 +473,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     squared_errors: dict[str, np.ndarray] = {}
     degenerate = synthetic and config.model.degenerate
     col = 0
-    for bidx, n in enumerate(config.budgets):
-        plans = plan_groups[bidx]
-        cols = {}
-        for plan in plans:
-            cols[plan.label] = sq[:, col]
-            col += 1
-        base_mse = None
-        if "baseline" in cols:
-            base_mse = math.fsum(cols["baseline"]) / R
-        for plan in plans:
-            e = cols[plan.label]
+    for n, group in zip(config.budgets, entries):
+        cols = {label: sq[:, col + i] for i, (label, _, _) in enumerate(group)}
+        col += len(group)
+        base_mse = math.fsum(cols["baseline"]) / R if "baseline" in cols else None
+        for label, _, theory in group:
+            e = cols[label]
             mse = math.fsum(e) / R
             se = float(np.std(e, ddof=1) / math.sqrt(R))
             if base_mse is None:
@@ -541,8 +488,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
                 degenerate = True
             else:
                 ratio = mse / base_mse
-            rows.append(ReportRow(plan.label, n, mse, se, ratio, plan.theory))
-            squared_errors[f"{plan.label}|{n}"] = e.copy()
+            rows.append(ReportRow(label, n, mse, se, ratio, theory))
+            squared_errors[f"{label}|{n}"] = e.copy()
     return ExperimentReport(
         rows=tuple(rows),
         squared_errors=squared_errors,

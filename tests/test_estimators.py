@@ -13,6 +13,7 @@ from bvbal import (
     BiasOrder,
     ConfigurationError,
     DeltaSchedule,
+    LinearPlan,
     RecursiveParams,
     StreamKey,
     averaged_estimate,
@@ -22,7 +23,7 @@ from bvbal import (
     recursive_estimate,
     weighted_estimate,
 )
-from bvbal.estimators import _combine, averaged_coefficients, recursion_coefficients
+from bvbal.estimators import averaged_coefficients, recursion_coefficients
 
 from helpers import unit_spec
 
@@ -194,7 +195,7 @@ def test_combination_kernel_agrees_with_fsum(p):
     n = 100_000
     samples = rng.normal(0.5, 7.0, size=(n, p))
     coeffs = rng.normal(size=n) / n
-    got = _combine(samples, coeffs)
+    got = LinearPlan(np.ones(n), coeffs).reduce(samples)
     assert got.shape == (p,)
     for k in range(p):
         terms = samples[:, k] * coeffs
@@ -209,13 +210,14 @@ def test_combination_kernel_ignores_buffer_offset():
     n, p = 10_007, 2
     samples = rng.normal(size=(n, p))
     coeffs = rng.normal(size=n)
-    want = _combine(samples, coeffs, 0.25, np.array([1.0, -3.0]))
+    init = np.array([1.0, -3.0])
+    want = LinearPlan(np.ones(n), coeffs, 0.25).reduce(samples, init)
     for offset in (1, 2, 3):
         sbuf = np.zeros(n * p + offset)
         sbuf[offset:] = samples.ravel()
         cbuf = np.zeros(n + offset)
         cbuf[offset:] = coeffs
-        got = _combine(sbuf[offset:].reshape(n, p), cbuf[offset:], 0.25, np.array([1.0, -3.0]))
+        got = LinearPlan(np.ones(n), cbuf[offset:], 0.25).reduce(sbuf[offset:].reshape(n, p), init)
         assert np.array_equal(got, want)
 
 

@@ -9,23 +9,28 @@ import pytest
 from bvbal import (
     BiasOrder,
     ConfigurationError,
+    DeltaSchedule,
     EstimatorSetting,
     ExperimentConfig,
     QueueParams,
     QueueSetting,
+    RecursiveParams,
     StreamKey,
     adversarial_risk_grid,
     amrr_general,
     amrr_recursive_free,
     amrr_recursive_tied,
+    averaged_estimate,
+    baseline_estimate,
     emit_weight_distribution,
     optimal_weights,
     paired_risk_ratio,
+    recursive_estimate,
     reproduce_table,
     run_experiment,
+    weighted_estimate,
 )
 from bvbal.calibration import xi_matrix, ztilde_squared
-from bvbal.estimators import _combine
 from bvbal.experiments import CSV_HEADER, MM1_BUDGETS_FULL, weight_distribution_csv
 
 from helpers import unit_spec
@@ -81,17 +86,37 @@ def test_csv_header_and_shape():
 
 
 def test_replication_streams_are_addressable():
-    # replication r at budget index bidx draws from StreamKey(seed, (r, bidx))
-    spec = unit_spec()
-    config = small_config(model=spec)
-    report = run_experiment(config)
-    alpha = Q21.alpha
-    for bidx, n in enumerate(config.budgets):
-        delta = 1.0 * float(n) ** (-alpha)  # baseline terminal size
-        for r in (0, 7, 39):
-            samples = spec.sample_path(np.full(n, delta), StreamKey(17, (r, bidx)))
-            est = _combine(samples, np.full(n, 1.0 / n))[0]
-            assert report.errors("baseline", n)[r] == est * est
+    # replication r at budget index bidx draws from StreamKey(seed, (r, bidx)),
+    # and its squared error is exactly that of the public single-run
+    # estimate on that stream, with the harness's schedule and parameters
+    alpha, d_scale = Q21.alpha, amrr_recursive_free(Q21).d_scale
+    queue = QueueSetting(crn=True)
+    # (model, n0, budgets, K); K = 1 is infeasible at n = 100, n0 = 500
+    cases = ((unit_spec(), 0, (64, 128), 1.0), (queue, 500, (100,), 2.0))
+    for model, n0, budgets, K in cases:
+        config = small_config(model=model, n0=n0, budgets=budgets, K=K)
+        report = run_experiment(config)
+        if model is queue:
+            oracle, theta = queue.make_oracle(), queue.true_value()
+        else:
+            oracle, theta = model, model.theta
+        for bidx, n in enumerate(config.budgets):
+            scheme = optimal_weights(n, n0, Q21, K)
+            shrinking = DeltaSchedule(d_scale, alpha, n0)
+            for r in (0, 7, 39):
+                key = StreamKey(17, (r, bidx))
+                runs = {
+                    "baseline": baseline_estimate(oracle, n, DeltaSchedule(1.0, alpha, n0), key),
+                    "recursive": recursive_estimate(oracle, n, shrinking,
+                                                    RecursiveParams(1.0, 1.0), key),
+                    "averaged": averaged_estimate(oracle, n, shrinking,
+                                                  RecursiveParams(1.0, 0.5), key),
+                    f"weighted-K{K:g}": weighted_estimate(
+                        oracle, n, DeltaSchedule(scheme.eta_star, alpha, n0), scheme, key),
+                }
+                for label, run in runs.items():
+                    diff = run.estimate - theta
+                    assert report.errors(label, n)[r] == float(diff @ diff), (label, n, r)
 
 
 def test_each_cell_draws_its_stream_once(monkeypatch):
@@ -248,6 +273,20 @@ def test_estimator_setting_validation():
         EstimatorSetting("baseline", label="a,b")
     with pytest.raises(ConfigurationError):
         EstimatorSetting("baseline", label="a|b")
+    # a field the kind ignores is an error, not a silent no-op
+    ignored = {
+        "baseline": ("c", "beta", "d_scale", "K"),
+        "recursive": ("K",),
+        "averaged": ("K",),
+        "weighted": ("c", "beta", "d_scale"),
+    }
+    for kind, fields in ignored.items():
+        for field in fields:
+            with pytest.raises(ConfigurationError, match="take none of"):
+                EstimatorSetting(kind, **{field: 0.5})
+    EstimatorSetting("recursive", c=0.5, beta=0.5, d_scale=0.5)
+    EstimatorSetting("averaged", c=0.5, beta=0.5, d_scale=0.5)
+    EstimatorSetting("weighted", K=2.0)
 
 
 def test_experiment_config_validation():
@@ -267,6 +306,18 @@ def test_experiment_config_validation():
         small_config(n0=-1)
     with pytest.raises(ConfigurationError):
         small_config(baseline_d=0.0)
+
+
+@pytest.mark.parametrize("setting", [
+    EstimatorSetting("recursive", c=-1.0),
+    EstimatorSetting("recursive", beta=2.0),
+    EstimatorSetting("recursive", c=math.nan),
+    EstimatorSetting("averaged", beta=1.0),
+], ids=["recursive-c-negative", "recursive-beta-2", "recursive-c-nan", "averaged-beta-1"])
+def test_harness_rejects_what_the_single_run_estimators_reject(setting):
+    config = small_config(estimators=(EstimatorSetting("baseline"), setting))
+    with pytest.raises(ConfigurationError):
+        run_experiment(config)
 
 
 def test_duplicate_labels_are_rejected():

@@ -168,6 +168,21 @@ def test_one_draw_replays_through_any_schedule(oracle):
         oracle.transform(np.full(n + 1, 0.2), block)
 
 
+@pytest.mark.parametrize("target", ["arrival", "service"])
+def test_crn_path_is_the_independent_path_with_slot_one_replaced(target):
+    # a crn path reads only slot 0: it equals the independent oracle's
+    # transform of the same draw with slot 1 overwritten by slot 0
+    key = StreamKey(64, (1, 3))
+    n = 200
+    deltas = 0.5 * np.arange(501, 501 + n) ** -0.1667
+    crn = MM1DerivativeOracle(P4, target, crn=True)
+    plain = MM1DerivativeOracle(P4, target)
+    block = plain.draw(n, key)
+    assert np.array_equal(crn.draw(n, key)[:, 0], block[:, 0])
+    block[:, 1] = block[:, 0]
+    assert np.array_equal(crn.sample_path(deltas, key), plain.transform(deltas, block))
+
+
 def test_crn_slashes_the_variance():
     delta, n = 0.05, 4000
     deltas = np.full(n, delta)
