@@ -53,23 +53,17 @@ from .experiments import (
     run_experiment,
 )
 from .oracles import (
+    BatchedFunction,
     BiasOrder,
-    NoisyFunction,
+    FiniteDifferenceOracle,
     StreamKey,
     SyntheticOracleSpec,
-    bfd_sample,
-    cfd_sample,
-    ffd_sample,
-    sp_sample,
-    synthetic_sample,
 )
 from .queueing import (
     MM1DerivativeOracle,
     MM1GradientOracleSP,
     QueueParams,
     TransientSample,
-    mm1_derivative_oracle,
-    mm1_gradient_oracle_sp,
     mm1_transient_sample,
 )
 

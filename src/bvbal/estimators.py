@@ -142,26 +142,33 @@ def _check_budget(n: int) -> int:
     return int(n)
 
 
-def _steps(c: float, beta: float, n: int, n0: int) -> np.ndarray:
-    """Step sizes gamma_j, clamped at 1 (with a warning) when a burn-in
-    offset n0 > 0 leaves early steps above 1; without an offset an
-    oversized step is a configuration error."""
+def _steps(c: float, beta: float, n: int, n0: int) -> tuple[np.ndarray, int]:
+    """Step sizes gamma_j clamped at 1, and how many were clamped; a
+    burn-in offset n0 > 0 may leave early steps above 1, but without an
+    offset an oversized step is a configuration error."""
     j = np.arange(1, n + 1, dtype=float) + n0
     gam = c * j ** (-beta)
     over = gam > 1.0
-    if over.any():
+    clamped = int(over.sum())
+    if clamped:
         if n0 == 0:
             first = int(np.argmax(over)) + 1
             raise ConfigurationError(
                 f"step size c (j + n0)**(-beta) = {gam[first - 1]!r} exceeds 1 "
                 f"at j={first} with n0=0; increase n0 or reduce c"
             )
+        gam = np.minimum(gam, 1.0)
+    return gam, clamped
+
+
+def _warn_clamped(clamped: int, c: float, beta: float, n0: int) -> None:
+    """The one clamp warning of a coefficient build; logged outside any
+    cache so that every build which clamps says so."""
+    if clamped:
         logger.warning(
             "clamping %d recursive step(s) above 1 (c=%g, beta=%g, n0=%d)",
-            int(over.sum()), c, beta, n0,
+            clamped, c, beta, n0,
         )
-        gam = np.minimum(gam, 1.0)
-    return gam
 
 
 def recursion_coefficients(c: float, beta: float, n: int, n0: int = 0) -> tuple[np.ndarray, float]:
@@ -174,7 +181,8 @@ def recursion_coefficients(c: float, beta: float, n: int, n0: int = 0) -> tuple[
     form so the identity holds bit-for-bit.
     """
     n = _check_budget(n)
-    gam = _steps(c, beta, n, n0)
+    gam, clamped = _steps(c, beta, n, n0)
+    _warn_clamped(clamped, c, beta, n0)
     if beta == 1.0 and c == 1.0 and not np.any(gam > 1.0):
         return np.full(n, 1.0 / (n + n0)), n0 / (n + n0)
     q = 1.0 - gam
@@ -184,8 +192,8 @@ def recursion_coefficients(c: float, beta: float, n: int, n0: int = 0) -> tuple[
 
 
 @lru_cache(maxsize=32)
-def _averaged_coefficients_cached(c: float, beta: float, n: int, n0: int) -> tuple[np.ndarray, float]:
-    gam = _steps(c, beta, n, n0)
+def _averaged_coefficients_cached(c: float, beta: float, n: int, n0: int) -> tuple[np.ndarray, float, int]:
+    gam, clamped = _steps(c, beta, n, n0)
     q = 1.0 - gam
     # R_j = 1 + sum_{m > j} prod_{j < k <= m} (1 - gamma_k), backwards;
     # the suffix products underflow harmlessly inside this recurrence,
@@ -197,7 +205,7 @@ def _averaged_coefficients_cached(c: float, beta: float, n: int, n0: int) -> tup
     ubar = gam * R / n
     t0bar = math.fsum(np.cumprod(q)) / n
     ubar.setflags(write=False)
-    return ubar, t0bar
+    return ubar, t0bar, clamped
 
 
 def averaged_coefficients(c: float, beta: float, n: int, n0: int = 0) -> tuple[np.ndarray, float]:
@@ -206,7 +214,9 @@ def averaged_coefficients(c: float, beta: float, n: int, n0: int = 0) -> tuple[n
     configuration since the backward recurrence is the only O(n) Python
     loop in the hot path."""
     n = _check_budget(n)
-    return _averaged_coefficients_cached(float(c), float(beta), n, int(n0))
+    ubar, t0bar, clamped = _averaged_coefficients_cached(float(c), float(beta), n, int(n0))
+    _warn_clamped(clamped, c, beta, n0)
+    return ubar, t0bar
 
 
 def _resolve_init(init: np.ndarray | None, dim: int) -> np.ndarray:
@@ -360,7 +370,8 @@ def _running_mean(x: np.ndarray) -> np.ndarray:
 def _iterate_trace(samples: np.ndarray, params: RecursiveParams,
                    schedule: DeltaSchedule) -> np.ndarray:
     n = samples.shape[0]
-    gam = _steps(params.c, params.beta, n, schedule.n0)
+    # the plan's coefficient build has already warned about any clamp
+    gam, _ = _steps(params.c, params.beta, n, schedule.n0)
     out = np.empty_like(samples)
     cur = _resolve_init(params.init, samples.shape[1]).astype(float)
     for j in range(n):

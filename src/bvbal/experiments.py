@@ -98,13 +98,11 @@ class QueueSetting:
 
     @property
     def order(self) -> BiasOrder:
-        # central differences and simultaneous perturbation share
-        # second-order bias and first-order noise growth
-        return BiasOrder(2.0, 1.0)
+        return self.make_oracle().order
 
     @property
     def dim(self) -> int:
-        return 1 if self.mode == "cfd" else 2
+        return self.make_oracle().dim
 
     def true_value(self) -> np.ndarray:
         if self.mode == "sp":

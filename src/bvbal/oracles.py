@@ -9,24 +9,27 @@ shrinks:
                     + noise(delta) / delta**q2.
 
 The synthetic oracle exposes (theta, B, noise scale, orders) directly and
-is the ground truth for everything downstream.  The finite-difference and
-simultaneous-perturbation oracles realize the same structure on top of
-black-box noisy function evaluations: central differences carry q1 = 2
-(third-derivative bias), one-sided differences carry q1 = 1, and all of
-them carry q2 = 1.
+is the ground truth for everything downstream.  `FiniteDifferenceOracle`
+realizes the same structure on top of a black-box noisy function
+evaluated in batches (`BatchedFunction`): central differences and
+simultaneous perturbation carry q1 = 2 (third-derivative bias),
+one-sided differences carry q1 = 1, and all of them carry q2 = 1.  The
+M/M/1 derivative oracles in `bvbal.queueing` are this oracle over the
+queue's transient measure.
 
 Randomness is purely functional.  Sampling operations take a `StreamKey`,
 an immutable address into a seeded tree of generators; calling twice with
 the same key is bit-identical, and distinct keys yield independent
-streams.  Multi-evaluation oracles split their key into fixed child slots
-(documented per function) so that common-random-number coupling is a
-matter of handing two evaluations the same slot.
+streams.
 
-Path oracles (the synthetic model here, the queue oracles in
-`bvbal.queueing`) split ``sample_path`` into ``draw``, which turns a
-stream into a variate block, and ``transform``, a deterministic map from
+Every oracle splits ``sample_path`` into ``draw``, which turns a stream
+into a variate block, and ``transform``, a deterministic map from
 (deltas, block) to samples that leaves the block unchanged.  Paired
-experiments draw a block once and replay it through every schedule.
+experiments draw a block once and replay it through every schedule.  A
+finite-difference block has a fixed layout: row j feeds draw j and holds
+the sp direction uniforms (if any), then one variate block per
+evaluation slot, slot 0 for the first-named evaluation.  Common random
+numbers are a matter of both evaluations reading slot 0.
 """
 
 from __future__ import annotations
@@ -41,13 +44,9 @@ __all__ = [
     "StreamKey",
     "BiasOrder",
     "SyntheticOracleSpec",
-    "NoisyFunction",
     "SampleOracle",
-    "synthetic_sample",
-    "cfd_sample",
-    "ffd_sample",
-    "bfd_sample",
-    "sp_sample",
+    "BatchedFunction",
+    "FiniteDifferenceOracle",
 ]
 
 _MAX_SEED = 2**64
@@ -258,129 +257,190 @@ class SyntheticOracleSpec:
 
 @runtime_checkable
 class SampleOracle(Protocol):
-    """What the estimators need: a dimension and path sampling."""
+    """What the estimators and the paired harness call.
+
+    The single-run estimators take a path with ``sample_path``; the
+    harness draws a variate block once per (replication, budget) cell
+    with ``draw`` and maps it through every schedule with ``transform``.
+    ``sample_path(deltas, stream)`` equals
+    ``transform(deltas, draw(len(deltas), stream))`` bit for bit, and
+    ``transform`` leaves the block unchanged.
+    """
 
     @property
     def dim(self) -> int: ...
 
+    def draw(self, n: int, stream: StreamKey) -> np.ndarray: ...
+
+    def transform(self, deltas, block: np.ndarray) -> np.ndarray: ...
+
     def sample_path(self, deltas, stream: StreamKey) -> np.ndarray: ...
 
 
-def synthetic_sample(spec: SyntheticOracleSpec, delta: float, stream: StreamKey) -> np.ndarray:
-    """One draw from a synthetic oracle; see ``SyntheticOracleSpec.sample``."""
-    return spec.sample(delta, stream)
+@dataclass(frozen=True)
+class BatchedFunction:
+    """A noisy function evaluated at many points at once, one row of
+    variates per evaluation.
 
-
-@dataclass(frozen=True, slots=True)
-class NoisyFunction:
-    """A black-box noisy evaluation x -> real, driven by a StreamKey.
-
-    ``fn(x, stream)`` must be deterministic given (x, stream) and should
-    consume randomness only through the stream.  ``mean_description`` is a
-    human note on what the evaluation estimates (its mean function).
+    ``fn(points, variates)`` returns shape (n,).  ``variates`` has shape
+    (n, *shape), row j driving evaluation j.  ``points`` holds one entry
+    per coordinate of the base point ``x``: the coordinate itself as a
+    float, or an (n, 1) column where an oracle perturbs it row by row.
+    ``prepare``, if given, turns a block of uniforms on [0, 1) into the
+    variates ``fn`` reads, in place (inverse-transform sampling, say); it
+    runs once per draw, however many schedules the block then serves.
+    ``positive`` declares that every coordinate of an evaluated point
+    must stay strictly positive (rates, scales).
     """
 
-    fn: Callable[[np.ndarray, StreamKey], float]
-    mean_description: str = ""
+    x: tuple[float, ...]
+    shape: tuple[int, ...]
+    fn: Callable[[list, np.ndarray], np.ndarray]
+    prepare: Callable[[np.ndarray], object] | None = None
+    positive: bool = False
 
-    def __call__(self, x, stream: StreamKey) -> float:
-        return float(self.fn(np.asarray(x, dtype=float), stream))
+    def __post_init__(self) -> None:
+        x = _as_vector(self.x, "x")
+        if self.positive and not np.all(x > 0):
+            raise ValueError(f"x must be positive, got {x}")
+        shape = tuple(int(s) for s in np.atleast_1d(self.shape))
+        if not all(s >= 1 for s in shape):
+            raise ValueError(f"variate shape must be positive, got {shape}")
+        object.__setattr__(self, "x", tuple(float(v) for v in x))
+        object.__setattr__(self, "shape", shape)
 
 
-def _check_point(x, coord: int, delta: float) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.ndim != 1:
-        raise ValueError(f"x must be a scalar or 1-d point, got shape {x.shape}")
-    if not 0 <= coord < x.shape[0]:
-        raise ValueError(f"coord {coord} out of range for dimension {x.shape[0]}")
-    if not float(delta) > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    return x
+# scheme -> (sign of evaluation 0, sign of evaluation 1, bias order): draw
+# j evaluates at x + sign * delta_j * v for a coordinate direction v
+# (or the drawn +-1 direction under sp).  The symmetric schemes cancel
+# the second-derivative Taylor term, leaving O(delta**2) bias; one-sided
+# differences keep it, so their bias is O(delta)
+_SCHEMES = {
+    "cfd": (1.0, -1.0, BiasOrder(2.0, 1.0)),
+    "ffd": (1.0, 0.0, BiasOrder(1.0, 1.0)),
+    "bfd": (0.0, -1.0, BiasOrder(1.0, 1.0)),
+    "sp": (1.0, -1.0, BiasOrder(2.0, 1.0)),
+}
 
 
-def cfd_sample(
-    f: NoisyFunction, x, coord: int, delta: float, stream: StreamKey, crn: bool = False
-) -> float:
-    """Central finite difference of a noisy function along one coordinate.
+@dataclass(frozen=True)
+class FiniteDifferenceOracle:
+    """Finite-difference oracle over a batched noisy function.
 
-    Returns (f(x + delta e) - f(x - delta e)) / (2 delta) with e the
-    ``coord`` unit vector.  Bias order q1 = 2 whenever the mean has a
-    nonvanishing third derivative; noise order q2 = 1.
+    Draw j evaluates ``function`` twice, at x + s0 delta_j v and at
+    x + s1 delta_j v, and returns (f_0 - f_1) / ((s0 - s1) delta_j v):
 
-    The upper evaluation uses ``stream.child(0)``; the lower uses
-    ``stream.child(1)``, or the same child(0) when ``crn`` is true so both
-    evaluations share their random numbers.
+    * cfd: (f(x + delta e) - f(x - delta e)) / (2 delta), q1 = 2;
+    * ffd: (f(x + delta e) - f(x)) / delta, q1 = 1;
+    * bfd: (f(x) - f(x - delta e)) / delta, q1 = 1;
+    * sp: (f(x + delta h) - f(x - delta h)) / (2 delta h_i) for every
+      coordinate i at once, with h a drawn +-1 direction, q1 = 2;
+
+    with e the ``coord`` unit vector (ignored under sp) and noise order
+    q2 = 1 throughout.  Under ``crn`` both evaluations read the variates
+    of slot 0, so their noise is common; by default they are
+    independent.
+
+    A draw row holds, in order: p direction uniforms (sp only, with p the
+    dimension of x, turned into +-1 by u < 0.5 -> -1), then one variate
+    block of ``function.shape`` per evaluation slot, slot 0 feeding the
+    first-named evaluation.  The sp block is (n, p + 2 m) with m the size
+    of one variate block; the others are (n, 2, *shape).
     """
-    x = _check_point(x, coord, delta)
-    e = np.zeros_like(x)
-    e[coord] = float(delta)
-    up = f(x + e, stream.child(0))
-    down = f(x - e, stream.child(0) if crn else stream.child(1))
-    return (up - down) / (2.0 * float(delta))
+
+    function: BatchedFunction
+    scheme: str = "cfd"
+    coord: int = 0
+    crn: bool = False
+
+    def __post_init__(self) -> None:
+        if self.scheme not in _SCHEMES:
+            raise ValueError(f"scheme must be one of {tuple(_SCHEMES)}, got {self.scheme!r}")
+        if not 0 <= self.coord < len(self.function.x):
+            raise ValueError(
+                f"coord {self.coord} out of range for dimension {len(self.function.x)}"
+            )
+
+    @property
+    def order(self) -> BiasOrder:
+        return _SCHEMES[self.scheme][2]
+
+    @property
+    def dim(self) -> int:
+        return len(self.function.x) if self.scheme == "sp" else 1
+
+    @property
+    def _moved(self) -> tuple[int, ...]:
+        """The coordinates a draw perturbs, in output order."""
+        return tuple(range(self.dim)) if self.scheme == "sp" else (self.coord,)
+
+    @property
+    def _directions(self) -> int:
+        return self.dim if self.scheme == "sp" else 0
+
+    def _block_shape(self, n: int) -> tuple[int, ...]:
+        p, shape = self._directions, self.function.shape
+        return (n, p + 2 * math.prod(shape)) if p else (n, 2, *shape)
+
+    def _checked(self, deltas) -> np.ndarray:
+        deltas = _positive_deltas(deltas)
+        s0, s1, _ = _SCHEMES[self.scheme]
+        if self.function.positive and min(s0, s1) < 0:
+            limit = min(self.function.x[i] for i in self._moved)
+            if not np.all(deltas < limit):
+                raise ValueError(
+                    f"delta must stay below {limit!r}; a perturbed coordinate "
+                    "would not be positive"
+                )
+        return deltas
+
+    def draw(self, n: int, stream: StreamKey) -> np.ndarray:
+        """The variate block of an n-draw path, laid out as described in
+        the class docstring; row j feeds draw j."""
+        p = self._directions
+        block = stream.generator().random(self._block_shape(int(n)))
+        if p:
+            block[:, :p] = np.where(block[:, :p] < 0.5, -1.0, 1.0)
+        if self.function.prepare is not None:
+            self.function.prepare(block[:, p:])
+        return block
+
+    def _points(self, sign: float, columns: dict) -> list:
+        points = list(self.function.x)
+        if sign:
+            for i, col in columns.items():
+                points[i] = points[i] + col if sign > 0 else points[i] - col
+        return points
+
+    def transform(self, deltas, block: np.ndarray) -> np.ndarray:
+        """Differences at ``deltas`` from a block made by `draw`, shape
+        (n, dim); the block is not modified."""
+        deltas = self._checked(deltas)
+        n, p = deltas.shape[0], self._directions
+        _check_block(block, self._block_shape(n))
+        slots = block[:, p:].reshape(n, 2, *self.function.shape)
+        step = deltas[:, None]
+        if p:
+            h = block[:, :p]
+            if not np.all(np.abs(h) == 1.0):
+                raise ValueError("direction columns must hold +1 or -1")
+            step = step * h
+        columns = {i: step[:, k:k + 1] for k, i in enumerate(self._moved)}
+        s0, s1, _ = _SCHEMES[self.scheme]
+        fn = self.function.fn
+        diff = (fn(self._points(s0, columns), slots[:, 0])
+                - fn(self._points(s1, columns), slots[:, 0 if self.crn else 1]))
+        return diff[:, None] / ((s0 - s1) * step)
+
+    def sample_path(self, deltas, stream: StreamKey) -> np.ndarray:
+        """One difference per delta; draw j consumes row j of the block
+        described in the class docstring, so prefixes of a path are
+        reproducible.  The composition of `draw` and `transform`."""
+        deltas = self._checked(deltas)
+        return self.transform(deltas, self.draw(deltas.shape[0], stream))
+
+    def sample(self, delta: float, stream: StreamKey) -> np.ndarray:
+        """Single draw at perturbation size delta."""
+        return self.sample_path(np.asarray([float(delta)]), stream)[0]
 
 
-def ffd_sample(
-    f: NoisyFunction, x, coord: int, delta: float, stream: StreamKey, crn: bool = False
-) -> float:
-    """Forward difference (f(x + delta e) - f(x)) / delta; q1 = 1, q2 = 1.
-
-    Child slots as in ``cfd_sample``: perturbed point on child(0), anchor
-    point on child(1) (or shared child(0) under ``crn``).
-    """
-    x = _check_point(x, coord, delta)
-    e = np.zeros_like(x)
-    e[coord] = float(delta)
-    up = f(x + e, stream.child(0))
-    anchor = f(x, stream.child(0) if crn else stream.child(1))
-    return (up - anchor) / float(delta)
-
-
-def bfd_sample(
-    f: NoisyFunction, x, coord: int, delta: float, stream: StreamKey, crn: bool = False
-) -> float:
-    """Backward difference (f(x) - f(x - delta e)) / delta; q1 = 1, q2 = 1.
-
-    Anchor point on child(0), lower point on child(1) (or shared child(0)
-    under ``crn``).
-    """
-    x = _check_point(x, coord, delta)
-    e = np.zeros_like(x)
-    e[coord] = float(delta)
-    anchor = f(x, stream.child(0))
-    down = f(x - e, stream.child(0) if crn else stream.child(1))
-    return (anchor - down) / float(delta)
-
-
-def sp_sample(
-    f: NoisyFunction, x, delta: float, stream: StreamKey, h: np.ndarray | None = None
-) -> np.ndarray:
-    """Simultaneous-perturbation gradient estimate from two evaluations.
-
-    Draws a Rademacher direction h (independent +-1 coordinates) from
-    ``stream.child(0)``, evaluates f at x + delta h on ``stream.child(1)``
-    and at x - delta h on ``stream.child(2)``, and returns the vector with
-    component i equal to (f(x + delta h) - f(x - delta h)) / (2 delta h_i).
-    Bias order q1 = 2, noise order q2 = 1.
-
-    Parameters
-    ----------
-    h : ndarray of +-1, optional
-        Overrides the drawn direction (every coordinate must be +1 or -1);
-        intended for exhaustive enumeration in tests.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.ndim != 1:
-        raise ValueError(f"x must be a scalar or 1-d point, got shape {x.shape}")
-    delta = float(delta)
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if h is None:
-        u = stream.child(0).generator().random(x.shape[0])
-        h = np.where(u < 0.5, -1.0, 1.0)
-    else:
-        h = np.asarray(h, dtype=float)
-        if h.shape != x.shape or not np.all(np.abs(h) == 1.0):
-            raise ValueError("h must match x in shape with every entry +1 or -1")
-    up = f(x + delta * h, stream.child(1))
-    down = f(x - delta * h, stream.child(2))
-    return (up - down) / (2.0 * delta * h)

@@ -15,7 +15,9 @@ difference of two replications, giving a biased-noisy estimate of the
 derivative of the transient measure with bias order q1 = 2 and noise
 order q2 = 1; the simultaneous-perturbation variant perturbs both rates
 along a random +-1 direction and estimates the full gradient from the
-same two replications.
+same two replications.  Both are `bvbal.oracles.FiniteDifferenceOracle`
+over the transient measure written as a batched function of the two
+rates.
 
 All randomness enters through uniform blocks drawn from a StreamKey in
 one row-major block per call, so a path's prefix is reproducible and two
@@ -24,7 +26,8 @@ sampling (-log1p(-U) / rate) keeps a uniform block's meaning fixed when
 only rates change, which is what makes common random numbers and
 coupling-based tests exact.  It also lets the oracles' ``draw`` turn the
 block into unit-rate exponentials -log1p(-U) once, in place, for every
-schedule that ``transform`` then maps it through.
+schedule that ``transform`` then maps it through; each evaluation then
+only divides by its rates.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import StreamKey, _check_block, _positive_deltas
+from .oracles import BatchedFunction, FiniteDifferenceOracle, StreamKey
 
 __all__ = [
     "QueueParams",
@@ -42,8 +45,6 @@ __all__ = [
     "MM1DerivativeOracle",
     "MM1GradientOracleSP",
     "mm1_transient_sample",
-    "mm1_derivative_oracle",
-    "mm1_gradient_oracle_sp",
     "MM1_TRUE_ARRIVAL_DERIVATIVE",
     "MM1_TRUE_SERVICE_DERIVATIVE",
 ]
@@ -121,143 +122,64 @@ def mm1_transient_sample(params: QueueParams, stream: StreamKey) -> TransientSam
     return TransientSample(float(times.mean()), times)
 
 
-def _check_deltas(deltas, limit: float, what: str) -> np.ndarray:
-    deltas = _positive_deltas(deltas)
-    if not np.all(deltas < limit):
-        raise ValueError(
-            f"delta must stay below the {what} ({limit!r}); a perturbed rate "
-            "would not be positive"
-        )
-    return deltas
+def _mean_system_time(rates: list, e: np.ndarray) -> np.ndarray:
+    """Average system time of the first k customers, one replication per
+    row of unit-rate exponentials ``e`` (shape (n, 2, k): arrivals, then
+    services) at ``rates`` = (arrival, service), each a float or an
+    (n, 1) column."""
+    return _system_times(e[:, 0] / rates[0], e[:, 1] / rates[1]).mean(axis=-1)
 
 
-@dataclass(frozen=True, slots=True)
-class MM1DerivativeOracle:
+def _transient_measure(params: QueueParams) -> BatchedFunction:
+    """The transient measure as a batched function of (arrival rate,
+    service rate): a (2, k) uniform block per evaluation, turned into
+    unit-rate exponentials once per draw; rates must stay positive."""
+    return BatchedFunction(
+        (params.arrival_rate, params.service_rate), (2, params.num_customers),
+        _mean_system_time, _unit_exponentials, positive=True,
+    )
+
+
+_TARGETS = ("arrival", "service")
+
+
+@dataclass(frozen=True, init=False)
+class MM1DerivativeOracle(FiniteDifferenceOracle):
     """Central-difference oracle for one rate derivative of the transient
     measure; bias order q1 = 2, noise order q2 = 1.
 
-    Each draw runs the queue at rate + delta and rate - delta.  With
-    ``crn`` the two runs share their uniform block (variance reduction);
-    by default they are independent.
+    Each draw runs the queue at rate + delta and rate - delta from a
+    block of shape (n, 2, 2, k), indexed by draw, evaluation slot
+    (+delta first), then process (arrivals, services).  With ``crn`` the
+    two runs share slot 0 (variance reduction); by default they are
+    independent.
     """
 
     params: QueueParams
-    target: str = "arrival"
-    crn: bool = False
+    target: str
 
-    def __post_init__(self) -> None:
-        if self.target not in ("arrival", "service"):
-            raise ValueError(f"target must be 'arrival' or 'service', got {self.target!r}")
-
-    @property
-    def dim(self) -> int:
-        return 1
-
-    def _checked(self, deltas) -> np.ndarray:
-        rate = (self.params.arrival_rate if self.target == "arrival"
-                else self.params.service_rate)
-        return _check_deltas(deltas, rate, f"{self.target} rate")
-
-    def draw(self, n: int, stream: StreamKey) -> np.ndarray:
-        """The variate block of an n-draw path: one row-major uniform
-        block of shape (n, 2, 2, k), indexed by draw, evaluation slot
-        (+delta first), then process (arrivals, services), turned in
-        place into unit-rate exponentials."""
-        k = self.params.num_customers
-        return _unit_exponentials(stream.generator().random((int(n), 2, 2, k)))
-
-    def transform(self, deltas, e: np.ndarray) -> np.ndarray:
-        """Central differences at ``deltas`` from a block made by `draw`;
-        the block is not modified.  With ``crn`` both evaluations read
-        slot 0."""
-        deltas = self._checked(deltas)
-        _check_block(e, (deltas.shape[0], 2, 2, self.params.num_customers))
-        d = deltas[:, None]
-        lam, mu = self.params.arrival_rate, self.params.service_rate
-        up, down = e[:, 0], e[:, 0 if self.crn else 1]
-        if self.target == "arrival":
-            t_up = _system_times(up[:, 0] / (lam + d), up[:, 1] / mu)
-            t_down = _system_times(down[:, 0] / (lam - d), down[:, 1] / mu)
-        else:
-            t_up = _system_times(up[:, 0] / lam, up[:, 1] / (mu + d))
-            t_down = _system_times(down[:, 0] / lam, down[:, 1] / (mu - d))
-        value = (t_up.mean(axis=-1) - t_down.mean(axis=-1)) / (2.0 * deltas)
-        return value[:, None]
-
-    def sample_path(self, deltas, stream: StreamKey) -> np.ndarray:
-        """One central-difference draw per delta; draw j consumes row j of
-        the block described in `draw`.  The composition of `draw` and
-        `transform`."""
-        deltas = self._checked(deltas)
-        return self.transform(deltas, self.draw(deltas.shape[0], stream))
-
-    def sample(self, delta: float, stream: StreamKey) -> np.ndarray:
-        return self.sample_path(np.asarray([float(delta)]), stream)[0]
+    def __init__(self, params: QueueParams, target: str = "arrival",
+                 crn: bool = False) -> None:
+        if target not in _TARGETS:
+            raise ValueError(f"target must be 'arrival' or 'service', got {target!r}")
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "target", target)
+        super().__init__(_transient_measure(params), "cfd", _TARGETS.index(target), crn)
 
 
-def mm1_derivative_oracle(params: QueueParams, target: str, delta: float,
-                          stream: StreamKey, crn: bool = False) -> float:
-    """One central-difference draw of d(transient measure)/d(rate)."""
-    oracle = MM1DerivativeOracle(params=params, target=target, crn=crn)
-    return float(oracle.sample(delta, stream)[0])
-
-
-@dataclass(frozen=True, slots=True)
-class MM1GradientOracleSP:
+@dataclass(frozen=True, init=False)
+class MM1GradientOracleSP(FiniteDifferenceOracle):
     """Simultaneous-perturbation gradient oracle over (arrival, service):
     both rates move +-delta along a random +-1 direction and the same two
-    replications feed every gradient component; q1 = 2, q2 = 1."""
+    replications feed every gradient component; q1 = 2, q2 = 1.
+
+    Row j of the (n, 2 + 4 k) block holds the +-1 direction (drawn as
+    two uniforms), then the (+) replication's arrival and service
+    columns, then the (-) replication's.
+    """
 
     params: QueueParams
 
-    @property
-    def dim(self) -> int:
-        return 2
-
-    def _checked(self, deltas) -> np.ndarray:
-        limit = min(self.params.arrival_rate, self.params.service_rate)
-        return _check_deltas(deltas, limit, "smaller rate")
-
-    def draw(self, n: int, stream: StreamKey) -> np.ndarray:
-        """The variate block of an n-draw path: one uniform block of shape
-        (n, 2 + 4 k), row j feeding draw j.  Its first two columns become
-        the +-1 direction h (from the raw uniforms); the rest, the (+)
-        replication's arrival and service columns then the (-)
-        replication's, become unit-rate exponentials in place."""
-        k = self.params.num_customers
-        block = stream.generator().random((int(n), 2 + 4 * k))
-        block[:, :2] = np.where(block[:, :2] < 0.5, -1.0, 1.0)
-        _unit_exponentials(block[:, 2:])
-        return block
-
-    def transform(self, deltas, block: np.ndarray) -> np.ndarray:
-        """Gradient estimates at ``deltas`` from a block made by `draw`;
-        the block is not modified."""
-        deltas = self._checked(deltas)
-        n = deltas.shape[0]
-        k = self.params.num_customers
-        _check_block(block, (n, 2 + 4 * k))
-        h = block[:, :2]
-        e = block[:, 2:].reshape(n, 2, 2, k)
-        lam, mu = self.params.arrival_rate, self.params.service_rate
-        dh = deltas[:, None] * h
-        up = _system_times(e[:, 0, 0] / (lam + dh[:, :1]), e[:, 0, 1] / (mu + dh[:, 1:]))
-        down = _system_times(e[:, 1, 0] / (lam - dh[:, :1]), e[:, 1, 1] / (mu - dh[:, 1:]))
-        diff = up.mean(axis=-1) - down.mean(axis=-1)
-        return diff[:, None] / (2.0 * dh)
-
-    def sample_path(self, deltas, stream: StreamKey) -> np.ndarray:
-        """Draw j consumes row j of the block described in `draw`; the
-        composition of `draw` and `transform`."""
-        deltas = self._checked(deltas)
-        return self.transform(deltas, self.draw(deltas.shape[0], stream))
-
-    def sample(self, delta: float, stream: StreamKey) -> np.ndarray:
-        return self.sample_path(np.asarray([float(delta)]), stream)[0]
-
-
-def mm1_gradient_oracle_sp(params: QueueParams, delta: float,
-                           stream: StreamKey) -> np.ndarray:
-    """One simultaneous-perturbation draw of the transient measure's
-    gradient with respect to (arrival_rate, service_rate)."""
-    return MM1GradientOracleSP(params=params).sample(delta, stream)
+    def __init__(self, params: QueueParams) -> None:
+        object.__setattr__(self, "params", params)
+        super().__init__(_transient_measure(params), "sp")

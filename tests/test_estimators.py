@@ -118,6 +118,27 @@ def test_oversized_step_with_offset_clamps_and_warns(caplog):
     assert t0 == 0.0
 
 
+@pytest.mark.parametrize("trace", [False, True], ids=["plain", "trace"])
+def test_each_clamping_run_warns_exactly_once(caplog, trace):
+    # c = 8, n0 = 5 clamps early steps: every run says so once, traced or
+    # not, including a repeated averaged run on cached coefficients
+    spec = unit_spec(sigma=0.5)
+    sched = DeltaSchedule(1.0, 1.0 / 6.0, n0=5)
+    averaged = (averaged_estimate, RecursiveParams(8.0, 0.5),
+                "clamping 6 recursive step(s) above 1 (c=8, beta=0.5, n0=5)")
+    runs = (
+        (recursive_estimate, RecursiveParams(8.0, 1.0),
+         "clamping 2 recursive step(s) above 1 (c=8, beta=1, n0=5)"),
+        averaged,
+        averaged,
+    )
+    for estimate, params, message in runs:
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="bvbal.estimators"):
+            estimate(spec, 6, sched, params, StreamKey(3), trace=trace)
+        assert [r.getMessage() for r in caplog.records] == [message]
+
+
 def test_averaged_hand_literal_n2():
     c, beta = 0.5, 0.5
     g1, g2 = 0.5, 0.5 / math.sqrt(2.0)

@@ -1,0 +1,32 @@
+"""Import surface: every name the package root imports resolves, and
+every module's ``__all__`` names something the module defines, so a
+removed function cannot linger as a stale export."""
+
+import ast
+import importlib
+import pathlib
+
+import pytest
+
+import bvbal
+
+PACKAGE_DIR = pathlib.Path(bvbal.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
+
+
+def test_package_root_imports_resolve():
+    tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text())
+    names = [alias.asname or alias.name
+             for node in tree.body if isinstance(node, ast.ImportFrom)
+             for alias in node.names]
+    assert len(names) > 40
+    assert [name for name in names if not hasattr(bvbal, name)] == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_star_import_resolves(module):
+    # a star import raises AttributeError on an __all__ entry that is gone
+    namespace: dict = {}
+    exec(f"from bvbal.{module} import *", namespace)
+    exported = getattr(importlib.import_module(f"bvbal.{module}"), "__all__", ())
+    assert [name for name in exported if name not in namespace] == []

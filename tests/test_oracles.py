@@ -1,5 +1,5 @@
-"""Oracle layer: stream keys, the synthetic model, and the four
-finite-difference samplers."""
+"""Oracle layer: stream keys, the synthetic model, and the
+finite-difference oracle under its four schemes."""
 
 import itertools
 import math
@@ -9,16 +9,13 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from bvbal import (
+    BatchedFunction,
     BiasOrder,
-    NoisyFunction,
+    FiniteDifferenceOracle,
     StreamKey,
     SyntheticOracleSpec,
-    bfd_sample,
-    cfd_sample,
-    ffd_sample,
-    sp_sample,
-    synthetic_sample,
 )
+from bvbal.oracles import SampleOracle
 
 from helpers import unit_spec
 
@@ -108,6 +105,7 @@ def test_one_draw_replays_through_any_schedule():
     )
     key = StreamKey(23, (4, 1))
     n = 500
+    assert isinstance(spec, SampleOracle)
     z = spec.draw(n, key)
     before = z.copy()
     for deltas in (np.full(n, 0.3), np.geomspace(1.0, 0.01, n), 0.9 * np.arange(1, n + 1.0) ** -0.2):
@@ -153,7 +151,6 @@ def test_sample_is_sample_path_of_length_one():
     spec = unit_spec(sigma=1.5)
     key = StreamKey(77)
     assert np.array_equal(spec.sample(0.4, key), spec.sample_path([0.4], key)[0])
-    assert np.array_equal(synthetic_sample(spec, 0.4, key), spec.sample(0.4, key))
 
 
 def test_spec_validation():
@@ -185,79 +182,124 @@ def test_degenerate_flag():
 # ------------------------------------------------- finite-difference eval
 
 
-def _noiseless(expr):
-    return NoisyFunction(lambda x, stream: expr(x), "noiseless test function")
+def _fn(expr, x, noise=None):
+    """A batched test function: ``expr`` of the point's coordinates plus
+    ``noise`` of each row's single variate, one value per row."""
+
+    def fn(points, v):
+        value = expr(*points) + (0.0 if noise is None else noise(v))
+        return np.broadcast_to(value, (v.shape[0], 1))[:, 0]
+
+    return BatchedFunction(x, (1,), fn, _centre)
+
+
+def _centre(u):
+    # uniforms on [0, 1) -> noise on [-0.5, 0.5), in place
+    np.subtract(u, 0.5, out=u)
+
+
+def _fd(expr, x, scheme="cfd", coord=0, crn=False, noise=None):
+    return FiniteDifferenceOracle(_fn(expr, x, noise), scheme, coord, crn)
+
+
+def _unit_noise(v):
+    return 10.0 * v[:, 0, None]
 
 
 def test_cfd_quadratic_frozen():
-    f = _noiseless(lambda x: float(x[0] ** 2))
-    assert cfd_sample(f, [1.0], 0, 0.5, StreamKey(0)) == 2.0
+    assert _fd(lambda x: x**2, [1.0]).sample(0.5, StreamKey(0))[0] == 2.0
 
 
 def test_cfd_cubic_frozen():
     # (1.1**3 - 0.9**3) / 0.2 = 3.01, the 3 x**2 + delta**2 curvature bias
-    f = _noiseless(lambda x: float(x[0] ** 3))
-    got = cfd_sample(f, [1.0], 0, 0.1, StreamKey(0))
+    got = _fd(lambda x: x**3, [1.0]).sample(0.1, StreamKey(0))[0]
     assert got == pytest.approx(3.01, rel=1e-12)
 
 
 def test_ffd_bfd_quadratic_frozen():
-    f = _noiseless(lambda x: float(x[0] ** 2))
-    assert ffd_sample(f, [1.0], 0, 0.5, StreamKey(0)) == 2.5
-    assert bfd_sample(f, [1.0], 0, 0.5, StreamKey(0)) == 1.5
+    assert _fd(lambda x: x**2, [1.0], "ffd").sample(0.5, StreamKey(0))[0] == 2.5
+    assert _fd(lambda x: x**2, [1.0], "bfd").sample(0.5, StreamKey(0))[0] == 1.5
 
 
 def test_fd_constant_and_linear():
-    const = _noiseless(lambda x: 3.25)
-    lin = _noiseless(lambda x: float(4.0 * x[0] - 2.0))
-    for sampler in (cfd_sample, ffd_sample, bfd_sample):
-        assert sampler(const, [0.3], 0, 0.7, StreamKey(1)) == 0.0
-        assert sampler(lin, [0.3], 0, 0.7, StreamKey(1)) == pytest.approx(4.0, rel=1e-14)
+    for scheme in ("cfd", "ffd", "bfd"):
+        const = _fd(lambda x: 3.25, [0.3], scheme)
+        lin = _fd(lambda x: 4.0 * x - 2.0, [0.3], scheme)
+        assert const.sample(0.7, StreamKey(1))[0] == 0.0
+        assert lin.sample(0.7, StreamKey(1))[0] == pytest.approx(4.0, rel=1e-14)
 
 
 def test_fd_acts_on_one_coordinate():
-    f = _noiseless(lambda x: float(x[0] ** 2 + 10.0 * x[1]))
-    assert cfd_sample(f, [1.0, 5.0], 1, 0.25, StreamKey(0)) == pytest.approx(10.0, rel=1e-13)
+    oracle = _fd(lambda x, y: x**2 + 10.0 * y, [1.0, 5.0], coord=1)
+    assert oracle.sample(0.25, StreamKey(0))[0] == pytest.approx(10.0, rel=1e-13)
+    assert oracle.dim == 1
+
+
+def test_fd_bias_orders():
+    # the scheme fixes the bias order: one-sided differences keep the
+    # first-order term, central differences and sp cancel it
+    for scheme, q1 in (("cfd", 2.0), ("ffd", 1.0), ("bfd", 1.0), ("sp", 2.0)):
+        assert _fd(lambda x: x, [1.0], scheme).order == BiasOrder(q1, 1.0)
 
 
 def test_fd_child_slots_and_crn():
-    def noisy(x, stream):
-        return float(x[0] ** 2) + float(stream.generator().standard_normal())
-
-    f = NoisyFunction(noisy, "x**2 plus unit noise")
     key = StreamKey(123)
-    # crn shares child(0) between both evaluations, so the noise cancels
-    assert cfd_sample(f, [1.0], 0, 0.5, key, crn=True) == pytest.approx(2.0, rel=1e-12)
+    x2 = lambda x: x**2  # noqa: E731
+    # crn makes both evaluations read slot 0, so the noise cancels
+    crn = _fd(x2, [1.0], crn=True, noise=_unit_noise)
+    assert crn.sample(0.5, key)[0] == pytest.approx(2.0, rel=1e-12)
     # independent evaluations keep the noise
-    assert cfd_sample(f, [1.0], 0, 0.5, key, crn=False) != pytest.approx(2.0, rel=1e-6)
-    # the exact child addresses are part of the contract
-    z0 = float(StreamKey(123).child(0).generator().standard_normal())
-    z1 = float(StreamKey(123).child(1).generator().standard_normal())
+    plain = _fd(x2, [1.0], noise=_unit_noise)
+    assert plain.sample(0.5, key)[0] != pytest.approx(2.0, rel=1e-6)
+    # the block layout is part of the contract: row j holds one (1,)
+    # variate block per slot, + evaluation first, prepared once
+    u = StreamKey(123).generator().random((1, 2, 1))
+    assert np.array_equal(plain.draw(1, key), u - 0.5)
+    z0, z1 = 10.0 * (u[0, 0, 0] - 0.5), 10.0 * (u[0, 1, 0] - 0.5)
     expected = ((1.5**2 + z0) - (0.5**2 + z1)) / 1.0
-    assert cfd_sample(f, [1.0], 0, 0.5, key) == expected
+    assert plain.sample(0.5, key)[0] == expected
 
 
 def test_fd_validation():
-    f = _noiseless(lambda x: float(x[0]))
     with pytest.raises(ValueError):
-        cfd_sample(f, [1.0], 0, 0.0, StreamKey(0))
+        _fd(lambda x: x, [1.0]).sample(0.0, StreamKey(0))
     with pytest.raises(ValueError):
-        cfd_sample(f, [1.0], 1, 0.1, StreamKey(0))
+        _fd(lambda x: x, [1.0], coord=1)
     with pytest.raises(ValueError):
-        ffd_sample(f, [1.0], -1, 0.1, StreamKey(0))
+        _fd(lambda x: x, [1.0], "ffd", coord=-1)
     with pytest.raises(ValueError):
-        bfd_sample(f, np.eye(2), 0, 0.1, StreamKey(0))
+        _fd(lambda x: x, np.eye(2), "bfd")
+    with pytest.raises(ValueError):
+        _fd(lambda x: x, [1.0], "fd")
+
+
+def test_fd_positive_domain_caps_delta():
+    # a positive function's perturbed coordinates must stay above 0:
+    # only the schemes that step down are capped, by the moved coordinate
+    f = BatchedFunction([2.0, 0.5], (1,), lambda pts, v: v[:, 0], positive=True)
+    FiniteDifferenceOracle(f, "ffd", 1).sample(3.0, StreamKey(0))
+    FiniteDifferenceOracle(f, "cfd", 0).sample(1.0, StreamKey(0))
+    for scheme, coord, delta in (("cfd", 1, 0.5), ("bfd", 0, 2.0), ("sp", 0, 0.5)):
+        with pytest.raises(ValueError):
+            FiniteDifferenceOracle(f, scheme, coord).sample(delta, StreamKey(0))
+    with pytest.raises(ValueError):
+        BatchedFunction([1.0, 0.0], (1,), lambda pts, v: v[:, 0], positive=True)
 
 
 # -------------------------------------------- simultaneous perturbation
 
 
+def _sp_at(oracle, delta, signs):
+    # an sp draw with its direction columns overwritten by ``signs``
+    block = oracle.draw(1, StreamKey(0))
+    block[:, :len(signs)] = signs
+    return oracle.transform([delta], block)[0]
+
+
 def test_sp_two_dim_hand_values():
-    f = _noiseless(lambda x: float(x[0] + x[1]))
-    got = sp_sample(f, [0.0, 0.0], 0.5, StreamKey(0), h=np.array([1.0, 1.0]))
-    assert np.allclose(got, [2.0, 2.0], rtol=1e-14)
-    got = sp_sample(f, [0.0, 0.0], 0.5, StreamKey(0), h=np.array([1.0, -1.0]))
-    assert np.array_equal(got, [0.0, 0.0])
+    oracle = _fd(lambda x, y: x + y, [0.0, 0.0], "sp")
+    assert np.allclose(_sp_at(oracle, 0.5, [1.0, 1.0]), [2.0, 2.0], rtol=1e-14)
+    assert np.array_equal(_sp_at(oracle, 0.5, [1.0, -1.0]), [0.0, 0.0])
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
@@ -266,53 +308,67 @@ def test_sp_affine_mean_over_directions_is_gradient(p):
     g = rng.normal(size=p)
     b = float(rng.normal())
     x = rng.normal(size=p)
-    f = _noiseless(lambda y: float(g @ y + b))
+    oracle = _fd(lambda *y: sum(gi * yi for gi, yi in zip(g, y)) + b, x, "sp")
     total = np.zeros(p)
     for signs in itertools.product((-1.0, 1.0), repeat=p):
-        total += sp_sample(f, x, 0.3, StreamKey(0), h=np.array(signs))
+        total += _sp_at(oracle, 0.3, signs)
     assert np.allclose(total / 2**p, g, rtol=1e-12, atol=1e-12)
 
 
 def test_sp_pure_quadratic_vanishes_at_origin():
-    f = _noiseless(lambda x: float(x @ x))
+    oracle = _fd(lambda *y: sum(yi * yi for yi in y), np.zeros(3), "sp")
     for signs in itertools.product((-1.0, 1.0), repeat=3):
-        got = sp_sample(f, np.zeros(3), 0.4, StreamKey(0), h=np.array(signs))
-        assert np.allclose(got, 0.0, atol=1e-14)
+        assert np.allclose(_sp_at(oracle, 0.4, signs), 0.0, atol=1e-14)
 
 
 def test_sp_components_share_one_difference():
     # both components are the same scalar difference divided by delta h_i
-    def noisy(x, stream):
-        return float(x[0] ** 2 + 3.0 * x[1] + stream.generator().standard_normal())
-
-    f = NoisyFunction(noisy, "")
-    got = sp_sample(f, [1.0, 2.0], 0.2, StreamKey(5))
+    quad = lambda x, y: x**2 + 3.0 * y  # noqa: E731
+    got = _fd(quad, [1.0, 2.0], "sp", noise=_unit_noise).sample(0.2, StreamKey(5))
     assert abs(got[0]) == pytest.approx(abs(got[1]), rel=1e-14)
+    # under crn both evaluations read slot 0 and the noise cancels
+    crn = _fd(quad, [1.0, 2.0], "sp", crn=True, noise=_unit_noise)
+    h = crn.draw(1, StreamKey(5))[0, :2]
+    assert np.allclose(crn.sample(0.2, StreamKey(5)), _sp_at(_fd(quad, [1.0, 2.0], "sp"), 0.2, h),
+                       rtol=1e-12)
 
 
 def test_sp_drawn_direction_and_children_are_stable():
-    f = _noiseless(lambda x: float(x[0] - x[1]))
+    oracle = _fd(lambda x, y: x - y, [0.5, 0.5], "sp")
     key = StreamKey(17)
-    u = key.child(0).generator().random(2)
-    h = np.where(u < 0.5, -1.0, 1.0)
-    expected = sp_sample(f, [0.5, 0.5], 0.3, key, h=h)
-    assert np.array_equal(sp_sample(f, [0.5, 0.5], 0.3, key), expected)
+    # row layout: 2 direction uniforms, then one (1,) block per slot
+    u = key.generator().random((1, 4))
+    h = np.where(u[0, :2] < 0.5, -1.0, 1.0)
+    block = oracle.draw(1, key)
+    assert np.array_equal(block[0, :2], h)
+    assert np.array_equal(block[0, 2:], u[0, 2:] - 0.5)
+    assert np.array_equal(oracle.sample(0.3, key), _sp_at(oracle, 0.3, h))
+    assert oracle.dim == 2 and oracle.sample_path([0.3, 0.2], key).shape == (2, 2)
 
 
 def test_sp_validation():
-    f = _noiseless(lambda x: float(x[0]))
+    oracle = _fd(lambda x, y: x, [1.0, 2.0], "sp")
     with pytest.raises(ValueError):
-        sp_sample(f, [1.0, 2.0], 0.3, StreamKey(0), h=np.array([1.0, 0.5]))
+        _sp_at(oracle, 0.3, [1.0, 0.5])
     with pytest.raises(ValueError):
-        sp_sample(f, [1.0, 2.0], 0.3, StreamKey(0), h=np.array([1.0]))
+        oracle.transform([0.3], oracle.draw(1, StreamKey(0))[:, 1:])
     with pytest.raises(ValueError):
-        sp_sample(f, [1.0], 0.0, StreamKey(0))
+        oracle.sample(0.0, StreamKey(0))
     with pytest.raises(ValueError):
-        sp_sample(f, np.eye(2), 0.1, StreamKey(0))
+        _fd(lambda x: x, np.eye(2), "sp")
 
 
-def test_noisy_function_coerces_to_float():
-    f = NoisyFunction(lambda x, stream: np.float32(2.5), "constant")
-    out = f([0.0], StreamKey(0))
-    assert isinstance(out, float) and out == 2.5
-    assert NoisyFunction(lambda x, s: 0.0).mean_description == ""
+def test_fd_one_draw_replays_through_any_schedule():
+    # every scheme: transform of one shared draw equals sample_path's,
+    # and mapping leaves the draw untouched
+    n = 200
+    for scheme in ("cfd", "ffd", "bfd", "sp"):
+        for crn in (False, True):
+            oracle = _fd(lambda x, y: x * y, [1.0, 2.0], scheme, crn=crn, noise=_unit_noise)
+            key = StreamKey(31, (2,))
+            block = oracle.draw(n, key)
+            before = block.copy()
+            for deltas in (np.full(n, 0.2), np.geomspace(0.9, 0.01, n)):
+                assert np.array_equal(oracle.transform(deltas, block),
+                                      oracle.sample_path(deltas, key))
+            assert np.array_equal(block, before)

@@ -12,10 +12,9 @@ from bvbal import (
     MM1GradientOracleSP,
     QueueParams,
     StreamKey,
-    mm1_derivative_oracle,
-    mm1_gradient_oracle_sp,
     mm1_transient_sample,
 )
+from bvbal.oracles import SampleOracle
 from bvbal.queueing import (
     MM1_TRUE_ARRIVAL_DERIVATIVE,
     MM1_TRUE_SERVICE_DERIVATIVE,
@@ -157,6 +156,7 @@ def test_derivative_oracle_crn_shares_the_block():
 def test_one_draw_replays_through_any_schedule(oracle):
     # samples mapped from one shared draw equal sample_path's, bit for bit,
     # and mapping leaves the draw untouched
+    assert isinstance(oracle, SampleOracle)
     key = StreamKey(61, (2, 0))
     n = 300
     block = oracle.draw(n, key)
@@ -225,13 +225,6 @@ def test_derivative_oracle_validation():
         MM1DerivativeOracle(P4, "rate")
 
 
-def test_derivative_wrapper():
-    key = StreamKey(17)
-    want = MM1DerivativeOracle(P4, "service").sample(0.2, key)[0]
-    got = mm1_derivative_oracle(P4, "service", 0.2, key)
-    assert isinstance(got, float) and got == want
-
-
 # ------------------------------------------- simultaneous perturbation
 
 
@@ -260,9 +253,6 @@ def test_sp_oracle_shapes_and_validation():
     with pytest.raises(ValueError):
         # the smaller rate caps delta
         oracle.sample_path(np.array([4.0]), StreamKey(1))
-    key = StreamKey(2)
-    assert np.array_equal(mm1_gradient_oracle_sp(QueueParams(4.0, 5.0, 10), 0.3, key),
-                          oracle.sample(0.3, key))
 
 
 def test_reference_constants_agree_with_a_crn_run():
