@@ -28,15 +28,12 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .calibration import WeightScheme, _exact_sum
 from .errors import ConfigurationError
 from .oracles import BiasOrder, SampleOracle, StreamKey
-
-if TYPE_CHECKING:
-    from .calibration import WeightScheme
 
 __all__ = [
     "DeltaSchedule",
@@ -203,7 +200,7 @@ def _averaged_coefficients_cached(c: float, beta: float, n: int, n0: int) -> tup
     for i in range(n - 2, -1, -1):
         R[i] = 1.0 + q[i + 1] * R[i + 1]
     ubar = gam * R / n
-    t0bar = math.fsum(np.cumprod(q)) / n
+    t0bar = _exact_sum(np.cumprod(q)) / n
     ubar.setflags(write=False)
     return ubar, t0bar, clamped
 

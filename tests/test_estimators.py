@@ -103,6 +103,18 @@ def test_averaged_coefficients_sum_to_one(c, beta, n, n0):
     assert math.fsum(ubar) + t0bar == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "c, beta, n, n0",
+    [(1.0, 0.5, 100_000, 0), (1.0, 0.5, 10_000, 500), (8.0, 0.5, 3 * 2**14 + 5, 5),
+     (0.3, 0.9, 50_000, 0), (2.0, 0.3, 200_000, 4)],
+)
+def test_averaged_t0bar_is_the_fsum_of_the_products(c, beta, n, n0):
+    # t0bar = (sum_m prod_{k <= m} (1 - gamma_k)) / n, exactly rounded
+    gam = np.minimum(c * (np.arange(1, n + 1, dtype=float) + n0) ** (-beta), 1.0)
+    t0bar = averaged_coefficients(c, beta, n, n0)[1]
+    assert t0bar.hex() == (math.fsum(np.cumprod(1.0 - gam)) / n).hex()
+
+
 def test_oversized_step_without_offset_is_an_error():
     with pytest.raises(ConfigurationError):
         recursion_coefficients(2.0, 1.0, 10, 0)
