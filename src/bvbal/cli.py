@@ -18,9 +18,11 @@ serve as defaults; explicit flags override it.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import secrets
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -121,13 +123,14 @@ def _pick_seed(args) -> int:
     return seed
 
 
-def _write(args, csv_text: str, json_text: str) -> None:
+def _write(args, csv_text: Callable[[], str], json_text: Callable[[], str]) -> None:
+    """Render the chosen format, and only that one, into ``--out``."""
     if args.out is None:
         return
     fmt = args.format
     if fmt is None:
         fmt = "json" if str(args.out).endswith(".json") else "csv"
-    text = json_text if fmt == "json" else csv_text
+    text = json_text() if fmt == "json" else csv_text()
     with open(args.out, "w") as fh:
         fh.write(text)
     print(f"wrote {args.out}")
@@ -181,21 +184,24 @@ def _cmd_weights(args) -> int:
         f"s_star={scheme.s_star!r}", f"K={K!r}", f"n0={n0}",
         f"q1={order.q1!r}", f"q2={order.q2!r}",
     )
-    csv_lines = [f"# {m}" for m in meta] + ["j,weight"]
-    csv_lines += [f"{j + 1},{float(w)!r}" for j, w in enumerate(scheme.weights)]
-    csv_text = "\n".join(csv_lines) + "\n"
-    import json as _json
 
-    json_text = _json.dumps(
-        {
-            "n": n, "n0": n0, "K": K, "q1": order.q1, "q2": order.q2,
-            "lambda1": scheme.lambda1, "lambda2": scheme.lambda2,
-            "a_star": scheme.a_star, "eta_star": scheme.eta_star,
-            "s_star": scheme.s_star,
-            "weights": scheme.weights.tolist(),
-        },
-        sort_keys=True,
-    ) + "\n"
+    def csv_text() -> str:
+        lines = [f"# {m}" for m in meta] + ["j,weight"]
+        lines += [f"{j},{w!r}" for j, w in enumerate(scheme.weights.tolist(), 1)]
+        return "\n".join(lines) + "\n"
+
+    def json_text() -> str:
+        return json.dumps(
+            {
+                "n": n, "n0": n0, "K": K, "q1": order.q1, "q2": order.q2,
+                "lambda1": scheme.lambda1, "lambda2": scheme.lambda2,
+                "a_star": scheme.a_star, "eta_star": scheme.eta_star,
+                "s_star": scheme.s_star,
+                "weights": scheme.weights.tolist(),
+            },
+            sort_keys=True,
+        ) + "\n"
+
     _write(args, csv_text, json_text)
     return 0
 
@@ -215,7 +221,7 @@ def _run_and_emit(args, config: ExperimentConfig) -> int:
     workers = args.workers if args.workers is not None else 1
     report = run_experiment(config, workers=workers)
     print(report.summary())
-    _write(args, report.csv_text(), report.json_text())
+    _write(args, report.csv_text, report.json_text)
     return 0
 
 
@@ -277,7 +283,7 @@ def _cmd_reproduce_table(args) -> int:
             kwargs["max_budget"] = args.max_budget
     table = reproduce_table(args.id, **kwargs)
     print(table.render())
-    _write(args, table.csv_text(), table.json_text())
+    _write(args, table.csv_text, table.json_text)
     return 0
 
 

@@ -8,7 +8,12 @@ Waiting times follow the Lindley recursion
 
 with A_j the j-th interarrival time and S_j the j-th service time; the
 j-th system time is T_j = W_j + S_j, and one replication reports
-mean(T_1..T_k).
+mean(T_1..T_k).  The sweep runs customer-major: every replication of an
+evaluation advances together along contiguous (customer, replication)
+rows, in place, and the mean over customers is an explicit row sum in
+numpy's pairwise summation order, so it equals the mean over each
+replication's (k,) row of system times bit for bit.  A single
+replication is the one-column case of the same sweep.
 
 Derivative oracles perturb a rate by +-delta and form a central
 difference of two replications, giving a biased-noisy estimate of the
@@ -96,30 +101,75 @@ def _unit_exponentials(u: np.ndarray) -> np.ndarray:
     return np.negative(u, out=u)
 
 
-def _system_times(a: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """System times T_1..T_k from interarrival and service times of shape
-    (..., k), by the Lindley sweep over the last axis.
+def _system_times(rates: list, e: np.ndarray) -> np.ndarray:
+    """System times T_1..T_k, customer-major: row j of the (k, n) result
+    holds customer j + 1 of every replication.
 
-    The leading axes hold independent replications, so one call runs many
-    perturbed replications.  The first interarrival cannot affect system
-    times (the system starts empty).
+    ``e`` holds unit-rate exponentials of shape (n, 2, k), one
+    replication per row (arrivals, then services), and ``rates`` =
+    (arrival, service), each a float or an (n, 1) column.  Both processes
+    are divided by their rates straight into contiguous (k, n) buffers,
+    so the Lindley sweep steps along contiguous rows in place; the
+    arrival buffer becomes the system times.  The first interarrival
+    cannot affect system times (the system starts empty).
     """
-    k = a.shape[-1]
-    times = np.empty_like(s)
-    times[..., 0] = s[..., 0]
-    wait = np.zeros_like(s[..., 0])
+    n, _, k = e.shape
+    times = np.divide(e[:, 0].T, np.asarray(rates[0]).T, out=np.empty((k, n)))
+    s = np.divide(e[:, 1].T, np.asarray(rates[1]).T, out=np.empty((k, n)))
+    times[0] = s[0]
+    wait = np.zeros(n)
     for j in range(1, k):
-        wait = np.maximum(wait + s[..., j - 1] - a[..., j], 0.0)
-        times[..., j] = wait + s[..., j]
+        wait += s[j - 1]
+        wait -= times[j]
+        np.maximum(wait, 0.0, out=wait)
+        np.add(wait, s[j], out=times[j])
     return times
+
+
+def _pairwise_rows(t: np.ndarray) -> np.ndarray:
+    """Sum of the rows of ``t`` in numpy's pairwise order, the order of
+    ``np.add.reduce`` along a contiguous axis: below 8 rows a plain sum
+    from 0.0; up to 128 rows eight accumulators stepping by 8, combined
+    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
+    leftover rows in sequence; above that the two halves split at
+    k/2 - (k/2 mod 8).  ``t`` is overwritten."""
+    k = t.shape[0]
+    if k < 8:
+        total = np.zeros_like(t[0])
+        for row in t:
+            total += row
+        return total
+    if k > 128:
+        half = k // 2 - (k // 2) % 8
+        return _pairwise_rows(t[:half]) + _pairwise_rows(t[half:])
+    acc = t[:8]
+    for i in range(8, k - k % 8, 8):
+        acc += t[i:i + 8]
+    acc[0::2] += acc[1::2]
+    acc[0::4] += acc[2::4]
+    total = acc[0]
+    total += acc[4]
+    for row in t[k - k % 8:]:
+        total += row
+    return total
+
+
+def _mean_rows(t: np.ndarray) -> np.ndarray:
+    """``t.T.mean(axis=-1)`` bit for bit from a customer-major (k, n)
+    block of system times, which is overwritten: the pairwise sum
+    divided by k.  (numpy adds that sum to its identity 0.0, which could
+    only turn a -0.0 sum into 0.0; no row after the first is -0.0, since
+    it is wait + S with wait >= +0.0.)  The result is a fresh (n,)
+    array, so the block can be freed."""
+    return _pairwise_rows(t) / t.shape[0]
 
 
 def mm1_transient_sample(params: QueueParams, stream: StreamKey) -> TransientSample:
     """One replication of the transient measure from a fresh stream."""
-    k = params.num_customers
-    e = _unit_exponentials(stream.generator().random((2, k)))
-    times = _system_times(e[0] / params.arrival_rate, e[1] / params.service_rate)
-    return TransientSample(float(times.mean()), times)
+    e = _unit_exponentials(stream.generator().random((2, params.num_customers)))
+    times = _system_times([params.arrival_rate, params.service_rate], e[None])
+    per_customer = times[:, 0].copy()
+    return TransientSample(float(_mean_rows(times)[0]), per_customer)
 
 
 def _mean_system_time(rates: list, e: np.ndarray) -> np.ndarray:
@@ -127,7 +177,7 @@ def _mean_system_time(rates: list, e: np.ndarray) -> np.ndarray:
     row of unit-rate exponentials ``e`` (shape (n, 2, k): arrivals, then
     services) at ``rates`` = (arrival, service), each a float or an
     (n, 1) column."""
-    return _system_times(e[:, 0] / rates[0], e[:, 1] / rates[1]).mean(axis=-1)
+    return _mean_rows(_system_times(rates, e))
 
 
 def _transient_measure(params: QueueParams) -> BatchedFunction:
@@ -151,8 +201,8 @@ class MM1DerivativeOracle(FiniteDifferenceOracle):
     Each draw runs the queue at rate + delta and rate - delta from a
     block of shape (n, 2, 2, k), indexed by draw, evaluation slot
     (+delta first), then process (arrivals, services).  With ``crn`` the
-    two runs share slot 0 (variance reduction); by default they are
-    independent.
+    two runs share slot 0 (variance reduction) and slot 1 is drawn but
+    left as uniforms; by default they are independent.
     """
 
     params: QueueParams

@@ -4,6 +4,7 @@ Everything goes through ``main(argv)`` so exit codes and stdout/stderr are
 exercised exactly as a shell user would see them.
 """
 
+import hashlib
 import json
 import math
 import re
@@ -124,6 +125,27 @@ def test_weights_format_flag_overrides_extension(capsys, tmp_path):
                      "--format", "json")
     assert code == 0
     assert json.loads(out_path.read_text())["n"] == 20
+
+
+@pytest.mark.parametrize("argv, fmt, digest", [
+    (("--n", "1000"), "csv", "435cfd01c8644979c630c5fe73911a2cc3587950bdb4b6d3764156945698d360"),
+    (("--n", "1000"), "json", "eb54696e2ae65343da67693a377c4cc6f8b99ee351b0f1b08b23b5fe352ce78d"),
+    (("--n", "4099", "--n0", "500", "--K", "2"), "csv",
+     "5b8c0e5ff52b1bc52c64574626613e94006b6ceb338a854822ff31224ddb323b"),
+    (("--n", "4099", "--n0", "500", "--K", "2"), "json",
+     "fb1e3dbf0e6fbfe5b7e2ce42879ef8752e29e6251537b8b18304adb5e2ac4f09"),
+    (("--n", "300", "--K", "1.5", "--q1", "1"), "csv",
+     "10f0bccafe4d8fe28d09924340a6d106a51308b49992ea3e4a933411cc92078a"),
+    (("--n", "300", "--K", "1.5", "--q1", "1"), "json",
+     "993b25eb48dd4dea69b834035ea13e1370e76d8d23a6dad960ba449abac1d11d"),
+])
+def test_weights_file_bytes_are_pinned(capsys, tmp_path, argv, fmt, digest):
+    # sha256 of the exported files: the CSV and JSON bytes are part of
+    # the command's contract, whichever format a run renders
+    out_path = tmp_path / f"w.{fmt}"
+    code, _, _ = run(capsys, "weights", *argv, "--out", str(out_path))
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------- run-*

@@ -18,6 +18,7 @@ from bvbal.oracles import SampleOracle
 from bvbal.queueing import (
     MM1_TRUE_ARRIVAL_DERIVATIVE,
     MM1_TRUE_SERVICE_DERIVATIVE,
+    _mean_system_time,
 )
 
 from helpers import event_driven_times, queue_variates
@@ -41,6 +42,56 @@ def test_lindley_matches_event_driven_simulation():
         got = mm1_transient_sample(QueueParams(lam, mu, k), key).per_customer_times
         want = event_driven_times(arrivals, services)
         assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
+def _draw_major_times(rates, e):
+    """The Lindley sweep over the last axis of (n, k) draw-major arrays,
+    the reference the customer-major sweep must reproduce bit for bit."""
+    a, s = e[:, 0] / rates[0], e[:, 1] / rates[1]
+    times = np.empty_like(s)
+    times[:, 0] = s[:, 0]
+    wait = np.zeros_like(s[:, 0])
+    for j in range(1, a.shape[-1]):
+        wait = np.maximum(wait + s[:, j - 1] - a[:, j], 0.0)
+        times[:, j] = wait + s[:, j]
+    return times
+
+
+def _exponentials(u):
+    return -np.log1p(-u)
+
+
+@pytest.mark.parametrize("k", [*range(1, 21), 127, 128, 129, 130, 200])
+def test_customer_major_sweep_is_the_draw_major_mean_bit_for_bit(k):
+    # cfd slot views of an (n, 2, 2, k) block and sp-shaped views of an
+    # (n, 2 + 4 k) block, at float rates and (n, 1) rate columns on either
+    # coordinate; an all-zero block pins the sign of zero
+    rng = np.random.default_rng(1000 + k)
+    for n in (1, 7, 1000):
+        cfd = _exponentials(rng.random((n, 2, 2, k)))
+        sp = _exponentials(rng.random((n, 2 + 4 * k)))[:, 2:].reshape(n, 2, 2, k)
+        zero = _exponentials(np.zeros((n, 2, 2, k)))
+        views = (cfd[:, 0], cfd[:, 1], sp[:, 0], sp[:, 1], zero[:, 0])
+        column = 4.0 + rng.uniform(-0.5, 0.5, (n, 1))
+        for rates in ([4.0, 4.0], [column, 4.0], [3.5, column], [column, column[::-1]]):
+            for e in views:
+                before = e.copy()
+                got = _mean_system_time(rates, e)
+                want = _draw_major_times(rates, e).mean(axis=-1)
+                assert got.shape == (n,)
+                assert got.tobytes() == want.tobytes()
+                assert np.array_equal(e, before)
+
+
+@pytest.mark.parametrize("k", [1, 7, 8, 9, 17, 129, 200])
+def test_transient_sample_keeps_the_draw_major_bits(k):
+    key = StreamKey(808, (k,))
+    params = QueueParams(4.0, 3.5, k)
+    e = _exponentials(key.generator().random((2, k)))[None]
+    want = _draw_major_times([params.arrival_rate, params.service_rate], e)[0]
+    sample = mm1_transient_sample(params, key)
+    assert sample.per_customer_times.tobytes() == want.tobytes()
+    assert sample.avg_system_time.hex() == float(want.mean()).hex()
 
 
 def test_transient_sample_frozen_draw():
