@@ -287,9 +287,8 @@ class BatchedFunction:
     per coordinate of the base point ``x``: the coordinate itself as a
     float, or an (n, 1) column where an oracle perturbs it row by row.
     ``prepare``, if given, turns a block of uniforms on [0, 1) into the
-    variates ``fn`` reads, in place and elementwise (inverse-transform
-    sampling, say); it runs once per draw, on the slots an oracle reads,
-    however many schedules the block then serves.
+    variates ``fn`` reads, in place (inverse-transform sampling, say); it
+    runs once per draw, however many schedules the block then serves.
     ``positive`` declares that every coordinate of an evaluated point
     must stay strictly positive (rates, scales).
     """
@@ -340,10 +339,7 @@ class FiniteDifferenceOracle:
     with e the ``coord`` unit vector (ignored under sp) and noise order
     q2 = 1 throughout.  Under ``crn`` both evaluations read the variates
     of slot 0, so their noise is common; by default they are
-    independent.  A ``crn`` draw still takes both slots from the stream,
-    so its block has the same shape and slot 0 the same variates as an
-    independent draw's, but ``prepare`` runs on slot 0 only: slot 1,
-    which no evaluation reads, keeps its raw uniforms.
+    independent.
 
     A draw row holds, in order: p direction uniforms (sp only, with p the
     dimension of x, turned into +-1 by u < 0.5 -> -1), then one variate
@@ -406,14 +402,8 @@ class FiniteDifferenceOracle:
         if p:
             block[:, :p] = np.where(block[:, :p] < 0.5, -1.0, 1.0)
         if self.function.prepare is not None:
-            slots = self._slots(block)
-            self.function.prepare(slots[:, :1] if self.crn else slots)
+            self.function.prepare(block[:, p:])
         return block
-
-    def _slots(self, block: np.ndarray) -> np.ndarray:
-        """View of a block's variates as (n, 2, *shape), evaluation slot
-        second."""
-        return block[:, self._directions:].reshape(block.shape[0], 2, *self.function.shape)
 
     def _points(self, sign: float, columns: dict) -> list:
         points = list(self.function.x)
@@ -428,7 +418,7 @@ class FiniteDifferenceOracle:
         deltas = self._checked(deltas)
         n, p = deltas.shape[0], self._directions
         _check_block(block, self._block_shape(n))
-        slots = self._slots(block)
+        slots = block[:, p:].reshape(n, 2, *self.function.shape)
         step = deltas[:, None]
         if p:
             h = block[:, :p]

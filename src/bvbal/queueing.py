@@ -132,7 +132,14 @@ def _pairwise_rows(t: np.ndarray) -> np.ndarray:
     from 0.0; up to 128 rows eight accumulators stepping by 8, combined
     as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
     leftover rows in sequence; above that the two halves split at
-    k/2 - (k/2 mod 8).  ``t`` is overwritten."""
+    k/2 - (k/2 mod 8).  ``t`` is overwritten.
+
+    Divided by k, the sum of a customer-major (k, n) block of system
+    times is ``t.T.mean(axis=-1)`` bit for bit: numpy also adds the sum
+    to its identity 0.0, which could only turn a -0.0 sum into 0.0, and
+    no row after the first is -0.0, since it is wait + S with
+    wait >= +0.0.  The sum may be a view of ``t``; the quotient by k is a
+    fresh (n,) array, so the block can be freed."""
     k = t.shape[0]
     if k < 8:
         total = np.zeros_like(t[0])
@@ -154,22 +161,13 @@ def _pairwise_rows(t: np.ndarray) -> np.ndarray:
     return total
 
 
-def _mean_rows(t: np.ndarray) -> np.ndarray:
-    """``t.T.mean(axis=-1)`` bit for bit from a customer-major (k, n)
-    block of system times, which is overwritten: the pairwise sum
-    divided by k.  (numpy adds that sum to its identity 0.0, which could
-    only turn a -0.0 sum into 0.0; no row after the first is -0.0, since
-    it is wait + S with wait >= +0.0.)  The result is a fresh (n,)
-    array, so the block can be freed."""
-    return _pairwise_rows(t) / t.shape[0]
-
-
 def mm1_transient_sample(params: QueueParams, stream: StreamKey) -> TransientSample:
     """One replication of the transient measure from a fresh stream."""
     e = _unit_exponentials(stream.generator().random((2, params.num_customers)))
     times = _system_times([params.arrival_rate, params.service_rate], e[None])
     per_customer = times[:, 0].copy()
-    return TransientSample(float(_mean_rows(times)[0]), per_customer)
+    mean = _pairwise_rows(times)[0] / params.num_customers
+    return TransientSample(float(mean), per_customer)
 
 
 def _mean_system_time(rates: list, e: np.ndarray) -> np.ndarray:
@@ -177,7 +175,7 @@ def _mean_system_time(rates: list, e: np.ndarray) -> np.ndarray:
     row of unit-rate exponentials ``e`` (shape (n, 2, k): arrivals, then
     services) at ``rates`` = (arrival, service), each a float or an
     (n, 1) column."""
-    return _mean_rows(_system_times(rates, e))
+    return _pairwise_rows(_system_times(rates, e)) / e.shape[-1]
 
 
 def _transient_measure(params: QueueParams) -> BatchedFunction:
@@ -201,8 +199,8 @@ class MM1DerivativeOracle(FiniteDifferenceOracle):
     Each draw runs the queue at rate + delta and rate - delta from a
     block of shape (n, 2, 2, k), indexed by draw, evaluation slot
     (+delta first), then process (arrivals, services).  With ``crn`` the
-    two runs share slot 0 (variance reduction) and slot 1 is drawn but
-    left as uniforms; by default they are independent.
+    two runs share slot 0 (variance reduction); by default they are
+    independent.
     """
 
     params: QueueParams
