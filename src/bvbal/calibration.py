@@ -104,9 +104,11 @@ def _exact_sum(x) -> float:
 
     The whole input goes to `math.fsum` instead when a value is not
     finite or reaches 2**960 (fsum's inf/nan/ValueError/OverflowError
-    behaviour is kept), when no value is non-zero (fsum's sign of zero is
-    kept), and when the extraction grid sigma * 2**-53 would leave the
-    normal range.  Falling back block by block would round twice.
+    behaviour is kept), and when the extraction grid sigma * 2**-53 would
+    leave the normal range.  Falling back block by block would round
+    twice.  An input with no non-zero value (or none at all) sums to
+    fsum's zero of a lone -0.0 when every value is -0.0, and of an empty
+    input otherwise, so its sign is fsum's.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     size = x.shape[0]
@@ -114,6 +116,7 @@ def _exact_sum(x) -> float:
     p = np.empty(width)
     q = np.empty(width)
     parts = []
+    negative_zeros = size > 0  # every value seen so far is -0.0
     for lo in range(0, size, _BLOCK):
         block = x[lo : lo + _BLOCK]
         nb = block.shape[0]
@@ -123,6 +126,7 @@ def _exact_sum(x) -> float:
         if not top < _HUGE:
             return math.fsum(x)
         if top == 0.0:
+            negative_zeros = negative_zeros and bool(np.signbit(block).all())
             continue
         k = (nb + 1).bit_length()  # ceil(log2(nb + 2))
         e = math.frexp(top)[1]  # top < 2**e
@@ -140,7 +144,7 @@ def _exact_sum(x) -> float:
                 break
             e += k - 52
     if not parts:
-        return math.fsum(x)
+        return math.fsum([-0.0] if negative_zeros else [])
     return math.fsum(parts)
 
 

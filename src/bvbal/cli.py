@@ -89,7 +89,7 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument("--reps", type=int, default=None,
                        help="replications (default 1000)")
         p.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default 1; results identical)")
+                       help="worker threads (default 1; results identical)")
     p.add_argument("--seed", type=int, default=None,
                    help="root seed; generated and printed when absent")
     p.add_argument("--out", type=str, default=None, help="output file")

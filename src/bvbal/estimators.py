@@ -285,7 +285,8 @@ class LinearPlan:
             )
         return cls(schedule.deltas(n), weights)
 
-    def reduce(self, samples: np.ndarray, init: np.ndarray | None = None) -> np.ndarray:
+    def reduce(self, samples: np.ndarray, init: np.ndarray | None = None, *,
+               terms: np.ndarray | None = None) -> np.ndarray:
         """The estimate sum_j coeffs[j] samples[j] + init_coeff * init from
         a path drawn at ``deltas``; ``init`` defaults to the origin.
 
@@ -294,10 +295,13 @@ class LinearPlan:
         reduction (error O(eps log n) times sum |terms|).  The summation
         order depends only on n, never on memory alignment or thread
         count, so equal inputs give equal bits everywhere; BLAS dot
-        products are avoided for that reason.
+        products are avoided for that reason.  ``terms``, a C-contiguous
+        (dim, n) buffer, receives the terms instead of a new array; it
+        may be ``samples.T`` itself, whose samples are then overwritten.
         """
         init = _resolve_init(init, samples.shape[1])
-        terms = np.ascontiguousarray((self.coeffs[:, None] * samples).T)
+        terms = np.multiply(samples.T, self.coeffs,
+                            out=np.empty(samples.shape[::-1]) if terms is None else terms)
         out = np.add.reduce(terms, axis=1)
         if self.init_coeff != 0.0:
             out = out + self.init_coeff * init

@@ -10,9 +10,9 @@ entry becomes a `bvbal.estimators.LinearPlan`, the single description of
 an estimator, built by the same constructors the single-run estimators
 use, so a replication's error is that of the single-run estimate on its
 stream.  The stream is drawn once per (replication, budget) cell, and
-every plan maps that one variate block through its schedule (the
-oracle's ``transform``), which gives the same samples as its own
-``sample_path`` call would.
+every plan maps that one variate block through its schedule (the map
+the oracle's ``prepare`` returns, made once per plan), which gives the
+same samples as its own ``sample_path`` call would.
 
 Reports are deterministic byte-for-byte for a given configuration,
 independent of the worker count: replications are partitioned by index,
@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -314,26 +314,30 @@ def _weighted_theory(scheme: WeightScheme, spec: SyntheticOracleSpec, d: float) 
             + sigma2 * zt2 / d_eff ** (2 * q2))
 
 
-def _run_slice(args) -> np.ndarray:
-    """Squared errors for replications [lo, hi): shape (hi-lo, plan count).
-    Module-level so process pools can pickle it."""
-    oracle, theta, plan_groups, seed, lo, hi = args
+def _run_slice(oracle: SampleOracle, theta: np.ndarray, plan_groups: tuple,
+               seed: int, lo: int, hi: int) -> np.ndarray:
+    """Squared errors for replications [lo, hi): shape (hi-lo, plan count)."""
+    maps = [[oracle.prepare(plan.deltas) for plan in plans] for plans in plan_groups]
+    dim, size = oracle.dim, max(plans[0].deltas.shape[0] for plans in plan_groups)
+    # every (replication, plan) writes its samples into one reused buffer,
+    # where the reduction then forms its terms in place, and every map
+    # shares one scratch buffer: a fresh path per plan re-faulted its pages
+    paths, scratch = np.empty(dim * size), np.empty(dim * size)
     total = sum(len(g) for g in plan_groups)
     out = np.empty((hi - lo, total))
     for row, r in enumerate(range(lo, hi)):
         col = 0
-        for bidx, plans in enumerate(plan_groups):
+        for bidx, (plans, group) in enumerate(zip(plan_groups, maps)):
+            n = plans[0].deltas.shape[0]
             # one draw per (replication, budget) cell, replayed by every plan
-            block = oracle.draw(plans[0].deltas.shape[0], StreamKey(seed, (r, bidx)))
-            for plan in plans:
-                # bound to a name so each path is freed after the next is
-                # made: freeing it at once re-faulted its pages every plan
-                # (1.6x the page faults, twice the reduce time at n = 1e5)
-                samples = oracle.transform(plan.deltas, block)
-                est = plan.reduce(samples)
-                diff = est - theta
+            block = oracle.draw(n, StreamKey(seed, (r, bidx)))
+            terms = paths[:dim * n].reshape(dim, n)
+            for plan, prepared in zip(plans, group):
+                samples = prepared.transform(block, terms.T, scratch)
+                diff = plan.reduce(samples, terms=terms) - theta
                 out[row, col] = float(diff @ diff)
                 col += 1
+            del block  # two blocks alive at once would set the peak RSS
         assert col == total
     return out
 
@@ -433,10 +437,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     MSE, standard error, risk ratio against the baseline entry, and the
     theory prediction (synthetic models only).
 
-    ``workers`` only partitions replications across processes; results
-    are identical for any value.  A model with zero error everywhere
-    (degenerate synthetic spec) reports ratio 1.0 by convention and sets
-    the degenerate flag.
+    ``workers`` only partitions replications across threads (numpy
+    releases the GIL in its kernels); results are identical for any
+    value.  A model with zero error everywhere (degenerate synthetic
+    spec) reports ratio 1.0 by convention and sets the degenerate flag.
     """
     synthetic = isinstance(config.model, SyntheticOracleSpec)
     if synthetic:
@@ -455,16 +459,13 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     R = config.replications
     workers = max(1, int(workers))
     if workers == 1:
-        sq = _run_slice((oracle, theta, plan_groups, config.seed, 0, R))
+        sq = _run_slice(oracle, theta, plan_groups, config.seed, 0, R)
     else:
         bounds = np.linspace(0, R, workers + 1, dtype=int)
-        jobs = [
-            (oracle, theta, plan_groups, config.seed, int(lo), int(hi))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_slice, jobs))
+        jobs = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(
+                lambda job: _run_slice(oracle, theta, plan_groups, config.seed, *job), jobs))
         sq = np.vstack(parts)
 
     rows: list[ReportRow] = []

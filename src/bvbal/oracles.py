@@ -23,9 +23,11 @@ the same key is bit-identical, and distinct keys yield independent
 streams.
 
 Every oracle splits ``sample_path`` into ``draw``, which turns a stream
-into a variate block, and ``transform``, a deterministic map from
-(deltas, block) to samples that leaves the block unchanged.  Paired
-experiments draw a block once and replay it through every schedule.  A
+into a variate block, and a deterministic map from (deltas, block) to
+samples that leaves the block unchanged.  ``prepare(deltas)`` checks a
+schedule once and returns that map; ``transform`` and ``sample_path``
+go through it.  Paired experiments draw a block once and replay it
+through every prepared schedule, into buffers they reuse.  A
 finite-difference block has a fixed layout: row j feeds draw j and holds
 the sp direction uniforms (if any), then one variate block per
 evaluation slot, slot 0 for the first-named evaluation.  Common random
@@ -132,6 +134,35 @@ def _check_block(block: np.ndarray, shape: tuple[int, ...]) -> None:
         raise ValueError(f"variate block has shape {block.shape}, expected {shape}")
 
 
+def _power(d: np.ndarray, q: float, out: np.ndarray) -> np.ndarray:
+    """``d**q`` written into ``out``: the in-place ``**=`` takes the same
+    scalar-power route (square, sqrt, reciprocal or pow) as ``d**q``, so
+    the bits are the same."""
+    np.copyto(out, d)
+    out **= q
+    return out
+
+
+class _Prepared:
+    """An oracle's map from variate blocks to samples at one checked
+    ``deltas`` vector, made by the oracle's ``prepare``."""
+
+    __slots__ = ("oracle", "deltas")
+
+    def __init__(self, oracle, deltas: np.ndarray) -> None:
+        self.oracle = oracle
+        self.deltas = deltas
+
+    def transform(self, block: np.ndarray, out: np.ndarray | None = None,
+                  scratch: np.ndarray | None = None) -> np.ndarray:
+        """The (n, dim) samples from a block made by the oracle's
+        ``draw``, written into ``out`` (any memory layout) when given.
+        ``scratch``, a 1-d buffer of at least n dim floats, may be
+        overwritten; either buffer is allocated when omitted.  The block
+        is not modified."""
+        return self.oracle._map(self.deltas, block, out, scratch)
+
+
 def _as_vector(x, name: str) -> np.ndarray:
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.ndim != 1:
@@ -204,16 +235,19 @@ class SyntheticOracleSpec:
         delta = float(delta)
         if not delta > 0:
             raise ValueError(f"delta must be positive, got {delta}")
-        return self._means(np.array([[delta]]))[0]
+        return self._means(np.array([[delta]]), np.empty((1, 1)))[0]
 
-    def _means(self, d: np.ndarray) -> np.ndarray:
-        """Means at the perturbation sizes of column ``d``, shape (n, 1);
-        the one expression behind both `mean` and `transform`, so a
-        noiseless draw equals its mean bit-for-bit."""
+    def _means(self, d: np.ndarray, col: np.ndarray) -> np.ndarray:
+        """Means at the perturbation sizes of column ``d``, shape (n, 1),
+        as (n, dim); the one expression behind both `mean` and
+        `transform`, so a noiseless draw equals its mean bit for bit.
+        ``col``, an (n, 1) buffer, is overwritten; with one coordinate and
+        no higher-order term it holds the result."""
         q1 = self.order.q1
-        m = self.theta + self.B * d**q1
+        m = np.multiply(self.B, _power(d, q1, col), out=col if self.dim == 1 else None)
+        m += self.theta
         if self.higher_order_bias is not None:
-            m = m + self.higher_order_bias * d ** (q1 + 1.0)
+            m += self.higher_order_bias * d ** (q1 + 1.0)
         return m
 
     def draw(self, n: int, stream: StreamKey) -> np.ndarray:
@@ -221,14 +255,30 @@ class SyntheticOracleSpec:
         (n, dim), row j feeding draw j."""
         return stream.generator().standard_normal((int(n), self.dim))
 
+    def prepare(self, deltas) -> _Prepared:
+        """The map from variate blocks to samples at ``deltas``, checked
+        once (all strictly positive, 1-d)."""
+        return _Prepared(self, _positive_deltas(deltas))
+
+    def _map(self, deltas, z, out, scratch) -> np.ndarray:
+        """``means + (noise_scale * z) / delta**q2`` into ``out``, one
+        rounding per operation of that expression, as the out-of-place
+        form rounds; the powers of delta go to ``scratch``."""
+        d = deltas[:, None]
+        n = d.shape[0]
+        _check_block(z, (n, self.dim))
+        out = np.empty(z.shape) if out is None else out
+        col = np.empty((n, 1)) if scratch is None else scratch[:n, None]
+        np.multiply(self.noise_scale, z, out=out)
+        out /= _power(d, self.order.q2, col)
+        out += self._means(d, col)
+        return out
+
     def transform(self, deltas, z: np.ndarray) -> np.ndarray:
         """Samples at ``deltas`` from a variate block ``z`` made by
         `draw`; ``z`` is not modified, so one block can be replayed
         through several schedules."""
-        deltas = _positive_deltas(deltas)
-        _check_block(z, (deltas.shape[0], self.dim))
-        d = deltas[:, None]
-        return self._means(d) + (self.noise_scale * z) / d**self.order.q2
+        return self.prepare(deltas).transform(z)
 
     def sample_path(self, deltas, stream: StreamKey) -> np.ndarray:
         """Draw one sample per entry of ``deltas`` from a single stream;
@@ -247,8 +297,8 @@ class SyntheticOracleSpec:
         -------
         ndarray, shape (n, dim)
         """
-        deltas = _positive_deltas(deltas)
-        return self.transform(deltas, self.draw(deltas.shape[0], stream))
+        prepared = self.prepare(deltas)
+        return prepared.transform(self.draw(prepared.deltas.shape[0], stream))
 
     def sample(self, delta: float, stream: StreamKey) -> np.ndarray:
         """Single draw at perturbation size delta."""
@@ -259,18 +309,28 @@ class SyntheticOracleSpec:
 class SampleOracle(Protocol):
     """What the estimators and the paired harness call.
 
-    The single-run estimators take a path with ``sample_path``; the
-    harness draws a variate block once per (replication, budget) cell
-    with ``draw`` and maps it through every schedule with ``transform``.
+    The single-run estimators call ``sample_path``, and one-off callers
+    ``transform(deltas, block)``; both go through ``prepare``.  The
+    harness calls ``prepare`` once per schedule, draws a variate block
+    once per (replication, budget) cell with ``draw``, and maps it
+    through every prepared schedule with ``prepared.transform(block,
+    out, scratch)``, which writes the (n, dim) samples into ``out`` (any
+    memory layout) and may overwrite ``scratch``, a 1-d buffer of at
+    least n dim floats; either may be omitted, and is then allocated.
     ``sample_path(deltas, stream)`` equals
-    ``transform(deltas, draw(len(deltas), stream))`` bit for bit, and
-    ``transform`` leaves the block unchanged.
+    ``transform(deltas, draw(len(deltas), stream))`` and
+    ``prepare(deltas).transform(block)`` equals
+    ``transform(deltas, block)``, bit for bit; no map modifies the
+    block.  ``prepare`` raises the deltas' validation errors, and the
+    map raises those of the block.
     """
 
     @property
     def dim(self) -> int: ...
 
     def draw(self, n: int, stream: StreamKey) -> np.ndarray: ...
+
+    def prepare(self, deltas): ...
 
     def transform(self, deltas, block: np.ndarray) -> np.ndarray: ...
 
@@ -405,17 +465,30 @@ class FiniteDifferenceOracle:
             self.function.prepare(block[:, p:])
         return block
 
-    def _points(self, sign: float, columns: dict) -> list:
-        points = list(self.function.x)
-        if sign:
-            for i, col in columns.items():
-                points[i] = points[i] + col if sign > 0 else points[i] - col
-        return points
+    def prepare(self, deltas) -> _Prepared:
+        """The map from variate blocks to differences at ``deltas``,
+        checked once (all strictly positive, 1-d, and below the moved
+        coordinates of a positive function when a scheme steps down)."""
+        return _Prepared(self, self._checked(deltas))
 
-    def transform(self, deltas, block: np.ndarray) -> np.ndarray:
-        """Differences at ``deltas`` from a block made by `draw`, shape
-        (n, dim); the block is not modified."""
-        deltas = self._checked(deltas)
+    def _evaluate(self, sign: float, step: np.ndarray, moved: np.ndarray,
+                  variates: np.ndarray) -> np.ndarray:
+        """``function`` at x + sign * step: column k of ``step`` moves
+        coordinate ``_moved[k]``, written as an (n, 1) column into row k
+        of ``moved``."""
+        x = list(self.function.x)
+        if sign:
+            shift = np.add if sign > 0 else np.subtract
+            for k, i in enumerate(self._moved):
+                x[i] = shift(x[i], step[:, k:k + 1], out=moved[k, :, None])
+        return self.function.fn(x, variates)
+
+    def _map(self, deltas, block, out, scratch) -> np.ndarray:
+        """(f_0 - f_1) / ((s0 - s1) step) into ``out``, with step the
+        deltas column (times the block's directions under sp).  The
+        difference is formed in column 0 of ``out``; ``scratch`` holds
+        the moved coordinates of one evaluation point at a time, then
+        the divisor."""
         n, p = deltas.shape[0], self._directions
         _check_block(block, self._block_shape(n))
         slots = block[:, p:].reshape(n, 2, *self.function.shape)
@@ -425,22 +498,30 @@ class FiniteDifferenceOracle:
             if not np.all(np.abs(h) == 1.0):
                 raise ValueError("direction columns must hold +1 or -1")
             step = step * h
-        columns = {i: step[:, k:k + 1] for k, i in enumerate(self._moved)}
+        m = step.shape[1]
+        out = np.empty((n, m)) if out is None else out
+        moved = (np.empty(m * n) if scratch is None else scratch[:m * n]).reshape(m, n)
         s0, s1, _ = _SCHEMES[self.scheme]
-        fn = self.function.fn
-        diff = (fn(self._points(s0, columns), slots[:, 0])
-                - fn(self._points(s1, columns), slots[:, 0 if self.crn else 1]))
-        return diff[:, None] / ((s0 - s1) * step)
+        diff = out[:, 0]
+        diff[...] = self._evaluate(s0, step, moved, slots[:, 0])
+        diff -= self._evaluate(s1, step, moved, slots[:, 0 if self.crn else 1])
+        divisor = np.multiply(s0 - s1, step, out=moved.T)
+        # under sp the difference is read from the output's own column 0,
+        # an overlap numpy resolves by buffering the input
+        return np.divide(diff[:, None], divisor, out=out)
+
+    def transform(self, deltas, block: np.ndarray) -> np.ndarray:
+        """Differences at ``deltas`` from a block made by `draw`, shape
+        (n, dim); the block is not modified."""
+        return self.prepare(deltas).transform(block)
 
     def sample_path(self, deltas, stream: StreamKey) -> np.ndarray:
         """One difference per delta; draw j consumes row j of the block
         described in the class docstring, so prefixes of a path are
         reproducible.  The composition of `draw` and `transform`."""
-        deltas = self._checked(deltas)
-        return self.transform(deltas, self.draw(deltas.shape[0], stream))
+        prepared = self.prepare(deltas)
+        return prepared.transform(self.draw(prepared.deltas.shape[0], stream))
 
     def sample(self, delta: float, stream: StreamKey) -> np.ndarray:
         """Single draw at perturbation size delta."""
         return self.sample_path(np.asarray([float(delta)]), stream)[0]
-
-

@@ -125,6 +125,23 @@ def test_exact_sum_edge_cases_match_fsum(values):
     assert _fsum_outcome(_exact_sum, x) == _fsum_outcome(math.fsum, x)
 
 
+@pytest.mark.parametrize(
+    "values",
+    [[], [0.0] * (3 * _BLOCK + 1), [-0.0] * (3 * _BLOCK + 1),
+     [-0.0] * (3 * _BLOCK) + [0.0], [0.0] + [-0.0] * (2 * _BLOCK)],
+    ids=["empty", "zeros", "neg-zeros", "neg-then-zero", "zero-then-neg"],
+)
+def test_exact_sum_of_zeros_is_fsums_zero_directly(values, monkeypatch):
+    # an all-zero input returns fsum's zero, sign included, without
+    # handing the whole input to fsum after the scan
+    x = np.array(values, dtype=float)
+    want = math.fsum(x)
+    fsum, lengths = math.fsum, []
+    monkeypatch.setattr(math, "fsum", lambda v: (lengths.append(len(v)), fsum(v))[1])
+    assert _exact_sum(x).hex() == want.hex()
+    assert max(lengths, default=0) <= 1
+
+
 def test_weight_decay_exponents():
     assert weight_decay_exponents(Q21) == (pytest.approx(2.0 / 3.0), pytest.approx(1.0 / 3.0))
     assert weight_decay_exponents(Q11) == (pytest.approx(0.75), pytest.approx(0.5))

@@ -254,6 +254,25 @@ def test_combination_kernel_ignores_buffer_offset():
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("p", [1, 3])
+def test_combination_kernel_forms_terms_in_a_given_buffer(p):
+    # terms formed in the samples' own storage (the transpose of a
+    # contiguous (p, n) buffer) or in a separate buffer give the bits of
+    # the allocating route; the parent's expression is written out here
+    rng = np.random.default_rng(11 + p)
+    n = 5_003
+    samples = rng.normal(size=(n, p))
+    coeffs = rng.normal(size=n)
+    init = rng.normal(size=p)
+    plan = LinearPlan(np.ones(n), coeffs, 0.25)
+    want = np.add.reduce(np.ascontiguousarray((coeffs[:, None] * samples).T), axis=1) + 0.25 * init
+    assert plan.reduce(samples, init).tobytes() == want.tobytes()
+    assert plan.reduce(samples, init, terms=np.empty((p, n))).tobytes() == want.tobytes()
+    own = np.empty((p, n))
+    own.T[...] = samples
+    assert plan.reduce(own.T, init, terms=own).tobytes() == want.tobytes()
+
+
 def test_one_hot_weights_pick_one_draw():
     spec = unit_spec()
     sched = DeltaSchedule.balanced(Q21)

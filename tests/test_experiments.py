@@ -1,7 +1,9 @@
 """Experiment harness: pairing discipline, report determinism, the exact
 weighted-risk prediction, and the reference-table builders."""
 
+import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -57,6 +59,41 @@ def small_config(**kw):
 
 
 # --------------------------------------------------------------- reports
+
+
+def crn_queue_config():
+    return ExperimentConfig(
+        model=QueueSetting(QueueParams(4.0, 4.0, 10), mode="cfd", target="service", crn=True),
+        estimators=(EstimatorSetting("baseline"), EstimatorSetting("recursive"),
+                    EstimatorSetting("averaged"), EstimatorSetting("weighted", K=2.0)),
+        budgets=(200, 500), n0=50, replications=12, seed=5,
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("make, digest", [
+    (small_config, "b477666c2e46c9eedc4dba66f8ad3e4511cf334dc752d9c400295d9e4a692eb0"),
+    (crn_queue_config, "761818d6b295224840e47974493b7bb3d64e9b3c15b338d795ea7c5c2765e70d"),
+], ids=["synthetic", "crn-queue"])
+def test_report_bytes_are_pinned(make, digest, workers):
+    # sha256 of the JSON report: samples, reductions and aggregation keep
+    # their bits at any worker count
+    text = run_experiment(make(), workers=workers).json_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_threads_share_no_state():
+    # more worker threads than cores, switching as often as the
+    # interpreter allows: each slice owns its buffers, so the bytes hold
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (4, 7):
+            text = run_experiment(crn_queue_config(), workers=workers).json_text()
+            assert hashlib.sha256(text.encode()).hexdigest() == (
+                "761818d6b295224840e47974493b7bb3d64e9b3c15b338d795ea7c5c2765e70d")
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_worker_count_does_not_change_the_bytes():

@@ -17,7 +17,7 @@ from bvbal import (
 )
 from bvbal.oracles import SampleOracle
 
-from helpers import unit_spec
+from helpers import check_prepared, difference_expression, synthetic_expression, unit_spec
 
 
 # ---------------------------------------------------------------- streams
@@ -372,3 +372,50 @@ def test_fd_one_draw_replays_through_any_schedule():
                 assert np.array_equal(oracle.transform(deltas, block),
                                       oracle.sample_path(deltas, key))
             assert np.array_equal(block, before)
+
+
+# ------------------------------------------------- prepared transforms
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("hob", [False, True])
+@pytest.mark.parametrize("q", [(2.0, 1.0), (1.0, 1.0), (1.5, 0.5)])
+def test_prepared_synthetic_transform_is_the_expression_bit_for_bit(dim, hob, q):
+    rng = np.random.default_rng(5)
+    spec = SyntheticOracleSpec(
+        theta=rng.normal(size=dim), B=rng.normal(size=dim),
+        noise_scale=rng.uniform(0.5, 2.0, dim), order=BiasOrder(*q),
+        higher_order_bias=rng.normal(size=dim) if hob else None,
+    )
+    n = 1000
+    schedules = [np.geomspace(1.7, 1e-3, n), 0.9 * np.arange(1, n + 1.0) ** -0.2]
+    check_prepared(spec, synthetic_expression, spec.draw(n, StreamKey(8, (dim,))), schedules)
+
+
+@pytest.mark.parametrize("scheme", ["cfd", "ffd", "bfd", "sp"])
+@pytest.mark.parametrize("crn", [False, True])
+def test_prepared_difference_transform_is_the_expression_bit_for_bit(scheme, crn):
+    oracle = _fd(lambda x, y: x * y + x**3, [1.0, 2.0], scheme, 1, crn, _unit_noise)
+    n = 400
+    schedules = [np.geomspace(0.9, 0.01, n), np.full(n, 0.2)]
+    check_prepared(oracle, difference_expression, oracle.draw(n, StreamKey(9)), schedules)
+
+
+def test_prepared_transform_keeps_every_validation():
+    spec = unit_spec()
+    for bad in ([0.5, 0.0], [0.5, -0.1], np.ones((2, 2))):
+        with pytest.raises(ValueError):
+            spec.prepare(bad)
+    with pytest.raises(ValueError):
+        spec.prepare(np.full(3, 0.5)).transform(spec.draw(4, StreamKey(0)))
+    f = BatchedFunction([2.0, 0.5], (1,), lambda pts, v: v[:, 0], positive=True)
+    with pytest.raises(ValueError):  # the positive-coordinate cap
+        FiniteDifferenceOracle(f, "cfd", 1).prepare([0.1, 0.5])
+    sp = _fd(lambda x, y: x, [1.0, 2.0], "sp")
+    prepared = sp.prepare([0.3])
+    with pytest.raises(ValueError):  # wrong block shape
+        prepared.transform(sp.draw(2, StreamKey(0)))
+    block = sp.draw(1, StreamKey(0))
+    block[:, 1] = 0.5
+    with pytest.raises(ValueError):  # a direction that is not +-1
+        prepared.transform(block)

@@ -21,7 +21,7 @@ from bvbal.queueing import (
     _mean_system_time,
 )
 
-from helpers import event_driven_times, queue_variates
+from helpers import check_prepared, difference_expression, event_driven_times, queue_variates
 
 P4 = QueueParams(4.0, 4.0, 10)
 
@@ -318,3 +318,16 @@ def test_reference_constants_agree_with_a_crn_run():
         se = draws.std(ddof=1) / math.sqrt(n)
         # 4 sigma plus the curvature bias headroom at this delta
         assert abs(draws.mean() - ref) < 4.0 * se + 2e-3
+
+
+@pytest.mark.parametrize("oracle", [
+    MM1DerivativeOracle(P4, "service"),
+    MM1DerivativeOracle(P4, "service", crn=True),
+    MM1GradientOracleSP(QueueParams(4.0, 5.0, 7)),
+], ids=["cfd", "cfd-crn", "sp"])
+def test_prepared_transform_is_the_expression_bit_for_bit(oracle):
+    n = 300
+    schedules = [np.geomspace(1.5, 0.01, n), 0.5 * np.arange(501, 501 + n) ** -0.1667]
+    check_prepared(oracle, difference_expression, oracle.draw(n, StreamKey(65, (1,))), schedules)
+    with pytest.raises(ValueError):  # the rate cap: 4 - delta must stay positive
+        oracle.prepare(np.full(n, 4.0))
