@@ -12,7 +12,8 @@ Four ways to spend n oracle draws:
 
 All four are linear in the samples, so a `LinearPlan` (perturbation
 sizes, sample coefficients, initial-point coefficient) is the single
-description of an estimator.  The estimators below and the paired
+description of an estimator, and `LinearPlan.mse` is its exact finite-n
+risk on the synthetic model.  The estimators below and the paired
 harness in `bvbal.experiments` build plans through the same constructors
 and reduce a sample path through the plan's one deterministic
 pairwise-summation kernel, so configurations that are algebraically
@@ -33,7 +34,7 @@ import numpy as np
 
 from .calibration import WeightScheme, _exact_sum
 from .errors import ConfigurationError
-from .oracles import BiasOrder, SampleOracle, StreamKey
+from .oracles import BiasOrder, SampleOracle, StreamKey, SyntheticOracleSpec
 
 __all__ = [
     "DeltaSchedule",
@@ -306,6 +307,26 @@ class LinearPlan:
         if self.init_coeff != 0.0:
             out = out + self.init_coeff * init
         return out
+
+    def mse(self, spec: SyntheticOracleSpec, init: np.ndarray | None = None) -> float:
+        """The exact mean squared error of the estimate on ``spec`` from
+        ``init`` (the origin by default): |bias|**2 + |noise_scale|**2
+        sum c**2 delta**(-2 q2), where bias = theta (sum c - 1) + init_coeff
+        init + B sum c delta**q1 + h sum c delta**(q1 + 1).  Every sum is
+        exactly rounded (`_exact_sum`) and formed in this order."""
+        init = _resolve_init(init, spec.dim)
+        terms = self.deltas ** spec.order.q1
+        terms *= self.coeffs
+        bias = spec.theta * (_exact_sum(self.coeffs) - 1.0) + self.init_coeff * init
+        bias += spec.B * _exact_sum(terms)
+        if spec.higher_order_bias is not None:
+            terms *= self.deltas
+            bias += spec.higher_order_bias * _exact_sum(terms)
+        np.power(self.deltas, -spec.order.q2, out=terms)
+        terms *= self.coeffs
+        terms *= terms
+        noise2 = _exact_sum(spec.noise_scale * spec.noise_scale)
+        return _exact_sum(bias * bias) + noise2 * _exact_sum(terms)
 
 
 def _run(oracle: SampleOracle, plan: LinearPlan, stream: StreamKey,

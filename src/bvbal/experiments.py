@@ -37,13 +37,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .calibration import (
-    WeightScheme,
     amrr_general,
     amrr_recursive_free,
     amrr_recursive_tied,
     optimal_weights,
-    xi_matrix,
-    ztilde_squared,
 )
 from .errors import ConfigurationError
 from .estimators import DeltaSchedule, LinearPlan, RecursiveParams, predict_mse_leading
@@ -253,8 +250,9 @@ class ExperimentConfig:
 def _build_plan(s: EstimatorSetting, n: int,
                 config: ExperimentConfig) -> tuple[str, LinearPlan, float | None]:
     """Map one entry at budget n to (label, plan, theory), applying the
-    defaults documented on `EstimatorSetting`; theory is the predicted
-    MSE on a synthetic model (None elsewhere or out of regime)."""
+    defaults documented on `EstimatorSetting`; on a synthetic model theory
+    is the plan's exact MSE for weighted entries and the leading-order
+    prediction for the others (None elsewhere or out of regime)."""
     order = config.order
     d, alpha, n0 = config.baseline_d, order.alpha, config.n0
     synthetic = isinstance(config.model, SyntheticOracleSpec)
@@ -265,13 +263,13 @@ def _build_plan(s: EstimatorSetting, n: int,
             theory = _try_predict("baseline", order, d, config, n)
     elif s.kind == "weighted":
         K = float(config.K if s.K is None else s.K)
-        if not K > 0:
+        if not (K > 0 and math.isfinite(K)):
             raise ConfigurationError("K must be positive")
         label = f"weighted-K{K:g}"
         scheme = optimal_weights(n, n0, order, K)
         plan = LinearPlan.weighted(n, DeltaSchedule(scheme.eta_star * d, alpha, n0), scheme)
         if synthetic:
-            theory = _weighted_theory(scheme, config.model, d)
+            theory = plan.mse(config.model)
     else:  # recursive or averaged
         c = 1.0 if s.c is None else float(s.c)
         beta = (1.0 if s.kind == "recursive" else 0.5) if s.beta is None else float(s.beta)
@@ -283,35 +281,15 @@ def _build_plan(s: EstimatorSetting, n: int,
     return (label if s.label is None else s.label), plan, theory
 
 
-def _model_moments(spec: SyntheticOracleSpec) -> tuple[float, float]:
-    B2 = float(np.dot(spec.B, spec.B))
-    sigma2 = float(np.dot(spec.noise_scale, spec.noise_scale))
-    return B2, sigma2
-
-
 def _try_predict(kind: str, order: BiasOrder, d: float, config: ExperimentConfig,
                  n: int, c: float | None = None, beta: float | None = None) -> float | None:
-    B2, sigma2 = _model_moments(config.model)
+    B, noise = config.model.B, config.model.noise_scale
     try:
-        return predict_mse_leading(kind, order, d, B2, sigma2, n, c=c, beta=beta)
+        return predict_mse_leading(kind, order, d, float(np.dot(B, B)),
+                                   float(np.dot(noise, noise)), n, c=c, beta=beta)
     except ValueError:
         # out of the convergent regime: no leading-order prediction exists
         return None
-
-
-def _weighted_theory(scheme: WeightScheme, spec: SyntheticOracleSpec, d: float) -> float:
-    """Exact finite-n risk of a solved scheme on the synthetic model
-    (ignoring any higher-order bias): squared weighted bias plus the
-    weighted variance at the realized schedule delta_j = eta* d (j+n0)^-alpha.
-    When a_star sits on the feasible boundary this reduces to s_star times
-    the baseline's (B, sigma, d) constant."""
-    B2, sigma2 = _model_moments(spec)
-    q1, q2 = spec.order.q1, spec.order.q2
-    d_eff = scheme.eta_star * d
-    xi = xi_matrix(spec.order, scheme.n, scheme.n0)
-    zt2 = ztilde_squared(scheme.a_star, xi)
-    return (B2 * d_eff ** (2 * q1) * scheme.a_star ** 2
-            + sigma2 * zt2 / d_eff ** (2 * q2))
 
 
 def _run_slice(oracle: SampleOracle, theta: np.ndarray, plan_groups: tuple,

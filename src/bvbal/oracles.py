@@ -175,7 +175,7 @@ def _as_vector(x, name: str) -> np.ndarray:
 @dataclass(frozen=True)
 class SyntheticOracleSpec:
     """Fully specified synthetic oracle: every constant of the model is
-    explicit, so closed-form risk predictions are exact for it.
+    explicit, so a plan's exact risk on it is known (`LinearPlan.mse`).
 
     A draw at perturbation size delta > 0 is
 

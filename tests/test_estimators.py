@@ -16,9 +16,11 @@ from bvbal import (
     LinearPlan,
     RecursiveParams,
     StreamKey,
+    SyntheticOracleSpec,
     averaged_estimate,
     baseline_estimate,
     chung_recursion_check,
+    optimal_weights,
     predict_mse_leading,
     recursive_estimate,
     weighted_estimate,
@@ -394,6 +396,8 @@ def test_predicted_mse_regime_errors():
 
 
 def _mc_mse(c, beta, alpha, n, reps, seed):
+    """Squared errors of the recursive estimate over reps streams, and the
+    plan's exact MSE."""
     spec = unit_spec()
     sched = DeltaSchedule(scale=1.0, alpha=alpha)
     params = RecursiveParams(c, beta)
@@ -402,14 +406,7 @@ def _mc_mse(c, beta, alpha, n, reps, seed):
     for r in range(reps):
         est = recursive_estimate(spec, n, sched, params, root.child(r)).estimate[0]
         sq[r] = est * est  # theta = 0
-    return sq
-
-
-def _exact_mse(c, beta, alpha, n):
-    u, _ = recursion_coefficients(c, beta, n)
-    delta = np.arange(1, n + 1, dtype=float) ** (-alpha)
-    bias = math.fsum(u * delta**2)
-    return bias * bias + math.fsum(u * u / delta**2)
+    return sq, LinearPlan.recursive(n, sched, params).mse(spec)
 
 
 def test_small_step_constant_diverges_from_optimal_rate():
@@ -418,9 +415,8 @@ def test_small_step_constant_diverges_from_optimal_rate():
     reps = 2000
     scaled, exact_scaled = [], []
     for i, n in enumerate((1000, 10_000, 100_000)):
-        sq = _mc_mse(0.2, 1.0, 1.0 / 6.0, n, reps, seed=100 + i)
+        sq, exact = _mc_mse(0.2, 1.0, 1.0 / 6.0, n, reps, seed=100 + i)
         mse = float(sq.mean())
-        exact = _exact_mse(0.2, 1.0, 1.0 / 6.0, n)
         assert abs(mse - exact) < 5.0 * sq.std(ddof=1) / math.sqrt(reps)
         scaled.append(n ** (2.0 / 3.0) * mse)
         exact_scaled.append(n ** (2.0 / 3.0) * exact)
@@ -434,11 +430,104 @@ def test_interior_regime_is_l2_consistent():
     reps = 2000
     mse = {}
     for i, n in enumerate((1000, 100_000)):
-        sq = _mc_mse(1.0, 0.9, 0.2, n, reps, seed=200 + i)
+        sq, exact = _mc_mse(1.0, 0.9, 0.2, n, reps, seed=200 + i)
         mse[n] = float(sq.mean())
-        exact = _exact_mse(1.0, 0.9, 0.2, n)
         assert abs(mse[n] - exact) < 5.0 * sq.std(ddof=1) / math.sqrt(reps)
     assert mse[100_000] < mse[1000]
+
+
+# -------------------------------------------------------------- plan risk
+
+# dim 2, theta != 0, a higher-order bias, and an init away from theta
+RISK_SPEC = SyntheticOracleSpec(
+    theta=np.array([0.7, -1.2]), B=np.array([1.5, -0.5]),
+    noise_scale=np.array([0.8, 0.3]), order=Q21,
+    higher_order_bias=np.array([2.0, -1.0]),
+)
+RISK_INIT = np.array([3.0, -2.0])
+RISK_KINDS = ("baseline", "recursive", "averaged", "weighted")
+
+
+def _risk_case(kind, n):
+    """The plan of one kind at budget n and the public estimator that
+    runs it, as a function of the stream."""
+    sched = DeltaSchedule(0.7, Q21.alpha, n0=3)
+    params = RecursiveParams(0.6, 0.8, RISK_INIT)
+    if kind == "baseline":
+        return LinearPlan.baseline(n, sched), lambda key: baseline_estimate(
+            RISK_SPEC, n, sched, key)
+    if kind == "recursive":
+        return LinearPlan.recursive(n, sched, params), lambda key: recursive_estimate(
+            RISK_SPEC, n, sched, params, key)
+    if kind == "averaged":
+        return LinearPlan.averaged(n, sched, params), lambda key: averaged_estimate(
+            RISK_SPEC, n, sched, params, key)
+    scheme = optimal_weights(n, 3, Q21, 1.5)
+    wsched = DeltaSchedule(scheme.eta_star * 0.7, Q21.alpha, n0=3)
+    return LinearPlan.weighted(n, wsched, scheme), lambda key: weighted_estimate(
+        RISK_SPEC, n, wsched, scheme, key)
+
+
+@pytest.mark.parametrize("kind", RISK_KINDS)
+def test_plan_mse_matches_an_independent_fsum_route(kind):
+    plan, _ = _risk_case(kind, 300)
+    # the recursive two weigh the init, which sits away from theta
+    assert (plan.init_coeff > 0.0) == (kind in ("recursive", "averaged"))
+    # per coordinate: the fsum of the coefficient-weighted draw means,
+    # minus theta, squared, plus that coordinate's weighted variance
+    c, d = plan.coeffs, plan.deltas
+    want = 0.0
+    for i in range(RISK_SPEC.dim):
+        means = (RISK_SPEC.theta[i] + RISK_SPEC.B[i] * d**2
+                 + RISK_SPEC.higher_order_bias[i] * d**3)
+        bias = math.fsum(c * means) + plan.init_coeff * RISK_INIT[i] - RISK_SPEC.theta[i]
+        want += bias * bias + RISK_SPEC.noise_scale[i] ** 2 * math.fsum(c * c / d**2)
+    assert plan.mse(RISK_SPEC, RISK_INIT) == pytest.approx(want, rel=1e-12)
+
+
+def test_plan_mse_agrees_with_monte_carlo():
+    n, reps = 100, 2000
+    for i, kind in enumerate(RISK_KINDS):
+        plan, run = _risk_case(kind, n)
+        root = StreamKey(300 + i)
+        sq = np.empty(reps)
+        for r in range(reps):
+            err = run(root.child(r)).estimate - RISK_SPEC.theta
+            sq[r] = err @ err
+        z = (sq.mean() - plan.mse(RISK_SPEC, RISK_INIT)) / (sq.std(ddof=1) / math.sqrt(reps))
+        assert abs(z) <= 4.0, (kind, z)
+
+
+@pytest.mark.parametrize("n, n0, K, lo, hi", [
+    (100_000, 0, 1.0, 0.8413, 0.8413),  # boundary regime: bias and
+    (100_000, 0, 2.0, 0.2995, 0.2995),  # variance ratios coincide
+    (10_000, 500, 1.0, 1.0159, 1.0667),  # interior regime
+])
+def test_weighted_to_baseline_risk_ratio_is_monotone_in_t(n, n0, K, lo, hi):
+    # MSE = B**2 b**2 + sigma**2 v for each plan, so the ratio is the
+    # Moebius map (t b_w**2 + v_w) / (t b_b**2 + v_b) of t = B**2 / sigma**2:
+    # monotone, with its range spanned by the ratios at t = 0 and t = inf
+    scheme = optimal_weights(n, n0, Q21, K)
+    plans = (LinearPlan.weighted(n, DeltaSchedule(scheme.eta_star, Q21.alpha, n0), scheme),
+             LinearPlan.baseline(n, DeltaSchedule(1.0, Q21.alpha, n0)))
+    b2w, b2b = (p.mse(unit_spec(sigma=0.0)) for p in plans)
+    vw, vb = (p.mse(unit_spec(B=0.0)) for p in plans)
+    ends = sorted((vw / vb, b2w / b2b))
+    assert (round(ends[0], 4), round(ends[1], 4)) == (lo, hi)
+    if lo == hi:
+        assert ends[0] == pytest.approx(ends[1], rel=1e-12)
+    cells = []
+    for B in np.geomspace(0.1, 10.0, 5):
+        for sigma in np.geomspace(0.1, 10.0, 5):
+            spec = unit_spec(B=B, sigma=sigma)
+            ratio = plans[0].mse(spec) / plans[1].mse(spec)
+            t = B * B / (sigma * sigma)
+            assert ratio == pytest.approx((t * b2w + vw) / (t * b2b + vb), rel=1e-12)
+            assert ends[0] * (1 - 1e-12) <= ratio <= ends[1] * (1 + 1e-12)
+            cells.append((t, ratio))
+    steps = np.diff([ratio for _, ratio in sorted(cells)])
+    slack = 1e-12 * ends[1]
+    assert np.all(steps >= -slack) or np.all(steps <= slack)
 
 
 # ---------------------------------------------------- comparison recursion

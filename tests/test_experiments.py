@@ -72,7 +72,7 @@ def crn_queue_config():
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("make, digest", [
-    (small_config, "b477666c2e46c9eedc4dba66f8ad3e4511cf334dc752d9c400295d9e4a692eb0"),
+    (small_config, "67b2a09260b6405978fa1d79bada3bff37fbfcc03e7f70e3075f67a29389a484"),
     (crn_queue_config, "761818d6b295224840e47974493b7bb3d64e9b3c15b338d795ea7c5c2765e70d"),
 ], ids=["synthetic", "crn-queue"])
 def test_report_bytes_are_pinned(make, digest, workers):
@@ -365,9 +365,10 @@ def test_duplicate_labels_are_rejected():
         run_experiment(config)
 
 
-def test_negative_cap_is_rejected_at_resolution():
+@pytest.mark.parametrize("K", [-1.0, math.inf])
+def test_negative_cap_is_rejected_at_resolution(K):
     config = small_config(
-        estimators=(EstimatorSetting("weighted", K=-1.0),),
+        estimators=(EstimatorSetting("weighted", K=K),),
     )
     with pytest.raises(ConfigurationError, match="K must be positive"):
         run_experiment(config)
