@@ -11,8 +11,17 @@ reproduce-table  rebuild reference tables 1-8
 Exit codes: 0 success, 2 configuration/usage error, 3 infeasible weight
 problem, 4 I/O failure.  When no --seed is given one is generated and
 printed, so any run can be reproduced; rerunning with the same seed
-writes byte-identical files.  A --config file holds key=value pairs that
-serve as defaults; explicit flags override it.
+writes byte-identical files.
+
+A --config file holds one ``key=value`` per line (``#`` starts a comment
+line) and serves as defaults.  Keys are the command's long option names
+with ``_`` for ``-`` (``allow_large``, ``max_budget``); each value is
+parsed and checked by the flag's own argparse action, so it takes the
+values the flag takes (a switch takes true/false, and ``n`` lines add
+budgets as repeated ``--n`` flags do).  Flags on the command line
+override the file, ``--n`` included: any ``--n`` replaces the file's
+budgets.  A key that belongs to another command is ignored; an unknown
+key or a rejected value exits 2 and names the file and line.
 """
 
 from __future__ import annotations
@@ -45,78 +54,98 @@ from .queueing import QueueParams
 
 __all__ = ["main"]
 
-_CONFIG_TYPES = {
-    "q1": float, "q2": float, "K": float, "d": float, "n": int, "n0": int,
-    "reps": int, "seed": int, "scale": float, "workers": int, "out": str,
-    "format": str, "scheme": str, "mode": str, "target": str, "B": float,
-    "sigma": float, "theta": float, "estimators": str, "id": int,
-    "allow_large": lambda s: s.lower() in ("1", "true", "yes"),
-    "max_budget": int, "c": float, "beta": float, "d_scale": float,
-}
+_SWITCH = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _read_config(path: str) -> dict:
-    values = {}
+def _checked(convert: Callable, ok: Callable, what: str) -> Callable:
+    """An argparse ``type=`` that converts, then checks the value; flags and
+    --config values both go through it."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{what}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # read by argparse's "invalid float value"
+    return parse
+
+
+_cap = _checked(float, lambda K: K > 0 and math.isfinite(K), "K must be positive")
+_seed = _checked(int, lambda s: 0 <= s < 2**64, "seed must lie in [0, 2**64)")
+
+
+class _Budgets(argparse.Action):
+    """Append each ``--n``, but let the first replace the default list
+    (the built-in budget or a --config file's) instead of extending it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = getattr(namespace, self.dest)
+        setattr(namespace, self.dest, ([] if given is self.default else given) + [values])
+
+
+def _read_config(path: str, commands: dict, command: str) -> dict:
+    """Defaults for ``command`` from a --config file, each value run through
+    the action of the flag it names (its type, choices, switch or append)."""
+    parser = commands[command]
+    skip = ("help", "config")
+    known = {a.dest for p in commands.values() for a in p._actions} - set(skip)
+    actions = {a.dest: a for a in parser._actions if a.dest not in skip}
+    ns = argparse.Namespace(**{dest: a.default for dest, a in actions.items()})
+    seen = set()
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            where = f"{path}:{lineno}"
             if "=" not in line:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected key=value, got {line!r}"
-                )
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_TYPES:
-                raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = _CONFIG_TYPES[key](value.strip())
-    return values
+                raise ConfigurationError(f"{where}: expected key=value, got {line!r}")
+            key, _, value = (s.strip() for s in line.partition("="))
+            if key not in known:
+                raise ConfigurationError(f"{where}: unknown key {key!r}")
+            action = actions.get(key)
+            if action is None:
+                continue  # an option of another command
+            try:
+                if action.nargs == 0:  # a switch: true sets it, false leaves it off
+                    if value.lower() not in _SWITCH:
+                        raise argparse.ArgumentError(
+                            action, f"expected true or false, got {value!r}")
+                    if _SWITCH[value.lower()]:
+                        action(parser, ns, [])
+                else:  # argparse's own conversion and choices check for one value
+                    action(parser, ns, parser._get_values(action, [value]))
+            except argparse.ArgumentError as exc:
+                raise ConfigurationError(f"{where}: {exc}") from None
+            seen.add(key)
+    return {key: getattr(ns, key) for key in seen}
 
 
 def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
     if "q" in names:
-        p.add_argument("--q1", type=float, default=None, help="bias order (default 2)")
-        p.add_argument("--q2", type=float, default=None, help="noise order (default 1)")
+        p.add_argument("--q1", type=float, default=2.0, help="bias order")
+        p.add_argument("--q2", type=float, default=1.0, help="noise order")
     if "K" in names:
-        p.add_argument("--K", type=float, default=None,
-                       help="inflation cap for the weighted scheme (default 1)")
+        p.add_argument("--K", type=_cap, default=1.0, help="inflation cap of the weighted scheme")
     if "run" in names:
-        p.add_argument("--d", type=float, default=None, help="baseline scale (default 1)")
-        p.add_argument("--n", type=int, action="append", default=None,
+        p.add_argument("--estimators", default="baseline,recursive,averaged,weighted",
+                       help="comma list of estimator kinds")
+        p.add_argument("--d", type=float, default=1.0, help="baseline scale")
+        p.add_argument("--n", type=int, action=_Budgets, default=[10_000],
                        help="sample budget; repeat the flag for several")
-        p.add_argument("--n0", type=int, default=None, help="schedule offset")
-        p.add_argument("--reps", type=int, default=None,
-                       help="replications (default 1000)")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker threads (default 1; results identical)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="root seed; generated and printed when absent")
-    p.add_argument("--out", type=str, default=None, help="output file")
-    p.add_argument("--format", type=str, default=None, choices=("csv", "json"),
-                   help="output format (default csv, or by extension)")
-    p.add_argument("--config", type=str, default=None,
-                   help="key=value defaults file; flags override")
-
-
-def _order(args) -> BiasOrder:
-    q1 = 2.0 if args.q1 is None else args.q1
-    q2 = 1.0 if args.q2 is None else args.q2
-    return BiasOrder(q1, q2)
-
-
-def _check_K(K: float) -> float:
-    if K is None:
-        K = 1.0
-    if not (K > 0 and math.isfinite(K)):
-        raise ConfigurationError("K must be positive")
-    return float(K)
+        p.add_argument("--n0", type=int, default=0, help="schedule offset")
+    if "run" in names or "table" in names:
+        p.add_argument("--reps", type=int, default=1000, help="replications")
+        p.add_argument("--workers", type=int, default=1,
+                       help="worker threads (results identical)")
+    p.add_argument("--seed", type=_seed, help="root seed; generated and printed when absent")
+    p.add_argument("--out", help="output file")
+    p.add_argument("--format", choices=("csv", "json"),
+                   help="output format; None: json for a .json --out, else csv")
+    p.add_argument("--config", help="key=value defaults file; flags override")
 
 
 def _pick_seed(args) -> int:
     if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigurationError(f"seed must lie in [0, 2**64), got {args.seed}")
         return args.seed
     seed = secrets.randbits(48)
     print(f"seed: {seed}")
@@ -137,79 +166,61 @@ def _write(args, csv_text: Callable[[], str], json_text: Callable[[], str]) -> N
 
 
 def _cmd_amrr(args) -> int:
-    order = _order(args)
-    scheme = args.scheme
-    if scheme == "general":
-        K = _check_K(args.K)
-        print(f"scheme: general  q1: {order.q1:g}  q2: {order.q2:g}  K: {K:g}")
-        print(f"amrr: {amrr_general(order, K):.4g}")
-    elif scheme == "recursive-tied":
+    order = BiasOrder(args.q1, args.q2)
+    head = f"scheme: {args.scheme}  q1: {order.q1:g}  q2: {order.q2:g}"
+    if args.scheme == "general":
+        print(f"{head}  K: {args.K:g}")
+        print(f"amrr: {amrr_general(order, args.K):.4g}")
+    elif args.scheme == "recursive-tied":
         opt = amrr_recursive_tied(order)
-        print(f"scheme: recursive-tied  q1: {order.q1:g}  q2: {order.q2:g}")
+        print(head)
         print(f"amrr: {opt.ratio:.4g}")
         print(f"c: {opt.c_opt:.4g}")
-    elif scheme in ("recursive-free", "averaged"):
+    else:  # recursive-free or averaged
         opt = amrr_recursive_free(order)
-        print(f"scheme: {scheme}  q1: {order.q1:g}  q2: {order.q2:g}")
+        print(head)
         print(f"amrr: {opt.ratio:.4g}")
         print(f"d_scale: {opt.d_scale:.4g}")
-        print("c: 1" if scheme == "recursive-free" else "c: any positive, 0 < beta < 1")
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigurationError(f"unknown scheme {scheme!r}")
+        print("c: 1" if args.scheme == "recursive-free" else "c: any positive, 0 < beta < 1")
     return 0
 
 
 def _cmd_weights(args) -> int:
-    order = _order(args)
-    K = _check_K(args.K)
-    n = args.n if args.n is not None else 1000
-    n0 = args.n0 if args.n0 is not None else 0
+    order, K, n, n0 = BiasOrder(args.q1, args.q2), args.K, args.n, args.n0
     if n < 2:
         raise InfeasibleError(
             f"n={n}: the constraint system is singular with fewer than two "
             "draws; no weight scheme exists"
         )
     scheme = optimal_weights(n, n0, order, K)
+    # the solved fields, in the order that stdout and the CSV header list them
+    fields = {
+        "lambda1": scheme.lambda1, "lambda2": scheme.lambda2, "a_star": scheme.a_star,
+        "eta_star": scheme.eta_star, "s_star": scheme.s_star,
+    }
     print(f"n: {n}  n0: {n0}  K: {K:g}  q1: {order.q1:g}  q2: {order.q2:g}")
-    print(f"lambda1: {scheme.lambda1:.4g}")
-    print(f"lambda2: {scheme.lambda2:.4g}")
-    print(f"a_star: {scheme.a_star:.4g}")
-    print(f"eta_star: {scheme.eta_star:.4g}")
-    print(f"s_star: {scheme.s_star:.4g}")
+    for key, value in fields.items():
+        print(f"{key}: {value:.4g}")
     print(f"scaled_s_star: {scheme.scaled_s_star:.4g}")
     print(f"amrr_limit: {amrr_general(order, K):.4g}")
-    meta = (
-        f"lambda1={scheme.lambda1!r}", f"lambda2={scheme.lambda2!r}",
-        f"a_star={scheme.a_star!r}", f"eta_star={scheme.eta_star!r}",
-        f"s_star={scheme.s_star!r}", f"K={K!r}", f"n0={n0}",
-        f"q1={order.q1!r}", f"q2={order.q2!r}",
-    )
+    fields.update(K=K, n0=n0, q1=order.q1, q2=order.q2)
 
     def csv_text() -> str:
-        lines = [f"# {m}" for m in meta] + ["j,weight"]
+        lines = [f"# {key}={value!r}" for key, value in fields.items()] + ["j,weight"]
         lines += [f"{j},{w!r}" for j, w in enumerate(scheme.weights.tolist(), 1)]
         return "\n".join(lines) + "\n"
 
     def json_text() -> str:
-        return json.dumps(
-            {
-                "n": n, "n0": n0, "K": K, "q1": order.q1, "q2": order.q2,
-                "lambda1": scheme.lambda1, "lambda2": scheme.lambda2,
-                "a_star": scheme.a_star, "eta_star": scheme.eta_star,
-                "s_star": scheme.s_star,
-                "weights": scheme.weights.tolist(),
-            },
-            sort_keys=True,
-        ) + "\n"
+        doc = {"n": n, **fields, "weights": scheme.weights.tolist()}
+        return json.dumps(doc, sort_keys=True) + "\n"
 
     _write(args, csv_text, json_text)
     return 0
 
 
-def _parse_estimators(spec: str | None, K: float) -> tuple[EstimatorSetting, ...]:
-    names = (spec or "baseline,recursive,averaged,weighted").split(",")
+def _parse_estimators(spec: str, K: float) -> tuple[EstimatorSetting, ...]:
     settings = []
-    for name in names:
+    for name in spec.split(","):
         name = name.strip()
         if not name:
             continue
@@ -217,54 +228,37 @@ def _parse_estimators(spec: str | None, K: float) -> tuple[EstimatorSetting, ...
     return tuple(settings)
 
 
-def _run_and_emit(args, config: ExperimentConfig) -> int:
-    workers = args.workers if args.workers is not None else 1
-    report = run_experiment(config, workers=workers)
+def _run_and_emit(args, model: SyntheticOracleSpec | QueueSetting) -> int:
+    config = ExperimentConfig(
+        model=model,
+        estimators=_parse_estimators(args.estimators, args.K),
+        budgets=tuple(args.n),
+        baseline_d=args.d,
+        K=args.K,
+        n0=args.n0,
+        replications=args.reps,
+        seed=_pick_seed(args),
+    )
+    report = run_experiment(config, workers=args.workers)
     print(report.summary())
     _write(args, report.csv_text, report.json_text)
     return 0
 
 
 def _cmd_run_synthetic(args) -> int:
-    order = _order(args)
-    K = _check_K(args.K)
     spec = SyntheticOracleSpec(
-        theta=np.array([args.theta if args.theta is not None else 0.0]),
-        B=np.array([args.B if args.B is not None else 1.0]),
-        noise_scale=np.array([args.sigma if args.sigma is not None else 1.0]),
-        order=order,
+        theta=np.array([args.theta]),
+        B=np.array([args.B]),
+        noise_scale=np.array([args.sigma]),
+        order=BiasOrder(args.q1, args.q2),
     )
-    config = ExperimentConfig(
-        model=spec,
-        estimators=_parse_estimators(args.estimators, K),
-        budgets=tuple(args.n) if args.n else (10_000,),
-        baseline_d=args.d if args.d is not None else 1.0,
-        K=K,
-        n0=args.n0 if args.n0 is not None else 0,
-        replications=args.reps if args.reps is not None else 1000,
-        seed=_pick_seed(args),
-    )
-    return _run_and_emit(args, config)
+    return _run_and_emit(args, spec)
 
 
 def _cmd_run_mm1(args) -> int:
-    K = _check_K(args.K)
-    setting = QueueSetting(
-        params=QueueParams(4.0, 4.0, 10),
-        mode=args.mode,
-        target=args.target,
-    )
-    config = ExperimentConfig(
-        model=setting,
-        estimators=_parse_estimators(args.estimators, K),
-        budgets=tuple(args.n) if args.n else (10_000,),
-        baseline_d=args.d if args.d is not None else 1.0,
-        K=K,
-        n0=args.n0 if args.n0 is not None else 500,
-        replications=args.reps if args.reps is not None else 1000,
-        seed=_pick_seed(args),
-    )
-    return _run_and_emit(args, config)
+    setting = QueueSetting(params=QueueParams(4.0, 4.0, 10), mode=args.mode,
+                           target=args.target)
+    return _run_and_emit(args, setting)
 
 
 def _cmd_reproduce_table(args) -> int:
@@ -273,14 +267,13 @@ def _cmd_reproduce_table(args) -> int:
     kwargs = {}
     if args.id >= 5:
         kwargs = dict(
-            scale=args.scale if args.scale is not None else 1.0,
-            replications=args.reps if args.reps is not None else 1000,
+            scale=args.scale,
+            replications=args.reps,
             seed=_pick_seed(args),
             allow_large=args.allow_large,
-            workers=args.workers if args.workers is not None else 1,
+            max_budget=args.max_budget,
+            workers=args.workers,
         )
-        if args.max_budget is not None:
-            kwargs["max_budget"] = args.max_budget
     table = reproduce_table(args.id, **kwargs)
     print(table.render())
     _write(args, table.csv_text, table.json_text)
@@ -295,51 +288,41 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
 
-    p = sub.add_parser("amrr", help="closed-form asymptotic minimax risk ratios")
+    def command(name, help, func, *common, **defaults):
+        p = commands[name] = sub.add_parser(
+            name, help=help, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        _add_common(p, *common)
+        p.set_defaults(func=func, **defaults)
+        return p
+
+    p = command("amrr", "closed-form asymptotic minimax risk ratios", _cmd_amrr, "q", "K")
     p.add_argument("--scheme", default="general",
                    choices=("general", "recursive-tied", "recursive-free", "averaged"))
-    _add_common(p, "q", "K")
-    p.set_defaults(func=_cmd_amrr)
-    commands["amrr"] = p
 
-    p = sub.add_parser("weights", help="solve and export a weight scheme")
+    p = command("weights", "solve and export a weight scheme", _cmd_weights, "q", "K")
     p.add_argument("--n", type=int, required=True, help="sample budget")
-    p.add_argument("--n0", type=int, default=None, help="schedule offset")
-    _add_common(p, "q", "K")
-    p.set_defaults(func=_cmd_weights)
-    commands["weights"] = p
+    p.add_argument("--n0", type=int, default=0, help="schedule offset")
 
-    p = sub.add_parser("run-synthetic", help="paired experiment, synthetic model")
-    p.add_argument("--estimators", type=str, default=None,
-                   help="comma list from: baseline,recursive,averaged,weighted")
-    p.add_argument("--B", type=float, default=None, help="bias coefficient (default 1)")
-    p.add_argument("--sigma", type=float, default=None, help="noise scale (default 1)")
-    p.add_argument("--theta", type=float, default=None, help="target value (default 0)")
-    _add_common(p, "q", "K", "run")
-    p.set_defaults(func=_cmd_run_synthetic)
-    commands["run-synthetic"] = p
+    p = command("run-synthetic", "paired experiment, synthetic model", _cmd_run_synthetic,
+                "q", "K", "run")
+    p.add_argument("--B", type=float, default=1.0, help="bias coefficient")
+    p.add_argument("--sigma", type=float, default=1.0, help="noise scale")
+    p.add_argument("--theta", type=float, default=0.0, help="target value")
 
-    p = sub.add_parser("run-mm1", help="paired experiment, M/M/1 derivative")
+    p = command("run-mm1", "paired experiment, M/M/1 derivative", _cmd_run_mm1,
+                "K", "run", n0=500)
     p.add_argument("--mode", default="cfd", choices=("cfd", "sp"))
     p.add_argument("--target", default="arrival", choices=("arrival", "service"))
-    p.add_argument("--estimators", type=str, default=None)
-    _add_common(p, "K", "run")
-    p.set_defaults(func=_cmd_run_mm1)
-    commands["run-mm1"] = p
 
-    p = sub.add_parser("reproduce-table", help="rebuild reference table 1-8")
+    p = command("reproduce-table", "rebuild reference table 1-8", _cmd_reproduce_table,
+                "table")
     p.add_argument("--id", type=int, required=True)
-    p.add_argument("--scale", type=float, default=None,
+    p.add_argument("--scale", type=float, default=1.0,
                    help="budget multiplier for tables 5-8 (scaled min >= 1e3)")
-    p.add_argument("--allow-large", dest="allow_large", action="store_true",
+    p.add_argument("--allow-large", action="store_true",
                    help="run budgets above --max-budget too")
-    p.add_argument("--max-budget", dest="max_budget", type=int, default=None)
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_reproduce_table)
-    commands["reproduce-table"] = p
-
+    p.add_argument("--max-budget", type=int, default=10_000,
+                   help="largest budget run without --allow-large")
     return parser, commands
 
 
@@ -347,20 +330,14 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser, commands = _build_parser()
-    # two-pass parse so a --config file provides defaults that explicit
-    # flags then override
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config", type=str, default=None)
     try:
-        known, _ = pre.parse_known_args(argv)
-        if known.config is not None:
-            defaults = _read_config(known.config)
-            for sp in commands.values():
-                sp.set_defaults(**{
-                    k: v for k, v in defaults.items()
-                    if any(a.dest == k for a in sp._actions)
-                })
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # a second pass, so the file's values are defaults that the
+            # command line's flags then override
+            commands[args.command].set_defaults(
+                **_read_config(args.config, commands, args.command))
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     except ConfigurationError as exc:

@@ -31,7 +31,7 @@ import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -212,28 +212,11 @@ class ExperimentConfig:
                 ),
             }
         else:
-            model = {
-                "type": "queue",
-                "arrival_rate": m.params.arrival_rate,
-                "service_rate": m.params.service_rate,
-                "num_customers": m.params.num_customers,
-                "mode": m.mode,
-                "target": m.target,
-                "crn": m.crn,
-            }
+            model = {"type": "queue", **asdict(m.params),
+                     "mode": m.mode, "target": m.target, "crn": m.crn}
         return {
             "model": model,
-            "estimators": [
-                {
-                    "kind": s.kind,
-                    "c": s.c,
-                    "beta": s.beta,
-                    "d_scale": s.d_scale,
-                    "K": s.K,
-                    "label": s.label,
-                }
-                for s in self.estimators
-            ],
+            "estimators": [asdict(s) for s in self.estimators],
             "budgets": list(self.budgets),
             "baseline_d": self.baseline_d,
             "K": self.K,
@@ -375,17 +358,7 @@ class ExperimentReport:
             "seed": self.seed,
             "replications": self.replications,
             "degenerate": self.degenerate,
-            "rows": [
-                {
-                    "estimator": r.estimator,
-                    "n": r.n,
-                    "mse": r.mse,
-                    "se": r.se,
-                    "ratio": r.ratio,
-                    "theory": r.theory,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
             "squared_errors": {k: v.tolist() for k, v in self.squared_errors.items()},
         }
         return json.dumps(doc, sort_keys=True) + "\n"
@@ -668,7 +641,7 @@ def reproduce_table(table_id: int, *, scale: float = 1.0,
         raise ValueError(f"table_id must be 1..8, got {table_id}")
 
     mode, d, Ks = _TABLE_MC[table_id]
-    if not scale > 0:
+    if not (scale > 0 and math.isfinite(scale)):
         raise ValueError(f"scale must be positive, got {scale}")
     budgets = tuple(int(round(n * scale)) for n in MM1_BUDGETS_FULL)
     if min(budgets) < 1000:

@@ -230,11 +230,65 @@ def test_flags_override_config(capsys, tmp_path):
 
 
 def test_config_unknown_key_exits_2(capsys, tmp_path):
+    # c, beta and d_scale are estimator fields, not options of any command
+    for key in ("frobnicate", "c", "beta", "d_scale"):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 3\n")
+        code, _, err = run(capsys, "amrr", "--config", str(cfg))
+        assert code == 2, key
+        assert "unknown key" in err
+        assert f"{cfg}:1" in err
+
+
+def test_config_key_of_another_command_is_ignored(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("frobnicate = 3\n")
-    code, _, err = run(capsys, "amrr", "--config", str(cfg))
+    cfg.write_text("mode = bogus\nK = 2\n")
+    code, out, _ = run(capsys, "amrr", "--config", str(cfg))
+    assert code == 0
+    assert "amrr: 0.1667" in out
+
+
+@pytest.mark.parametrize("command, line", [
+    (("amrr",), "K = abc"),
+    (("amrr",), "K = 0"),
+    (("weights", "--n", "20"), "format = xml"),
+    (("run-mm1",), "mode = bogus"),
+    (("run-synthetic",), "seed = -1"),
+    (("reproduce-table", "--id", "3"), "allow_large = maybe"),
+])
+def test_config_bad_value_exits_2(capsys, tmp_path, command, line):
+    # a value the flag would reject is rejected from the file too, before
+    # anything runs, and the message names the file and line
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# header\n{line}\n")
+    code, out, err = run(capsys, *command, "--config", str(cfg))
     assert code == 2
-    assert "unknown key" in err
+    assert f"{cfg}:2" in err
+    assert out == ""
+
+
+def test_config_budgets_and_flag_replacement(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 64\nreps = 3\nseed = 7\nestimators = baseline\n")
+    code, out, _ = run(capsys, "run-synthetic", "--config", str(cfg))
+    assert code == 0
+    assert re.findall(r"n=\s*(\d+)", out) == ["64"]
+    # flags replace the file's budgets rather than adding to them
+    code, out, _ = run(capsys, "run-synthetic", "--config", str(cfg),
+                       "--n", "32", "--n", "48")
+    assert code == 0
+    assert re.findall(r"n=\s*(\d+)", out) == ["32", "48"]
+
+
+def test_config_switch_and_table_options(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("allow_large = true\nmax_budget = 1000\nscale = 0.1\n"
+                   "reps = 4\nseed = 1\n")
+    code, out, _ = run(capsys, "reproduce-table", "--id", "5", "--config", str(cfg))
+    assert code == 0
+    # allow_large runs the budgets above max_budget too: all six scaled rows
+    assert [line.split()[0] for line in out.splitlines()[1:]] == [
+        "1000", "2000", "3000", "5000", "8000", "10000"]
 
 
 def test_config_malformed_line_exits_2(capsys, tmp_path):

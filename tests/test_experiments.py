@@ -503,4 +503,7 @@ def test_table_budget_guards():
     # everything above the cap without the opt-in flag
     with pytest.raises(ValueError, match="allow_large"):
         reproduce_table(5, scale=1.0, replications=10, max_budget=5000)
+    # a non-finite scale has no budgets to round to
+    with pytest.raises(ValueError, match="scale must be positive"):
+        reproduce_table(5, scale=math.inf, replications=10)
     assert MM1_BUDGETS_FULL == (10_000, 20_000, 30_000, 50_000, 80_000, 100_000)
