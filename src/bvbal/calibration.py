@@ -27,16 +27,21 @@ Everything here is deterministic, cheap, and independent of any sampling
 code; the Monte Carlo layers consume the outputs.
 
 Every O(n) exact sum (the power sums behind `xi_matrix`, the
-`WeightScheme` self-checks, and the averaged estimator's initial-point
-coefficient in `bvbal.estimators`) goes through one kernel,
-`_exact_sum`: a vectorised error-free-extraction block sum that returns
-the correctly rounded value `math.fsum` returns, bit for bit.
+`WeightScheme` self-checks, and `LinearPlan.mse` and the averaged
+estimator's initial-point coefficient in `bvbal.estimators`) goes through
+one streaming kernel, `_exact_sums`: a vectorised error-free-extraction
+sum, fed blocks of at most _BLOCK terms, that returns the correctly
+rounded value `math.fsum` returns, bit for bit.  The solver's O(n) passes
+make their terms block by block in cache-sized buffers, so the weights of
+`optimal_weights` are the only n-length array it allocates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -63,9 +68,11 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 20
-# `_exact_sum`: block length (two scratch buffers of 128 KiB), the largest
+# `_exact_sums`: block length (each block buffer is 128 KiB), the largest
 # magnitude it extracts, and the lowest exponent of a normal double
 _BLOCK = 1 << 14
+_STEPS = np.arange(_BLOCK, dtype=float)
+_STEPS.setflags(write=False)
 _HUGE = 2.0**960
 _MIN_NORMAL_EXP = -1022
 _GRID_POINTS = 10_000
@@ -88,85 +95,162 @@ def _check_counts(n: int, n0: int, minimum: int = 1) -> tuple[int, int]:
     return int(n), int(n0)
 
 
-def _exact_sum(x) -> float:
-    """The correctly rounded sum of the float64 values x: bit for bit
-    what `math.fsum(x)` returns, without a Python-level loop over x.
+class _ExactSum:
+    """One running sum of `_exact_sums`: `add` extracts a block of at most
+    _BLOCK values into exact pass sums, and `value` rounds them once.
 
     Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
-    summation part I", SIAM J. Sci. Comput. 2008), one block of at most
-    _BLOCK elements at a time.  For a block of nb values with
-    max|p| < 2**e, take 2**k >= nb + 2 and sigma = 2**(e + k).  Then
-    q = (sigma + p) - sigma and p - q are exact, every q is a multiple of
-    sigma * 2**-53, and |sum q| < sigma, so `np.add.reduce(q)` is exact
-    in any order.  The residual p - q is below 2**(e + k - 52), which is
-    the next pass's e; passes stop when the residual is zero.  The exact
-    pass sums are combined by one `math.fsum`, which rounds once.
+    summation part I", SIAM J. Sci. Comput. 2008).  For a block of nb
+    values with max|p| < 2**e, take 2**k >= nb + 2 and
+    sigma = 2**(e + k).  Then q = (sigma + p) - sigma and p - q are exact,
+    every q is a multiple of sigma * 2**-53, and |sum q| < sigma, so
+    `np.add.reduce(q)` is exact in any order.  The residual p - q is below
+    2**(e + k - 52), which is the next pass's e; passes stop when the
+    residual is zero.  The exact pass sums of every block are combined by
+    one `math.fsum`, which rounds once.
 
-    The whole input goes to `math.fsum` instead when a value is not
-    finite or reaches 2**960 (fsum's inf/nan/ValueError/OverflowError
-    behaviour is kept), and when the extraction grid sigma * 2**-53 would
-    leave the normal range.  Falling back block by block would round
-    twice.  An input with no non-zero value (or none at all) sums to
-    fsum's zero of a lone -0.0 when every value is -0.0, and of an empty
-    input otherwise, so its sign is fsum's.
+    A value that is not finite or reaches 2**960, or an extraction grid
+    sigma * 2**-53 below the normal range, stops the extraction, and
+    `value` gives the whole input, replayed in order, to `math.fsum`
+    instead (its inf/nan/ValueError/OverflowError behaviour is kept;
+    falling back block by block would round twice).  An input with no
+    non-zero value (or none at all) sums to fsum's zero of a lone -0.0
+    when every value is -0.0, and of an empty input otherwise, so its
+    sign is fsum's.
     """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    size = x.shape[0]
-    width = min(size, _BLOCK)
-    p = np.empty(width)
-    q = np.empty(width)
-    parts = []
-    negative_zeros = size > 0  # every value seen so far is -0.0
-    for lo in range(0, size, _BLOCK):
-        block = x[lo : lo + _BLOCK]
+
+    __slots__ = ("_p", "_q", "_replay", "_parts", "_negative_zeros", "_fallback")
+
+    def __init__(self, scratch: tuple[np.ndarray, np.ndarray], replay) -> None:
+        self._p, self._q = scratch  # shared by the sums of one pass
+        self._replay = replay
+        self._parts: list[float] = []
+        self._negative_zeros = None  # every value seen so far is -0.0
+        self._fallback = False
+
+    def add(self, block: np.ndarray) -> None:
+        if self._fallback:
+            return
         nb = block.shape[0]
-        pb, qb = p[:nb], q[:nb]
+        pb, qb = self._p[:nb], self._q[:nb]
         np.abs(block, out=qb)
         top = float(qb.max())
         if not top < _HUGE:
-            return math.fsum(x)
+            self._fallback = True
+            return
         if top == 0.0:
-            negative_zeros = negative_zeros and bool(np.signbit(block).all())
-            continue
+            self._negative_zeros = (self._negative_zeros is not False
+                                    and bool(np.signbit(block).all()))
+            return
         k = (nb + 1).bit_length()  # ceil(log2(nb + 2))
         e = math.frexp(top)[1]  # top < 2**e
         src = block
         while True:
             if e + k - 53 < _MIN_NORMAL_EXP:
-                return math.fsum(x)
+                self._fallback = True
+                return
             sigma = math.ldexp(1.0, e + k)
             np.add(src, sigma, out=qb)
             np.subtract(qb, sigma, out=qb)
             np.subtract(src, qb, out=pb)
             src = pb
-            parts.append(float(np.add.reduce(qb)))
+            self._parts.append(float(np.add.reduce(qb)))
             if not pb.any():
-                break
+                return
             e += k - 52
-    if not parts:
-        return math.fsum([-0.0] if negative_zeros else [])
-    return math.fsum(parts)
+
+    def value(self) -> float:
+        if self._fallback:
+            return math.fsum(self._replay())
+        if not self._parts:
+            return math.fsum([-0.0] if self._negative_zeros else [])
+        return math.fsum(self._parts)
+
+
+def _exact_sums(n: int, blocks, count: int) -> list[_ExactSum]:
+    """The streaming exact-sum kernel: ``count`` sums of n terms each, in
+    one pass over blocks of at most _BLOCK terms.
+
+    ``blocks(lo, hi)`` yields the ``count`` term blocks of indices lo..hi-1
+    in sum order; each is extracted before the next is asked for, so they
+    may share one buffer.  Each sum's ``value()`` is bit for bit what
+    `math.fsum` returns over its terms; a sum that fell back replays them
+    from ``blocks`` only then, so fsum's exceptions come in the caller's
+    order.
+    """
+    bounds = [(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
+
+    def replay(i: int):
+        for lo, hi in bounds:
+            yield from next(islice(blocks(lo, hi), i, None)).tolist()
+
+    width = min(n, _BLOCK)
+    scratch = np.empty(width), np.empty(width)
+    sums = [_ExactSum(scratch, partial(replay, i)) for i in range(count)]
+    for lo, hi in bounds:
+        for total, block in zip(sums, blocks(lo, hi), strict=True):
+            total.add(block)
+    return sums
+
+
+def _exact_sum(x) -> float:
+    """The correctly rounded sum of the float64 values x: bit for bit
+    what `math.fsum(x)` returns, without a Python-level loop over x."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
+    (total,) = _exact_sums(x.shape[0], lambda lo, hi: (x[lo:hi],), 1)
+    return total.value()
+
+
+def _arange_into(out: np.ndarray, first: int, start: float, step: float = 1.0) -> np.ndarray:
+    """start + i * step for i = first, first + 1, ..., written into out.
+
+    This is how ``np.arange(a, b, dtype=float)`` fills its entries, with
+    start = float(a) and step = float(a + 1) - start, so a block of it
+    has its bits even where a + i is not a double.
+    """
+    np.add(_STEPS[: out.shape[0]], first, out=out)
+    out *= step
+    out += start
+    return out
+
+
+def _power_sums(kappas: tuple[float, ...], n: int, n0: int) -> list[float]:
+    """`phi_sum` for each kappa, in one pass over blocks of j held in two
+    block buffers (j and one power), with `phi_sum`'s per-run rounding."""
+    width = min(n, _BLOCK)
+    j, power = np.empty(width), np.empty(width)
+    runs: list[list[float]] = [[] for _ in kappas]
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        # the run's j as np.arange(lo + 1 + n0, hi + 1 + n0, dtype=float)
+        start = float(lo + 1 + n0)
+        step = float(lo + 2 + n0) - start
+
+        def blocks(a: int, b: int):
+            jb = _arange_into(j[: b - a], a, start, step)
+            for kappa in kappas:
+                yield np.power(jb, -kappa, out=power[: b - a])
+
+        for total, run in zip(_exact_sums(hi - lo, blocks, len(kappas)), runs):
+            run.append(total.value())
+    return [_exact_sum(run) for run in runs]
 
 
 def phi_sum(kappa: float, n: int, n0: int = 0) -> float:
     """Power sum sum_{j=1}^{n} (j + n0)**(-kappa) over the rounded terms.
 
-    Each run of up to 2**20 terms is summed exactly rounded
-    (`_exact_sum`), and the run sums are then summed exactly rounded.  Up
-    to 2**20 terms this is the correctly rounded sum of the rounded
-    terms; past that it is rounded twice, so within 1.5 ulp of it.  That
-    keeps the constraint checks downstream at 1e-10 at n = 1e7.
+    The terms are made and summed block by block in cache-sized buffers
+    (`_exact_sums`).  Each run of up to 2**20 terms is summed exactly
+    rounded, and the run sums are then summed exactly rounded.  Up to
+    2**20 terms this is the correctly rounded sum of the rounded terms;
+    past that it is rounded twice, so within 1.5 ulp of it.  That keeps
+    the constraint checks downstream at 1e-10 at n = 1e7.
     """
     n, n0 = _check_counts(n, n0)
     kappa = float(kappa)
     if not math.isfinite(kappa):
         raise ValueError(f"kappa must be finite, got {kappa}")
-    parts = []
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        j = np.arange(lo + 1 + n0, hi + 1 + n0, dtype=float)
-        parts.append(_exact_sum(np.power(j, -kappa)))
-    return _exact_sum(parts)
+    return _power_sums((kappa,), n, n0)[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,9 +301,7 @@ def xi_matrix(order: BiasOrder, n: int, n0: int = 0) -> XiMatrix:
             "system is singular"
         )
     kf, ks = weight_decay_exponents(order)
-    p11 = phi_sum(1.0, n, n0)
-    p12 = phi_sum(kf, n, n0)
-    p22 = phi_sum(ks, n, n0)
+    p11, p12, p22 = _power_sums((1.0, kf, ks), n, n0)
     det = p11 * p22 - p12 * p12
     if not det > 0.0:
         raise ValueError(f"constraint system numerically singular at n={n}, n0={n0}")
@@ -457,14 +539,23 @@ class WeightScheme:
             raise ValueError("weights must be finite")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        total = _exact_sum(w)
+        # sum w and sum (j + n0)**(-alpha q1) w in one pass over blocks of w
+        exponent = -self.order.alpha * self.order.q1
+        j = np.empty(min(w.shape[0], _BLOCK))
+
+        def blocks(lo: int, hi: int):
+            yield w[lo:hi]
+            jb = _arange_into(j[: hi - lo], lo, 1.0)
+            jb += self.n0
+            jb **= exponent
+            jb *= w[lo:hi]
+            yield jb
+
+        sums = _exact_sums(w.shape[0], blocks, 2)
+        total = sums[0].value()
         if abs(total - 1.0) > 1e-10 * max(1.0, abs(total)):
             raise ValueError(f"weights must sum to 1 within 1e-10, got {total!r}")
-        # in place, so that the check holds one n-length array beside w
-        j = np.arange(1, w.shape[0] + 1, dtype=float) + self.n0
-        j **= -self.order.alpha * self.order.q1
-        j *= w
-        bias_sum = _exact_sum(j)
+        bias_sum = sums[1].value()
         if abs(bias_sum - self.a_star) > 1e-10 * max(1.0, abs(self.a_star)):
             raise ValueError(
                 f"weights reproduce bias sum {bias_sum!r}, expected a*={self.a_star!r}"
@@ -517,13 +608,19 @@ def optimal_weights(n: int, n0: int, order: BiasOrder, K: float) -> WeightScheme
     a_star = solve_a_star(xi, order, K)
     lam = np.linalg.solve(xi.phi_array(), np.array([a_star, 1.0]))
     kf, ks = weight_decay_exponents(order)
-    # lam[0] * j**(-kf) + lam[1] * j**(-ks), in place: two n-length arrays
-    j = np.arange(1, xi.n + 1, dtype=float) + xi.n0
-    w = j ** (-kf)
-    w *= lam[0]
-    j **= -ks
-    j *= lam[1]
-    w += j
+    # lam[0] * j**(-kf) + lam[1] * j**(-ks), block by block: w is the only
+    # n-length array
+    w = np.empty(xi.n)
+    j = np.empty(min(xi.n, _BLOCK))
+    for lo in range(0, xi.n, _BLOCK):
+        wb = w[lo : lo + _BLOCK]
+        jb = _arange_into(j[: wb.shape[0]], lo, 1.0)
+        jb += xi.n0
+        np.power(jb, -kf, out=wb)
+        wb *= lam[0]
+        jb **= -ks
+        jb *= lam[1]
+        wb += jb
     eta_star = eta_balance(a_star, xi)
     if eta_star > K + 1e-9:
         raise InfeasibleError(

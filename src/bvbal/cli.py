@@ -43,6 +43,7 @@ from .calibration import (
 )
 from .errors import ConfigurationError, InfeasibleError
 from .experiments import (
+    MAX_WORKERS,
     EstimatorSetting,
     ExperimentConfig,
     QueueSetting,
@@ -71,6 +72,8 @@ def _checked(convert: Callable, ok: Callable, what: str) -> Callable:
 
 _cap = _checked(float, lambda K: K > 0 and math.isfinite(K), "K must be positive")
 _seed = _checked(int, lambda s: 0 <= s < 2**64, "seed must lie in [0, 2**64)")
+_workers = _checked(int, lambda w: 1 <= w <= MAX_WORKERS,
+                    f"workers must lie in [1, {MAX_WORKERS}]")
 
 
 class _Budgets(argparse.Action):
@@ -135,7 +138,7 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument("--n0", type=int, default=0, help="schedule offset")
     if "run" in names or "table" in names:
         p.add_argument("--reps", type=int, default=1000, help="replications")
-        p.add_argument("--workers", type=int, default=1,
+        p.add_argument("--workers", type=_workers, default=1,
                        help="worker threads (results identical)")
     p.add_argument("--seed", type=_seed, help="root seed; generated and printed when absent")
     p.add_argument("--out", help="output file")

@@ -29,10 +29,11 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
-from .calibration import WeightScheme, _exact_sum
+from .calibration import _BLOCK, WeightScheme, _exact_sum, _exact_sums
 from .errors import ConfigurationError
 from .oracles import BiasOrder, SampleOracle, StreamKey, SyntheticOracleSpec
 
@@ -195,11 +196,15 @@ def _averaged_coefficients_cached(c: float, beta: float, n: int, n0: int) -> tup
     q = 1.0 - gam
     # R_j = 1 + sum_{m > j} prod_{j < k <= m} (1 - gamma_k), backwards;
     # the suffix products underflow harmlessly inside this recurrence,
-    # where a ratio form would divide by zero
-    R = np.empty(n)
-    R[-1] = 1.0
-    for i in range(n - 2, -1, -1):
-        R[i] = 1.0 + q[i + 1] * R[i + 1]
+    # where a ratio form would divide by zero.  It runs on Python floats
+    # (the same bits as numpy scalars, in half the time), taken from q
+    # one block at a time so that no n-length list is made
+    def backwards():  # q[n-1], ..., q[1]
+        for hi in range(n, 1, -_BLOCK):
+            yield from reversed(q[max(hi - _BLOCK, 1) : hi].tolist())
+
+    R = np.fromiter(accumulate(backwards(), lambda r, qk: 1.0 + qk * r, initial=1.0),
+                    float, n)[::-1]
     ubar = gam * R / n
     t0bar = _exact_sum(np.cumprod(q)) / n
     ubar.setflags(write=False)
@@ -313,20 +318,35 @@ class LinearPlan:
         ``init`` (the origin by default): |bias|**2 + |noise_scale|**2
         sum c**2 delta**(-2 q2), where bias = theta (sum c - 1) + init_coeff
         init + B sum c delta**q1 + h sum c delta**(q1 + 1).  Every sum is
-        exactly rounded (`_exact_sum`) and formed in this order."""
+        exactly rounded and formed in this order.  The three or four O(n)
+        sums are streamed together through one block-length buffer
+        (`_exact_sums`), so no n-length array is made."""
         init = _resolve_init(init, spec.dim)
-        terms = self.deltas ** spec.order.q1
-        terms *= self.coeffs
-        bias = spec.theta * (_exact_sum(self.coeffs) - 1.0) + self.init_coeff * init
-        bias += spec.B * _exact_sum(terms)
-        if spec.higher_order_bias is not None:
-            terms *= self.deltas
-            bias += spec.higher_order_bias * _exact_sum(terms)
-        np.power(self.deltas, -spec.order.q2, out=terms)
-        terms *= self.coeffs
-        terms *= terms
+        q1, q2, h = spec.order.q1, spec.order.q2, spec.higher_order_bias
+        n = self.coeffs.shape[0]
+        buf = np.empty(min(n, _BLOCK))
+
+        def blocks(lo: int, hi: int):
+            c, d, t = self.coeffs[lo:hi], self.deltas[lo:hi], buf[: hi - lo]
+            yield c
+            np.power(d, q1, out=t)
+            t *= c
+            yield t  # c delta**q1
+            if h is not None:
+                t *= d
+                yield t  # c delta**(q1 + 1)
+            np.power(d, -q2, out=t)
+            t *= c
+            t *= t
+            yield t  # (c delta**-q2)**2
+
+        total, *bias_sums, variance = _exact_sums(n, blocks, 3 if h is None else 4)
+        bias = spec.theta * (total.value() - 1.0) + self.init_coeff * init
+        bias += spec.B * bias_sums[0].value()
+        if h is not None:
+            bias += h * bias_sums[1].value()
         noise2 = _exact_sum(spec.noise_scale * spec.noise_scale)
-        return _exact_sum(bias * bias) + noise2 * _exact_sum(terms)
+        return _exact_sum(bias * bias) + noise2 * variance.value()
 
 
 def _run(oracle: SampleOracle, plan: LinearPlan, stream: StreamKey,

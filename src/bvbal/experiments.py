@@ -73,6 +73,7 @@ __all__ = [
 ESTIMATOR_KINDS = ("baseline", "recursive", "averaged", "weighted")
 MM1_BUDGETS_FULL = (10_000, 20_000, 30_000, 50_000, 80_000, 100_000)
 CSV_HEADER = "estimator,n,mse,se,ratio,theory"
+MAX_WORKERS = 256  # the most worker threads one run may start
 
 
 @dataclass(frozen=True, slots=True)
@@ -388,11 +389,15 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     MSE, standard error, risk ratio against the baseline entry, and the
     theory prediction (synthetic models only).
 
-    ``workers`` only partitions replications across threads (numpy
-    releases the GIL in its kernels); results are identical for any
-    value.  A model with zero error everywhere (degenerate synthetic
-    spec) reports ratio 1.0 by convention and sets the degenerate flag.
+    ``workers`` (an integer in 1..MAX_WORKERS) only partitions
+    replications across threads (numpy releases the GIL in its kernels);
+    results are identical for any value.  A model with zero error
+    everywhere (degenerate synthetic spec) reports ratio 1.0 by
+    convention and sets the degenerate flag.
     """
+    if isinstance(workers, bool) or int(workers) != workers or not 1 <= workers <= MAX_WORKERS:
+        raise ConfigurationError(
+            f"workers must be an integer in [1, {MAX_WORKERS}], got {workers!r}")
     synthetic = isinstance(config.model, SyntheticOracleSpec)
     if synthetic:
         oracle: SampleOracle = config.model
@@ -408,7 +413,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     plan_groups = tuple(tuple(plan for _, plan, _ in group) for group in entries)
 
     R = config.replications
-    workers = max(1, int(workers))
+    workers = int(workers)
     if workers == 1:
         sq = _run_slice(oracle, theta, plan_groups, config.seed, 0, R)
     else:

@@ -3,6 +3,7 @@ minimax weight solver, and the closed-form risk-ratio limits."""
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from bvbal.calibration import (
     RecursiveCalibration,
     WeightScheme,
     _exact_sum,
+    _exact_sums,
     amrr_general,
     amrr_recursive_free,
     amrr_recursive_tied,
@@ -140,6 +142,112 @@ def test_exact_sum_of_zeros_is_fsums_zero_directly(values, monkeypatch):
     monkeypatch.setattr(math, "fsum", lambda v: (lengths.append(len(v)), fsum(v))[1])
     assert _exact_sum(x).hex() == want.hex()
     assert max(lengths, default=0) <= 1
+
+
+# ------------------------------------------- streaming exact-sum kernel
+
+
+def _adversarial_streams(size):
+    """Term streams of one length that reach every branch of the kernel:
+    cancellation across blocks, signed zeros, inf, nan, values at and past
+    2**960, subnormals and blocks spanning hundreds of binades."""
+    rng = np.random.default_rng(size)
+    spread = rng.standard_normal(size) * 2.0 ** rng.integers(-60, 60, size).astype(float)
+    spread[-1] = -math.fsum(spread[:-1]) * 0.999
+    zeros = np.where(rng.random(size) < 0.5, -0.0, 0.0)
+    neg_zeros = np.full(size, -0.0)
+    late_zero = neg_zeros.copy()
+    late_zero[-1] = 0.0
+    one_value = zeros.copy()
+    one_value[size // 3] = -3.5
+    inf = spread.copy()
+    inf[-2] = math.inf
+    inf_inf = np.zeros(size)
+    inf_inf[0], inf_inf[-1] = math.inf, -math.inf
+    nan = spread.copy()
+    nan[size // 2] = math.nan
+    huge = rng.standard_normal(size)
+    huge[1], huge[-1] = 2.0**960, -(2.0**960)
+    overflow = np.full(size, 1e308)
+    subnormal = rng.integers(1, 2**52, size) * 2.0**-1074 * rng.choice([-1.0, 1.0], size)
+    binades = rng.standard_normal(size) * 2.0 ** rng.integers(-1000, 1000, size).astype(float)
+    return [spread, zeros, neg_zeros, late_zero, one_value, inf, inf_inf, nan,
+            huge, overflow, subnormal, binades]
+
+
+@pytest.mark.parametrize("size", [5, _BLOCK - 1, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_streamed_sums_are_fsum_bit_for_bit(size):
+    # every stream is copied into one shared block buffer, as the solver's
+    # passes reuse theirs, and each sum is fsum's outcome over its stream
+    streams = _adversarial_streams(size)
+    buf = np.empty(_BLOCK)
+
+    def blocks(lo, hi):
+        for x in streams:
+            b = buf[: hi - lo]
+            b[:] = x[lo:hi]
+            yield b
+
+    sums = _exact_sums(size, blocks, len(streams))
+    for x, total in zip(streams, sums):
+        assert _fsum_outcome(lambda _: total.value(), x) == _fsum_outcome(math.fsum, x)
+
+
+def test_streamed_sums_fall_back_lazily_in_the_callers_order():
+    # fsum's exception for a stream comes only when that stream's value is
+    # asked for, so a caller that checks one sum before the next raises
+    # what the unstreamed code raised
+    streams = [np.array([math.inf, -math.inf]), np.array([1e308, 1e308]), np.array([1.0, 2.0])]
+    first, second, third = _exact_sums(2, lambda lo, hi: (x[lo:hi] for x in streams), 3)
+    assert third.value() == 3.0
+    with pytest.raises(OverflowError):
+        second.value()
+    with pytest.raises(ValueError):
+        first.value()
+
+
+def _two_level_phi_sum(kappa, n, n0):
+    """`phi_sum` as it was built before streaming: one n-length arange and
+    power per run of 2**20 terms, each run rounded by fsum, then the runs."""
+    runs = []
+    for lo in range(0, n, 1 << 20):
+        hi = min(lo + (1 << 20), n)
+        runs.append(math.fsum(np.power(np.arange(lo + 1 + n0, hi + 1 + n0, dtype=float), -kappa)))
+    return math.fsum(runs)
+
+
+@pytest.mark.parametrize("kappa, n, n0", [
+    (0.5, (1 << 20) - 1, 0), (1.0, (1 << 20) + 1, 500), (2.0 / 3.0, 3_000_000, 7),
+    (1.0, 10, 2**53 + 1), (-400.0, 100, 0), (300.0, 50, 1000),
+], ids=["2^20-1", "2^20+1", "3e6", "past-2^53", "inf", "subnormal"])
+def test_phi_sum_keeps_the_two_level_bits(kappa, n, n0):
+    with np.errstate(over="ignore"):
+        assert phi_sum(kappa, n, n0).hex() == _two_level_phi_sum(kappa, n, n0).hex()
+
+
+@pytest.mark.parametrize("order, n, n0", [
+    (Q21, (1 << 20) + 1, 0), (BiasOrder(1.5, 0.7), (1 << 20) - 1, 500), (Q11, 3_000_000, 7),
+], ids=["2^20+1", "2^20-1", "3e6"])
+def test_xi_matrix_one_pass_keeps_the_two_level_bits(order, n, n0):
+    xi = xi_matrix(order, n, n0)
+    kf, ks = weight_decay_exponents(order)
+    want = [_two_level_phi_sum(kappa, n, n0).hex() for kappa in (1.0, kf, ks)]
+    assert [xi.phi11.hex(), xi.phi12.hex(), xi.phi22.hex()] == want
+
+
+def test_optimal_weights_holds_one_n_length_array():
+    # the solver's passes run through block buffers: the weights are the
+    # only n-length array, so the peak stays near their 8n bytes (numpy
+    # reports its data buffers to tracemalloc)
+    n = 200_000
+    optimal_weights(1_000, 0, Q21, 2.0)
+    tracemalloc.start()
+    try:
+        optimal_weights(n, 0, Q21, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n
 
 
 def test_weight_decay_exponents():

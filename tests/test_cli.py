@@ -209,6 +209,17 @@ def test_negative_seed_rejected(capsys):
     assert "seed must lie" in err
 
 
+@pytest.mark.parametrize("command", [("run-synthetic", "--n", "64"), ("run-mm1", "--n", "64"),
+                                     ("reproduce-table", "--id", "5")])
+@pytest.mark.parametrize("workers", ["0", "-3", str(10**9), "2.5"])
+def test_bad_worker_count_exits_2(capsys, command, workers):
+    # argparse rejects the value before anything runs
+    code, out, err = run(capsys, *command, "--reps", "2", "--seed", "1", "--workers", workers)
+    assert code == 2
+    assert out == ""
+    assert "--workers" in err
+
+
 # ---------------------------------------------------------------- config file
 
 

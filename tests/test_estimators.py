@@ -117,6 +117,20 @@ def test_averaged_t0bar_is_the_fsum_of_the_products(c, beta, n, n0):
     assert t0bar.hex() == (math.fsum(np.cumprod(1.0 - gam)) / n).hex()
 
 
+@pytest.mark.parametrize("c, beta, n, n0", [(1.0, 0.5, 5_000, 0), (2.0, 0.3, 3_000, 20),
+                                          (8.0, 0.5, 2**14 + 3, 5)])
+def test_averaged_recurrence_keeps_its_bits(c, beta, n, n0):
+    # the backward recurrence R_j = 1 + (1 - gamma_{j+1}) R_{j+1}, run as
+    # it was over numpy scalars
+    gam = np.minimum(c * (np.arange(1, n + 1, dtype=float) + n0) ** (-beta), 1.0)
+    q = 1.0 - gam
+    R = np.empty(n)
+    R[-1] = 1.0
+    for i in range(n - 2, -1, -1):
+        R[i] = 1.0 + q[i + 1] * R[i + 1]
+    assert averaged_coefficients(c, beta, n, n0)[0].tobytes() == (gam * R / n).tobytes()
+
+
 def test_oversized_step_without_offset_is_an_error():
     with pytest.raises(ConfigurationError):
         recursion_coefficients(2.0, 1.0, 10, 0)
@@ -483,6 +497,31 @@ def test_plan_mse_matches_an_independent_fsum_route(kind):
         bias = math.fsum(c * means) + plan.init_coeff * RISK_INIT[i] - RISK_SPEC.theta[i]
         want += bias * bias + RISK_SPEC.noise_scale[i] ** 2 * math.fsum(c * c / d**2)
     assert plan.mse(RISK_SPEC, RISK_INIT) == pytest.approx(want, rel=1e-12)
+
+
+def _unstreamed_mse(plan, spec, init):
+    """`LinearPlan.mse` as it was before streaming, over n-length terms."""
+    terms = plan.deltas ** spec.order.q1
+    terms *= plan.coeffs
+    bias = spec.theta * (math.fsum(plan.coeffs) - 1.0) + plan.init_coeff * init
+    bias += spec.B * math.fsum(terms)
+    if spec.higher_order_bias is not None:
+        terms *= plan.deltas
+        bias += spec.higher_order_bias * math.fsum(terms)
+    np.power(plan.deltas, -spec.order.q2, out=terms)
+    terms *= plan.coeffs
+    terms *= terms
+    noise2 = math.fsum(spec.noise_scale * spec.noise_scale)
+    return math.fsum(bias * bias) + noise2 * math.fsum(terms)
+
+
+@pytest.mark.parametrize("n", [2**14 - 1, 2 * 2**14 + 1])
+@pytest.mark.parametrize("kind", RISK_KINDS)
+def test_plan_mse_streamed_keeps_its_bits(kind, n):
+    plan, _ = _risk_case(kind, n)
+    for spec, init in [(RISK_SPEC, RISK_INIT), (unit_spec(q1=1.0, q2=0.5), np.zeros(1)),
+                       (unit_spec(B=0.0, sigma=0.0), np.zeros(1))]:
+        assert plan.mse(spec, init).hex() == _unstreamed_mse(plan, spec, init).hex()
 
 
 def test_plan_mse_agrees_with_monte_carlo():

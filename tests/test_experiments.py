@@ -33,7 +33,7 @@ from bvbal import (
     weighted_estimate,
 )
 from bvbal.calibration import xi_matrix, ztilde_squared
-from bvbal.experiments import CSV_HEADER, MM1_BUDGETS_FULL, weight_distribution_csv
+from bvbal.experiments import CSV_HEADER, MAX_WORKERS, MM1_BUDGETS_FULL, weight_distribution_csv
 
 from helpers import unit_spec
 
@@ -102,6 +102,13 @@ def test_worker_count_does_not_change_the_bytes():
     two = run_experiment(config, workers=2)
     assert one.json_text() == two.json_text()
     assert one.csv_text() == two.csv_text()
+
+
+@pytest.mark.parametrize("workers", [0, -3, MAX_WORKERS + 1, 2.5, True])
+def test_bad_worker_counts_are_rejected(workers):
+    # rejected before any plan is built or any thread is started
+    with pytest.raises(ConfigurationError, match="workers must be an integer"):
+        run_experiment(small_config(), workers=workers)
 
 
 def test_rerun_is_byte_identical(tmp_path):
