@@ -34,13 +34,21 @@ sum, fed blocks of at most _BLOCK terms, that returns the correctly
 rounded value `math.fsum` returns, bit for bit.  The solver's O(n) passes
 make their terms block by block in cache-sized buffers, so the weights of
 `optimal_weights` are the only n-length array it allocates.
+
+`optimal_weights` solves each problem once.  Its O(1)-sized solution
+(a*, lambda1, lambda2, eta* and S*) is memoised by the validated key
+(float q1, float q2, int n, int n0, float K), and its `XiMatrix` by
+(q1, q2, n, n0), so the caps of one budget share one set of power sums.  The weights are built, and `WeightScheme` runs its O(n)
+self-checks, on every call; the memo holds no n-length array, and invalid
+or infeasible inputs raise on every call.  Budgets end at
+n + n0 = 2**53, past which j + n0 is no longer an exact double.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice
 from typing import NamedTuple
 
@@ -75,6 +83,9 @@ _STEPS = np.arange(_BLOCK, dtype=float)
 _STEPS.setflags(write=False)
 _HUGE = 2.0**960
 _MIN_NORMAL_EXP = -1022
+# entries of the `_solve` and `_gram` memos, each a few floats
+_SOLVES = 256
+_GRAMS = 64
 _GRID_POINTS = 10_000
 _GOLDEN_RTOL = 1e-12
 _PILOT_CAP_FACTOR = 1e3
@@ -92,7 +103,13 @@ def _check_counts(n: int, n0: int, minimum: int = 1) -> tuple[int, int]:
         raise ValueError(f"n must be an integer >= {minimum}, got {n}")
     if int(n0) != n0 or int(n0) < 0:
         raise ValueError(f"n0 must be a non-negative integer, got {n0}")
-    return int(n), int(n0)
+    n, n0 = int(n), int(n0)
+    if n + n0 > 2**53:
+        raise ValueError(
+            f"n + n0 must be at most 2**53, got n={n}, n0={n0}: past it "
+            "j + n0 is not an exact double"
+        )
+    return n, n0
 
 
 class _ExactSum:
@@ -201,15 +218,10 @@ def _exact_sum(x) -> float:
     return total.value()
 
 
-def _arange_into(out: np.ndarray, first: int, start: float, step: float = 1.0) -> np.ndarray:
-    """start + i * step for i = first, first + 1, ..., written into out.
-
-    This is how ``np.arange(a, b, dtype=float)`` fills its entries, with
-    start = float(a) and step = float(a + 1) - start, so a block of it
-    has its bits even where a + i is not a double.
-    """
+def _arange_into(out: np.ndarray, first: int, start: float) -> np.ndarray:
+    """start + i for i = first, first + 1, ..., written into out: a block
+    of ``np.arange(start, ..., dtype=float)``, exact below 2**53."""
     np.add(_STEPS[: out.shape[0]], first, out=out)
-    out *= step
     out += start
     return out
 
@@ -222,12 +234,10 @@ def _power_sums(kappas: tuple[float, ...], n: int, n0: int) -> list[float]:
     runs: list[list[float]] = [[] for _ in kappas]
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        # the run's j as np.arange(lo + 1 + n0, hi + 1 + n0, dtype=float)
         start = float(lo + 1 + n0)
-        step = float(lo + 2 + n0) - start
 
         def blocks(a: int, b: int):
-            jb = _arange_into(j[: b - a], a, start, step)
+            jb = _arange_into(j[: b - a], a, start)
             for kappa in kappas:
                 yield np.power(jb, -kappa, out=power[: b - a])
 
@@ -461,6 +471,16 @@ def pilot_a(xi_or_order, K: float, n: int | None = None) -> float:
     return math.sqrt(q1 / s) / (float(K) ** s * float(n) ** (q1 / (2.0 * s)))
 
 
+def _no_feasible_scheme(xi: XiMatrix, order: BiasOrder, K) -> InfeasibleError:
+    # min over a of ztilde^2/a^2 is det(Xi)/xi22 = 1/phi(1), so the
+    # smallest cap any weighting can respect is phi(1)**(-alpha).
+    k_min = xi.phi11 ** -order.alpha
+    return InfeasibleError(
+        f"no feasible weight scheme at n={xi.n}, K={K}: the inflation "
+        f"cap excludes every bias-sum level (needs K >= {k_min:.6g})"
+    )
+
+
 def solve_a_star(xi: XiMatrix, order: BiasOrder, K: float) -> float:
     """Optimal bias-sum level a*: argmin of the size-free worst-case risk
     over the feasible set of the inflation cap K.
@@ -478,13 +498,7 @@ def solve_a_star(xi: XiMatrix, order: BiasOrder, K: float) -> float:
     """
     intervals = feasible_intervals(xi, order, K)
     if not intervals:
-        # min over a of ztilde^2/a^2 is det(Xi)/xi22 = 1/phi(1), so the
-        # smallest cap any weighting can respect is phi(1)**(-alpha).
-        k_min = xi.phi11 ** -order.alpha
-        raise InfeasibleError(
-            f"no feasible weight scheme at n={xi.n}, K={K}: the inflation "
-            f"cap excludes every bias-sum level (needs K >= {k_min:.6g})"
-        )
+        raise _no_feasible_scheme(xi, order, K)
     pilot = pilot_a(xi, K)
     best_a, best_val = None, math.inf
     for lo, hi in intervals:
@@ -594,6 +608,30 @@ def eta_balance(a: float, xi: XiMatrix) -> float:
     return float((ztilde_squared(a, xi) / (a * a)) ** xi.order.alpha)
 
 
+class _Solution(NamedTuple):
+    """The O(1)-sized part of a solved `WeightScheme`."""
+
+    a_star: float
+    lambda1: float
+    lambda2: float
+    eta_star: float
+    s_star: float
+
+
+@lru_cache(maxsize=_GRAMS)
+def _gram(q1: float, q2: float, n: int, n0: int) -> XiMatrix:
+    return xi_matrix(BiasOrder(q1, q2), n, n0)
+
+
+@lru_cache(maxsize=_SOLVES)
+def _solve(q1: float, q2: float, n: int, n0: int, K: float) -> _Solution:
+    xi = _gram(q1, q2, n, n0)
+    a_star = solve_a_star(xi, xi.order, K)
+    lam = np.linalg.solve(xi.phi_array(), np.array([a_star, 1.0]))
+    return _Solution(a_star, float(lam[0]), float(lam[1]),
+                     eta_balance(a_star, xi), _objective(a_star, xi))
+
+
 def optimal_weights(n: int, n0: int, order: BiasOrder, K: float) -> WeightScheme:
     """Solve the capped minimax weight problem for a budget of n draws.
 
@@ -603,39 +641,48 @@ def optimal_weights(n: int, n0: int, order: BiasOrder, K: float) -> WeightScheme
     is the balance point at a_star, which feasibility of a_star keeps at
     or below the cap; it equals K exactly when a_star sits on the
     feasible boundary.
+
+    The solve is memoised: the Gram matrix by (float q1, float q2, int n,
+    int n0), and a*, lambda1, lambda2, eta* and S* by that key and
+    float(K), so equal keys (K = 2 and 2.0, n = 1e5 and 100000) share one
+    entry and its bits.  Inputs are validated, and infeasible caps
+    raise, on every call.  The weights are built and self-checked on
+    every call, into a fresh read-only array.
     """
-    xi = xi_matrix(order, n, n0)
-    a_star = solve_a_star(xi, order, K)
-    lam = np.linalg.solve(xi.phi_array(), np.array([a_star, 1.0]))
+    n, n0 = _check_counts(n, n0)
+    q1, q2 = float(order.q1), float(order.q2)
+    xi = _gram(q1, q2, n, n0)
+    if not feasible_intervals(xi, order, K):
+        raise _no_feasible_scheme(xi, order, K)
+    sol = _solve(q1, q2, n, n0, float(K))
+    if sol.eta_star > K + 1e-9:
+        raise InfeasibleError(
+            f"solver returned an infeasible bias-sum level at n={n}, K={K}"
+        )
     kf, ks = weight_decay_exponents(order)
-    # lam[0] * j**(-kf) + lam[1] * j**(-ks), block by block: w is the only
-    # n-length array
-    w = np.empty(xi.n)
-    j = np.empty(min(xi.n, _BLOCK))
-    for lo in range(0, xi.n, _BLOCK):
+    # lambda1 * j**(-kf) + lambda2 * j**(-ks), block by block: w is the
+    # only n-length array
+    w = np.empty(n)
+    j = np.empty(min(n, _BLOCK))
+    for lo in range(0, n, _BLOCK):
         wb = w[lo : lo + _BLOCK]
         jb = _arange_into(j[: wb.shape[0]], lo, 1.0)
-        jb += xi.n0
+        jb += n0
         np.power(jb, -kf, out=wb)
-        wb *= lam[0]
+        wb *= sol.lambda1
         jb **= -ks
-        jb *= lam[1]
+        jb *= sol.lambda2
         wb += jb
-    eta_star = eta_balance(a_star, xi)
-    if eta_star > K + 1e-9:
-        raise InfeasibleError(
-            f"solver returned an infeasible bias-sum level at n={xi.n}, K={K}"
-        )
     return WeightScheme(
         weights=w,
-        lambda1=float(lam[0]),
-        lambda2=float(lam[1]),
-        a_star=a_star,
-        eta_star=min(eta_star, float(K)),
-        s_star=_objective(a_star, xi),
+        lambda1=sol.lambda1,
+        lambda2=sol.lambda2,
+        a_star=sol.a_star,
+        eta_star=min(sol.eta_star, float(K)),
+        s_star=sol.s_star,
         K=float(K),
         order=order,
-        n0=xi.n0,
+        n0=n0,
     )
 
 

@@ -1,6 +1,7 @@
 """Calibration layer: power sums, the two-decay constraint system, the
 minimax weight solver, and the closed-form risk-ratio limits."""
 
+import gc
 import hashlib
 import math
 import tracemalloc
@@ -16,6 +17,8 @@ from bvbal.calibration import (
     WeightScheme,
     _exact_sum,
     _exact_sums,
+    _gram,
+    _solve,
     amrr_general,
     amrr_recursive_free,
     amrr_recursive_tied,
@@ -34,6 +37,11 @@ from bvbal.errors import ConfigurationError
 
 Q21 = BiasOrder(2.0, 1.0)
 Q11 = BiasOrder(1.0, 1.0)
+
+
+def _clear_memo():
+    _solve.cache_clear()
+    _gram.cache_clear()
 
 
 def objective(a, xi):
@@ -221,6 +229,12 @@ def _two_level_phi_sum(kappa, n, n0):
     (1.0, 10, 2**53 + 1), (-400.0, 100, 0), (300.0, 50, 1000),
 ], ids=["2^20-1", "2^20+1", "3e6", "past-2^53", "inf", "subnormal"])
 def test_phi_sum_keeps_the_two_level_bits(kappa, n, n0):
+    if n + n0 > 2**53:
+        # past 2**53 the terms' j + n0 are not exact doubles, so there are
+        # no bits to keep: the budget is rejected
+        with pytest.raises(ValueError, match=r"n \+ n0 must be at most 2\*\*53"):
+            phi_sum(kappa, n, n0)
+        return
     with np.errstate(over="ignore"):
         assert phi_sum(kappa, n, n0).hex() == _two_level_phi_sum(kappa, n, n0).hex()
 
@@ -241,6 +255,7 @@ def test_optimal_weights_holds_one_n_length_array():
     # reports its data buffers to tracemalloc)
     n = 200_000
     optimal_weights(1_000, 0, Q21, 2.0)
+    _clear_memo()  # measure a cold solve
     tracemalloc.start()
     try:
         optimal_weights(n, 0, Q21, 2.0)
@@ -472,6 +487,101 @@ def test_optimal_weights_bit_pins(n, n0, K):
     s = optimal_weights(n, n0, Q21, K)
     fields = repr((s.lambda1, s.lambda2, s.a_star, s.eta_star, s.s_star))
     assert (hashlib.sha256(s.weights.tobytes()).hexdigest(), fields) == _SOLVER_PINS[n, n0, K]
+
+
+def _solved(n, n0, order, K):
+    """What a call returns, bit for bit, or what it raises."""
+    try:
+        s = optimal_weights(n, n0, order, K)
+    except (InfeasibleError, ValueError) as exc:
+        return type(exc), str(exc)
+    return (s.weights.tobytes(), repr((s.lambda1, s.lambda2, s.a_star, s.eta_star, s.s_star)),
+            s.K, s.n0, s.order)
+
+
+@pytest.mark.parametrize("n", [2, 1_000, 100_000])
+def test_memoised_solves_match_a_cold_solve(n):
+    keys = [(K, n0) for K in (1.0, 2.0) for n0 in (0, 500)]
+    for order in (Q21, Q11, BiasOrder(1.5, 0.7)):
+        cold = {}
+        for K, n0 in keys:
+            _clear_memo()
+            cold[K, n0] = _solved(n, n0, order, K)
+        _clear_memo()
+        # interleaved: caps sharing a budget's Gram matrix, repeats, and
+        # (at n = 2, n0 = 500) infeasible caps between feasible ones
+        for K, n0 in keys + keys[::-1] + keys[1::2] + keys[::2]:
+            assert _solved(n, n0, order, K) == cold[K, n0]
+
+
+def test_every_call_returns_a_fresh_read_only_weights_array():
+    first, second = (optimal_weights(1_000, 0, Q21, 2.0) for _ in range(2))
+    assert first.weights is not second.weights
+    assert not np.shares_memory(first.weights, second.weights)
+    assert not first.weights.flags.writeable and not second.weights.flags.writeable
+    with pytest.raises(ValueError):
+        first.weights[0] = 0.0
+    assert first.weights.tobytes() == second.weights.tobytes()
+
+
+def test_memo_keeps_no_n_length_array():
+    n = 200_000
+    _clear_memo()
+    tracemalloc.start()
+    try:
+        scheme = optimal_weights(n, 0, Q21, 2.0)
+        assert scheme.weights.nbytes == 8 * n
+        del scheme
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert _solve.cache_info().currsize == 1 and _gram.cache_info().currsize == 1
+    assert kept < 0.05 * 8 * n
+
+
+@pytest.mark.parametrize("args, error, message", [
+    ((0, -1, Q21, -1.0), ValueError, "n must be an integer >= 1, got 0"),
+    ((2.5, 0, Q21, 1.0), ValueError, "n must be an integer >= 1, got 2.5"),
+    ((10, -1, Q21, 1.0), ValueError, "n0 must be a non-negative integer, got -1"),
+    ((1, 0, Q21, -1.0), ValueError,
+     "n must be at least 2, got 1: with one draw the constraint system is singular"),
+    ((1_000, 0, Q21, -1.0), ValueError, "K must be positive"),
+    ((1_000, 0, Q21, math.nan), ValueError, "K must be positive"),
+    ((1_000, 0, Q21, 0.5), InfeasibleError,
+     "no feasible weight scheme at n=1000, K=0.5: the inflation cap excludes "
+     "every bias-sum level (needs K >= 0.714985)"),
+    ((2, 500, BiasOrder(2, 1), 2), InfeasibleError,
+     "no feasible weight scheme at n=2, K=2: the inflation cap excludes "
+     "every bias-sum level (needs K >= 2.51115)"),
+], ids=["n", "fractional-n", "n0", "n-below-2", "negative-K", "nan-K", "infeasible",
+        "infeasible-int-K"])
+def test_invalid_and_infeasible_inputs_raise_on_every_call(args, error, message):
+    # the messages and their order (counts, then n >= 2, then K) are the
+    # unmemoised solver's; a failed solve leaves no memo entry
+    _clear_memo()
+    optimal_weights(1_000, 0, Q21, 2.0)
+    for _ in range(3):
+        with pytest.raises(error) as exc:
+            optimal_weights(*args)
+        assert str(exc.value) == message
+    assert _solve.cache_info().currsize == 1
+
+
+def test_equal_keys_share_one_memo_entry_and_the_bits():
+    want = _SOLVER_PINS[100_000, 0, 2.0]
+    _clear_memo()
+    for n, n0, order, K in [
+        (100_000, 0, BiasOrder(2, 1), 2),
+        (np.int64(100_000), np.int64(0), Q21, 2.0),
+        (1e5, 0, BiasOrder(2.0, 1.0), np.array(2.0)),
+        (100_000, 0.0, BiasOrder(np.float64(2.0), 1), np.float64(2.0)),
+    ]:
+        s = optimal_weights(n, n0, order, K)
+        fields = repr((s.lambda1, s.lambda2, s.a_star, s.eta_star, s.s_star))
+        assert (hashlib.sha256(s.weights.tobytes()).hexdigest(), fields) == want
+        assert (s.n, s.n0, s.K, s.order) == (100_000, 0, 2.0, order)
+    assert _solve.cache_info().currsize == 1 and _gram.cache_info().currsize == 1
 
 
 def test_pilot_a_call_forms():

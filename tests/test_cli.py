@@ -72,6 +72,12 @@ def test_weights_singular_budget_exits_3(capsys):
     assert "singular" in err
 
 
+def test_weights_budget_past_2_53_exits_2(capsys):
+    code, _, err = run(capsys, "weights", "--n", "10", "--n0", str(2**53 - 9))
+    assert code == 2
+    assert "n + n0 must be at most 2**53" in err
+
+
 def test_weights_infeasible_cap_reports_threshold(capsys):
     code, _, err = run(capsys, "weights", "--n", "1000", "--K", "0.5")
     assert code == 3
