@@ -35,13 +35,14 @@ rounded value `math.fsum` returns, bit for bit.  The solver's O(n) passes
 make their terms block by block in cache-sized buffers, so the weights of
 `optimal_weights` are the only n-length array it allocates.
 
-`optimal_weights` solves each problem once.  Its O(1)-sized solution
-(a*, lambda1, lambda2, eta* and S*) is memoised by the validated key
-(float q1, float q2, int n, int n0, float K), and its `XiMatrix` by
-(q1, q2, n, n0), so the caps of one budget share one set of power sums.  The weights are built, and `WeightScheme` runs its O(n)
-self-checks, on every call; the memo holds no n-length array, and invalid
-or infeasible inputs raise on every call.  Budgets end at
-n + n0 = 2**53, past which j + n0 is no longer an exact double.
+`optimal_weights` memoises its Gram matrix: `_gram` caches the
+`XiMatrix` of `xi_matrix` by the validated key (float q1, float q2,
+int n, int n0), so the caps of one budget, and repeated requests, share
+one set of power sums.  a* and the rest of the scheme are solved, the
+weights built and `WeightScheme`'s O(n) self-checks run on every call;
+the memo holds no n-length array, and invalid or infeasible inputs
+raise on every call.  Budgets end at n + n0 = 2**53, past which j + n0
+is no longer an exact double.
 """
 
 from __future__ import annotations
@@ -83,8 +84,7 @@ _STEPS = np.arange(_BLOCK, dtype=float)
 _STEPS.setflags(write=False)
 _HUGE = 2.0**960
 _MIN_NORMAL_EXP = -1022
-# entries of the `_solve` and `_gram` memos, each a few floats
-_SOLVES = 256
+# entries of the `_gram` memo, each a few floats
 _GRAMS = 64
 _GRID_POINTS = 10_000
 _GOLDEN_RTOL = 1e-12
@@ -471,16 +471,6 @@ def pilot_a(xi_or_order, K: float, n: int | None = None) -> float:
     return math.sqrt(q1 / s) / (float(K) ** s * float(n) ** (q1 / (2.0 * s)))
 
 
-def _no_feasible_scheme(xi: XiMatrix, order: BiasOrder, K) -> InfeasibleError:
-    # min over a of ztilde^2/a^2 is det(Xi)/xi22 = 1/phi(1), so the
-    # smallest cap any weighting can respect is phi(1)**(-alpha).
-    k_min = xi.phi11 ** -order.alpha
-    return InfeasibleError(
-        f"no feasible weight scheme at n={xi.n}, K={K}: the inflation "
-        f"cap excludes every bias-sum level (needs K >= {k_min:.6g})"
-    )
-
-
 def solve_a_star(xi: XiMatrix, order: BiasOrder, K: float) -> float:
     """Optimal bias-sum level a*: argmin of the size-free worst-case risk
     over the feasible set of the inflation cap K.
@@ -498,7 +488,13 @@ def solve_a_star(xi: XiMatrix, order: BiasOrder, K: float) -> float:
     """
     intervals = feasible_intervals(xi, order, K)
     if not intervals:
-        raise _no_feasible_scheme(xi, order, K)
+        # min over a of ztilde^2/a^2 is det(Xi)/xi22 = 1/phi(1), so the
+        # smallest cap any weighting can respect is phi(1)**(-alpha).
+        k_min = xi.phi11 ** -order.alpha
+        raise InfeasibleError(
+            f"no feasible weight scheme at n={xi.n}, K={K}: the inflation "
+            f"cap excludes every bias-sum level (needs K >= {k_min:.6g})"
+        )
     pilot = pilot_a(xi, K)
     best_a, best_val = None, math.inf
     for lo, hi in intervals:
@@ -608,28 +604,9 @@ def eta_balance(a: float, xi: XiMatrix) -> float:
     return float((ztilde_squared(a, xi) / (a * a)) ** xi.order.alpha)
 
 
-class _Solution(NamedTuple):
-    """The O(1)-sized part of a solved `WeightScheme`."""
-
-    a_star: float
-    lambda1: float
-    lambda2: float
-    eta_star: float
-    s_star: float
-
-
 @lru_cache(maxsize=_GRAMS)
 def _gram(q1: float, q2: float, n: int, n0: int) -> XiMatrix:
     return xi_matrix(BiasOrder(q1, q2), n, n0)
-
-
-@lru_cache(maxsize=_SOLVES)
-def _solve(q1: float, q2: float, n: int, n0: int, K: float) -> _Solution:
-    xi = _gram(q1, q2, n, n0)
-    a_star = solve_a_star(xi, xi.order, K)
-    lam = np.linalg.solve(xi.phi_array(), np.array([a_star, 1.0]))
-    return _Solution(a_star, float(lam[0]), float(lam[1]),
-                     eta_balance(a_star, xi), _objective(a_star, xi))
 
 
 def optimal_weights(n: int, n0: int, order: BiasOrder, K: float) -> WeightScheme:
@@ -642,47 +619,45 @@ def optimal_weights(n: int, n0: int, order: BiasOrder, K: float) -> WeightScheme
     or below the cap; it equals K exactly when a_star sits on the
     feasible boundary.
 
-    The solve is memoised: the Gram matrix by (float q1, float q2, int n,
-    int n0), and a*, lambda1, lambda2, eta* and S* by that key and
-    float(K), so equal keys (K = 2 and 2.0, n = 1e5 and 100000) share one
-    entry and its bits.  Inputs are validated, and infeasible caps
-    raise, on every call.  The weights are built and self-checked on
-    every call, into a fresh read-only array.
+    The Gram matrix is memoised by (float q1, float q2, int n, int n0),
+    so equal keys (n = 1e5 and 100000, ``BiasOrder(2, 1)`` and
+    ``BiasOrder(2.0, 1.0)``) share one entry and its bits.  Everything
+    else, a* included, is solved, and the weights are built and
+    self-checked, on every call, into a fresh read-only array.
     """
     n, n0 = _check_counts(n, n0)
-    q1, q2 = float(order.q1), float(order.q2)
-    xi = _gram(q1, q2, n, n0)
-    if not feasible_intervals(xi, order, K):
-        raise _no_feasible_scheme(xi, order, K)
-    sol = _solve(q1, q2, n, n0, float(K))
-    if sol.eta_star > K + 1e-9:
-        raise InfeasibleError(
-            f"solver returned an infeasible bias-sum level at n={n}, K={K}"
-        )
+    xi = _gram(float(order.q1), float(order.q2), n, n0)
+    a_star = solve_a_star(xi, order, K)
+    lam = np.linalg.solve(xi.phi_array(), np.array([a_star, 1.0]))
     kf, ks = weight_decay_exponents(order)
-    # lambda1 * j**(-kf) + lambda2 * j**(-ks), block by block: w is the
-    # only n-length array
-    w = np.empty(n)
-    j = np.empty(min(n, _BLOCK))
-    for lo in range(0, n, _BLOCK):
+    # lam[0] * j**(-kf) + lam[1] * j**(-ks), block by block: w is the only
+    # n-length array
+    w = np.empty(xi.n)
+    j = np.empty(min(xi.n, _BLOCK))
+    for lo in range(0, xi.n, _BLOCK):
         wb = w[lo : lo + _BLOCK]
         jb = _arange_into(j[: wb.shape[0]], lo, 1.0)
-        jb += n0
+        jb += xi.n0
         np.power(jb, -kf, out=wb)
-        wb *= sol.lambda1
+        wb *= lam[0]
         jb **= -ks
-        jb *= sol.lambda2
+        jb *= lam[1]
         wb += jb
+    eta_star = eta_balance(a_star, xi)
+    if eta_star > K + 1e-9:
+        raise InfeasibleError(
+            f"solver returned an infeasible bias-sum level at n={xi.n}, K={K}"
+        )
     return WeightScheme(
         weights=w,
-        lambda1=sol.lambda1,
-        lambda2=sol.lambda2,
-        a_star=sol.a_star,
-        eta_star=min(sol.eta_star, float(K)),
-        s_star=sol.s_star,
+        lambda1=float(lam[0]),
+        lambda2=float(lam[1]),
+        a_star=a_star,
+        eta_star=min(eta_star, float(K)),
+        s_star=_objective(a_star, xi),
         K=float(K),
         order=order,
-        n0=n0,
+        n0=xi.n0,
     )
 
 

@@ -18,7 +18,6 @@ from bvbal.calibration import (
     _exact_sum,
     _exact_sums,
     _gram,
-    _solve,
     amrr_general,
     amrr_recursive_free,
     amrr_recursive_tied,
@@ -37,11 +36,6 @@ from bvbal.errors import ConfigurationError
 
 Q21 = BiasOrder(2.0, 1.0)
 Q11 = BiasOrder(1.0, 1.0)
-
-
-def _clear_memo():
-    _solve.cache_clear()
-    _gram.cache_clear()
 
 
 def objective(a, xi):
@@ -255,7 +249,7 @@ def test_optimal_weights_holds_one_n_length_array():
     # reports its data buffers to tracemalloc)
     n = 200_000
     optimal_weights(1_000, 0, Q21, 2.0)
-    _clear_memo()  # measure a cold solve
+    _gram.cache_clear()  # measure a cold solve
     tracemalloc.start()
     try:
         optimal_weights(n, 0, Q21, 2.0)
@@ -505,9 +499,9 @@ def test_memoised_solves_match_a_cold_solve(n):
     for order in (Q21, Q11, BiasOrder(1.5, 0.7)):
         cold = {}
         for K, n0 in keys:
-            _clear_memo()
+            _gram.cache_clear()
             cold[K, n0] = _solved(n, n0, order, K)
-        _clear_memo()
+        _gram.cache_clear()
         # interleaved: caps sharing a budget's Gram matrix, repeats, and
         # (at n = 2, n0 = 500) infeasible caps between feasible ones
         for K, n0 in keys + keys[::-1] + keys[1::2] + keys[::2]:
@@ -526,7 +520,7 @@ def test_every_call_returns_a_fresh_read_only_weights_array():
 
 def test_memo_keeps_no_n_length_array():
     n = 200_000
-    _clear_memo()
+    _gram.cache_clear()
     tracemalloc.start()
     try:
         scheme = optimal_weights(n, 0, Q21, 2.0)
@@ -536,7 +530,7 @@ def test_memo_keeps_no_n_length_array():
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert _solve.cache_info().currsize == 1 and _gram.cache_info().currsize == 1
+    assert _gram.cache_info().currsize == 1
     assert kept < 0.05 * 8 * n
 
 
@@ -558,19 +552,21 @@ def test_memo_keeps_no_n_length_array():
         "infeasible-int-K"])
 def test_invalid_and_infeasible_inputs_raise_on_every_call(args, error, message):
     # the messages and their order (counts, then n >= 2, then K) are the
-    # unmemoised solver's; a failed solve leaves no memo entry
-    _clear_memo()
+    # unmemoised solver's; a failed Gram matrix leaves no memo entry, a
+    # failed cap keeps its budget's valid one
+    _gram.cache_clear()
     optimal_weights(1_000, 0, Q21, 2.0)
     for _ in range(3):
         with pytest.raises(error) as exc:
             optimal_weights(*args)
         assert str(exc.value) == message
-    assert _solve.cache_info().currsize == 1
+    gram_ok = error is InfeasibleError or message == "K must be positive"
+    assert _gram.cache_info().currsize == 1 + (gram_ok and args[:2] != (1_000, 0))
 
 
 def test_equal_keys_share_one_memo_entry_and_the_bits():
     want = _SOLVER_PINS[100_000, 0, 2.0]
-    _clear_memo()
+    _gram.cache_clear()
     for n, n0, order, K in [
         (100_000, 0, BiasOrder(2, 1), 2),
         (np.int64(100_000), np.int64(0), Q21, 2.0),
@@ -581,7 +577,8 @@ def test_equal_keys_share_one_memo_entry_and_the_bits():
         fields = repr((s.lambda1, s.lambda2, s.a_star, s.eta_star, s.s_star))
         assert (hashlib.sha256(s.weights.tobytes()).hexdigest(), fields) == want
         assert (s.n, s.n0, s.K, s.order) == (100_000, 0, 2.0, order)
-    assert _solve.cache_info().currsize == 1 and _gram.cache_info().currsize == 1
+    info = _gram.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
 
 
 def test_pilot_a_call_forms():
