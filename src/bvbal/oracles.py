@@ -30,8 +30,10 @@ go through it.  Paired experiments draw a block once and replay it
 through every prepared schedule, into buffers they reuse.  A
 finite-difference block has a fixed layout: row j feeds draw j and holds
 the sp direction uniforms (if any), then one variate block per
-evaluation slot, slot 0 for the first-named evaluation.  Common random
-numbers are a matter of both evaluations reading slot 0.
+evaluation slot, slot 0 for the first-named evaluation.  Its values are
+a C-order fill of the stream, but its memory is draw-fastest, so each
+variate's n draws form one contiguous run.  Common random numbers are a
+matter of both evaluations reading slot 0.
 """
 
 from __future__ import annotations
@@ -317,6 +319,10 @@ class SampleOracle(Protocol):
     out, scratch)``, which writes the (n, dim) samples into ``out`` (any
     memory layout) and may overwrite ``scratch``, a 1-d buffer of at
     least n dim floats; either may be omitted, and is then allocated.
+    A block's values are a C-order fill of the stream, row j feeding
+    draw j; its memory layout is the oracle's own (draw-fastest for a
+    finite-difference oracle), and a map gives the same bytes from a
+    C-contiguous copy.
     ``sample_path(deltas, stream)`` equals
     ``transform(deltas, draw(len(deltas), stream))`` and
     ``prepare(deltas).transform(block)`` equals
@@ -346,9 +352,11 @@ class BatchedFunction:
     (n, *shape), row j driving evaluation j.  ``points`` holds one entry
     per coordinate of the base point ``x``: the coordinate itself as a
     float, or an (n, 1) column where an oracle perturbs it row by row.
-    ``prepare``, if given, turns a block of uniforms on [0, 1) into the
-    variates ``fn`` reads, in place (inverse-transform sampling, say); it
-    runs once per draw, however many schedules the block then serves.
+    ``prepare``, if given, turns uniforms on [0, 1) into the variates
+    ``fn`` reads, in place and elementwise (inverse-transform sampling,
+    say); it runs once per draw, on the slots the oracle reads and in
+    the block's memory layout, however many schedules the block then
+    serves.
     ``positive`` declares that every coordinate of an evaluated point
     must stay strictly positive (rates, scales).
     """
@@ -369,6 +377,10 @@ class BatchedFunction:
         object.__setattr__(self, "x", tuple(float(v) for v in x))
         object.__setattr__(self, "shape", shape)
 
+
+# rows of the C-order buffer a finite-difference draw fills its block
+# through: a few hundred rows keep it in cache and off the peak RSS
+_FILL_ROWS = 256
 
 # scheme -> (sign of evaluation 0, sign of evaluation 1, bias order): draw
 # j evaluates at x + sign * delta_j * v for a coordinate direction v
@@ -404,8 +416,13 @@ class FiniteDifferenceOracle:
     A draw row holds, in order: p direction uniforms (sp only, with p the
     dimension of x, turned into +-1 by u < 0.5 -> -1), then one variate
     block of ``function.shape`` per evaluation slot, slot 0 feeding the
-    first-named evaluation.  The sp block is (n, p + 2 m) with m the size
-    of one variate block; the others are (n, 2, *shape).
+    first-named evaluation; under ``crn`` slot 1 is never read and keeps
+    its uniforms.  The sp block is (n, p + 2 m) with m the size of one
+    variate block; the others are (n, 2, *shape).  The block's values
+    are ``generator.random(shape)``'s, a C-order fill, so row j feeds
+    draw j and a path's prefix is reproducible; its memory layout is
+    draw-fastest (the transpose of a C-contiguous array), so the n draws
+    of each variate are contiguous for ``function`` to read.
     """
 
     function: BatchedFunction
@@ -456,13 +473,23 @@ class FiniteDifferenceOracle:
 
     def draw(self, n: int, stream: StreamKey) -> np.ndarray:
         """The variate block of an n-draw path, laid out as described in
-        the class docstring; row j feeds draw j."""
-        p = self._directions
-        block = stream.generator().random(self._block_shape(int(n)))
+        the class docstring; row j feeds draw j.  The stream fills a small
+        C-order row buffer at a time, which is copied into the
+        draw-fastest block."""
+        n, p = int(n), self._directions
+        shape = self._block_shape(n)
+        block = np.empty(shape[::-1]).T
+        gen = stream.generator()
+        chunk = np.empty((min(n, _FILL_ROWS), *shape[1:]))
+        for lo in range(0, n, _FILL_ROWS):
+            rows = chunk[:n - lo]
+            block[lo:lo + rows.shape[0]] = gen.random(out=rows)
         if p:
             block[:, :p] = np.where(block[:, :p] < 0.5, -1.0, 1.0)
         if self.function.prepare is not None:
-            self.function.prepare(block[:, p:])
+            # under crn no evaluation reads slot 1, so it keeps its uniforms
+            slots = block[:, p:].reshape(n, 2, *self.function.shape)
+            self.function.prepare(slots[:, 0] if self.crn else slots)
         return block
 
     def prepare(self, deltas) -> _Prepared:

@@ -24,9 +24,12 @@ same two replications.  Both are `bvbal.oracles.FiniteDifferenceOracle`
 over the transient measure written as a batched function of the two
 rates.
 
-All randomness enters through uniform blocks drawn from a StreamKey in
-one row-major block per call, so a path's prefix is reproducible and two
-oracles sharing a key consume identical variates.  Inverse-transform
+All randomness enters through uniform blocks drawn from a StreamKey, one
+block per call whose values are a row-major (C-order) fill of the
+stream, so a path's prefix is reproducible and two oracles sharing a key
+consume identical variates.  The block's memory is draw-fastest: the n
+draws of each (slot, process, customer) variate are one contiguous run,
+which is the row the customer-major sweep reads.  Inverse-transform
 sampling (-log1p(-U) / rate) keeps a uniform block's meaning fixed when
 only rates change, which is what makes common random numbers and
 coupling-based tests exact.  It also lets the oracles' ``draw`` turn the
@@ -108,21 +111,24 @@ def _system_times(rates: list, e: np.ndarray) -> np.ndarray:
     ``e`` holds unit-rate exponentials of shape (n, 2, k), one
     replication per row (arrivals, then services), and ``rates`` =
     (arrival, service), each a float or an (n, 1) column.  Both processes
-    are divided by their rates straight into contiguous (k, n) buffers,
-    so the Lindley sweep steps along contiguous rows in place; the
-    arrival buffer becomes the system times.  The first interarrival
-    cannot affect system times (the system starts empty).
+    are divided by their rates straight into contiguous (k, n) buffers
+    (from a draw-fastest block each source row is contiguous too), so
+    the Lindley sweep steps along contiguous rows in place; the arrival
+    buffer becomes the system times.  Each step is
+    T_j = max(T_{j-1} - A_j, 0) + S_j, three row operations: the
+    recursion's W_{j-1} + S_{j-1} is T_{j-1}, already rounded into row
+    j - 1, so the step is the recursion's bit for bit.  The first
+    interarrival cannot affect system times (the system starts empty).
     """
     n, _, k = e.shape
     times = np.divide(e[:, 0].T, np.asarray(rates[0]).T, out=np.empty((k, n)))
     s = np.divide(e[:, 1].T, np.asarray(rates[1]).T, out=np.empty((k, n)))
     times[0] = s[0]
-    wait = np.zeros(n)
     for j in range(1, k):
-        wait += s[j - 1]
-        wait -= times[j]
-        np.maximum(wait, 0.0, out=wait)
-        np.add(wait, s[j], out=times[j])
+        row = times[j]
+        np.subtract(times[j - 1], row, out=row)
+        np.maximum(row, 0.0, out=row)
+        row += s[j]
     return times
 
 
@@ -137,9 +143,12 @@ def _pairwise_rows(t: np.ndarray) -> np.ndarray:
     Divided by k, the sum of a customer-major (k, n) block of system
     times is ``t.T.mean(axis=-1)`` bit for bit: numpy also adds the sum
     to its identity 0.0, which could only turn a -0.0 sum into 0.0, and
-    no row after the first is -0.0, since it is wait + S with
-    wait >= +0.0.  The sum may be a view of ``t``; the quotient by k is a
-    fresh (n,) array, so the block can be freed."""
+    no row is -0.0: the first is S_1, and every later one is
+    max(T_{j-1} - A_j, 0.0) + S_j, where the maximum is +-0.0 or positive
+    and S_j is +0.0 or positive (-log1p(-u) of u in [0, 1) over a
+    positive rate), and -0.0 + +0.0 is +0.0.  The sum may be a view of
+    ``t``; the quotient by k is a fresh (n,) array, so the block can be
+    freed."""
     k = t.shape[0]
     if k < 8:
         total = np.zeros_like(t[0])
@@ -199,8 +208,8 @@ class MM1DerivativeOracle(FiniteDifferenceOracle):
     Each draw runs the queue at rate + delta and rate - delta from a
     block of shape (n, 2, 2, k), indexed by draw, evaluation slot
     (+delta first), then process (arrivals, services).  With ``crn`` the
-    two runs share slot 0 (variance reduction); by default they are
-    independent.
+    two runs share slot 0 (variance reduction) and slot 1 keeps its
+    uniforms; by default they are independent.
     """
 
     params: QueueParams

@@ -369,8 +369,10 @@ def test_fd_one_draw_replays_through_any_schedule():
             block = oracle.draw(n, key)
             before = block.copy()
             for deltas in (np.full(n, 0.2), np.geomspace(0.9, 0.01, n)):
-                assert np.array_equal(oracle.transform(deltas, block),
-                                      oracle.sample_path(deltas, key))
+                got = oracle.transform(deltas, block)
+                assert np.array_equal(got, oracle.sample_path(deltas, key))
+                contiguous = oracle.transform(deltas, np.ascontiguousarray(block))
+                assert contiguous.tobytes() == got.tobytes()
             assert np.array_equal(block, before)
 
 

@@ -14,11 +14,12 @@ from bvbal import (
     StreamKey,
     mm1_transient_sample,
 )
-from bvbal.oracles import SampleOracle
+from bvbal.oracles import _FILL_ROWS, SampleOracle
 from bvbal.queueing import (
     MM1_TRUE_ARRIVAL_DERIVATIVE,
     MM1_TRUE_SERVICE_DERIVATIVE,
     _mean_system_time,
+    _system_times,
 )
 
 from helpers import check_prepared, difference_expression, event_driven_times, queue_variates
@@ -46,7 +47,11 @@ def test_lindley_matches_event_driven_simulation():
 
 def _draw_major_times(rates, e):
     """The Lindley sweep over the last axis of (n, k) draw-major arrays,
-    the reference the customer-major sweep must reproduce bit for bit."""
+    the reference the customer-major sweep must reproduce bit for bit.
+    ``e`` is copied to C order first: a draw-fastest block would give
+    the quotients its layout, and ``mean(axis=-1)`` over a strided axis
+    sums in another order."""
+    e = np.ascontiguousarray(e)
     a, s = e[:, 0] / rates[0], e[:, 1] / rates[1]
     times = np.empty_like(s)
     times[:, 0] = s[:, 0]
@@ -64,14 +69,20 @@ def _exponentials(u):
 @pytest.mark.parametrize("k", [*range(1, 21), 127, 128, 129, 130, 200])
 def test_customer_major_sweep_is_the_draw_major_mean_bit_for_bit(k):
     # cfd slot views of an (n, 2, 2, k) block and sp-shaped views of an
-    # (n, 2 + 4 k) block, at float rates and (n, 1) rate columns on either
-    # coordinate; an all-zero block pins the sign of zero
+    # (n, 2 + 4 k) block, C-order and draw-fastest (as the oracles draw
+    # them), at float rates and (n, 1) rate columns on either coordinate;
+    # an all-zero block pins the sign of zero
     rng = np.random.default_rng(1000 + k)
     for n in (1, 7, 1000):
         cfd = _exponentials(rng.random((n, 2, 2, k)))
-        sp = _exponentials(rng.random((n, 2 + 4 * k)))[:, 2:].reshape(n, 2, 2, k)
+        sp_block = _exponentials(rng.random((n, 2 + 4 * k)))
+        sp = sp_block[:, 2:].reshape(n, 2, 2, k)
+        cfd_fast = np.asfortranarray(cfd)
+        sp_fast = np.asfortranarray(sp_block)[:, 2:].reshape(n, 2, 2, k)
         zero = _exponentials(np.zeros((n, 2, 2, k)))
-        views = (cfd[:, 0], cfd[:, 1], sp[:, 0], sp[:, 1], zero[:, 0])
+        views = (cfd[:, 0], cfd[:, 1], sp[:, 0], sp[:, 1], zero[:, 0],
+                 cfd_fast[:, 0], cfd_fast[:, 1], sp_fast[:, 0], sp_fast[:, 1],
+                 np.asfortranarray(zero)[:, 1])
         column = 4.0 + rng.uniform(-0.5, 0.5, (n, 1))
         for rates in ([4.0, 4.0], [column, 4.0], [3.5, column], [column, column[::-1]]):
             for e in views:
@@ -81,6 +92,30 @@ def test_customer_major_sweep_is_the_draw_major_mean_bit_for_bit(k):
                 assert got.shape == (n,)
                 assert got.tobytes() == want.tobytes()
                 assert np.array_equal(e, before)
+
+
+@pytest.mark.parametrize("k", [1, 2, 9, 40])
+def test_sweep_keeps_the_bits_at_ties_and_zero_services(k):
+    # arrivals equal to the previous customer's system time exactly, so
+    # T_{j-1} - A_j is +0.0, and services of exactly zero, so a customer's
+    # time can be the maximum's zero itself; power-of-two rates keep the
+    # constructed ties exact after the division
+    rng = np.random.default_rng(40 + k)
+    n = 64
+    column = 2.0 ** rng.integers(-2, 3, (n, 1)).astype(float)
+    for rates in ([1.0, 1.0], [2.0, 0.5], [column, 0.25], [0.5, column]):
+        e = rng.exponential(size=(n, 2, k))
+        e[:, 1][rng.random((n, k)) < 0.3] = 0.0
+        for j in range(1, k):
+            tie = rng.random(n) < 0.5
+            t = _draw_major_times(rates, e)[:, j - 1]
+            e[tie, 0, j] = t[tie] * np.broadcast_to(rates[0], (n, 1))[tie, 0]
+        want = _draw_major_times(rates, e)
+        assert np.any(want[:, 1:] == 0.0) or k == 1
+        for block in (e, np.asfortranarray(e)):
+            assert _system_times(rates, block).T.tobytes() == want.tobytes()
+            got = _mean_system_time(rates, block)
+            assert got.tobytes() == want.mean(axis=-1).tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 7, 8, 9, 17, 129, 200])
@@ -213,10 +248,40 @@ def test_one_draw_replays_through_any_schedule(oracle):
     block = oracle.draw(n, key)
     before = block.copy()
     for deltas in (np.full(n, 0.2), np.geomspace(1.5, 0.01, n), 0.5 * np.arange(501, 501 + n) ** -0.1667):
-        assert np.array_equal(oracle.transform(deltas, block), oracle.sample_path(deltas, key))
+        got = oracle.transform(deltas, block)
+        assert np.array_equal(got, oracle.sample_path(deltas, key))
+        # the map reads values, not memory layout
+        assert oracle.transform(deltas, np.ascontiguousarray(block)).tobytes() == got.tobytes()
     assert np.array_equal(block, before)
     with pytest.raises(ValueError):
         oracle.transform(np.full(n + 1, 0.2), block)
+
+
+@pytest.mark.parametrize("n", [1, _FILL_ROWS - 1, _FILL_ROWS, _FILL_ROWS + 1, 2 * _FILL_ROWS + 1])
+@pytest.mark.parametrize("oracle", [
+    MM1DerivativeOracle(P4, "arrival"),
+    MM1DerivativeOracle(P4, "service", crn=True),
+    MM1GradientOracleSP(QueueParams(4.0, 5.0, 7)),
+], ids=["cfd", "cfd-crn", "sp"])
+def test_draw_is_the_c_order_fill_laid_out_draw_fastest(oracle, n):
+    # the block's values are generator.random(shape)'s, with the sp
+    # directions turned into +-1 and the slots the oracle reads turned
+    # into exponentials (under crn slot 1 keeps its uniforms); its memory
+    # is draw-fastest, the transpose of a C-contiguous array
+    key = StreamKey(66, (n,))
+    block = oracle.draw(n, key)
+    k, p = oracle.params.num_customers, oracle.dim if oracle.scheme == "sp" else 0
+    want = key.generator().random(block.shape)
+    assert want.shape == ((n, 2 + 4 * k) if p else (n, 2, 2, k))
+    want[:, :p] = np.where(want[:, :p] < 0.5, -1.0, 1.0)
+    slots = want[:, p:].reshape(n, 2, 2, k)
+    for slot in (0,) if oracle.crn else (0, 1):
+        slots[:, slot] = _exponentials(slots[:, slot])
+    assert np.array_equal(block, want)
+    assert block.tobytes() == want.tobytes()
+    assert block.T.flags.c_contiguous
+    # a prefix of the path is the path's prefix
+    assert oracle.draw(n // 2, key).tobytes() == block[:n // 2].tobytes()
 
 
 @pytest.mark.parametrize("target", ["arrival", "service"])
