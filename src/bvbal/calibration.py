@@ -587,7 +587,7 @@ class WeightScheme:
 
     def deltas(self, d: float = 1.0) -> np.ndarray:
         """Calibrated perturbation schedule eta* d (j+n0)**(-alpha), j=1..n."""
-        if not float(d) > 0:
+        if not (float(d) > 0 and math.isfinite(d)):
             raise ValueError(f"d must be positive, got {d}")
         j = np.arange(1, self.n + 1, dtype=float) + self.n0
         return self.eta_star * float(d) * j ** (-self.order.alpha)

@@ -248,6 +248,14 @@ class LinearPlan:
     coeffs: np.ndarray
     init_coeff: float = 0.0
 
+    def __post_init__(self) -> None:
+        shape = np.shape(self.deltas)
+        if len(shape) != 1 or shape != np.shape(self.coeffs) or shape[0] == 0:
+            raise ConfigurationError(
+                "deltas and coeffs must be non-empty 1-d arrays of one length, got "
+                f"shapes {shape} and {np.shape(self.coeffs)}"
+            )
+
     @classmethod
     def baseline(cls, n: int, schedule: DeltaSchedule) -> "LinearPlan":
         """Weights 1/n on n draws at the schedule's terminal size."""

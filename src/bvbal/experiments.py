@@ -128,7 +128,8 @@ class EstimatorSetting:
     Setting a field that the kind ignores raises `ConfigurationError`:
     baseline takes none of c, beta, d_scale, K; recursive and averaged
     take no K; weighted takes none of c, beta, d_scale (its scale is the
-    solved eta_star).
+    solved eta_star).  ``label`` renames the entry in reports; only a
+    baseline entry may be labelled "baseline".
     """
 
     kind: str
@@ -145,6 +146,8 @@ class EstimatorSetting:
             )
         if self.label is not None and ("," in self.label or "|" in self.label):
             raise ConfigurationError("label must not contain ',' or '|'")
+        if self.label == "baseline" and self.kind != "baseline":
+            raise ConfigurationError(f"label 'baseline' names the baseline kind, not {self.kind}")
         ignored = _IGNORED_FIELDS[self.kind]
         if any(getattr(self, f) is not None for f in ignored):
             raise ConfigurationError(f"{self.kind} entries take none of {', '.join(ignored)}")
@@ -386,8 +389,9 @@ class ExperimentReport:
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     """Run the paired experiment and aggregate per-(estimator, budget)
-    MSE, standard error, risk ratio against the baseline entry, and the
-    theory prediction (synthetic models only).
+    MSE, standard error, risk ratio against the baseline entry (found by
+    kind, whatever its label), and the theory prediction (synthetic
+    models only).
 
     ``workers`` (an integer in 1..MAX_WORKERS) only partitions
     replications across threads (numpy releases the GIL in its kernels);
@@ -428,12 +432,13 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     squared_errors: dict[str, np.ndarray] = {}
     degenerate = synthetic and config.model.degenerate
     col = 0
+    # every baseline entry runs the same plan, so the first stands for all
+    base = next((i for i, s in enumerate(config.estimators) if s.kind == "baseline"), None)
     for n, group in zip(config.budgets, entries):
-        cols = {label: sq[:, col + i] for i, (label, _, _) in enumerate(group)}
+        cols = sq[:, col:col + len(group)]
         col += len(group)
-        base_mse = math.fsum(cols["baseline"]) / R if "baseline" in cols else None
-        for label, _, theory in group:
-            e = cols[label]
+        base_mse = None if base is None else math.fsum(cols[:, base]) / R
+        for (label, _, theory), e in zip(group, cols.T):
             mse = math.fsum(e) / R
             se = float(np.std(e, ddof=1) / math.sqrt(R))
             if base_mse is None:

@@ -20,20 +20,8 @@ queue's transient measure.
 Randomness is purely functional.  Sampling operations take a `StreamKey`,
 an immutable address into a seeded tree of generators; calling twice with
 the same key is bit-identical, and distinct keys yield independent
-streams.
-
-Every oracle splits ``sample_path`` into ``draw``, which turns a stream
-into a variate block, and a deterministic map from (deltas, block) to
-samples that leaves the block unchanged.  ``prepare(deltas)`` checks a
-schedule once and returns that map; ``transform`` and ``sample_path``
-go through it.  Paired experiments draw a block once and replay it
-through every prepared schedule, into buffers they reuse.  A
-finite-difference block has a fixed layout: row j feeds draw j and holds
-the sp direction uniforms (if any), then one variate block per
-evaluation slot, slot 0 for the first-named evaluation.  Its values are
-a C-order fill of the stream, but its memory is draw-fastest, so each
-variate's n draws form one contiguous run.  Common random numbers are a
-matter of both evaluations reading slot 0.
+streams.  How a stream becomes samples is the `SampleOracle` contract,
+which both oracles inherit.
 """
 
 from __future__ import annotations
@@ -131,11 +119,6 @@ def _positive_deltas(deltas) -> np.ndarray:
     return deltas
 
 
-def _check_block(block: np.ndarray, shape: tuple[int, ...]) -> None:
-    if block.shape != shape:
-        raise ValueError(f"variate block has shape {block.shape}, expected {shape}")
-
-
 def _power(d: np.ndarray, q: float, out: np.ndarray) -> np.ndarray:
     """``d**q`` written into ``out``: the in-place ``**=`` takes the same
     scalar-power route (square, sqrt, reciprocal or pow) as ``d**q``, so
@@ -162,7 +145,69 @@ class _Prepared:
         ``scratch``, a 1-d buffer of at least n dim floats, may be
         overwritten; either buffer is allocated when omitted.  The block
         is not modified."""
-        return self.oracle._map(self.deltas, block, out, scratch)
+        oracle, n = self.oracle, self.deltas.shape[0]
+        shape = oracle._block_shape(n)
+        if block.shape != shape:
+            raise ValueError(f"variate block has shape {block.shape}, expected {shape}")
+        out = np.empty((n, oracle.dim)) if out is None else out
+        scratch = np.empty(n * oracle.dim) if scratch is None else scratch
+        return oracle._map(self.deltas, block, out, scratch)
+
+
+@runtime_checkable
+class SampleOracle(Protocol):
+    """The sampling contract that the estimators and the paired harness
+    call: draw a variate block from a stream, then map it through a
+    checked delta schedule.
+
+    ``draw(n, stream)`` returns the variate block of an n-draw path.  Its
+    values are a C-order fill of the stream, row j feeding draw j, so a
+    path's prefix is reproducible; its memory layout is the oracle's own
+    (draw-fastest for a finite-difference oracle), and a map gives the
+    same bytes from a C-contiguous copy.  ``prepare(deltas)`` checks a
+    schedule once, raising its validation errors, and returns the map:
+    ``prepared.transform(block, out, scratch)`` raises those of the
+    block, writes the (n, dim) samples into ``out`` (any memory layout)
+    and may overwrite ``scratch``, a 1-d buffer of at least n dim floats;
+    either buffer is allocated when omitted, and no map modifies the
+    block.  The harness prepares each schedule once, draws a block once
+    per (replication, budget) cell and replays it through every prepared
+    schedule into buffers it reuses; the single-run estimators call
+    ``sample_path``.
+
+    An explicit subclass inherits ``prepare``, ``transform``,
+    ``sample_path`` and ``sample``, which compose the map bit for bit,
+    and defines ``dim``, ``draw`` and three hooks: ``_checked(deltas)``
+    returns the checked 1-d schedule, ``_block_shape(n)`` the shape of an
+    n-draw block, and ``_map(deltas, block, out, scratch)`` is the map,
+    always given both buffers and a block of that shape.
+    """
+
+    @property
+    def dim(self) -> int: ...
+
+    def draw(self, n: int, stream: StreamKey) -> np.ndarray: ...
+
+    def prepare(self, deltas) -> _Prepared:
+        """The map from variate blocks to samples at ``deltas``, checked
+        once."""
+        return _Prepared(self, self._checked(deltas))
+
+    def transform(self, deltas, block: np.ndarray) -> np.ndarray:
+        """Samples at ``deltas`` from a block made by ``draw``, shape
+        (n, dim): ``prepare(deltas).transform(block)``."""
+        return self.prepare(deltas).transform(block)
+
+    def sample_path(self, deltas, stream: StreamKey) -> np.ndarray:
+        """One sample per entry of ``deltas`` from a single stream, shape
+        (n, dim): ``transform(deltas, draw(len(deltas), stream))``, with
+        the schedule checked before anything is drawn."""
+        prepared = self.prepare(deltas)
+        return prepared.transform(self.draw(prepared.deltas.shape[0], stream))
+
+    def sample(self, delta: float, stream: StreamKey) -> np.ndarray:
+        """Single draw at perturbation size delta."""
+        return self.sample_path(np.asarray([float(delta)]), stream)[0]
 
 
 def _as_vector(x, name: str) -> np.ndarray:
@@ -175,7 +220,7 @@ def _as_vector(x, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SyntheticOracleSpec:
+class SyntheticOracleSpec(SampleOracle):
     """Fully specified synthetic oracle: every constant of the model is
     explicit, so a plan's exact risk on it is known (`LinearPlan.mse`).
 
@@ -257,90 +302,23 @@ class SyntheticOracleSpec:
         (n, dim), row j feeding draw j."""
         return stream.generator().standard_normal((int(n), self.dim))
 
-    def prepare(self, deltas) -> _Prepared:
-        """The map from variate blocks to samples at ``deltas``, checked
-        once (all strictly positive, 1-d)."""
-        return _Prepared(self, _positive_deltas(deltas))
+    def _checked(self, deltas) -> np.ndarray:
+        """The schedule, checked: all strictly positive, 1-d."""
+        return _positive_deltas(deltas)
+
+    def _block_shape(self, n: int) -> tuple[int, int]:
+        return (n, self.dim)
 
     def _map(self, deltas, z, out, scratch) -> np.ndarray:
         """``means + (noise_scale * z) / delta**q2`` into ``out``, one
         rounding per operation of that expression, as the out-of-place
         form rounds; the powers of delta go to ``scratch``."""
         d = deltas[:, None]
-        n = d.shape[0]
-        _check_block(z, (n, self.dim))
-        out = np.empty(z.shape) if out is None else out
-        col = np.empty((n, 1)) if scratch is None else scratch[:n, None]
+        col = scratch[:d.shape[0], None]
         np.multiply(self.noise_scale, z, out=out)
         out /= _power(d, self.order.q2, col)
         out += self._means(d, col)
         return out
-
-    def transform(self, deltas, z: np.ndarray) -> np.ndarray:
-        """Samples at ``deltas`` from a variate block ``z`` made by
-        `draw`; ``z`` is not modified, so one block can be replayed
-        through several schedules."""
-        return self.prepare(deltas).transform(z)
-
-    def sample_path(self, deltas, stream: StreamKey) -> np.ndarray:
-        """Draw one sample per entry of ``deltas`` from a single stream;
-        the composition of `draw` and `transform`.
-
-        Parameters
-        ----------
-        deltas : array_like of float, shape (n,)
-            Perturbation sizes, all strictly positive.
-        stream : StreamKey
-            Stream for the whole path; draw j consumes the j-th row of
-            standard normals from it, so prefixes of a path are themselves
-            reproducible.
-
-        Returns
-        -------
-        ndarray, shape (n, dim)
-        """
-        prepared = self.prepare(deltas)
-        return prepared.transform(self.draw(prepared.deltas.shape[0], stream))
-
-    def sample(self, delta: float, stream: StreamKey) -> np.ndarray:
-        """Single draw at perturbation size delta."""
-        return self.sample_path(np.asarray([float(delta)]), stream)[0]
-
-
-@runtime_checkable
-class SampleOracle(Protocol):
-    """What the estimators and the paired harness call.
-
-    The single-run estimators call ``sample_path``, and one-off callers
-    ``transform(deltas, block)``; both go through ``prepare``.  The
-    harness calls ``prepare`` once per schedule, draws a variate block
-    once per (replication, budget) cell with ``draw``, and maps it
-    through every prepared schedule with ``prepared.transform(block,
-    out, scratch)``, which writes the (n, dim) samples into ``out`` (any
-    memory layout) and may overwrite ``scratch``, a 1-d buffer of at
-    least n dim floats; either may be omitted, and is then allocated.
-    A block's values are a C-order fill of the stream, row j feeding
-    draw j; its memory layout is the oracle's own (draw-fastest for a
-    finite-difference oracle), and a map gives the same bytes from a
-    C-contiguous copy.
-    ``sample_path(deltas, stream)`` equals
-    ``transform(deltas, draw(len(deltas), stream))`` and
-    ``prepare(deltas).transform(block)`` equals
-    ``transform(deltas, block)``, bit for bit; no map modifies the
-    block.  ``prepare`` raises the deltas' validation errors, and the
-    map raises those of the block.
-    """
-
-    @property
-    def dim(self) -> int: ...
-
-    def draw(self, n: int, stream: StreamKey) -> np.ndarray: ...
-
-    def prepare(self, deltas): ...
-
-    def transform(self, deltas, block: np.ndarray) -> np.ndarray: ...
-
-    def sample_path(self, deltas, stream: StreamKey) -> np.ndarray: ...
 
 
 @dataclass(frozen=True)
@@ -396,7 +374,7 @@ _SCHEMES = {
 
 
 @dataclass(frozen=True)
-class FiniteDifferenceOracle:
+class FiniteDifferenceOracle(SampleOracle):
     """Finite-difference oracle over a batched noisy function.
 
     Draw j evaluates ``function`` twice, at x + s0 delta_j v and at
@@ -460,6 +438,9 @@ class FiniteDifferenceOracle:
         return (n, p + 2 * math.prod(shape)) if p else (n, 2, *shape)
 
     def _checked(self, deltas) -> np.ndarray:
+        """The schedule, checked: all strictly positive, 1-d, and below
+        the moved coordinates of a positive function when a scheme steps
+        down."""
         deltas = _positive_deltas(deltas)
         s0, s1, _ = _SCHEMES[self.scheme]
         if self.function.positive and min(s0, s1) < 0:
@@ -492,12 +473,6 @@ class FiniteDifferenceOracle:
             self.function.prepare(slots[:, 0] if self.crn else slots)
         return block
 
-    def prepare(self, deltas) -> _Prepared:
-        """The map from variate blocks to differences at ``deltas``,
-        checked once (all strictly positive, 1-d, and below the moved
-        coordinates of a positive function when a scheme steps down)."""
-        return _Prepared(self, self._checked(deltas))
-
     def _evaluate(self, sign: float, step: np.ndarray, moved: np.ndarray,
                   variates: np.ndarray) -> np.ndarray:
         """``function`` at x + sign * step: column k of ``step`` moves
@@ -517,7 +492,6 @@ class FiniteDifferenceOracle:
         the moved coordinates of one evaluation point at a time, then
         the divisor."""
         n, p = deltas.shape[0], self._directions
-        _check_block(block, self._block_shape(n))
         slots = block[:, p:].reshape(n, 2, *self.function.shape)
         step = deltas[:, None]
         if p:
@@ -526,8 +500,7 @@ class FiniteDifferenceOracle:
                 raise ValueError("direction columns must hold +1 or -1")
             step = step * h
         m = step.shape[1]
-        out = np.empty((n, m)) if out is None else out
-        moved = (np.empty(m * n) if scratch is None else scratch[:m * n]).reshape(m, n)
+        moved = scratch[:m * n].reshape(m, n)
         s0, s1, _ = _SCHEMES[self.scheme]
         diff = out[:, 0]
         diff[...] = self._evaluate(s0, step, moved, slots[:, 0])
@@ -536,19 +509,3 @@ class FiniteDifferenceOracle:
         # under sp the difference is read from the output's own column 0,
         # an overlap numpy resolves by buffering the input
         return np.divide(diff[:, None], divisor, out=out)
-
-    def transform(self, deltas, block: np.ndarray) -> np.ndarray:
-        """Differences at ``deltas`` from a block made by `draw`, shape
-        (n, dim); the block is not modified."""
-        return self.prepare(deltas).transform(block)
-
-    def sample_path(self, deltas, stream: StreamKey) -> np.ndarray:
-        """One difference per delta; draw j consumes row j of the block
-        described in the class docstring, so prefixes of a path are
-        reproducible.  The composition of `draw` and `transform`."""
-        prepared = self.prepare(deltas)
-        return prepared.transform(self.draw(prepared.deltas.shape[0], stream))
-
-    def sample(self, delta: float, stream: StreamKey) -> np.ndarray:
-        """Single draw at perturbation size delta."""
-        return self.sample_path(np.asarray([float(delta)]), stream)[0]

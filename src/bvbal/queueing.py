@@ -24,18 +24,16 @@ same two replications.  Both are `bvbal.oracles.FiniteDifferenceOracle`
 over the transient measure written as a batched function of the two
 rates.
 
-All randomness enters through uniform blocks drawn from a StreamKey, one
-block per call whose values are a row-major (C-order) fill of the
-stream, so a path's prefix is reproducible and two oracles sharing a key
-consume identical variates.  The block's memory is draw-fastest: the n
-draws of each (slot, process, customer) variate are one contiguous run,
-which is the row the customer-major sweep reads.  Inverse-transform
-sampling (-log1p(-U) / rate) keeps a uniform block's meaning fixed when
-only rates change, which is what makes common random numbers and
-coupling-based tests exact.  It also lets the oracles' ``draw`` turn the
-block into unit-rate exponentials -log1p(-U) once, in place, for every
-schedule that ``transform`` then maps it through; each evaluation then
-only divides by its rates.
+All randomness enters through uniform blocks drawn and mapped as
+`bvbal.oracles.SampleOracle` states, so two oracles sharing a key
+consume identical variates; a draw-fastest block makes the n draws of
+each (slot, process, customer) variate the contiguous row the sweep
+reads.  Inverse-transform sampling (-log1p(-U) / rate) keeps a uniform
+block's meaning fixed when only rates change, which is what makes common
+random numbers and coupling-based tests exact.  It also lets ``draw``
+turn the block into unit-rate exponentials -log1p(-U) once, in place,
+for every schedule it is then mapped through; each evaluation then only
+divides by its rates.
 """
 
 from __future__ import annotations

@@ -629,6 +629,14 @@ def test_weight_scheme_rejects_tampering():
         scheme.deltas(0.0)
 
 
+@pytest.mark.parametrize("d", [math.inf, -math.inf, math.nan])
+def test_weight_scheme_deltas_reject_a_non_finite_scale(d):
+    # an infinite d would give an all-inf schedule, which DeltaSchedule
+    # rejects for its own scale
+    with pytest.raises(ValueError, match="d must be positive"):
+        optimal_weights(50, 0, Q21, 1.0).deltas(d)
+
+
 def test_s_star_strictly_decreasing_in_cap():
     values = [optimal_weights(2000, 0, Q21, K).s_star for K in (0.8, 1.0, 1.5, 2.0)]
     assert all(a > b for a, b in zip(values, values[1:]))

@@ -312,6 +312,20 @@ def test_weighted_combination_is_linear():
     assert np.allclose(e, 0.3 * e1 + 0.7 * e2, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("deltas, coeffs", [
+    (np.full(5, 0.1), np.array([0.2])),
+    (np.full(1, 0.1), np.full(5, 0.2)),
+    (np.full((5, 1), 0.1), np.full((5, 1), 0.2)),
+    (np.array(0.1), np.array(0.2)),
+    (np.empty(0), np.empty(0)),
+], ids=["one-coeff", "one-delta", "2-d", "0-d", "empty"])
+def test_plan_rejects_deltas_and_coeffs_that_do_not_match(deltas, coeffs):
+    # a one-coefficient plan over five deltas would report the risk of a
+    # one-draw plan while reduce broadcast its coefficient over five samples
+    with pytest.raises(ConfigurationError, match="one length"):
+        LinearPlan(deltas, coeffs)
+
+
 def test_weighted_length_mismatch():
     with pytest.raises(ConfigurationError):
         weighted_estimate(unit_spec(), 10, DeltaSchedule.balanced(Q21),

@@ -372,6 +372,21 @@ def test_duplicate_labels_are_rejected():
         run_experiment(config)
 
 
+def test_ratio_denominator_is_the_baseline_kind_entry():
+    # "baseline" names the baseline kind only, and a relabelled baseline
+    # is still every ratio's denominator
+    with pytest.raises(ConfigurationError, match="baseline"):
+        EstimatorSetting("recursive", label="baseline")
+    plain = run_experiment(small_config(
+        estimators=(EstimatorSetting("recursive"), EstimatorSetting("baseline"))))
+    flat = run_experiment(small_config(
+        estimators=(EstimatorSetting("recursive"), EstimatorSetting("baseline", label="flat"))))
+    for n in (64, 128):
+        assert flat.row("flat", n).ratio == 1.0
+        assert flat.row("flat", n).mse == plain.row("baseline", n).mse
+        assert flat.row("recursive", n) == plain.row("recursive", n)
+
+
 @pytest.mark.parametrize("K", [-1.0, math.inf])
 def test_negative_cap_is_rejected_at_resolution(K):
     config = small_config(

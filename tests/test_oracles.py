@@ -421,3 +421,65 @@ def test_prepared_transform_keeps_every_validation():
     block[:, 1] = 0.5
     with pytest.raises(ValueError):  # a direction that is not +-1
         prepared.transform(block)
+
+
+# --------------------------------------------------- the shared contract
+
+
+class _Shifted(SampleOracle):
+    """The smallest oracle on the shared contract: uniforms shifted by
+    their deltas, in two coordinates.  It defines only ``dim``, ``draw``
+    and the three hooks, and its map asserts that it gets both buffers."""
+
+    dim = 2
+
+    def draw(self, n, stream):
+        return stream.generator().random((int(n), 2))
+
+    def _block_shape(self, n):
+        return (n, 2)
+
+    def _checked(self, deltas):
+        deltas = np.asarray(deltas, dtype=float)
+        if deltas.ndim != 1 or not np.all(deltas > 0):
+            raise ValueError("deltas must be positive and 1-d")
+        return deltas
+
+    def _map(self, deltas, block, out, scratch):
+        n = deltas.shape[0]
+        assert out.shape == (n, 2) and scratch.ndim == 1 and scratch.shape[0] >= 2 * n
+        col = scratch[:n, None]
+        np.copyto(col, deltas[:, None])
+        return np.add(block, col, out=out)
+
+
+class _Duck:
+    """An oracle by duck typing: the public names and none of the hooks."""
+
+    dim = 1
+
+    def draw(self, n, stream): ...
+
+    def prepare(self, deltas): ...
+
+    def transform(self, deltas, block): ...
+
+    def sample_path(self, deltas, stream): ...
+
+    def sample(self, delta, stream): ...
+
+
+def test_an_oracle_with_only_its_hooks_inherits_the_contract():
+    oracle = _Shifted()
+    assert isinstance(oracle, SampleOracle) and isinstance(_Duck(), SampleOracle)
+    n, key = 40, StreamKey(5, (2,))
+    block = oracle.draw(n, key)
+    check_prepared(oracle, lambda o, d, b: b + d[:, None], block,
+                   [np.full(n, 0.5), np.geomspace(1.0, 0.1, n)])
+    deltas = np.linspace(0.1, 2.0, n)
+    assert oracle.sample_path(deltas, key).tobytes() == oracle.transform(deltas, block).tobytes()
+    assert oracle.sample(0.3, key).tobytes() == oracle.sample_path([0.3], key)[0].tobytes()
+    with pytest.raises(ValueError, match="variate block has shape"):
+        oracle.transform(deltas, block[:-1])
+    with pytest.raises(ValueError, match="positive"):
+        oracle.sample_path([0.1, -1.0], key)
