@@ -377,8 +377,11 @@ def feasible_intervals(xi: XiMatrix, order: BiasOrder, K: float) -> list[tuple[f
 
     Since xi22 > 0, a = 0 is never feasible, so each interval lies in one
     sign and there are at most two of them.  Endpoints may be +-inf; an
-    empty list means the cap is infeasible at this (n, K).
+    empty list means the cap is infeasible at this (n, K).  ``order`` must
+    be the order ``xi`` was built for.
     """
+    if order != xi.order:
+        raise ValueError(f"order {order} differs from the Gram matrix's {xi.order}")
     if not (float(K) > 0 and math.isfinite(K)):
         raise ValueError("K must be positive")
     A = float(K) ** (2.0 * (order.q1 + order.q2)) - xi.xi11
@@ -723,6 +726,14 @@ def amrr_recursive_free(order: BiasOrder) -> FreeRecursiveOptimum:
     return FreeRecursiveOptimum(ratio, d_scale, 1.0)
 
 
+def _check_steps(c: float, beta: float) -> None:
+    """The rule for gamma_j = c (j + n0)**(-beta): c finite and > 0, 0 < beta <= 1."""
+    if not (c > 0 and math.isfinite(c)):
+        raise ConfigurationError(f"step constant c must be positive, got {c}")
+    if not 0.0 < beta <= 1.0:
+        raise ConfigurationError(f"beta must lie in (0, 1], got {beta}")
+
+
 @dataclass(frozen=True, slots=True)
 class RecursiveCalibration:
     """Recommended (c, beta, d_scale) for a recursive or averaged run.
@@ -736,10 +747,7 @@ class RecursiveCalibration:
     d_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.c > 0 and math.isfinite(self.c)):
-            raise ConfigurationError(f"step constant c must be positive, got {self.c}")
-        if not 0.0 < self.beta <= 1.0:
-            raise ConfigurationError(f"beta must lie in (0, 1], got {self.beta}")
+        _check_steps(self.c, self.beta)
         if not (self.d_scale > 0 and math.isfinite(self.d_scale)):
             raise ConfigurationError(f"d_scale must be positive, got {self.d_scale}")
 

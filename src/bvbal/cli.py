@@ -13,15 +13,16 @@ problem, 4 I/O failure.  When no --seed is given one is generated and
 printed, so any run can be reproduced; rerunning with the same seed
 writes byte-identical files.
 
-A --config file holds one ``key=value`` per line (``#`` starts a comment
-line) and serves as defaults.  Keys are the command's long option names
-with ``_`` for ``-`` (``allow_large``, ``max_budget``); each value is
-parsed and checked by the flag's own argparse action, so it takes the
-values the flag takes (a switch takes true/false, and ``n`` lines add
-budgets as repeated ``--n`` flags do).  Flags on the command line
+A --config file holds one ``key=value`` per line of UTF-8 text (``#``
+starts a comment line) and serves as defaults.  Keys are the command's
+long option names with ``_`` for ``-`` (``allow_large``, ``max_budget``);
+each value is parsed and checked by the flag's own argparse action, so it
+takes the values the flag takes (a switch takes true/false, and ``n``
+lines add budgets as repeated ``--n`` flags do).  Flags on the command line
 override the file, ``--n`` included: any ``--n`` replaces the file's
 budgets.  A key that belongs to another command is ignored; an unknown
-key or a rejected value exits 2 and names the file and line.
+key or a rejected value exits 2 and names the file and line; a file that
+is not UTF-8, or a budget given twice, exits 2 too.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def _read_config(path: str, commands: dict, command: str) -> dict:
     actions = {a.dest: a for a in parser._actions if a.dest not in skip}
     ns = argparse.Namespace(**{dest: a.default for dest, a in actions.items()})
     seen = set()
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -341,20 +342,13 @@ def main(argv=None) -> int:
             commands[args.command].set_defaults(
                 **_read_config(args.config, commands, args.command))
             args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(str(exc), file=sys.stderr)
-        return 4
-    try:
         return args.func(args)
+    except SystemExit as exc:  # argparse's usage errors and --help
+        return int(exc.code or 0)
     except InfeasibleError as exc:
         print(str(exc), file=sys.stderr)
         return 3
-    except (ConfigurationError, ValueError) as exc:
+    except ValueError as exc:  # ConfigurationError and undecodable --config files too
         print(str(exc), file=sys.stderr)
         return 2
     except OSError as exc:

@@ -33,7 +33,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .calibration import _BLOCK, WeightScheme, _exact_sum, _exact_sums
+from .calibration import _BLOCK, WeightScheme, _check_steps, _exact_sum, _exact_sums
 from .errors import ConfigurationError
 from .oracles import BiasOrder, SampleOracle, StreamKey, SyntheticOracleSpec
 
@@ -108,10 +108,7 @@ class RecursiveParams:
     init: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not (self.c > 0 and math.isfinite(self.c)):
-            raise ConfigurationError(f"step constant c must be positive, got {self.c}")
-        if not 0.0 < self.beta <= 1.0:
-            raise ConfigurationError(f"beta must lie in (0, 1], got {self.beta}")
+        _check_steps(self.c, self.beta)
         if self.init is not None:
             init = np.atleast_1d(np.asarray(self.init, dtype=float))
             if init.ndim != 1 or not np.all(np.isfinite(init)):
@@ -135,9 +132,9 @@ class EstimatorRun:
         object.__setattr__(self, "estimate", est)
 
 
-def _check_budget(n: int) -> int:
-    if int(n) != n or n < 1:
-        raise ValueError(f"budget n must be a positive integer, got {n}")
+def _check_budget(n: int, error: type[ValueError] = ValueError) -> int:
+    if not (n >= 1 and n % 1 == 0):  # nan and inf fail here too
+        raise error(f"budget n must be a positive integer, got {n}")
     return int(n)
 
 
@@ -182,7 +179,7 @@ def recursion_coefficients(c: float, beta: float, n: int, n0: int = 0) -> tuple[
     n = _check_budget(n)
     gam, clamped = _steps(c, beta, n, n0)
     _warn_clamped(clamped, c, beta, n0)
-    if beta == 1.0 and c == 1.0 and not np.any(gam > 1.0):
+    if beta == 1.0 and c == 1.0:
         return np.full(n, 1.0 / (n + n0)), n0 / (n + n0)
     q = 1.0 - gam
     rc = np.cumprod(q[::-1])[::-1]  # rc[i] = prod_{k >= i+1} (1 - gamma_k)

@@ -20,6 +20,9 @@ each worker produces the squared errors for its slice, and the slices
 are reassembled in index order.  Serialized artifacts carry a
 configuration hash and the seed, never wall-clock state.
 
+Entries are named in one place, `_build_plan`, and the report carries the
+baseline entry's label, so `paired_risk_ratio` and the tables never name it.
+
 `reproduce_table` rebuilds the reference tables: 1-4 are closed forms
 (instant), 5-8 are paired queueing runs (Monte Carlo; budgets above
 ``max_budget`` are skipped unless explicitly allowed).
@@ -44,6 +47,7 @@ from .calibration import (
 )
 from .errors import ConfigurationError
 from .estimators import DeltaSchedule, LinearPlan, RecursiveParams, predict_mse_leading
+from .estimators import _check_budget
 from .oracles import BiasOrder, SampleOracle, StreamKey, SyntheticOracleSpec
 from .queueing import (
     MM1_TRUE_ARRIVAL_DERIVATIVE,
@@ -165,7 +169,7 @@ class ExperimentConfig:
     other estimator derives its schedule from the same d (recursive and
     averaged multiply it by their d_scale, weighted by its solved
     eta_star).  ``K`` is the default inflation cap for weighted entries
-    that do not set their own.
+    that do not set their own.  ``budgets`` are distinct integers >= 1.
     """
 
     model: SyntheticOracleSpec | QueueSetting
@@ -179,11 +183,12 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        object.__setattr__(self, "budgets", tuple(int(n) for n in self.budgets))
+        budgets = tuple(_check_budget(n, ConfigurationError) for n in self.budgets)
+        object.__setattr__(self, "budgets", budgets)
         if not self.estimators:
             raise ConfigurationError("at least one estimator entry is required")
-        if not self.budgets or any(n < 1 for n in self.budgets):
-            raise ConfigurationError(f"budgets must be positive, got {self.budgets}")
+        if not budgets or len(set(budgets)) != len(budgets):
+            raise ConfigurationError(f"budgets must be distinct and non-empty, got {budgets}")
         if not (self.baseline_d > 0 and math.isfinite(self.baseline_d)):
             raise ConfigurationError(f"baseline_d must be positive, got {self.baseline_d}")
         if not (self.K > 0 and math.isfinite(self.K)):
@@ -327,7 +332,9 @@ class RiskRatio(NamedTuple):
 class ExperimentReport:
     """Aggregated results plus the per-replication squared errors that
     paired confidence statements need.  Contains no wall-clock state, so
-    a rerun of the same configuration is byte-identical."""
+    a rerun of the same configuration is byte-identical.  ``baseline``
+    labels the entry every ratio divides by (None if there is none); it
+    is not serialised."""
 
     rows: tuple[ReportRow, ...]
     squared_errors: dict[str, np.ndarray]  # key "label|n"
@@ -335,6 +342,7 @@ class ExperimentReport:
     seed: int
     replications: int
     degenerate: bool
+    baseline: str | None
 
     schema_version = 1
 
@@ -418,6 +426,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
 
     R = config.replications
     workers = int(workers)
+    # one worker skips the pool: through it, mm1-cfd-n1e4's op_p50_s rose 8%
     if workers == 1:
         sq = _run_slice(oracle, theta, plan_groups, config.seed, 0, R)
     else:
@@ -457,17 +466,23 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
         seed=config.seed,
         replications=R,
         degenerate=degenerate,
+        baseline=None if base is None else entries[0][base][0],
     )
 
 
 def paired_risk_ratio(report: ExperimentReport, estimator: str, n: int,
-                      baseline: str = "baseline") -> RiskRatio:
+                      baseline: str | None = None) -> RiskRatio:
     """MSE ratio estimator / baseline on shared replications, with a
     jackknife (leave-one-replication-out) 95% half-width.
 
+    ``baseline`` defaults to the report's baseline entry, whatever its
+    label; a report without one needs it named (else `ConfigurationError`).
     An estimator compared against itself gives exactly (1.0, 0.0); a
     zero-MSE baseline gives ratio 1.0 flagged degenerate.
     """
+    baseline = report.baseline if baseline is None else baseline
+    if baseline is None:
+        raise ConfigurationError("the report has no baseline entry; name the denominator")
     e = report.errors(estimator, n)
     b = report.errors(baseline, n)
     Se, Sb = math.fsum(e), math.fsum(b)
@@ -553,7 +568,7 @@ def adversarial_risk_grid(order: BiasOrder, K: float, n: int, *,
                 seed=cell_seed,
             )
             report = run_experiment(config, workers=workers)
-            rr = paired_risk_ratio(report, f"weighted-K{K:g}", n)
+            rr = paired_risk_ratio(report, report.rows[-1].estimator, n)  # the weighted row
             cells.append(AdversarialCell(float(b), float(s), rr.ratio))
             idx += 1
     worst = max(cells, key=lambda c: c.ratio)
@@ -677,10 +692,11 @@ def reproduce_table(table_id: int, *, scale: float = 1.0,
         seed=seed,
     )
     report = run_experiment(config, workers=workers)
-    labels = ["recursive"] + [f"weighted-K{k:g}" for k in Ks]
+    labels = [r.estimator for r in report.rows
+              if r.n == budgets[0] and r.estimator != report.baseline]
     headers = ("n", "baseline_mse") + tuple(f"ratio_{lab}" for lab in labels)
     rows = tuple(
-        (n, report.row("baseline", n).mse)
+        (n, report.row(report.baseline, n).mse)
         + tuple(report.row(lab, n).ratio for lab in labels)
         for n in budgets
     )

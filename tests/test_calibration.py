@@ -383,6 +383,17 @@ def test_infeasible_error_names_the_minimal_cap():
     assert solve_a_star(xi, Q21, k_min * 1.001) > 0.0
 
 
+def test_solver_rejects_an_order_the_gram_matrix_was_not_built_for():
+    # unchecked, a (1, 1) cap and objective mixed with a (2, 1) Gram matrix
+    # returned a* = 0.0321 without a word
+    xi = xi_matrix(Q21, 1000)
+    with pytest.raises(ValueError, match="differs"):
+        feasible_intervals(xi, BiasOrder(1.0, 1.0), 2.0)
+    with pytest.raises(ValueError, match="differs"):
+        solve_a_star(xi, BiasOrder(1, 1), 2.0)
+    assert solve_a_star(xi, BiasOrder(2, 1), 2.0) == solve_a_star(xi, Q21, 2.0)
+
+
 # ------------------------------------------------------------- the solver
 
 

@@ -322,6 +322,21 @@ def test_config_missing_file_exits_4(capsys, tmp_path):
     assert err != ""
 
 
+def test_config_that_is_not_utf8_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"K = 2\n# \xff\xfe\n")
+    code, out, err = run(capsys, "amrr", "--config", str(cfg))
+    assert code == 2
+    assert "can't decode byte 0xff" in err
+    assert out == ""
+
+
+def test_repeated_budget_exits_2(capsys):
+    code, _, err = run(capsys, "run-synthetic", "--n", "100", "--n", "100")
+    assert code == 2
+    assert "distinct" in err
+
+
 def test_out_unwritable_path_exits_4(capsys, tmp_path):
     target = tmp_path / "missing" / "w.csv"
     code, _, err = run(capsys, "weights", "--n", "20", "--out", str(target))

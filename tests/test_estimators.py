@@ -399,6 +399,25 @@ def test_predicted_mse_averaged_matches_unit_recursive():
     assert avg == pytest.approx(rec, rel=1e-14)
 
 
+@pytest.mark.parametrize("kind, beta, alpha, ratios", [
+    ("recursive", 0.8, None, (1.059, 1.032, 1.018)),
+    ("averaged", 0.5, 0.25, (1.054, 1.017, 1.005)),
+], ids=["recursive-beta-below-one", "averaged-alpha-above-balance"])
+def test_leading_prediction_approaches_the_exact_risk(kind, beta, alpha, ratios):
+    # the recursive beta < 1 formula, and the averaged variance-only return
+    # for a schedule decaying faster than the balancing exponent
+    spec = unit_spec()
+    schedule = DeltaSchedule(1.0, Q21.alpha if alpha is None else alpha)
+    build = LinearPlan.recursive if kind == "recursive" else LinearPlan.averaged
+    got = []
+    for n in (10**4, 10**5, 10**6):
+        exact = build(n, schedule, RecursiveParams(1.0, beta)).mse(spec)
+        lead = predict_mse_leading(kind, Q21, 1.0, 1.0, 1.0, n, c=1.0, beta=beta, alpha=alpha)
+        got.append(exact / lead)
+    assert got == pytest.approx(ratios, abs=1e-3)
+    assert got[0] > got[1] > got[2] > 1.0
+
+
 def test_predicted_mse_regime_errors():
     with pytest.raises(ValueError):
         predict_mse_leading("baseline", Q21, 1.0, 1.0, 1.0, 100, alpha=0.5)

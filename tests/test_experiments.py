@@ -387,6 +387,35 @@ def test_ratio_denominator_is_the_baseline_kind_entry():
         assert flat.row("recursive", n) == plain.row("recursive", n)
 
 
+def test_paired_risk_ratio_compares_against_a_relabelled_baseline():
+    report = run_experiment(small_config(
+        estimators=(EstimatorSetting("baseline", label="flat"), EstimatorSetting("weighted")),
+        budgets=(64,), replications=20, seed=1))
+    assert report.baseline == "flat"
+    rr = paired_risk_ratio(report, "weighted-K1", 64)
+    assert rr.ratio == pytest.approx(report.row("weighted-K1", 64).ratio, rel=1e-12)
+    assert paired_risk_ratio(report, "weighted-K1", 64, baseline="flat") == rr
+
+
+def test_paired_risk_ratio_without_a_baseline_entry_needs_one_named():
+    report = run_experiment(small_config(
+        estimators=(EstimatorSetting("recursive"), EstimatorSetting("averaged")), budgets=(64,)))
+    assert report.baseline is None
+    with pytest.raises(ConfigurationError, match="no baseline"):
+        paired_risk_ratio(report, "averaged", 64)
+    assert paired_risk_ratio(report, "averaged", 64, baseline="averaged") == (1.0, 0.0, False)
+
+
+@pytest.mark.parametrize("budgets", [(64.7,), (64, 64), (128, 64.0, 64), (math.inf,), (math.nan,)])
+def test_config_rejects_fractional_and_repeated_budgets(budgets):
+    # a fractional budget used to run at int(n), inf and nan escaped as
+    # OverflowError and a bare ValueError, and a repeated budget reported two
+    # rows under one squared-errors key
+    with pytest.raises(ConfigurationError, match="budget"):
+        small_config(budgets=budgets)
+    assert small_config(budgets=(64.0, 128)).budgets == (64, 128)
+
+
 @pytest.mark.parametrize("K", [-1.0, math.inf])
 def test_negative_cap_is_rejected_at_resolution(K):
     config = small_config(
