@@ -95,32 +95,36 @@ def _read_config(path: str, commands: dict, command: str) -> dict:
     actions = {a.dest: a for a in parser._actions if a.dest not in skip}
     ns = argparse.Namespace(**{dest: a.default for dest, a in actions.items()})
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            where = f"{path}:{lineno}"
-            if "=" not in line:
-                raise ConfigurationError(f"{where}: expected key=value, got {line!r}")
-            key, _, value = (s.strip() for s in line.partition("="))
-            if key not in known:
-                raise ConfigurationError(f"{where}: unknown key {key!r}")
-            action = actions.get(key)
-            if action is None:
-                continue  # an option of another command
-            try:
-                if action.nargs == 0:  # a switch: true sets it, false leaves it off
-                    if value.lower() not in _SWITCH:
-                        raise argparse.ArgumentError(
-                            action, f"expected true or false, got {value!r}")
-                    if _SWITCH[value.lower()]:
-                        action(parser, ns, [])
-                else:  # argparse's own conversion and choices check for one value
-                    action(parser, ns, parser._get_values(action, [value]))
-            except argparse.ArgumentError as exc:
-                raise ConfigurationError(f"{where}: {exc}") from None
-            seen.add(key)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        where = f"{path}:{lineno}"
+        if "=" not in line:
+            raise ConfigurationError(f"{where}: expected key=value, got {line!r}")
+        key, _, value = (s.strip() for s in line.partition("="))
+        if key not in known:
+            raise ConfigurationError(f"{where}: unknown key {key!r}")
+        action = actions.get(key)
+        if action is None:
+            continue  # an option of another command
+        try:
+            if action.nargs == 0:  # a switch: true sets it, false leaves it off
+                if value.lower() not in _SWITCH:
+                    raise argparse.ArgumentError(
+                        action, f"expected true or false, got {value!r}")
+                if _SWITCH[value.lower()]:
+                    action(parser, ns, [])
+            else:  # argparse's own conversion and choices check for one value
+                action(parser, ns, parser._get_values(action, [value]))
+        except argparse.ArgumentError as exc:
+            raise ConfigurationError(f"{where}: {exc}") from None
+        seen.add(key)
     return {key: getattr(ns, key) for key in seen}
 
 
@@ -348,7 +352,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(str(exc), file=sys.stderr)
         return 3
-    except ValueError as exc:  # ConfigurationError and undecodable --config files too
+    except ValueError as exc:  # ConfigurationError included
         print(str(exc), file=sys.stderr)
         return 2
     except OSError as exc:

@@ -11,8 +11,9 @@ an estimator, built by the same constructors the single-run estimators
 use, so a replication's error is that of the single-run estimate on its
 stream.  The stream is drawn once per (replication, budget) cell, and
 every plan maps that one variate block through its schedule (the map
-the oracle's ``prepare`` returns, made once per plan), which gives the
-same samples as its own ``sample_path`` call would.
+the oracle's ``prepare`` returns, made once per plan and run and shared
+by every worker), which gives the same samples as its own
+``sample_path`` call would.
 
 Reports are deterministic byte-for-byte for a given configuration,
 independent of the worker count: replications are partitioned by index,
@@ -285,9 +286,10 @@ def _try_predict(kind: str, order: BiasOrder, d: float, config: ExperimentConfig
 
 
 def _run_slice(oracle: SampleOracle, theta: np.ndarray, plan_groups: tuple,
-               seed: int, lo: int, hi: int) -> np.ndarray:
-    """Squared errors for replications [lo, hi): shape (hi-lo, plan count)."""
-    maps = [[oracle.prepare(plan.deltas) for plan in plans] for plans in plan_groups]
+               maps: list, seed: int, lo: int, hi: int) -> np.ndarray:
+    """Squared errors for replications [lo, hi): shape (hi-lo, plan count).
+    ``maps`` holds each plan's prepared map, grouped as ``plan_groups``;
+    the maps are read-only, so every slice of a run shares them."""
     dim, size = oracle.dim, max(plans[0].deltas.shape[0] for plans in plan_groups)
     # every (replication, plan) writes its samples into one reused buffer,
     # where the reduction then forms its terms in place, and every map
@@ -423,18 +425,20 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     if len(set(labels)) != len(labels):
         raise ConfigurationError(f"estimator labels must be unique, got {labels}")
     plan_groups = tuple(tuple(plan for _, plan, _ in group) for group in entries)
+    maps = [[oracle.prepare(plan.deltas) for plan in plans] for plans in plan_groups]
 
     R = config.replications
     workers = int(workers)
     # one worker skips the pool: through it, mm1-cfd-n1e4's op_p50_s rose 8%
     if workers == 1:
-        sq = _run_slice(oracle, theta, plan_groups, config.seed, 0, R)
+        sq = _run_slice(oracle, theta, plan_groups, maps, config.seed, 0, R)
     else:
         bounds = np.linspace(0, R, workers + 1, dtype=int)
         jobs = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(
-                lambda job: _run_slice(oracle, theta, plan_groups, config.seed, *job), jobs))
+                lambda job: _run_slice(oracle, theta, plan_groups, maps, config.seed, *job),
+                jobs))
         sq = np.vstack(parts)
 
     rows: list[ReportRow] = []

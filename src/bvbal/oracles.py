@@ -130,13 +130,16 @@ def _power(d: np.ndarray, q: float, out: np.ndarray) -> np.ndarray:
 
 class _Prepared:
     """An oracle's map from variate blocks to samples at one checked
-    ``deltas`` vector, made by the oracle's ``prepare``."""
+    ``deltas`` vector, made by the oracle's ``prepare``.  It holds what
+    the oracle's ``_constants`` computes once from the checked deltas,
+    and passes that to ``_map`` in place of the deltas."""
 
-    __slots__ = ("oracle", "deltas")
+    __slots__ = ("oracle", "deltas", "constants")
 
     def __init__(self, oracle, deltas: np.ndarray) -> None:
         self.oracle = oracle
         self.deltas = deltas
+        self.constants = oracle._constants(deltas)
 
     def transform(self, block: np.ndarray, out: np.ndarray | None = None,
                   scratch: np.ndarray | None = None) -> np.ndarray:
@@ -151,7 +154,7 @@ class _Prepared:
             raise ValueError(f"variate block has shape {block.shape}, expected {shape}")
         out = np.empty((n, oracle.dim)) if out is None else out
         scratch = np.empty(n * oracle.dim) if scratch is None else scratch
-        return oracle._map(self.deltas, block, out, scratch)
+        return oracle._map(self.constants, block, out, scratch)
 
 
 @runtime_checkable
@@ -170,17 +173,22 @@ class SampleOracle(Protocol):
     block, writes the (n, dim) samples into ``out`` (any memory layout)
     and may overwrite ``scratch``, a 1-d buffer of at least n dim floats;
     either buffer is allocated when omitted, and no map modifies the
-    block.  The harness prepares each schedule once, draws a block once
-    per (replication, budget) cell and replays it through every prepared
+    block.  The harness prepares each schedule once per run, shares the
+    prepared maps among its worker threads, draws a block once per
+    (replication, budget) cell and replays it through every prepared
     schedule into buffers it reuses; the single-run estimators call
     ``sample_path``.
 
     An explicit subclass inherits ``prepare``, ``transform``,
     ``sample_path`` and ``sample``, which compose the map bit for bit,
-    and defines ``dim``, ``draw`` and three hooks: ``_checked(deltas)``
+    and defines ``dim``, ``draw`` and four hooks: ``_checked(deltas)``
     returns the checked 1-d schedule, ``_block_shape(n)`` the shape of an
-    n-draw block, and ``_map(deltas, block, out, scratch)`` is the map,
-    always given both buffers and a block of that shape.
+    n-draw block, ``_constants(deltas)`` what the map needs that depends
+    on the checked schedule alone (the deltas themselves, or read-only
+    arrays that ``prepare`` computes once from them), and
+    ``_map(constants, block, out, scratch)`` is the map, given those
+    constants in place of the deltas, both buffers and a block of that
+    shape.
     """
 
     @property
@@ -309,15 +317,28 @@ class SyntheticOracleSpec(SampleOracle):
     def _block_shape(self, n: int) -> tuple[int, int]:
         return (n, self.dim)
 
-    def _map(self, deltas, z, out, scratch) -> np.ndarray:
+    def _constants(self, deltas) -> tuple[np.ndarray, np.ndarray]:
+        """The (n, 1) divisor ``delta**q2`` and the (n, dim) means, both
+        read-only.  At q2 = 1 the divisor is a view of ``deltas``, since
+        ``d**1.0`` is ``d`` bit for bit; this keeps a prepared map to one
+        n-vector beyond its schedule in one coordinate."""
+        d = deltas[:, None]
+        q2 = self.order.q2
+        divisor = d if q2 == 1.0 else _power(d, q2, np.empty(d.shape))
+        means = self._means(d, np.empty(d.shape))
+        for arr in (divisor, means):
+            arr.setflags(write=False)
+        return divisor, means
+
+    def _map(self, constants, z, out, scratch) -> np.ndarray:
         """``means + (noise_scale * z) / delta**q2`` into ``out``, one
         rounding per operation of that expression, as the out-of-place
-        form rounds; the powers of delta go to ``scratch``."""
-        d = deltas[:, None]
-        col = scratch[:d.shape[0], None]
+        form rounds; the divisor and the means come from ``_constants``,
+        so ``scratch`` is not touched."""
+        divisor, means = constants
         np.multiply(self.noise_scale, z, out=out)
-        out /= _power(d, self.order.q2, col)
-        out += self._means(d, col)
+        out /= divisor
+        out += means
         return out
 
 
@@ -484,6 +505,10 @@ class FiniteDifferenceOracle(SampleOracle):
             for k, i in enumerate(self._moved):
                 x[i] = shift(x[i], step[:, k:k + 1], out=moved[k, :, None])
         return self.function.fn(x, variates)
+
+    def _constants(self, deltas) -> np.ndarray:
+        """The map reads the checked deltas themselves."""
+        return deltas
 
     def _map(self, deltas, block, out, scratch) -> np.ndarray:
         """(f_0 - f_1) / ((s0 - s1) step) into ``out``, with step the

@@ -327,7 +327,7 @@ def test_config_that_is_not_utf8_exits_2(capsys, tmp_path):
     cfg.write_bytes(b"K = 2\n# \xff\xfe\n")
     code, out, err = run(capsys, "amrr", "--config", str(cfg))
     assert code == 2
-    assert "can't decode byte 0xff" in err
+    assert err.startswith(f"{cfg}: ") and "can't decode byte 0xff" in err
     assert out == ""
 
 

@@ -18,6 +18,7 @@ from bvbal import (
     QueueSetting,
     RecursiveParams,
     StreamKey,
+    SyntheticOracleSpec,
     adversarial_risk_grid,
     amrr_general,
     amrr_recursive_free,
@@ -102,6 +103,32 @@ def test_worker_count_does_not_change_the_bytes():
     two = run_experiment(config, workers=2)
     assert one.json_text() == two.json_text()
     assert one.csv_text() == two.csv_text()
+
+
+@pytest.mark.parametrize("q", [(2.0, 1.0), (1.5, 0.5)])
+def test_threads_share_the_prepared_maps_off_the_unit_model(monkeypatch, q):
+    # every worker replays the same read-only maps, prepared once per
+    # (plan, budget) and run, here with the divisor reused (q2 = 1) or
+    # stored, three coordinates and a higher-order bias term
+    spec = SyntheticOracleSpec(theta=[0.5, -1.0, 2.0], B=[1.0, 0.3, -2.0],
+                               noise_scale=[1.0, 0.5, 2.0], order=BiasOrder(*q),
+                               higher_order_bias=[0.7, -0.2, 1.5])
+    config = small_config(model=spec, replications=9)
+    prepared = []
+    original = SyntheticOracleSpec._constants
+
+    def counting(self, deltas):
+        prepared.append(deltas.shape[0])
+        return original(self, deltas)
+
+    monkeypatch.setattr(SyntheticOracleSpec, "_constants", counting)
+    texts = set()
+    for workers in (1, 2, 3):
+        prepared.clear()
+        texts.add(run_experiment(config, workers=workers).json_text())
+        assert sorted(prepared) == sorted(n for n in config.budgets
+                                          for _ in config.estimators)
+    assert len(texts) == 1
 
 
 @pytest.mark.parametrize("workers", [0, -3, MAX_WORKERS + 1, 2.5, True])

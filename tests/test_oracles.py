@@ -381,7 +381,7 @@ def test_fd_one_draw_replays_through_any_schedule():
 
 @pytest.mark.parametrize("dim", [1, 3])
 @pytest.mark.parametrize("hob", [False, True])
-@pytest.mark.parametrize("q", [(2.0, 1.0), (1.0, 1.0), (1.5, 0.5)])
+@pytest.mark.parametrize("q", [(2.0, 1.0), (1.0, 1.0), (1.5, 0.5), (1.0, 2.0)])
 def test_prepared_synthetic_transform_is_the_expression_bit_for_bit(dim, hob, q):
     rng = np.random.default_rng(5)
     spec = SyntheticOracleSpec(
@@ -392,6 +392,25 @@ def test_prepared_synthetic_transform_is_the_expression_bit_for_bit(dim, hob, q)
     n = 1000
     schedules = [np.geomspace(1.7, 1e-3, n), 0.9 * np.arange(1, n + 1.0) ** -0.2]
     check_prepared(spec, synthetic_expression, spec.draw(n, StreamKey(8, (dim,))), schedules)
+
+
+@pytest.mark.parametrize("q2", [1.0, 2.0, 0.5])
+def test_prepared_synthetic_constants_are_read_only_and_reuse_the_schedule(q2):
+    spec = SyntheticOracleSpec(theta=[0.5, 1.0], B=[1.0, -2.0], noise_scale=[1.0, 0.5],
+                               order=BiasOrder(2.0, q2))
+    deltas = np.geomspace(1.0, 1e-2, 50)
+    prepared = spec.prepare(deltas)
+    divisor, means = prepared.constants
+    # at q2 = 1 the divisor is the schedule itself: no second n-vector
+    assert np.shares_memory(divisor, prepared.deltas) == (q2 == 1.0)
+    assert divisor.tobytes() == (deltas[:, None] ** q2).tobytes()
+    assert means.shape == (50, 2)
+    assert means[7].tobytes() == spec.mean(deltas[7]).tobytes()
+    for arr in (divisor, means):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert deltas.flags.writeable  # the caller's schedule is left writeable
 
 
 @pytest.mark.parametrize("scheme", ["cfd", "ffd", "bfd", "sp"])
@@ -429,7 +448,7 @@ def test_prepared_transform_keeps_every_validation():
 class _Shifted(SampleOracle):
     """The smallest oracle on the shared contract: uniforms shifted by
     their deltas, in two coordinates.  It defines only ``dim``, ``draw``
-    and the three hooks, and its map asserts that it gets both buffers."""
+    and the four hooks, and its map asserts that it gets both buffers."""
 
     dim = 2
 
@@ -443,6 +462,9 @@ class _Shifted(SampleOracle):
         deltas = np.asarray(deltas, dtype=float)
         if deltas.ndim != 1 or not np.all(deltas > 0):
             raise ValueError("deltas must be positive and 1-d")
+        return deltas
+
+    def _constants(self, deltas):
         return deltas
 
     def _map(self, deltas, block, out, scratch):
