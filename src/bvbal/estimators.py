@@ -238,7 +238,10 @@ class LinearPlan:
 
     The four constructors hold every per-kind rule (budget, schedule,
     coefficients, validation); `reduce` is the one reduction, shared by
-    the single-run estimators and the paired harness.
+    the single-run estimators and the paired harness.  The three that
+    draw along the schedule take ``deltas``, ``schedule.deltas(n)``
+    itself, when the caller already holds it, so plans on one schedule
+    and budget can share one array.
     """
 
     deltas: np.ndarray
@@ -260,16 +263,16 @@ class LinearPlan:
         return cls(np.full(n, schedule.terminal(n)), np.full(n, 1.0 / n))
 
     @classmethod
-    def recursive(cls, n: int, schedule: DeltaSchedule,
-                  params: RecursiveParams) -> "LinearPlan":
+    def recursive(cls, n: int, schedule: DeltaSchedule, params: RecursiveParams,
+                  *, deltas: np.ndarray | None = None) -> "LinearPlan":
         """The final iterate of the recursion along the schedule."""
         n = _check_budget(n)
         u, t0 = recursion_coefficients(params.c, params.beta, n, schedule.n0)
-        return cls(schedule.deltas(n), u, t0)
+        return cls(schedule.deltas(n) if deltas is None else deltas, u, t0)
 
     @classmethod
-    def averaged(cls, n: int, schedule: DeltaSchedule,
-                 params: RecursiveParams) -> "LinearPlan":
+    def averaged(cls, n: int, schedule: DeltaSchedule, params: RecursiveParams,
+                 *, deltas: np.ndarray | None = None) -> "LinearPlan":
         """The running mean of the recursive iterates; requires beta < 1
         (at beta = 1 the recursion already averages and there is nothing
         to gain, so the combination is rejected rather than silently
@@ -280,11 +283,11 @@ class LinearPlan:
                 f"averaging requires beta < 1, got beta = {params.beta}"
             )
         ubar, t0bar = averaged_coefficients(params.c, params.beta, n, schedule.n0)
-        return cls(schedule.deltas(n), ubar, t0bar)
+        return cls(schedule.deltas(n) if deltas is None else deltas, ubar, t0bar)
 
     @classmethod
-    def weighted(cls, n: int, schedule: DeltaSchedule,
-                 scheme: "WeightScheme | np.ndarray") -> "LinearPlan":
+    def weighted(cls, n: int, schedule: DeltaSchedule, scheme: "WeightScheme | np.ndarray",
+                 *, deltas: np.ndarray | None = None) -> "LinearPlan":
         """Explicit weights along the schedule: a solved `WeightScheme` or
         any weight vector of length n."""
         n = _check_budget(n)
@@ -294,7 +297,7 @@ class LinearPlan:
                 f"weight vector has length {weights.shape[0] if weights.ndim == 1 else weights.shape}, "
                 f"budget is n={n}"
             )
-        return cls(schedule.deltas(n), weights)
+        return cls(schedule.deltas(n) if deltas is None else deltas, weights)
 
     def reduce(self, samples: np.ndarray, init: np.ndarray | None = None, *,
                terms: np.ndarray | None = None) -> np.ndarray:

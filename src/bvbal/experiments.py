@@ -11,9 +11,11 @@ an estimator, built by the same constructors the single-run estimators
 use, so a replication's error is that of the single-run estimate on its
 stream.  The stream is drawn once per (replication, budget) cell, and
 every plan maps that one variate block through its schedule (the map
-the oracle's ``prepare`` returns, made once per plan and run and shared
-by every worker), which gives the same samples as its own
-``sample_path`` call would.
+the oracle's ``prepare`` returns, made once per distinct schedule and
+budget and run and shared by every worker: plans on one schedule, such
+as the recursive and averaged defaults, share one deltas array and one
+map), which gives the same samples as its own ``sample_path`` call
+would.
 
 Reports are deterministic byte-for-byte for a given configuration,
 independent of the worker count: replications are partitioned by index,
@@ -84,7 +86,9 @@ MAX_WORKERS = 256  # the most worker threads one run may start
 @dataclass(frozen=True, slots=True)
 class QueueSetting:
     """Queueing model choice for an experiment: central difference on one
-    rate, or simultaneous perturbation on both."""
+    rate, or simultaneous perturbation on both.  ``target`` and ``crn``
+    are central-difference settings: sp moves both rates with
+    independent runs, so it takes neither (``target`` keeps its default)."""
 
     params: QueueParams = QueueParams(4.0, 4.0, 10)
     mode: str = "cfd"
@@ -98,6 +102,9 @@ class QueueSetting:
             raise ValueError(
                 f"target must be 'arrival' or 'service', got {self.target!r}"
             )
+        if self.mode == "sp" and (self.crn or self.target != "arrival"):
+            raise ValueError("mode 'sp' moves both rates with independent runs; "
+                             "it takes neither a target nor crn")
 
     @property
     def order(self) -> BiasOrder:
@@ -240,12 +247,22 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _build_plan(s: EstimatorSetting, n: int,
-                config: ExperimentConfig) -> tuple[str, LinearPlan, float | None]:
+def _build_plan(s: EstimatorSetting, n: int, config: ExperimentConfig,
+                shared: dict) -> tuple[str, LinearPlan, float | None]:
     """Map one entry at budget n to (label, plan, theory), applying the
     defaults documented on `EstimatorSetting`; on a synthetic model theory
     is the plan's exact MSE for weighted entries and the leading-order
-    prediction for the others (None elsewhere or out of regime)."""
+    prediction for the others (None elsewhere or out of regime).
+    ``shared`` maps (schedule, n) to the deltas of plans already built
+    along that schedule in this run; a plan on one of them reuses the
+    array, and one on a new schedule adds its own."""
+
+    def along(schedule: DeltaSchedule) -> np.ndarray:
+        key = (schedule, n)
+        if key not in shared:
+            shared[key] = schedule.deltas(n)
+        return shared[key]
+
     order = config.order
     d, alpha, n0 = config.baseline_d, order.alpha, config.n0
     synthetic = isinstance(config.model, SyntheticOracleSpec)
@@ -260,7 +277,8 @@ def _build_plan(s: EstimatorSetting, n: int,
             raise ConfigurationError("K must be positive")
         label = f"weighted-K{K:g}"
         scheme = optimal_weights(n, n0, order, K)
-        plan = LinearPlan.weighted(n, DeltaSchedule(scheme.eta_star * d, alpha, n0), scheme)
+        schedule = DeltaSchedule(scheme.eta_star * d, alpha, n0)
+        plan = LinearPlan.weighted(n, schedule, scheme, deltas=along(schedule))
         if synthetic:
             theory = plan.mse(config.model)
     else:  # recursive or averaged
@@ -268,7 +286,8 @@ def _build_plan(s: EstimatorSetting, n: int,
         beta = (1.0 if s.kind == "recursive" else 0.5) if s.beta is None else float(s.beta)
         d_scale = amrr_recursive_free(order).d_scale if s.d_scale is None else float(s.d_scale)
         build = LinearPlan.recursive if s.kind == "recursive" else LinearPlan.averaged
-        plan = build(n, DeltaSchedule(d_scale * d, alpha, n0), RecursiveParams(c, beta))
+        schedule = DeltaSchedule(d_scale * d, alpha, n0)
+        plan = build(n, schedule, RecursiveParams(c, beta), deltas=along(schedule))
         if synthetic:
             theory = _try_predict(s.kind, order, d_scale * d, config, n, c=c, beta=beta)
     return (label if s.label is None else s.label), plan, theory
@@ -419,13 +438,17 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     else:
         oracle = config.model.make_oracle()
         theta = config.model.true_value()
-    entries = [[_build_plan(s, n, config) for s in config.estimators]
+    shared: dict = {}
+    entries = [[_build_plan(s, n, config, shared) for s in config.estimators]
                for n in config.budgets]
     labels = [label for label, _, _ in entries[0]]
     if len(set(labels)) != len(labels):
         raise ConfigurationError(f"estimator labels must be unique, got {labels}")
     plan_groups = tuple(tuple(plan for _, plan, _ in group) for group in entries)
-    maps = [[oracle.prepare(plan.deltas) for plan in plans] for plans in plan_groups]
+    # plans that share a deltas array share its map, prepared once
+    arrays = {id(plan.deltas): plan.deltas for plans in plan_groups for plan in plans}
+    prepared = {key: oracle.prepare(deltas) for key, deltas in arrays.items()}
+    maps = [[prepared[id(plan.deltas)] for plan in plans] for plans in plan_groups]
 
     R = config.replications
     workers = int(workers)

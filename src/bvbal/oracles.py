@@ -432,6 +432,8 @@ class FiniteDifferenceOracle(SampleOracle):
     def __post_init__(self) -> None:
         if self.scheme not in _SCHEMES:
             raise ValueError(f"scheme must be one of {tuple(_SCHEMES)}, got {self.scheme!r}")
+        if isinstance(self.coord, bool) or not isinstance(self.coord, (int, np.integer)):
+            raise ValueError(f"coord must be an integer, got {self.coord!r}")
         if not 0 <= self.coord < len(self.function.x):
             raise ValueError(
                 f"coord {self.coord} out of range for dimension {len(self.function.x)}"

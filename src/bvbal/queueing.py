@@ -32,8 +32,10 @@ reads.  Inverse-transform sampling (-log1p(-U) / rate) keeps a uniform
 block's meaning fixed when only rates change, which is what makes common
 random numbers and coupling-based tests exact.  It also lets ``draw``
 turn the block into unit-rate exponentials -log1p(-U) once, in place,
-for every schedule it is then mapped through; each evaluation then only
-divides by its rates.
+for every schedule it is then mapped through.  A central-difference draw
+goes one step further: the rate it never moves is fixed, so the draw
+divides that process by it once, and each evaluation divides only the
+moved process by its perturbed rate.
 """
 
 from __future__ import annotations
@@ -106,21 +108,28 @@ def _system_times(rates: list, e: np.ndarray) -> np.ndarray:
     """System times T_1..T_k, customer-major: row j of the (k, n) result
     holds customer j + 1 of every replication.
 
-    ``e`` holds unit-rate exponentials of shape (n, 2, k), one
-    replication per row (arrivals, then services), and ``rates`` =
-    (arrival, service), each a float or an (n, 1) column.  Both processes
-    are divided by their rates straight into contiguous (k, n) buffers
-    (from a draw-fastest block each source row is contiguous too), so
-    the Lindley sweep steps along contiguous rows in place; the arrival
-    buffer becomes the system times.  Each step is
+    ``e`` has shape (n, 2, k), one replication per row (arrivals, then
+    services), and ``rates`` = (arrival, service), each a float, an
+    (n, 1) column or None.  A process with a rate holds unit-rate
+    exponentials and is divided by its rate straight into a contiguous
+    (k, n) buffer; one with None already holds its times and is read in
+    place (services) or copied (arrivals, whose buffer becomes the system
+    times).  From a draw-fastest block each source row is contiguous
+    too, so the Lindley sweep steps along contiguous rows in place, and
+    ``e`` is never modified.  Each step is
     T_j = max(T_{j-1} - A_j, 0) + S_j, three row operations: the
     recursion's W_{j-1} + S_{j-1} is T_{j-1}, already rounded into row
     j - 1, so the step is the recursion's bit for bit.  The first
     interarrival cannot affect system times (the system starts empty).
     """
     n, _, k = e.shape
-    times = np.divide(e[:, 0].T, np.asarray(rates[0]).T, out=np.empty((k, n)))
-    s = np.divide(e[:, 1].T, np.asarray(rates[1]).T, out=np.empty((k, n)))
+    a, s = e[:, 0].T, e[:, 1].T
+    if rates[0] is None:
+        times = a.copy()
+    else:
+        times = np.divide(a, np.asarray(rates[0]).T, out=np.empty((k, n)))
+    if rates[1] is not None:
+        s = np.divide(s, np.asarray(rates[1]).T, out=np.empty((k, n)))
     times[0] = s[0]
     for j in range(1, k):
         row = times[j]
@@ -179,23 +188,58 @@ def mm1_transient_sample(params: QueueParams, stream: StreamKey) -> TransientSam
 
 def _mean_system_time(rates: list, e: np.ndarray) -> np.ndarray:
     """Average system time of the first k customers, one replication per
-    row of unit-rate exponentials ``e`` (shape (n, 2, k): arrivals, then
-    services) at ``rates`` = (arrival, service), each a float or an
-    (n, 1) column."""
+    row of ``e`` (shape (n, 2, k): arrivals, then services) at ``rates``
+    = (arrival, service), as `_system_times` reads them."""
     return _pairwise_rows(_system_times(rates, e)) / e.shape[-1]
 
 
-def _transient_measure(params: QueueParams) -> BatchedFunction:
-    """The transient measure as a batched function of (arrival rate,
-    service rate): a (2, k) uniform block per evaluation, turned into
-    unit-rate exponentials once per draw; rates must stay positive."""
-    return BatchedFunction(
-        (params.arrival_rate, params.service_rate), (2, params.num_customers),
-        _mean_system_time, _unit_exponentials, positive=True,
-    )
-
-
 _TARGETS = ("arrival", "service")
+
+
+@dataclass(frozen=True, slots=True)
+class _FixedRateTimes:
+    """``prepare`` of a measure with one rate fixed: unit-rate
+    exponentials, then the fixed process divided by its rate, in place."""
+
+    fixed: int
+    rate: float
+
+    def __call__(self, u: np.ndarray) -> None:
+        v = _unit_exponentials(u)[..., self.fixed, :]
+        np.divide(v, self.rate, out=v)
+
+
+@dataclass(frozen=True, slots=True)
+class _MovedRateMean:
+    """``fn`` of a measure with one rate fixed: the mean system time at
+    the moved rate ``points[0]``, the fixed process read as its times."""
+
+    moved: int
+
+    def __call__(self, points: list, e: np.ndarray) -> np.ndarray:
+        rates = [None, None]
+        rates[self.moved] = points[0]
+        return _mean_system_time(rates, e)
+
+
+def _transient_measure(params: QueueParams, target: str | None = None) -> BatchedFunction:
+    """The transient measure as a batched function: a (2, k) uniform
+    block per evaluation, turned into unit-rate exponentials once per
+    draw; rates must stay positive.
+
+    Without a ``target`` the point is (arrival rate, service rate).  With
+    one it is (the target's rate,): the other rate is fixed, so the draw
+    also divides the other process by it, once, and the block holds that
+    process's times.  Its two callables are frozen values rather than
+    closures, so oracles on equal settings compare equal and pickle."""
+    rates = (params.arrival_rate, params.service_rate)
+    shape = (2, params.num_customers)
+    if target is None:
+        return BatchedFunction(rates, shape, _mean_system_time, _unit_exponentials,
+                               positive=True)
+    moved = _TARGETS.index(target)
+    return BatchedFunction((rates[moved],), shape, _MovedRateMean(moved),
+                           _FixedRateTimes(1 - moved, rates[1 - moved]), positive=True)
 
 
 @dataclass(frozen=True, init=False)
@@ -207,7 +251,12 @@ class MM1DerivativeOracle(FiniteDifferenceOracle):
     block of shape (n, 2, 2, k), indexed by draw, evaluation slot
     (+delta first), then process (arrivals, services).  With ``crn`` the
     two runs share slot 0 (variance reduction) and slot 1 keeps its
-    uniforms; by default they are independent.
+    uniforms; by default they are independent.  In a slot that is read,
+    the target's process holds unit-rate exponentials and the other
+    process holds its times at its fixed rate, divided once per draw for
+    every evaluation the draw feeds.  The batched function is the
+    measure of the target's rate alone, so ``function.x`` is that rate
+    and ``coord`` is 0.
     """
 
     params: QueueParams
@@ -219,7 +268,7 @@ class MM1DerivativeOracle(FiniteDifferenceOracle):
             raise ValueError(f"target must be 'arrival' or 'service', got {target!r}")
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "target", target)
-        super().__init__(_transient_measure(params), "cfd", _TARGETS.index(target), crn)
+        super().__init__(_transient_measure(params, target), "cfd", 0, crn)
 
 
 @dataclass(frozen=True, init=False)

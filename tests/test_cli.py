@@ -208,6 +208,16 @@ def test_run_mm1_small_budget_cannot_meet_cap(capsys):
     assert "needs K >=" in err
 
 
+def test_run_mm1_sp_rejects_a_target(capsys):
+    # sp moves both rates, so a central-difference target is refused
+    # before anything runs rather than dropped from the run
+    code, out, err = run(capsys, "run-mm1", "--n", "1000", "--reps", "3",
+                         "--mode", "sp", "--target", "service", "--seed", "5")
+    assert code == 2
+    assert out == ""
+    assert "mode 'sp'" in err
+
+
 def test_negative_seed_rejected(capsys):
     code, _, err = run(capsys, "run-synthetic", "--n", "64", "--reps", "2",
                        "--estimators", "baseline", "--seed", "-1")

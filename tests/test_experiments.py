@@ -108,8 +108,10 @@ def test_worker_count_does_not_change_the_bytes():
 @pytest.mark.parametrize("q", [(2.0, 1.0), (1.5, 0.5)])
 def test_threads_share_the_prepared_maps_off_the_unit_model(monkeypatch, q):
     # every worker replays the same read-only maps, prepared once per
-    # (plan, budget) and run, here with the divisor reused (q2 = 1) or
-    # stored, three coordinates and a higher-order bias term
+    # distinct (schedule, budget) and run, here with the divisor reused
+    # (q2 = 1) or stored, three coordinates and a higher-order bias term;
+    # the recursive and averaged entries share one schedule, so each
+    # budget prepares three maps for its four plans
     spec = SyntheticOracleSpec(theta=[0.5, -1.0, 2.0], B=[1.0, 0.3, -2.0],
                                noise_scale=[1.0, 0.5, 2.0], order=BiasOrder(*q),
                                higher_order_bias=[0.7, -0.2, 1.5])
@@ -126,8 +128,7 @@ def test_threads_share_the_prepared_maps_off_the_unit_model(monkeypatch, q):
     for workers in (1, 2, 3):
         prepared.clear()
         texts.add(run_experiment(config, workers=workers).json_text())
-        assert sorted(prepared) == sorted(n for n in config.budgets
-                                          for _ in config.estimators)
+        assert sorted(prepared) == sorted(n for n in config.budgets for _ in range(3))
     assert len(texts) == 1
 
 
@@ -465,6 +466,11 @@ def test_queue_setting_validation_and_mapping():
         QueueSetting(mode="fd")
     with pytest.raises(ValueError):
         QueueSetting(target="rate")
+    # sp moves both rates with independent runs: a target or crn it would
+    # ignore, while the config hash recorded it, is refused
+    for kw in (dict(crn=True), dict(target="service"), dict(target="service", crn=True)):
+        with pytest.raises(ValueError, match="mode 'sp'"):
+            QueueSetting(mode="sp", **kw)
     s = QueueSetting()
     assert s.order == Q21 and s.dim == 1
     assert s.true_value().shape == (1,)

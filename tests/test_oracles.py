@@ -271,6 +271,12 @@ def test_fd_validation():
         _fd(lambda x: x, np.eye(2), "bfd")
     with pytest.raises(ValueError):
         _fd(lambda x: x, [1.0], "fd")
+    # a coordinate is an integer: a float would fail only at sampling,
+    # and a bool would be read as 0 or 1
+    for coord in (0.5, 1.0, True, False, "0", None):
+        with pytest.raises(ValueError, match="coord must be an integer"):
+            _fd(lambda x, y: x, [1.0, 2.0], coord=coord)
+    assert _fd(lambda x, y: y, [1.0, 2.0], coord=np.int64(1)).sample(0.5, StreamKey(0)).shape == (1,)
 
 
 def test_fd_positive_domain_caps_delta():

@@ -3,6 +3,7 @@ event-driven simulation, the derivative oracles' block layouts, and the
 reference derivative constants."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,12 +15,13 @@ from bvbal import (
     StreamKey,
     mm1_transient_sample,
 )
-from bvbal.oracles import _FILL_ROWS, SampleOracle
+from bvbal.oracles import _FILL_ROWS, FiniteDifferenceOracle, SampleOracle
 from bvbal.queueing import (
     MM1_TRUE_ARRIVAL_DERIVATIVE,
     MM1_TRUE_SERVICE_DERIVATIVE,
     _mean_system_time,
     _system_times,
+    _transient_measure,
 )
 
 from helpers import check_prepared, difference_expression, event_driven_times, queue_variates
@@ -92,6 +94,33 @@ def test_customer_major_sweep_is_the_draw_major_mean_bit_for_bit(k):
                 assert got.shape == (n,)
                 assert got.tobytes() == want.tobytes()
                 assert np.array_equal(e, before)
+
+
+@pytest.mark.parametrize("k", [1, 2, 9, 10, 129])
+def test_sweep_reads_a_pre_scaled_process_bit_for_bit(k):
+    # a cfd draw divides the process whose rate stays fixed once, in the
+    # block; the sweep reads its times (rate None) on either coordinate,
+    # from C-order and draw-fastest blocks, and gives the bits of dividing
+    # in every evaluation, without modifying the block
+    rng = np.random.default_rng(2000 + k)
+    for n in (1, 7, 1000):
+        column = 4.0 + rng.uniform(-0.5, 0.5, (n, 1))
+        for order in ("C", "F"):
+            unit = np.asarray(_exponentials(rng.random((n, 2, 2, k))), order=order)
+            for fixed, rate in ((0, 3.5), (1, 4.0)):
+                block = unit.copy(order="K")
+                np.divide(block[:, :, fixed], rate, out=block[:, :, fixed])
+                before = block.copy(order="K")
+                for slot in (0, 1):
+                    for moved_rate in (4.5, column):
+                        rates, at = [rate, rate], [None, None]
+                        rates[1 - fixed] = at[1 - fixed] = moved_rate
+                        want = _draw_major_times(rates, unit[:, slot])
+                        got = _system_times(at, block[:, slot])
+                        assert got.T.tobytes() == want.tobytes()
+                        got = _mean_system_time(at, block[:, slot])
+                        assert got.tobytes() == want.mean(axis=-1).tobytes()
+                assert block.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 2, 9, 40])
@@ -277,11 +306,36 @@ def test_draw_is_the_c_order_fill_laid_out_draw_fastest(oracle, n):
     slots = want[:, p:].reshape(n, 2, 2, k)
     for slot in (0,) if oracle.crn else (0, 1):
         slots[:, slot] = _exponentials(slots[:, slot])
+        if not p:  # a cfd draw holds the unmoved process at its fixed rate
+            params = oracle.params
+            fixed, rate = ((1, params.service_rate) if oracle.target == "arrival"
+                           else (0, params.arrival_rate))
+            slots[:, slot, fixed] /= rate
     assert np.array_equal(block, want)
     assert block.tobytes() == want.tobytes()
     assert block.T.flags.c_contiguous
     # a prefix of the path is the path's prefix
     assert oracle.draw(n // 2, key).tobytes() == block[:n // 2].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, _FILL_ROWS - 1, _FILL_ROWS, _FILL_ROWS + 1, 1000])
+@pytest.mark.parametrize("crn", [False, True], ids=["ind", "crn"])
+@pytest.mark.parametrize("target", ["arrival", "service"])
+def test_fixed_rate_divided_once_per_draw_keeps_the_bits(target, crn, n):
+    # the derivative oracle divides its fixed rate once per draw; the
+    # two-rate function (the sp oracle's) divides both rates in every evaluation,
+    # and the paths agree byte for byte (unequal rates would show a swap)
+    key = StreamKey(67, (n,))
+    deltas = 0.5 * np.arange(501, 501 + n) ** -0.1667
+    coord = ("arrival", "service").index(target)
+    for params in (P4, QueueParams(3.5, 5.0, 7)):
+        oracle = MM1DerivativeOracle(params, target, crn)
+        two_rate = FiniteDifferenceOracle(_transient_measure(params), "cfd", coord, crn)
+        assert oracle.function.x == (two_rate.function.x[coord],) and oracle.coord == 0
+        got = oracle.sample_path(deltas, key)
+        assert got.tobytes() == two_rate.sample_path(deltas, key).tobytes()
+        # still a value: equal to its twin, and it pickles
+        assert pickle.loads(pickle.dumps(oracle)) == MM1DerivativeOracle(params, target, crn)
 
 
 @pytest.mark.parametrize("target", ["arrival", "service"])
