@@ -14,6 +14,7 @@ from .calibration import (
     RecursiveCalibration,
     TiedRecursiveOptimum,
     WeightScheme,
+    WeightSolution,
     XiMatrix,
     amrr_general,
     amrr_recursive_free,
@@ -24,6 +25,7 @@ from .calibration import (
     optimal_weights,
     phi_sum,
     solve_a_star,
+    solve_weights,
     xi_matrix,
     ztilde_squared,
 )

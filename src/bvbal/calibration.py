@@ -21,7 +21,11 @@ this module answers two questions about spending a budget of n draws:
   kappa_slow = q2 / (q1 + q2), pinned by two linear constraints: the
   weights sum to one and the weighted bias sum equals a free scalar a.
   The outer problem over a is one-dimensional; `solve_a_star` minimizes
-  it and `optimal_weights` assembles the full scheme.
+  it.  `solve_weights` solves the whole problem in O(1) memory and
+  returns a `WeightSolution` (a*, eta*, lambda1, lambda2, S*, the regime
+  and the smallest feasible cap K_min), and its `materialise` method
+  builds and self-checks the n weights as a `WeightScheme`.
+  `optimal_weights` is the two in turn.
 
 Everything here is deterministic, cheap, and independent of any sampling
 code; the Monte Carlo layers consume the outputs.
@@ -32,17 +36,18 @@ estimator's initial-point coefficient in `bvbal.estimators`) goes through
 one streaming kernel, `_exact_sums`: a vectorised error-free-extraction
 sum, fed blocks of at most _BLOCK terms, that returns the correctly
 rounded value `math.fsum` returns, bit for bit.  The solver's O(n) passes
-make their terms block by block in cache-sized buffers, so the weights of
-`optimal_weights` are the only n-length array it allocates.
+make their terms block by block in cache-sized buffers: `solve_weights`
+allocates no n-length array, and the weights that `materialise` builds
+are the only one of `optimal_weights`.
 
-`optimal_weights` memoises its Gram matrix: `_gram` caches the
-`XiMatrix` of `xi_matrix` by the validated key (float q1, float q2,
-int n, int n0), so the caps of one budget, and repeated requests, share
-one set of power sums.  a* and the rest of the scheme are solved, the
-weights built and `WeightScheme`'s O(n) self-checks run on every call;
-the memo holds no n-length array, and invalid or infeasible inputs
-raise on every call.  Budgets end at n + n0 = 2**53, past which j + n0
-is no longer an exact double.
+`solve_weights` memoises its Gram matrix: `_gram` caches the `XiMatrix`
+of `xi_matrix` by the validated key (float q1, float q2, int n, int n0),
+so the caps of one budget, and repeated requests, share one set of power
+sums.  a* and the rest of the solution are solved on every call, and
+`materialise` builds the weights and runs `WeightScheme`'s O(n)
+self-checks on every call; the memo holds no n-length array, and invalid
+or infeasible inputs raise on every call.  Budgets end at
+n + n0 = 2**53, past which j + n0 is no longer an exact double.
 """
 
 from __future__ import annotations
@@ -69,6 +74,8 @@ __all__ = [
     "ztilde_squared",
     "feasible_intervals",
     "solve_a_star",
+    "WeightSolution",
+    "solve_weights",
     "optimal_weights",
     "amrr_general",
     "amrr_recursive_tied",
@@ -121,10 +128,11 @@ class _ExactSum:
     values with max|p| < 2**e, take 2**k >= nb + 2 and
     sigma = 2**(e + k).  Then q = (sigma + p) - sigma and p - q are exact,
     every q is a multiple of sigma * 2**-53, and |sum q| < sigma, so
-    `np.add.reduce(q)` is exact in any order.  The residual p - q is below
-    2**(e + k - 52), which is the next pass's e; passes stop when the
-    residual is zero.  The exact pass sums of every block are combined by
-    one `math.fsum`, which rounds once.
+    `np.add.reduce(q)` is exact in any order.  The next pass takes its e
+    from the residual p - q's own largest magnitude (at most
+    2**(e + k - 52), and far less when the block spans many binades), and
+    passes stop when the residual is zero.  The exact pass sums of every
+    block are combined by one `math.fsum`, which rounds once.
 
     A value that is not finite or reaches 2**960, or an extraction grid
     sigma * 2**-53 below the normal range, stops the extraction, and
@@ -160,9 +168,9 @@ class _ExactSum:
                                     and bool(np.signbit(block).all()))
             return
         k = (nb + 1).bit_length()  # ceil(log2(nb + 2))
-        e = math.frexp(top)[1]  # top < 2**e
         src = block
         while True:
+            e = math.frexp(top)[1]  # top < 2**e
             if e + k - 53 < _MIN_NORMAL_EXP:
                 self._fallback = True
                 return
@@ -172,9 +180,9 @@ class _ExactSum:
             np.subtract(src, qb, out=pb)
             src = pb
             self._parts.append(float(np.add.reduce(qb)))
-            if not pb.any():
+            top = max(float(pb.max()), -float(pb.min()))  # max |residual|
+            if top == 0.0:
                 return
-            e += k - 52
 
     def value(self) -> float:
         if self._fallback:
@@ -612,56 +620,132 @@ def _gram(q1: float, q2: float, n: int, n0: int) -> XiMatrix:
     return xi_matrix(BiasOrder(q1, q2), n, n0)
 
 
-def optimal_weights(n: int, n0: int, order: BiasOrder, K: float) -> WeightScheme:
-    """Solve the capped minimax weight problem for a budget of n draws.
+@dataclass(frozen=True)
+class WeightSolution:
+    """The solved capped minimax problem for one (n, n0, order, K): every
+    O(1) field of its `WeightScheme`, without the n weights.
+
+    `solve_weights` makes it; `materialise` builds the weights from it.
+
+    Attributes
+    ----------
+    lambda1, lambda2, a_star, eta_star, s_star : float
+        The fields of the scheme that `materialise` returns, bit for bit.
+    n, n0 : int
+        Budget and schedule offset.
+    K : float
+        The inflation cap.
+    order : BiasOrder
+        The bias/noise order, as passed.
+    regime : str
+        "boundary" when a_star is an endpoint of its feasible interval, so
+        eta_star is the cap K up to rounding; "interior" when it is a
+        stationary point inside one, so eta_star is below K.
+    k_min : float
+        phi(1)**(-alpha), the smallest cap any weighting of the n draws
+        can respect.
+    """
+
+    lambda1: float
+    lambda2: float
+    a_star: float
+    eta_star: float
+    s_star: float
+    n: int
+    n0: int
+    K: float
+    order: BiasOrder
+    regime: str
+    k_min: float
+
+    @property
+    def scaled_s_star(self) -> float:
+        """n**(q1/(q1+q2)) * s_star, as on `WeightScheme`."""
+        return float(self.n) ** self.order.mse_exponent * self.s_star
+
+    def materialise(self) -> WeightScheme:
+        """The n weights lambda1 (j+n0)**(-kappa_fast) + lambda2
+        (j+n0)**(-kappa_slow), built block by block into a fresh array
+        (the only n-length one), as a `WeightScheme` that self-checks
+        them."""
+        kf, ks = weight_decay_exponents(self.order)
+        w = np.empty(self.n)
+        j = np.empty(min(self.n, _BLOCK))
+        for lo in range(0, self.n, _BLOCK):
+            wb = w[lo : lo + _BLOCK]
+            jb = _arange_into(j[: wb.shape[0]], lo, 1.0)
+            jb += self.n0
+            np.power(jb, -kf, out=wb)
+            wb *= self.lambda1
+            jb **= -ks
+            jb *= self.lambda2
+            wb += jb
+        return WeightScheme(
+            weights=w,
+            lambda1=self.lambda1,
+            lambda2=self.lambda2,
+            a_star=self.a_star,
+            eta_star=self.eta_star,
+            s_star=self.s_star,
+            K=self.K,
+            order=self.order,
+            n0=self.n0,
+        )
+
+
+def solve_weights(n: int, n0: int, order: BiasOrder, K: float) -> WeightSolution:
+    """Solve the capped minimax weight problem for a budget of n draws,
+    without building the weights.
 
     Combines `xi_matrix`, `solve_a_star`, and the two-constraint linear
-    solve for (lambda1, lambda2); the returned scheme self-checks its
-    defining identities on construction.  The realized scale multiplier
-    is the balance point at a_star, which feasibility of a_star keeps at
-    or below the cap; it equals K exactly when a_star sits on the
-    feasible boundary.
+    solve for (lambda1, lambda2).  The realized scale multiplier is the
+    balance point at a_star, which feasibility of a_star keeps at or below
+    the cap; it equals K exactly when a_star sits on the feasible
+    boundary.  Holds no n-length array: the O(n) power sums stream
+    through block buffers.
 
     The Gram matrix is memoised by (float q1, float q2, int n, int n0),
     so equal keys (n = 1e5 and 100000, ``BiasOrder(2, 1)`` and
     ``BiasOrder(2.0, 1.0)``) share one entry and its bits.  Everything
-    else, a* included, is solved, and the weights are built and
-    self-checked, on every call, into a fresh read-only array.
+    else, a* included, is solved on every call, and invalid or infeasible
+    inputs raise on every call.
     """
     n, n0 = _check_counts(n, n0)
     xi = _gram(float(order.q1), float(order.q2), n, n0)
     a_star = solve_a_star(xi, order, K)
     lam = np.linalg.solve(xi.phi_array(), np.array([a_star, 1.0]))
-    kf, ks = weight_decay_exponents(order)
-    # lam[0] * j**(-kf) + lam[1] * j**(-ks), block by block: w is the only
-    # n-length array
-    w = np.empty(xi.n)
-    j = np.empty(min(xi.n, _BLOCK))
-    for lo in range(0, xi.n, _BLOCK):
-        wb = w[lo : lo + _BLOCK]
-        jb = _arange_into(j[: wb.shape[0]], lo, 1.0)
-        jb += xi.n0
-        np.power(jb, -kf, out=wb)
-        wb *= lam[0]
-        jb **= -ks
-        jb *= lam[1]
-        wb += jb
     eta_star = eta_balance(a_star, xi)
     if eta_star > K + 1e-9:
         raise InfeasibleError(
             f"solver returned an infeasible bias-sum level at n={xi.n}, K={K}"
         )
-    return WeightScheme(
-        weights=w,
+    boundary = any(a_star in ends for ends in feasible_intervals(xi, order, K))
+    return WeightSolution(
         lambda1=float(lam[0]),
         lambda2=float(lam[1]),
         a_star=a_star,
         eta_star=min(eta_star, float(K)),
         s_star=_objective(a_star, xi),
+        n=xi.n,
+        n0=xi.n0,
         K=float(K),
         order=order,
-        n0=xi.n0,
+        regime="boundary" if boundary else "interior",
+        k_min=xi.phi11 ** -order.alpha,
     )
+
+
+def optimal_weights(n: int, n0: int, order: BiasOrder, K: float) -> WeightScheme:
+    """Solve the capped minimax weight problem for a budget of n draws and
+    build its weights: `solve_weights`, then `WeightSolution.materialise`.
+
+    The returned scheme self-checks its defining identities on
+    construction; its weights are built and self-checked on every call,
+    into a fresh read-only array.  A caller that needs only the O(1)
+    fields (a*, eta*, S*, the regime) should call `solve_weights`, which
+    builds no n-length array.
+    """
+    return solve_weights(n, n0, order, K).materialise()
 
 
 def amrr_general(order: BiasOrder, K: float) -> float:

@@ -32,7 +32,7 @@ import json
 import math
 import secrets
 import sys
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .calibration import (
     amrr_general,
     amrr_recursive_free,
     amrr_recursive_tied,
-    optimal_weights,
+    solve_weights,
 )
 from .errors import ConfigurationError, InfeasibleError
 from .experiments import (
@@ -56,6 +56,9 @@ from .queueing import QueueParams
 
 __all__ = ["main"]
 
+# weights per chunk of a `bvbal weights` file: the file is written block by
+# block, so no text of n rows is ever held
+_ROWS = 4096
 _SWITCH = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -160,16 +163,18 @@ def _pick_seed(args) -> int:
     return seed
 
 
-def _write(args, csv_text: Callable[[], str], json_text: Callable[[], str]) -> None:
-    """Render the chosen format, and only that one, into ``--out``."""
+def _write(args, csv_chunks: Callable[[], Iterable[str]],
+           json_chunks: Callable[[], Iterable[str]]) -> None:
+    """Render the chosen format, and only that one, into ``--out``, one
+    string chunk at a time."""
     if args.out is None:
         return
     fmt = args.format
     if fmt is None:
         fmt = "json" if str(args.out).endswith(".json") else "csv"
-    text = json_text() if fmt == "json" else csv_text()
+    chunks = json_chunks() if fmt == "json" else csv_chunks()
     with open(args.out, "w") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
     print(f"wrote {args.out}")
 
 
@@ -193,6 +198,13 @@ def _cmd_amrr(args) -> int:
     return 0
 
 
+def _weight_blocks(weights: np.ndarray) -> Iterator[tuple[int, list[float]]]:
+    """The weights as lists of at most _ROWS floats, each with the 1-based
+    index of its first weight."""
+    for lo in range(0, weights.shape[0], _ROWS):
+        yield lo + 1, weights[lo : lo + _ROWS].tolist()
+
+
 def _cmd_weights(args) -> int:
     order, K, n, n0 = BiasOrder(args.q1, args.q2), args.K, args.n, args.n0
     if n < 2:
@@ -200,29 +212,40 @@ def _cmd_weights(args) -> int:
             f"n={n}: the constraint system is singular with fewer than two "
             "draws; no weight scheme exists"
         )
-    scheme = optimal_weights(n, n0, order, K)
+    solution = solve_weights(n, n0, order, K)
     # the solved fields, in the order that stdout and the CSV header list them
     fields = {
-        "lambda1": scheme.lambda1, "lambda2": scheme.lambda2, "a_star": scheme.a_star,
-        "eta_star": scheme.eta_star, "s_star": scheme.s_star,
+        "lambda1": solution.lambda1, "lambda2": solution.lambda2,
+        "a_star": solution.a_star, "eta_star": solution.eta_star,
+        "s_star": solution.s_star,
     }
     print(f"n: {n}  n0: {n0}  K: {K:g}  q1: {order.q1:g}  q2: {order.q2:g}")
     for key, value in fields.items():
         print(f"{key}: {value:.4g}")
-    print(f"scaled_s_star: {scheme.scaled_s_star:.4g}")
+    print(f"scaled_s_star: {solution.scaled_s_star:.4g}")
     print(f"amrr_limit: {amrr_general(order, K):.4g}")
+    print(f"regime: {solution.regime}")
+    print(f"k_min: {solution.k_min:.6g}")
+    if args.out is None:
+        return 0  # printing needs no weights
+    weights = solution.materialise().weights
     fields.update(K=K, n0=n0, q1=order.q1, q2=order.q2)
 
-    def csv_text() -> str:
-        lines = [f"# {key}={value!r}" for key, value in fields.items()] + ["j,weight"]
-        lines += [f"{j},{w!r}" for j, w in enumerate(scheme.weights.tolist(), 1)]
-        return "\n".join(lines) + "\n"
+    def csv_chunks() -> Iterator[str]:
+        yield "".join(f"# {key}={value!r}\n" for key, value in fields.items()) + "j,weight\n"
+        for first, block in _weight_blocks(weights):
+            yield "".join([f"{j},{w!r}\n" for j, w in enumerate(block, first)])
 
-    def json_text() -> str:
-        doc = {"n": n, **fields, "weights": scheme.weights.tolist()}
-        return json.dumps(doc, sort_keys=True) + "\n"
+    def json_chunks() -> Iterator[str]:
+        # "weights" sorts last, so these are the bytes of json.dumps({"n": n,
+        # **fields, "weights": [...]}, sort_keys=True) + "\n": the sorted
+        # head without its closing brace, the list, then "]}"
+        yield json.dumps({"n": n, **fields}, sort_keys=True)[:-1] + ', "weights": ['
+        for first, block in _weight_blocks(weights):
+            yield ("" if first == 1 else ", ") + ", ".join(map(repr, block))
+        yield "]}\n"
 
-    _write(args, csv_text, json_text)
+    _write(args, csv_chunks, json_chunks)
     return 0
 
 
@@ -249,7 +272,7 @@ def _run_and_emit(args, model: SyntheticOracleSpec | QueueSetting) -> int:
     )
     report = run_experiment(config, workers=args.workers)
     print(report.summary())
-    _write(args, report.csv_text, report.json_text)
+    _write(args, lambda: [report.csv_text()], lambda: [report.json_text()])
     return 0
 
 
@@ -284,7 +307,7 @@ def _cmd_reproduce_table(args) -> int:
         )
     table = reproduce_table(args.id, **kwargs)
     print(table.render())
-    _write(args, table.csv_text, table.json_text)
+    _write(args, lambda: [table.csv_text()], lambda: [table.json_text()])
     return 0
 
 

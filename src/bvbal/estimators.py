@@ -174,13 +174,14 @@ def recursion_coefficients(c: float, beta: float, n: int, n0: int = 0) -> tuple[
     u_j = gamma_j * prod_{k > j} (1 - gamma_k) and t0 = prod_k (1 - gamma_k).
     The c = 1, beta = 1 case telescopes exactly to the running mean
     u_j = 1 / (n + n0), t0 = n0 / (n + n0), and is emitted in that closed
-    form so the identity holds bit-for-bit.
+    form so the identity holds bit-for-bit; with n0 >= 0 its steps
+    1 / (j + n0) are at most 1, so none is clamped and none is built.
     """
     n = _check_budget(n)
+    if beta == 1.0 and c == 1.0 and n0 >= 0:
+        return np.full(n, 1.0 / (n + n0)), n0 / (n + n0)
     gam, clamped = _steps(c, beta, n, n0)
     _warn_clamped(clamped, c, beta, n0)
-    if beta == 1.0 and c == 1.0:
-        return np.full(n, 1.0 / (n + n0)), n0 / (n + n0)
     q = 1.0 - gam
     rc = np.cumprod(q[::-1])[::-1]  # rc[i] = prod_{k >= i+1} (1 - gamma_k)
     tail = np.append(rc[1:], 1.0)

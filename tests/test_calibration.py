@@ -28,6 +28,7 @@ from bvbal.calibration import (
     phi_sum,
     pilot_a,
     solve_a_star,
+    solve_weights,
     weight_decay_exponents,
     xi_matrix,
     ztilde_squared,
@@ -115,6 +116,51 @@ def test_exact_sum_falls_back_for_the_whole_input():
     x[0], x[1], x[_BLOCK] = 1.0, 2.0**-1060, 2.0**-53
     for arr in (x, x[::-1].copy()):
         assert _exact_sum(arr) == math.fsum(arr) == 1.0 + 2.0**-52
+
+
+def _passes(x):
+    """The exact sum of x through one `_ExactSum`, the number of
+    extraction passes it made, and whether it fell back to fsum."""
+    (total,) = _exact_sums(x.shape[0], lambda lo, hi: (x[lo:hi],), 1)
+    return total.value(), len(total._parts), total._fallback
+
+
+def test_exact_sum_jumps_to_the_residual_exponent():
+    # each pass takes its grid from the residual's own largest magnitude:
+    # two clusters 600 binades apart take one pass each, where stepping
+    # the grid down a fixed 44 binades per pass took 15 passes
+    rng = np.random.default_rng(3)
+    high = rng.integers(-(2**20), 2**20, 100).astype(float)
+    x = np.concatenate([high, high[::-1] * 2.0**-600])
+    rng.shuffle(x)
+    total, passes, fallback = _passes(x)
+    assert total.hex() == math.fsum(x).hex()
+    assert (passes, fallback) == (2, False)
+    # with subnormals among them, the block falls back after the two
+    # clusters' passes (stepping down made 23 first), with fsum's bits
+    x[::3] = rng.integers(1, 2**52, x[::3].shape[0]) * 2.0**-1074
+    total, passes, fallback = _passes(x)
+    assert total.hex() == math.fsum(x).hex()
+    assert (passes, fallback) == (2, True)
+
+
+_SPREAD = st.builds(math.ldexp, st.integers(-(2**53), 2**53), st.sampled_from([0, -600, -1100]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.one_of(_SPREAD, st.sampled_from([0.0, -0.0, 5e-324, -5e-324])),
+                    min_size=1, max_size=80),
+    reps=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_sum_of_wide_and_subnormal_blocks_is_fsum(values, reps, seed):
+    # integers at three scales 500-600 binades apart (the lowest one
+    # subnormal), signed zeros and the smallest subnormals, in mixed
+    # signs, tiled across block boundaries and shuffled
+    x = np.tile(np.array(values, dtype=float), reps)
+    np.random.default_rng(seed).shuffle(x)
+    assert _exact_sum(x).hex() == math.fsum(x).hex()
 
 
 @pytest.mark.parametrize(
@@ -494,6 +540,28 @@ def test_optimal_weights_bit_pins(n, n0, K):
     assert (hashlib.sha256(s.weights.tobytes()).hexdigest(), fields) == _SOLVER_PINS[n, n0, K]
 
 
+@pytest.mark.parametrize("n, n0, K", list(_SOLVER_PINS), ids=str)
+def test_solve_then_materialise_is_optimal_weights(n, n0, K):
+    solution = solve_weights(n, n0, Q21, K)
+    scheme = solution.materialise()
+    want = optimal_weights(n, n0, Q21, K)
+    for s in (solution, scheme):
+        fields = repr((s.lambda1, s.lambda2, s.a_star, s.eta_star, s.s_star))
+        assert fields == _SOLVER_PINS[n, n0, K][1]
+        assert (s.n, s.n0, s.K, s.order) == (want.n, want.n0, want.K, want.order)
+        assert s.scaled_s_star == want.scaled_s_star
+    assert scheme.weights.tobytes() == want.weights.tobytes()
+    assert not scheme.weights.flags.writeable
+    # the regime: a* is an endpoint of its feasible interval exactly when
+    # the cap binds (the interior pin is n = 1e4 at n0 = 500)
+    xi = xi_matrix(Q21, n, n0)
+    assert solution.regime == ("interior" if n0 == 500 else "boundary")
+    assert (solution.regime == "boundary") == (solution.eta_star == K)
+    assert solution.k_min == xi.phi11 ** -Q21.alpha
+    with pytest.raises(AttributeError):
+        solution.a_star = 0.0
+
+
 def _solved(n, n0, order, K):
     """What a call returns, bit for bit, or what it raises."""
     try:
@@ -568,9 +636,10 @@ def test_invalid_and_infeasible_inputs_raise_on_every_call(args, error, message)
     _gram.cache_clear()
     optimal_weights(1_000, 0, Q21, 2.0)
     for _ in range(3):
-        with pytest.raises(error) as exc:
-            optimal_weights(*args)
-        assert str(exc.value) == message
+        for solve in (solve_weights, optimal_weights):
+            with pytest.raises(error) as exc:
+                solve(*args)
+            assert str(exc.value) == message
     gram_ok = error is InfeasibleError or message == "K must be positive"
     assert _gram.cache_info().currsize == 1 + (gram_ok and args[:2] != (1_000, 0))
 

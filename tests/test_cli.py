@@ -8,10 +8,12 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 
 import pytest
 
 from bvbal import BiasOrder, amrr_general, optimal_weights
+from bvbal.calibration import _gram
 from bvbal.cli import main
 
 Q21 = BiasOrder(2.0, 1.0)
@@ -152,6 +154,82 @@ def test_weights_file_bytes_are_pinned(capsys, tmp_path, argv, fmt, digest):
     code, _, _ = run(capsys, "weights", *argv, "--out", str(out_path))
     assert code == 0
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
+def _whole_text(n, n0, K, order, fmt):
+    """The exported file as one string of the whole document, rendered
+    from `optimal_weights`: the reference for the streamed bytes."""
+    s = optimal_weights(n, n0, order, K)
+    fields = {"lambda1": s.lambda1, "lambda2": s.lambda2, "a_star": s.a_star,
+              "eta_star": s.eta_star, "s_star": s.s_star,
+              "K": K, "n0": n0, "q1": order.q1, "q2": order.q2}
+    if fmt == "csv":
+        lines = [f"# {key}={value!r}" for key, value in fields.items()] + ["j,weight"]
+        lines += [f"{j},{w!r}" for j, w in enumerate(s.weights.tolist(), 1)]
+        return "\n".join(lines) + "\n"
+    return json.dumps({"n": n, **fields, "weights": s.weights.tolist()}, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n, n0, K", [(4095, 0, 1.0), (4096, 7, 2.0), (4097, 500, 1.5),
+                                      (8193, 0, 2.0)])
+def test_streamed_file_is_the_whole_text(capsys, tmp_path, n, n0, K, fmt):
+    # rows go out in blocks of 4096: one short block, one full block, a
+    # row past it, and a row past two
+    out_path = tmp_path / f"w.{fmt}"
+    code, _, _ = run(capsys, "weights", "--n", str(n), "--n0", str(n0), "--K", f"{K:g}",
+                     "--out", str(out_path))
+    assert code == 0
+    assert out_path.read_bytes() == _whole_text(n, n0, K, Q21, fmt).encode()
+
+
+def _traced_peak(capsys, *argv):
+    _gram.cache_clear()  # a cold solve
+    tracemalloc.start()
+    try:
+        code = main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, peak, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_weights_file_is_written_in_bounded_memory(capsys, tmp_path, fmt):
+    # the weights (8n bytes) and one block of rows: no text of n rows
+    n = 200_000
+    out_path = tmp_path / f"w.{fmt}"
+    run(capsys, "weights", "--n", "1000", "--out", str(out_path))  # first-call imports
+    code, peak, _ = _traced_peak(capsys, "weights", "--n", str(n), "--K", "2",
+                                 "--out", str(out_path))
+    assert code == 0
+    assert peak < 8 * n + 2**20
+
+
+def test_printing_a_solution_builds_no_weights(capsys):
+    # without --out nothing n-long is made: the 8 MB weight vector of
+    # n = 1e6 never exists
+    run(capsys, "weights", "--n", "1000")
+    code, peak, out = _traced_peak(capsys, "weights", "--n", "1000000", "--K", "2")
+    assert code == 0
+    assert peak < 2 * 2**20
+    assert "scaled_s_star: 0.2679" in out
+    assert "wrote" not in out
+
+
+@pytest.mark.parametrize("argv, regime, k_min", [
+    (("--n", "1000", "--K", "2"), "boundary", "0.714985"),
+    (("--n", "10000", "--n0", "500", "--K", "1"), "interior", "0.830685"),
+])
+def test_weights_prints_the_regime_and_smallest_cap(capsys, tmp_path, argv, regime, k_min):
+    out_path = tmp_path / "w.csv"
+    code, out, _ = run(capsys, "weights", *argv, "--out", str(out_path))
+    assert code == 0
+    lines = out.splitlines()
+    assert f"regime: {regime}" in lines
+    assert f"k_min: {k_min}" in lines
+    text = out_path.read_text()
+    assert "regime" not in text and "k_min" not in text
 
 
 # ---------------------------------------------------------------- run-*

@@ -77,6 +77,20 @@ def test_running_mean_closed_form_is_exact():
         assert t0 == n0 / (n + n0)
 
 
+def test_running_mean_closed_form_builds_no_steps(monkeypatch):
+    # at c = beta = 1 every step 1 / (j + n0) is at most 1, so the closed
+    # form is returned before any step is made
+    def no_steps(*args):
+        raise AssertionError("steps built")
+
+    monkeypatch.setattr("bvbal.estimators._steps", no_steps)
+    u, t0 = recursion_coefficients(1.0, 1.0, 100_000, 3)
+    assert u.tobytes() == np.full(100_000, 1.0 / 100_003).tobytes()
+    assert t0 == 3 / 100_003
+    with pytest.raises(AssertionError, match="steps built"):
+        recursion_coefficients(0.9, 1.0, 10)
+
+
 @given(
     c=st.floats(0.05, 3.0),
     beta=st.floats(0.1, 1.0),
