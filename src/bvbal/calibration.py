@@ -23,9 +23,10 @@ this module answers two questions about spending a budget of n draws:
   The outer problem over a is one-dimensional; `solve_a_star` minimizes
   it.  `solve_weights` solves the whole problem in O(1) memory and
   returns a `WeightSolution` (a*, eta*, lambda1, lambda2, S*, the regime
-  and the smallest feasible cap K_min), and its `materialise` method
-  builds and self-checks the n weights as a `WeightScheme`.
-  `optimal_weights` is the two in turn.
+  and the smallest feasible cap K_min); its `materialise` method builds
+  and self-checks the n weights as a `WeightScheme`, which is that
+  solution with its weights, so `optimal_weights(...).regime` and
+  `.k_min` exist too.  `optimal_weights` is the two in turn.
 
 Everything here is deterministic, cheap, and independent of any sampling
 code; the Monte Carlo layers consume the outputs.
@@ -53,7 +54,7 @@ n + n0 = 2**53, past which j + n0 is no longer an exact double.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache, partial
 from itertools import islice
 from typing import NamedTuple
@@ -106,9 +107,9 @@ def weight_decay_exponents(order: BiasOrder) -> tuple[float, float]:
 
 
 def _check_counts(n: int, n0: int, minimum: int = 1) -> tuple[int, int]:
-    if int(n) != n or int(n) < minimum:
+    if not (n >= minimum and n % 1 == 0):  # nan and inf fail here too
         raise ValueError(f"n must be an integer >= {minimum}, got {n}")
-    if int(n0) != n0 or int(n0) < 0:
+    if not (n0 >= 0 and n0 % 1 == 0):
         raise ValueError(f"n0 must be a non-negative integer, got {n0}")
     n, n0 = int(n), int(n0)
     if n + n0 > 2**53:
@@ -516,94 +517,6 @@ def solve_a_star(xi: XiMatrix, order: BiasOrder, K: float) -> float:
     return float(best_a)
 
 
-@dataclass(frozen=True)
-class WeightScheme:
-    """Solved two-decay weight scheme for one (n, n0, order, K).
-
-    Attributes
-    ----------
-    weights : ndarray, shape (n,)
-        w_j = lambda1 / (j+n0)**kappa_fast + lambda2 / (j+n0)**kappa_slow,
-        summing to one.
-    lambda1, lambda2 : float
-        Coefficients of the fast- and slow-decay components.
-    a_star : float
-        Bias-sum level sum_j w_j (j+n0)**(-alpha q1) attained.
-    eta_star : float
-        Perturbation-scale multiplier actually realized; the calibrated
-        schedule is delta_j = eta_star * d * (j+n0)**(-alpha).  This is
-        the bias/variance balance point `eta_balance(a_star, xi)`, the
-        multiplier at which the scheme's worst-case bias and variance
-        contributions agree; feasibility of a_star keeps it at or below
-        the cap, and it equals K whenever a_star sits on the feasible
-        boundary, which is the generic large-n outcome.
-    s_star : float
-        Size-free worst-case risk of the scheme; n**(q1/(q1+q2)) * s_star
-        converges to the AMRR from `amrr_general`.
-    """
-
-    weights: np.ndarray
-    lambda1: float
-    lambda2: float
-    a_star: float
-    eta_star: float
-    s_star: float
-    K: float
-    order: BiasOrder
-    n0: int
-
-    def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or w.shape[0] < 1:
-            raise ValueError(f"weights must be a non-empty vector, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        # sum w and sum (j + n0)**(-alpha q1) w in one pass over blocks of w
-        exponent = -self.order.alpha * self.order.q1
-        j = np.empty(min(w.shape[0], _BLOCK))
-
-        def blocks(lo: int, hi: int):
-            yield w[lo:hi]
-            jb = _arange_into(j[: hi - lo], lo, 1.0)
-            jb += self.n0
-            jb **= exponent
-            jb *= w[lo:hi]
-            yield jb
-
-        sums = _exact_sums(w.shape[0], blocks, 2)
-        total = sums[0].value()
-        if abs(total - 1.0) > 1e-10 * max(1.0, abs(total)):
-            raise ValueError(f"weights must sum to 1 within 1e-10, got {total!r}")
-        bias_sum = sums[1].value()
-        if abs(bias_sum - self.a_star) > 1e-10 * max(1.0, abs(self.a_star)):
-            raise ValueError(
-                f"weights reproduce bias sum {bias_sum!r}, expected a*={self.a_star!r}"
-            )
-        if not self.eta_star <= self.K + 1e-9:
-            raise ValueError(
-                f"scale inflation eta*={self.eta_star!r} exceeds the cap K={self.K!r}"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def scaled_s_star(self) -> float:
-        """n**(q1/(q1+q2)) * s_star, the finite-n risk constant whose limit
-        is the AMRR."""
-        return float(self.n) ** self.order.mse_exponent * self.s_star
-
-    def deltas(self, d: float = 1.0) -> np.ndarray:
-        """Calibrated perturbation schedule eta* d (j+n0)**(-alpha), j=1..n."""
-        if not (float(d) > 0 and math.isfinite(d)):
-            raise ValueError(f"d must be positive, got {d}")
-        j = np.arange(1, self.n + 1, dtype=float) + self.n0
-        return self.eta_star * float(d) * j ** (-self.order.alpha)
-
-
 def eta_balance(a: float, xi: XiMatrix) -> float:
     """Perturbation-scale multiplier that balances the bias and variance
     risk contributions of the optimal weights at bias-sum level a:
@@ -622,15 +535,27 @@ def _gram(q1: float, q2: float, n: int, n0: int) -> XiMatrix:
 
 @dataclass(frozen=True)
 class WeightSolution:
-    """The solved capped minimax problem for one (n, n0, order, K): every
-    O(1) field of its `WeightScheme`, without the n weights.
-
-    `solve_weights` makes it; `materialise` builds the weights from it.
+    """The solved capped minimax problem for one (n, n0, order, K), without
+    the n weights: `solve_weights` makes it, and `materialise` builds the
+    weights from it as a `WeightScheme`, this solution with its weights.
 
     Attributes
     ----------
-    lambda1, lambda2, a_star, eta_star, s_star : float
-        The fields of the scheme that `materialise` returns, bit for bit.
+    lambda1, lambda2 : float
+        Coefficients of the fast- and slow-decay components.
+    a_star : float
+        Bias-sum level sum_j w_j (j+n0)**(-alpha q1) attained.
+    eta_star : float
+        Perturbation-scale multiplier actually realized; the calibrated
+        schedule is delta_j = eta_star * d * (j+n0)**(-alpha).  This is
+        the bias/variance balance point `eta_balance(a_star, xi)`, the
+        multiplier at which the scheme's worst-case bias and variance
+        contributions agree; feasibility of a_star keeps it at or below
+        the cap, and it equals K whenever a_star sits on the feasible
+        boundary, which is the generic large-n outcome.
+    s_star : float
+        Size-free worst-case risk of the scheme; n**(q1/(q1+q2)) * s_star
+        converges to the AMRR from `amrr_general`.
     n, n0 : int
         Budget and schedule offset.
     K : float
@@ -660,7 +585,8 @@ class WeightSolution:
 
     @property
     def scaled_s_star(self) -> float:
-        """n**(q1/(q1+q2)) * s_star, as on `WeightScheme`."""
+        """n**(q1/(q1+q2)) * s_star, the finite-n risk constant whose limit
+        is the AMRR."""
         return float(self.n) ** self.order.mse_exponent * self.s_star
 
     def materialise(self) -> WeightScheme:
@@ -680,17 +606,60 @@ class WeightSolution:
             jb **= -ks
             jb *= self.lambda2
             wb += jb
-        return WeightScheme(
-            weights=w,
-            lambda1=self.lambda1,
-            lambda2=self.lambda2,
-            a_star=self.a_star,
-            eta_star=self.eta_star,
-            s_star=self.s_star,
-            K=self.K,
-            order=self.order,
-            n0=self.n0,
-        )
+        return WeightScheme(weights=w, **{f.name: getattr(self, f.name)
+                                          for f in fields(WeightSolution)})
+
+
+@dataclass(frozen=True)
+class WeightScheme(WeightSolution):
+    """A `WeightSolution` with its read-only weights, shape (n,),
+    w_j = lambda1 / (j+n0)**kappa_fast + lambda2 / (j+n0)**kappa_slow.
+    Construction self-checks them: finite, summing to one, reproducing
+    a_star, with eta_star within the cap K."""
+
+    weights: np.ndarray
+
+    def __post_init__(self) -> None:
+        w = np.asarray(self.weights, dtype=float)
+        if w.shape != (self.n,):
+            raise ValueError(f"weights must have shape ({self.n},), got {w.shape}")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w)
+        # sum w and sum (j + n0)**(-alpha q1) w in one pass over blocks of w
+        exponent = -self.order.alpha * self.order.q1
+        j = np.empty(min(w.shape[0], _BLOCK))
+
+        def blocks(lo: int, hi: int):
+            yield w[lo:hi]
+            jb = _arange_into(j[: hi - lo], lo, 1.0)
+            jb += self.n0
+            jb **= exponent
+            jb *= w[lo:hi]
+            yield jb
+
+        sums = _exact_sums(w.shape[0], blocks, 2)
+        total = sums[0].value()
+        if not abs(total - 1.0) <= 1e-10 * max(1.0, abs(total)):
+            raise ValueError(f"weights must sum to 1 within 1e-10, got {total!r}")
+        bias_sum = sums[1].value()
+        if not (math.isfinite(self.a_star)
+                and abs(bias_sum - self.a_star) <= 1e-10 * max(1.0, abs(self.a_star))):
+            raise ValueError(
+                f"weights reproduce bias sum {bias_sum!r}, expected a*={self.a_star!r}"
+            )
+        if not self.eta_star <= self.K + 1e-9:
+            raise ValueError(
+                f"scale inflation eta*={self.eta_star!r} exceeds the cap K={self.K!r}"
+            )
+
+    def deltas(self, d: float = 1.0) -> np.ndarray:
+        """Calibrated perturbation schedule eta* d (j+n0)**(-alpha), j=1..n."""
+        if not (float(d) > 0 and math.isfinite(d)):
+            raise ValueError(f"d must be positive, got {d}")
+        j = np.arange(1, self.n + 1, dtype=float) + self.n0
+        return self.eta_star * float(d) * j ** (-self.order.alpha)
 
 
 def solve_weights(n: int, n0: int, order: BiasOrder, K: float) -> WeightSolution:

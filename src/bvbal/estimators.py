@@ -72,7 +72,7 @@ class DeltaSchedule:
             raise ValueError(f"scale must be positive, got {self.scale}")
         if not (self.alpha >= 0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be non-negative, got {self.alpha}")
-        if int(self.n0) != self.n0 or self.n0 < 0:
+        if not (self.n0 >= 0 and self.n0 % 1 == 0):  # nan and inf fail here too
             raise ValueError(f"n0 must be a non-negative integer, got {self.n0}")
         object.__setattr__(self, "n0", int(self.n0))
 

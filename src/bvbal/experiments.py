@@ -201,13 +201,13 @@ class ExperimentConfig:
             raise ConfigurationError(f"baseline_d must be positive, got {self.baseline_d}")
         if not (self.K > 0 and math.isfinite(self.K)):
             raise ConfigurationError("K must be positive")
-        if int(self.n0) != self.n0 or self.n0 < 0:
+        if not (self.n0 >= 0 and self.n0 % 1 == 0):  # nan and inf fail here too
             raise ConfigurationError(f"n0 must be a non-negative integer, got {self.n0}")
-        if int(self.replications) != self.replications or self.replications < 2:
+        if not (self.replications >= 2 and self.replications % 1 == 0):
             raise ConfigurationError(
                 f"replications must be an integer >= 2, got {self.replications}"
             )
-        if int(self.seed) != self.seed or not 0 <= self.seed < 2**64:
+        if not (0 <= self.seed < 2**64 and self.seed % 1 == 0):
             raise ConfigurationError(f"seed must lie in [0, 2**64), got {self.seed}")
 
     @property
@@ -529,9 +529,9 @@ def emit_weight_distribution(budgets, order: BiasOrder, K: float,
     suitable for plotting how the negative head and slow tail evolve."""
     rows: list[tuple[int, int, float]] = []
     for n in budgets:
-        scheme = optimal_weights(int(n), n0, order, K)
+        scheme = optimal_weights(n, n0, order, K)
         rows.extend(
-            (int(n), j + 1, float(w)) for j, w in enumerate(scheme.weights)
+            (scheme.n, j + 1, float(w)) for j, w in enumerate(scheme.weights)
         )
     return rows
 
@@ -587,7 +587,7 @@ def adversarial_risk_grid(order: BiasOrder, K: float, n: int, *,
                     EstimatorSetting("baseline"),
                     EstimatorSetting("weighted", K=K),
                 ),
-                budgets=(int(n),),
+                budgets=(n,),
                 baseline_d=d,
                 K=K,
                 n0=n0,

@@ -62,15 +62,16 @@ class StreamKey:
     path: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not (0 <= int(self.seed) < _MAX_SEED):
+        if not 0 <= self.seed < _MAX_SEED:  # nan and inf fail here too
             raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-        object.__setattr__(self, "path", tuple(int(i) for i in self.path))
-        if any(i < 0 for i in self.path):
-            raise ValueError(f"path entries must be non-negative, got {self.path}")
+        path = tuple(self.path)
+        if not all(0 <= i < math.inf for i in path):  # nan and inf fail here too
+            raise ValueError(f"path entries must be non-negative, got {path}")
+        object.__setattr__(self, "path", tuple(int(i) for i in path))
 
     def child(self, *indices: int) -> "StreamKey":
         """Key for the sub-stream at ``path + indices``."""
-        return StreamKey(self.seed, self.path + tuple(int(i) for i in indices))
+        return StreamKey(self.seed, self.path + indices)
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""

@@ -79,7 +79,7 @@ class QueueParams:
             raise ValueError(f"arrival_rate must be positive, got {self.arrival_rate}")
         if not (self.service_rate > 0 and math.isfinite(self.service_rate)):
             raise ValueError(f"service_rate must be positive, got {self.service_rate}")
-        if int(self.num_customers) != self.num_customers or self.num_customers < 1:
+        if not (self.num_customers >= 1 and self.num_customers % 1 == 0):
             raise ValueError(
                 f"num_customers must be a positive integer, got {self.num_customers}"
             )

@@ -1,6 +1,7 @@
 """Calibration layer: power sums, the two-decay constraint system, the
 minimax weight solver, and the closed-form risk-ratio limits."""
 
+import dataclasses
 import gc
 import hashlib
 import math
@@ -15,6 +16,7 @@ from bvbal.calibration import (
     _BLOCK,
     RecursiveCalibration,
     WeightScheme,
+    WeightSolution,
     _exact_sum,
     _exact_sums,
     _gram,
@@ -545,11 +547,14 @@ def test_solve_then_materialise_is_optimal_weights(n, n0, K):
     solution = solve_weights(n, n0, Q21, K)
     scheme = solution.materialise()
     want = optimal_weights(n, n0, Q21, K)
-    for s in (solution, scheme):
-        fields = repr((s.lambda1, s.lambda2, s.a_star, s.eta_star, s.s_star))
-        assert fields == _SOLVER_PINS[n, n0, K][1]
-        assert (s.n, s.n0, s.K, s.order) == (want.n, want.n0, want.K, want.order)
-        assert s.scaled_s_star == want.scaled_s_star
+    # every solved field, bit for bit (repr), on all three: the regime and
+    # K_min too, which a scheme once dropped
+    for f in dataclasses.fields(WeightSolution):
+        got = {repr(getattr(s, f.name)) for s in (solution, scheme, want)}
+        assert len(got) == 1, (f.name, got)
+    pinned = repr((want.lambda1, want.lambda2, want.a_star, want.eta_star, want.s_star))
+    assert pinned == _SOLVER_PINS[n, n0, K][1]
+    assert solution.scaled_s_star == scheme.scaled_s_star == want.scaled_s_star
     assert scheme.weights.tobytes() == want.weights.tobytes()
     assert not scheme.weights.flags.writeable
     # the regime: a* is an endpoint of its feasible interval exactly when
@@ -692,19 +697,32 @@ def test_optimal_weights_self_consistency():
     assert scheme.scaled_s_star == pytest.approx(500 ** (2.0 / 3.0) * scheme.s_star, rel=1e-15)
 
 
+def test_weight_scheme_is_a_solution_with_its_weights():
+    names = [f.name for f in dataclasses.fields(WeightScheme)]
+    assert names == [f.name for f in dataclasses.fields(WeightSolution)] + ["weights"]
+    scheme = optimal_weights(50, 0, Q21, 1.0)
+    assert isinstance(scheme, WeightSolution)
+    # perfbench's tracer wraps the schedule where the class defines it
+    assert "deltas" in WeightScheme.__dict__
+
+
 def test_weight_scheme_rejects_tampering():
     scheme = optimal_weights(50, 0, Q21, 1.0)
-    fields = dict(
-        lambda1=scheme.lambda1, lambda2=scheme.lambda2, a_star=scheme.a_star,
-        eta_star=scheme.eta_star, s_star=scheme.s_star, K=scheme.K,
-        order=scheme.order, n0=scheme.n0,
-    )
+    fields = {f.name: getattr(scheme, f.name) for f in dataclasses.fields(WeightSolution)}
+    WeightScheme(weights=scheme.weights, **fields)  # the untampered scheme passes
     with pytest.raises(ValueError):
         WeightScheme(weights=scheme.weights * 1.01, **fields)
     with pytest.raises(ValueError):
-        WeightScheme(weights=scheme.weights, **{**fields, "a_star": scheme.a_star + 1e-3})
-    with pytest.raises(ValueError):
         WeightScheme(weights=scheme.weights, **{**fields, "eta_star": scheme.K + 1.0})
+    # a* off by 1e-3, or not finite: the NaN-safe check rejects every one
+    for a_star in (scheme.a_star + 1e-3, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="bias sum"):
+            WeightScheme(weights=scheme.weights, **{**fields, "a_star": a_star})
+    # weights whose length is not n
+    for weights in (scheme.weights[:-1], np.append(scheme.weights, 0.0),
+                    scheme.weights.reshape(5, 10)):
+        with pytest.raises(ValueError, match=r"weights must have shape \(50,\)"):
+            WeightScheme(weights=weights, **fields)
     with pytest.raises(ValueError):
         scheme.deltas(0.0)
 

@@ -33,7 +33,7 @@ from bvbal import (
     run_experiment,
     weighted_estimate,
 )
-from bvbal.calibration import xi_matrix, ztilde_squared
+from bvbal.calibration import phi_sum, xi_matrix, ztilde_squared
 from bvbal.experiments import CSV_HEADER, MAX_WORKERS, MM1_BUDGETS_FULL, weight_distribution_csv
 
 from helpers import unit_spec
@@ -444,6 +444,30 @@ def test_config_rejects_fractional_and_repeated_budgets(budgets):
     assert small_config(budgets=(64.0, 128)).budgets == (64, 128)
 
 
+_COUNTS = {
+    "phi_sum n": (lambda x: phi_sum(1.0, x), "n must be an integer >= 1"),
+    "phi_sum n0": (lambda x: phi_sum(1.0, 5, x), "n0 must be a non-negative integer"),
+    "DeltaSchedule n0": (lambda x: DeltaSchedule(1.0, 0.25, x), "n0 must be a non-negative"),
+    "config n0": (lambda x: small_config(n0=x), "n0 must be a non-negative integer"),
+    "config replications": (lambda x: small_config(replications=x), "replications must be"),
+    "config seed": (lambda x: small_config(seed=x), "seed must lie in"),
+    "QueueParams": (lambda x: QueueParams(1.0, 2.0, x), "num_customers must be"),
+    "StreamKey seed": (lambda x: StreamKey(x), "seed must lie in"),
+    "StreamKey path": (lambda x: StreamKey(0, (1, x)), "path entries must be"),
+    "StreamKey child": (lambda x: StreamKey(0).child(x), "path entries must be"),
+}
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("count", list(_COUNTS))
+def test_non_finite_counts_raise_their_documented_error(count, x):
+    # int(x) != x used to raise OverflowError on inf (and a bare ValueError
+    # on nan) before the check could name the field
+    build, message = _COUNTS[count]
+    with pytest.raises(ValueError, match=message):
+        build(x)
+
+
 @pytest.mark.parametrize("K", [-1.0, math.inf])
 def test_negative_cap_is_rejected_at_resolution(K):
     config = small_config(
@@ -504,7 +528,22 @@ def test_weight_distribution_rows():
     assert len(text) == 1 + sum(budgets)
 
 
+def test_weight_distribution_rejects_a_fractional_budget():
+    # int(n) used to run n = 64.7 at 64
+    with pytest.raises(ValueError, match="n must be an integer >= 1, got 64.7"):
+        emit_weight_distribution((64.7,), Q21, 1.0)
+    rows = emit_weight_distribution((64.0,), Q21, 1.0)
+    assert {n for n, _, _ in rows} == {64} and type(rows[0][0]) is int
+
+
 # ------------------------------------------------------ adversarial sweep
+
+
+def test_adversarial_grid_rejects_a_fractional_budget():
+    # int(n) used to run n = 64.7 at 64
+    with pytest.raises(ConfigurationError, match="budget n must be a positive integer"):
+        adversarial_risk_grid(Q21, 1.0, 64.7, replications=4,
+                              B_values=(1.0,), sigma_values=(1.0,))
 
 
 def test_adversarial_grid_smoke():
