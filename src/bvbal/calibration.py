@@ -61,7 +61,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, InfeasibleError
+from .errors import ConfigurationError, InfeasibleError, count, positive
 from .oracles import BiasOrder
 
 __all__ = [
@@ -107,11 +107,8 @@ def weight_decay_exponents(order: BiasOrder) -> tuple[float, float]:
 
 
 def _check_counts(n: int, n0: int, minimum: int = 1) -> tuple[int, int]:
-    if not (n >= minimum and n % 1 == 0):  # nan and inf fail here too
-        raise ValueError(f"n must be an integer >= {minimum}, got {n}")
-    if not (n0 >= 0 and n0 % 1 == 0):
-        raise ValueError(f"n0 must be a non-negative integer, got {n0}")
-    n, n0 = int(n), int(n0)
+    n = count(n, f"n must be an integer >= {minimum}", minimum)
+    n0 = count(n0, "n0 must be a non-negative integer")
     if n + n0 > 2**53:
         raise ValueError(
             f"n + n0 must be at most 2**53, got n={n}, n0={n0}: past it "
@@ -391,7 +388,7 @@ def feasible_intervals(xi: XiMatrix, order: BiasOrder, K: float) -> list[tuple[f
     """
     if order != xi.order:
         raise ValueError(f"order {order} differs from the Gram matrix's {xi.order}")
-    if not (float(K) > 0 and math.isfinite(K)):
+    if not (K > 0 and math.isfinite(K)):  # not `positive`: a test pins this exact text
         raise ValueError("K must be positive")
     A = float(K) ** (2.0 * (order.q1 + order.q2)) - xi.xi11
     B = -2.0 * xi.xi12
@@ -615,11 +612,18 @@ class WeightScheme(WeightSolution):
     """A `WeightSolution` with its read-only weights, shape (n,),
     w_j = lambda1 / (j+n0)**kappa_fast + lambda2 / (j+n0)**kappa_slow.
     Construction self-checks them: finite, summing to one, reproducing
-    a_star, with eta_star within the cap K."""
+    a_star, with 0 < eta_star within the finite cap K, a known regime and
+    a finite k_min > 0."""
 
     weights: np.ndarray
 
     def __post_init__(self) -> None:
+        positive(self.K, "K must be positive")
+        if not 0 < self.eta_star <= self.K + 1e-9:
+            raise ValueError(f"scale inflation eta*={self.eta_star!r} outside (0, K={self.K!r}]")
+        if self.regime not in ("boundary", "interior"):
+            raise ValueError(f"regime must be 'boundary' or 'interior', got {self.regime!r}")
+        positive(self.k_min, "k_min must be positive")
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.n,):
             raise ValueError(f"weights must have shape ({self.n},), got {w.shape}")
@@ -649,15 +653,10 @@ class WeightScheme(WeightSolution):
             raise ValueError(
                 f"weights reproduce bias sum {bias_sum!r}, expected a*={self.a_star!r}"
             )
-        if not self.eta_star <= self.K + 1e-9:
-            raise ValueError(
-                f"scale inflation eta*={self.eta_star!r} exceeds the cap K={self.K!r}"
-            )
 
     def deltas(self, d: float = 1.0) -> np.ndarray:
         """Calibrated perturbation schedule eta* d (j+n0)**(-alpha), j=1..n."""
-        if not (float(d) > 0 and math.isfinite(d)):
-            raise ValueError(f"d must be positive, got {d}")
+        positive(d, "d must be positive")
         j = np.arange(1, self.n + 1, dtype=float) + self.n0
         return self.eta_star * float(d) * j ** (-self.order.alpha)
 
@@ -722,8 +721,7 @@ def amrr_general(order: BiasOrder, K: float) -> float:
     q1 / ((q1 + q2) * K**(2 q2)).  Strictly decreasing in K; equals the
     limit of n**(q1/(q1+q2)) * s_star along `optimal_weights` solutions.
     """
-    if not (float(K) > 0 and math.isfinite(K)):
-        raise ValueError("K must be positive")
+    positive(K, "K must be positive")
     q1, q2 = order.q1, order.q2
     return q1 / ((q1 + q2) * float(K) ** (2.0 * q2))
 
@@ -781,8 +779,7 @@ def amrr_recursive_free(order: BiasOrder) -> FreeRecursiveOptimum:
 
 def _check_steps(c: float, beta: float) -> None:
     """The rule for gamma_j = c (j + n0)**(-beta): c finite and > 0, 0 < beta <= 1."""
-    if not (c > 0 and math.isfinite(c)):
-        raise ConfigurationError(f"step constant c must be positive, got {c}")
+    positive(c, "step constant c must be positive", ConfigurationError)
     if not 0.0 < beta <= 1.0:
         raise ConfigurationError(f"beta must lie in (0, 1], got {beta}")
 
@@ -801,8 +798,7 @@ class RecursiveCalibration:
 
     def __post_init__(self) -> None:
         _check_steps(self.c, self.beta)
-        if not (self.d_scale > 0 and math.isfinite(self.d_scale)):
-            raise ConfigurationError(f"d_scale must be positive, got {self.d_scale}")
+        positive(self.d_scale, "d_scale must be positive", ConfigurationError)
 
     @classmethod
     def tied_optimal(cls, order: BiasOrder) -> "RecursiveCalibration":

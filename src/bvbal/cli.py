@@ -148,10 +148,11 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument("--reps", type=int, default=1000, help="replications")
         p.add_argument("--workers", type=_workers, default=1,
                        help="worker threads (results identical)")
-    p.add_argument("--seed", type=_seed, help="root seed; generated and printed when absent")
-    p.add_argument("--out", help="output file")
-    p.add_argument("--format", choices=("csv", "json"),
-                   help="output format; None: json for a .json --out, else csv")
+        p.add_argument("--seed", type=_seed, help="root seed; generated and printed if absent")
+    if "out" in names:
+        p.add_argument("--out", help="output file")
+        p.add_argument("--format", choices=("csv", "json"),
+                       help="output format; None: json for a .json --out, else csv")
     p.add_argument("--config", help="key=value defaults file; flags override")
 
 
@@ -330,23 +331,23 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--scheme", default="general",
                    choices=("general", "recursive-tied", "recursive-free", "averaged"))
 
-    p = command("weights", "solve and export a weight scheme", _cmd_weights, "q", "K")
+    p = command("weights", "solve and export a weight scheme", _cmd_weights, "q", "K", "out")
     p.add_argument("--n", type=int, required=True, help="sample budget")
     p.add_argument("--n0", type=int, default=0, help="schedule offset")
 
     p = command("run-synthetic", "paired experiment, synthetic model", _cmd_run_synthetic,
-                "q", "K", "run")
+                "q", "K", "run", "out")
     p.add_argument("--B", type=float, default=1.0, help="bias coefficient")
     p.add_argument("--sigma", type=float, default=1.0, help="noise scale")
     p.add_argument("--theta", type=float, default=0.0, help="target value")
 
     p = command("run-mm1", "paired experiment, M/M/1 derivative", _cmd_run_mm1,
-                "K", "run", n0=500)
+                "K", "run", "out", n0=500)
     p.add_argument("--mode", default="cfd", choices=("cfd", "sp"))
     p.add_argument("--target", default="arrival", choices=("arrival", "service"))
 
     p = command("reproduce-table", "rebuild reference table 1-8", _cmd_reproduce_table,
-                "table")
+                "table", "out")
     p.add_argument("--id", type=int, required=True)
     p.add_argument("--scale", type=float, default=1.0,
                    help="budget multiplier for tables 5-8 (scaled min >= 1e3)")

@@ -1,11 +1,21 @@
-"""Shared exception types.
+"""Shared exception types, and the two input rules every module uses.
 
 Domain errors on otherwise-valid calls (bad delta, bad coordinate, n too
 small) raise plain ``ValueError``; the types below mark the two failure
 modes callers are expected to branch on.
+
+`count` is the rule for a count (a budget, offset, seed, path entry or
+replication count): a finite integral number in range, returned as an
+``int``.  `positive` is the rule for a positive real (a rate, scale or
+cap): finite and > 0, checked but not converted, so stored values keep
+their type.  Both raise ``error(f"{what}, got {x}")``.
 """
 
 from __future__ import annotations
+
+import math
+
+__all__ = ["ConfigurationError", "InfeasibleError"]
 
 
 class ConfigurationError(ValueError):
@@ -23,3 +33,17 @@ class InfeasibleError(RuntimeError):
     Raised by the calibration solver when no weight vector satisfies the
     inflation cap for the requested (n, K); the message names both.
     """
+
+
+def count(x, what: str, minimum: int = 0, below: int | None = None,
+          error: type[ValueError] = ValueError) -> int:
+    """``int(x)`` for an integer-valued x with minimum <= x (< below)."""
+    if not (x >= minimum and x % 1 == 0 and (below is None or x < below)):  # nan, inf too
+        raise error(f"{what}, got {x}")
+    return int(x)
+
+
+def positive(x, what: str, error: type[ValueError] = ValueError) -> None:
+    """Reject x unless it is finite and > 0."""
+    if not (x > 0 and math.isfinite(x)):
+        raise error(f"{what}, got {x}")

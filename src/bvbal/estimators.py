@@ -28,13 +28,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 
 import numpy as np
 
 from .calibration import _BLOCK, WeightScheme, _check_steps, _exact_sum, _exact_sums
-from .errors import ConfigurationError
+from .errors import ConfigurationError, count, positive
 from .oracles import BiasOrder, SampleOracle, StreamKey, SyntheticOracleSpec
 
 __all__ = [
@@ -68,13 +68,10 @@ class DeltaSchedule:
     n0: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        positive(self.scale, "scale must be positive")
         if not (self.alpha >= 0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be non-negative, got {self.alpha}")
-        if not (self.n0 >= 0 and self.n0 % 1 == 0):  # nan and inf fail here too
-            raise ValueError(f"n0 must be a non-negative integer, got {self.n0}")
-        object.__setattr__(self, "n0", int(self.n0))
+        object.__setattr__(self, "n0", count(self.n0, "n0 must be a non-negative integer"))
 
     @classmethod
     def balanced(cls, order: BiasOrder, scale: float = 1.0, n0: int = 0) -> "DeltaSchedule":
@@ -132,10 +129,7 @@ class EstimatorRun:
         object.__setattr__(self, "estimate", est)
 
 
-def _check_budget(n: int, error: type[ValueError] = ValueError) -> int:
-    if not (n >= 1 and n % 1 == 0):  # nan and inf fail here too
-        raise error(f"budget n must be a positive integer, got {n}")
-    return int(n)
+_check_budget = partial(count, what="budget n must be a positive integer", minimum=1)
 
 
 def _steps(c: float, beta: float, n: int, n0: int) -> tuple[np.ndarray, int]:
@@ -457,8 +451,7 @@ def predict_mse_leading(kind: str, order: BiasOrder, d: float, B2: float,
         violated condition.
     """
     q1, q2 = order.q1, order.q2
-    if not (d > 0 and math.isfinite(d)):
-        raise ValueError(f"d must be positive, got {d}")
+    positive(d, "d must be positive")
     if B2 < 0 or sigma2 < 0:
         raise ValueError("B2 and sigma2 must be non-negative")
     n = _check_budget(n)

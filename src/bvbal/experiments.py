@@ -48,9 +48,8 @@ from .calibration import (
     amrr_recursive_tied,
     optimal_weights,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, count, positive
 from .estimators import DeltaSchedule, LinearPlan, RecursiveParams, predict_mse_leading
-from .estimators import _check_budget
 from .oracles import BiasOrder, SampleOracle, StreamKey, SyntheticOracleSpec
 from .queueing import (
     MM1_TRUE_ARRIVAL_DERIVATIVE,
@@ -190,25 +189,21 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "estimators", tuple(self.estimators))
-        budgets = tuple(_check_budget(n, ConfigurationError) for n in self.budgets)
-        object.__setattr__(self, "budgets", budgets)
+        C = ConfigurationError
+        budgets = tuple(count(n, "budget n must be a positive integer", 1, error=C)
+                        for n in self.budgets)
         if not self.estimators:
-            raise ConfigurationError("at least one estimator entry is required")
+            raise C("at least one estimator entry is required")
         if not budgets or len(set(budgets)) != len(budgets):
-            raise ConfigurationError(f"budgets must be distinct and non-empty, got {budgets}")
-        if not (self.baseline_d > 0 and math.isfinite(self.baseline_d)):
-            raise ConfigurationError(f"baseline_d must be positive, got {self.baseline_d}")
-        if not (self.K > 0 and math.isfinite(self.K)):
-            raise ConfigurationError("K must be positive")
-        if not (self.n0 >= 0 and self.n0 % 1 == 0):  # nan and inf fail here too
-            raise ConfigurationError(f"n0 must be a non-negative integer, got {self.n0}")
-        if not (self.replications >= 2 and self.replications % 1 == 0):
-            raise ConfigurationError(
-                f"replications must be an integer >= 2, got {self.replications}"
-            )
-        if not (0 <= self.seed < 2**64 and self.seed % 1 == 0):
-            raise ConfigurationError(f"seed must lie in [0, 2**64), got {self.seed}")
+            raise C(f"budgets must be distinct and non-empty, got {budgets}")
+        positive(self.baseline_d, "baseline_d must be positive", C)
+        positive(self.K, "K must be positive", C)
+        n0 = count(self.n0, "n0 must be a non-negative integer", error=C)
+        reps = count(self.replications, "replications must be an integer >= 2", 2, error=C)
+        seed = count(self.seed, "seed must lie in [0, 2**64)", 0, 2**64, C)
+        for name, value in (("estimators", tuple(self.estimators)), ("budgets", budgets),
+                            ("n0", n0), ("replications", reps), ("seed", seed)):
+            object.__setattr__(self, name, value)
 
     @property
     def order(self) -> BiasOrder:
@@ -273,8 +268,7 @@ def _build_plan(s: EstimatorSetting, n: int, config: ExperimentConfig,
             theory = _try_predict("baseline", order, d, config, n)
     elif s.kind == "weighted":
         K = float(config.K if s.K is None else s.K)
-        if not (K > 0 and math.isfinite(K)):
-            raise ConfigurationError("K must be positive")
+        positive(K, "K must be positive", ConfigurationError)
         label = f"weighted-K{K:g}"
         scheme = optimal_weights(n, n0, order, K)
         schedule = DeltaSchedule(scheme.eta_star * d, alpha, n0)
@@ -428,9 +422,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     everywhere (degenerate synthetic spec) reports ratio 1.0 by
     convention and sets the degenerate flag.
     """
-    if isinstance(workers, bool) or int(workers) != workers or not 1 <= workers <= MAX_WORKERS:
-        raise ConfigurationError(
-            f"workers must be an integer in [1, {MAX_WORKERS}], got {workers!r}")
+    what = f"workers must be an integer in [1, {MAX_WORKERS}]"
+    if isinstance(workers, bool):
+        raise ConfigurationError(f"{what}, got {workers!r}")
+    workers = count(workers, what, 1, MAX_WORKERS + 1, ConfigurationError)
     synthetic = isinstance(config.model, SyntheticOracleSpec)
     if synthetic:
         oracle: SampleOracle = config.model
@@ -451,7 +446,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     maps = [[prepared[id(plan.deltas)] for plan in plans] for plans in plan_groups]
 
     R = config.replications
-    workers = int(workers)
     # one worker skips the pool: through it, mm1-cfd-n1e4's op_p50_s rose 8%
     if workers == 1:
         sq = _run_slice(oracle, theta, plan_groups, maps, config.seed, 0, R)
@@ -566,6 +560,7 @@ def adversarial_risk_grid(order: BiasOrder, K: float, n: int, *,
     empirical ratio above the asymptotic value by more than Monte Carlo
     noise.  Defaults: a 5x5 log-spaced grid over [0.1, 10]^2.
     """
+    seed = count(seed, "seed must lie in [0, 2**64)", 0, 2**64, ConfigurationError)
     B_values = np.geomspace(0.1, 10.0, 5) if B_values is None else np.asarray(B_values, float)
     sigma_values = (
         np.geomspace(0.1, 10.0, 5) if sigma_values is None else np.asarray(sigma_values, float)
@@ -693,8 +688,7 @@ def reproduce_table(table_id: int, *, scale: float = 1.0,
         raise ValueError(f"table_id must be 1..8, got {table_id}")
 
     mode, d, Ks = _TABLE_MC[table_id]
-    if not (scale > 0 and math.isfinite(scale)):
-        raise ValueError(f"scale must be positive, got {scale}")
+    positive(scale, "scale must be positive")
     budgets = tuple(int(round(n * scale)) for n in MM1_BUDGETS_FULL)
     if min(budgets) < 1000:
         raise ValueError(

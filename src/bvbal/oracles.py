@@ -32,6 +32,8 @@ from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
+from .errors import count, positive
+
 __all__ = [
     "StreamKey",
     "BiasOrder",
@@ -40,8 +42,6 @@ __all__ = [
     "BatchedFunction",
     "FiniteDifferenceOracle",
 ]
-
-_MAX_SEED = 2**64
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,12 +62,10 @@ class StreamKey:
     path: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not 0 <= self.seed < _MAX_SEED:  # nan and inf fail here too
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
-        path = tuple(self.path)
-        if not all(0 <= i < math.inf for i in path):  # nan and inf fail here too
-            raise ValueError(f"path entries must be non-negative, got {path}")
-        object.__setattr__(self, "path", tuple(int(i) for i in path))
+        object.__setattr__(self, "seed",
+                           count(self.seed, "seed must lie in [0, 2**64)", 0, 2**64))
+        object.__setattr__(self, "path", tuple(
+            count(i, "path entries must be non-negative integers") for i in self.path))
 
     def child(self, *indices: int) -> "StreamKey":
         """Key for the sub-stream at ``path + indices``."""
@@ -95,10 +93,8 @@ class BiasOrder:
     q2: float
 
     def __post_init__(self) -> None:
-        if not (self.q1 > 0 and math.isfinite(self.q1)):
-            raise ValueError(f"q1 must be positive and finite, got {self.q1}")
-        if not (self.q2 > 0 and math.isfinite(self.q2)):
-            raise ValueError(f"q2 must be positive and finite, got {self.q2}")
+        positive(self.q1, "q1 must be positive and finite")
+        positive(self.q2, "q2 must be positive and finite")
 
     @property
     def alpha(self) -> float:

@@ -40,11 +40,11 @@ moved process by its perturbed rate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import count, positive
 from .oracles import BatchedFunction, FiniteDifferenceOracle, StreamKey
 
 __all__ = [
@@ -75,15 +75,10 @@ class QueueParams:
     num_customers: int = 10
 
     def __post_init__(self) -> None:
-        if not (self.arrival_rate > 0 and math.isfinite(self.arrival_rate)):
-            raise ValueError(f"arrival_rate must be positive, got {self.arrival_rate}")
-        if not (self.service_rate > 0 and math.isfinite(self.service_rate)):
-            raise ValueError(f"service_rate must be positive, got {self.service_rate}")
-        if not (self.num_customers >= 1 and self.num_customers % 1 == 0):
-            raise ValueError(
-                f"num_customers must be a positive integer, got {self.num_customers}"
-            )
-        object.__setattr__(self, "num_customers", int(self.num_customers))
+        positive(self.arrival_rate, "arrival_rate must be positive")
+        positive(self.service_rate, "service_rate must be positive")
+        object.__setattr__(self, "num_customers", count(
+            self.num_customers, "num_customers must be a positive integer", 1))
 
 
 @dataclass(frozen=True, slots=True)

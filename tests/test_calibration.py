@@ -712,8 +712,13 @@ def test_weight_scheme_rejects_tampering():
     WeightScheme(weights=scheme.weights, **fields)  # the untampered scheme passes
     with pytest.raises(ValueError):
         WeightScheme(weights=scheme.weights * 1.01, **fields)
-    with pytest.raises(ValueError):
-        WeightScheme(weights=scheme.weights, **{**fields, "eta_star": scheme.K + 1.0})
+    # eta* above the cap or not positive, an infinite cap, an unknown regime
+    # and a non-finite k_min: values no solve produces
+    for tampered in ({"eta_star": scheme.K + 1.0}, {"eta_star": -math.inf},
+                     {"eta_star": 0.0}, {"K": math.inf, "eta_star": 1e300},
+                     {"regime": "nonsense"}, {"k_min": math.nan}):
+        with pytest.raises(ValueError):
+            WeightScheme(weights=scheme.weights, **{**fields, **tampered})
     # a* off by 1e-3, or not finite: the NaN-safe check rejects every one
     for a_star in (scheme.a_star + 1e-3, math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="bias sum"):

@@ -65,6 +65,19 @@ def test_amrr_rejects_nonpositive_cap(capsys):
     assert "K must be positive" in err
 
 
+def test_options_a_command_would_ignore_are_rejected(capsys, tmp_path, monkeypatch):
+    # amrr writes no file and draws nothing, and weights draws nothing: an
+    # --out or --seed there used to be accepted and silently ignored
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, "amrr", "--out", "f")
+    assert code == 2
+    assert "--out" in err
+    assert list(tmp_path.iterdir()) == []
+    code, _, err = run(capsys, "weights", "--n", "20", "--seed", "1")
+    assert code == 2
+    assert "--seed" in err
+
+
 # ---------------------------------------------------------------- weights
 
 

@@ -132,7 +132,7 @@ def test_threads_share_the_prepared_maps_off_the_unit_model(monkeypatch, q):
     assert len(texts) == 1
 
 
-@pytest.mark.parametrize("workers", [0, -3, MAX_WORKERS + 1, 2.5, True])
+@pytest.mark.parametrize("workers", [0, -3, MAX_WORKERS + 1, 2.5, True, math.inf, math.nan])
 def test_bad_worker_counts_are_rejected(workers):
     # rejected before any plan is built or any thread is started
     with pytest.raises(ConfigurationError, match="workers must be an integer"):
@@ -455,10 +455,11 @@ _COUNTS = {
     "StreamKey seed": (lambda x: StreamKey(x), "seed must lie in"),
     "StreamKey path": (lambda x: StreamKey(0, (1, x)), "path entries must be"),
     "StreamKey child": (lambda x: StreamKey(0).child(x), "path entries must be"),
+    "grid seed": (lambda x: adversarial_risk_grid(Q21, 2.0, 64, seed=x), "seed must lie in"),
 }
 
 
-@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 1.5])
 @pytest.mark.parametrize("count", list(_COUNTS))
 def test_non_finite_counts_raise_their_documented_error(count, x):
     # int(x) != x used to raise OverflowError on inf (and a bare ValueError
@@ -475,6 +476,16 @@ def test_negative_cap_is_rejected_at_resolution(K):
     )
     with pytest.raises(ConfigurationError, match="K must be positive"):
         run_experiment(config)
+
+
+def test_integral_float_counts_run_and_hash_as_ints():
+    # counts are stored as the ints they name: 40.0 replications and seed
+    # 17.0 used to be kept as floats and fail inside the run
+    floats = small_config(replications=40.0, seed=17.0, n0=500.0, K=2.0)
+    ints = small_config(replications=40, seed=17, n0=500, K=2.0)
+    assert (floats.replications, floats.seed, floats.n0) == (40, 17, 500)
+    assert floats.hash() == ints.hash()
+    assert run_experiment(floats).json_text() == run_experiment(ints).json_text()
 
 
 def test_config_hash_tracks_content():
