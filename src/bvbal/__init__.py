@@ -49,7 +49,6 @@ from .experiments import (
     QueueSetting,
     TableResult,
     adversarial_risk_grid,
-    emit_weight_distribution,
     paired_risk_ratio,
     reproduce_table,
     run_experiment,

@@ -388,8 +388,7 @@ def feasible_intervals(xi: XiMatrix, order: BiasOrder, K: float) -> list[tuple[f
     """
     if order != xi.order:
         raise ValueError(f"order {order} differs from the Gram matrix's {xi.order}")
-    if not (K > 0 and math.isfinite(K)):  # not `positive`: a test pins this exact text
-        raise ValueError("K must be positive")
+    positive(K, "K must be positive")
     A = float(K) ** (2.0 * (order.q1 + order.q2)) - xi.xi11
     B = -2.0 * xi.xi12
     C = -xi.xi22

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import secrets
 import sys
 from typing import Callable, Iterable, Iterator
@@ -42,7 +41,7 @@ from .calibration import (
     amrr_recursive_tied,
     solve_weights,
 )
-from .errors import ConfigurationError, InfeasibleError
+from .errors import ConfigurationError, InfeasibleError, count, positive
 from .experiments import (
     MAX_WORKERS,
     EstimatorSetting,
@@ -62,22 +61,20 @@ _ROWS = 4096
 _SWITCH = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
-def _checked(convert: Callable, ok: Callable, what: str) -> Callable:
-    """An argparse ``type=`` that converts, then checks the value; flags and
-    --config values both go through it."""
+def _flag(convert: Callable, rule: Callable, what: str, *bounds: int) -> Callable:
+    """An argparse ``type=`` that converts, then checks the value by an
+    `errors` rule; flags and --config values both go through it."""
     def parse(text: str):
         value = convert(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"{what}, got {text!r}")
+        rule(value, what, *bounds, error=argparse.ArgumentTypeError)
         return value
     parse.__name__ = convert.__name__  # read by argparse's "invalid float value"
     return parse
 
 
-_cap = _checked(float, lambda K: K > 0 and math.isfinite(K), "K must be positive")
-_seed = _checked(int, lambda s: 0 <= s < 2**64, "seed must lie in [0, 2**64)")
-_workers = _checked(int, lambda w: 1 <= w <= MAX_WORKERS,
-                    f"workers must lie in [1, {MAX_WORKERS}]")
+_cap = _flag(float, positive, "K must be positive")
+_seed = _flag(int, count, "seed must lie in [0, 2**64)", 0, 2**64)
+_workers = _flag(int, count, f"workers must lie in [1, {MAX_WORKERS}]", 1, MAX_WORKERS + 1)
 
 
 class _Budgets(argparse.Action):

@@ -80,8 +80,7 @@ class DeltaSchedule:
         return cls(scale=scale, alpha=order.alpha, n0=n0)
 
     def delta(self, j: int) -> float:
-        if j < 1:
-            raise ValueError(f"draw index must be >= 1, got {j}")
+        j = count(j, "draw index must be an integer >= 1", 1)
         return self.scale * float(j + self.n0) ** (-self.alpha)
 
     def deltas(self, n: int) -> np.ndarray:

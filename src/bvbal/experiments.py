@@ -38,6 +38,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -69,8 +70,6 @@ __all__ = [
     "TableResult",
     "run_experiment",
     "paired_risk_ratio",
-    "emit_weight_distribution",
-    "weight_distribution_csv",
     "adversarial_risk_grid",
     "reproduce_table",
     "MM1_BUDGETS_FULL",
@@ -80,6 +79,9 @@ ESTIMATOR_KINDS = ("baseline", "recursive", "averaged", "weighted")
 MM1_BUDGETS_FULL = (10_000, 20_000, 30_000, 50_000, 80_000, 100_000)
 CSV_HEADER = "estimator,n,mse,se,ratio,theory"
 MAX_WORKERS = 256  # the most worker threads one run may start
+_budget = partial(count, what="budget n must be a positive integer", minimum=1)
+# the one queue the reference derivatives MM1_TRUE_* are known for
+_REFERENCE_QUEUE = QueueParams(4.0, 4.0, 10)
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,14 +89,18 @@ class QueueSetting:
     """Queueing model choice for an experiment: central difference on one
     rate, or simultaneous perturbation on both.  ``target`` and ``crn``
     are central-difference settings: sp moves both rates with
-    independent runs, so it takes neither (``target`` keeps its default)."""
+    independent runs, so it takes neither (``target`` keeps its default).
+    ``params`` must be the reference queue, the one ``true_value`` knows."""
 
-    params: QueueParams = QueueParams(4.0, 4.0, 10)
+    params: QueueParams = _REFERENCE_QUEUE
     mode: str = "cfd"
     target: str = "arrival"
     crn: bool = False
 
     def __post_init__(self) -> None:
+        if self.params != _REFERENCE_QUEUE:
+            raise ValueError(f"the reference derivatives are known only at "
+                             f"{_REFERENCE_QUEUE}, got {self.params}")
         if self.mode not in ("cfd", "sp"):
             raise ValueError(f"mode must be 'cfd' or 'sp', got {self.mode!r}")
         if self.target not in ("arrival", "service"):
@@ -190,8 +196,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         C = ConfigurationError
-        budgets = tuple(count(n, "budget n must be a positive integer", 1, error=C)
-                        for n in self.budgets)
+        budgets = tuple(_budget(n, error=C) for n in self.budgets)
         if not self.estimators:
             raise C("at least one estimator entry is required")
         if not budgets or len(set(budgets)) != len(budgets):
@@ -362,13 +367,14 @@ class ExperimentReport:
     schema_version = 1
 
     def row(self, estimator: str, n: int) -> ReportRow:
+        n = _budget(n)
         for r in self.rows:
-            if r.estimator == estimator and r.n == int(n):
+            if r.estimator == estimator and r.n == n:
                 return r
         raise KeyError(f"no row for estimator={estimator!r}, n={n}")
 
     def errors(self, estimator: str, n: int) -> np.ndarray:
-        return self.squared_errors[f"{estimator}|{int(n)}"]
+        return self.squared_errors[f"{estimator}|{_budget(n)}"]
 
     def csv_text(self) -> str:
         lines = [CSV_HEADER]
@@ -389,14 +395,6 @@ class ExperimentReport:
             "squared_errors": {k: v.tolist() for k, v in self.squared_errors.items()},
         }
         return json.dumps(doc, sort_keys=True) + "\n"
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.csv_text())
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.json_text())
 
     def summary(self) -> str:
         lines = []
@@ -517,25 +515,6 @@ def paired_risk_ratio(report: ExperimentReport, estimator: str, n: int,
     return RiskRatio(float(ratio), 1.96 * se, False)
 
 
-def emit_weight_distribution(budgets, order: BiasOrder, K: float,
-                             n0: int = 0) -> list[tuple[int, int, float]]:
-    """(n, j, weight) triples of the solved schemes across budgets,
-    suitable for plotting how the negative head and slow tail evolve."""
-    rows: list[tuple[int, int, float]] = []
-    for n in budgets:
-        scheme = optimal_weights(n, n0, order, K)
-        rows.extend(
-            (scheme.n, j + 1, float(w)) for j, w in enumerate(scheme.weights)
-        )
-    return rows
-
-
-def weight_distribution_csv(rows) -> str:
-    lines = ["n,j,weight"]
-    lines.extend(f"{n},{j},{w!r}" for n, j, w in rows)
-    return "\n".join(lines) + "\n"
-
-
 class AdversarialCell(NamedTuple):
     B: float
     sigma: float
@@ -565,6 +544,8 @@ def adversarial_risk_grid(order: BiasOrder, K: float, n: int, *,
     sigma_values = (
         np.geomspace(0.1, 10.0, 5) if sigma_values is None else np.asarray(sigma_values, float)
     )
+    if not (B_values.ndim == sigma_values.ndim == 1 and B_values.size and sigma_values.size):
+        raise ConfigurationError("B_values and sigma_values must be non-empty 1-d sequences")
     cells: list[AdversarialCell] = []
     idx = 0
     for b in B_values:

@@ -624,8 +624,8 @@ def test_memo_keeps_no_n_length_array():
     ((10, -1, Q21, 1.0), ValueError, "n0 must be a non-negative integer, got -1"),
     ((1, 0, Q21, -1.0), ValueError,
      "n must be at least 2, got 1: with one draw the constraint system is singular"),
-    ((1_000, 0, Q21, -1.0), ValueError, "K must be positive"),
-    ((1_000, 0, Q21, math.nan), ValueError, "K must be positive"),
+    ((1_000, 0, Q21, -1.0), ValueError, "K must be positive, got -1.0"),
+    ((1_000, 0, Q21, math.nan), ValueError, "K must be positive, got nan"),
     ((1_000, 0, Q21, 0.5), InfeasibleError,
      "no feasible weight scheme at n=1000, K=0.5: the inflation cap excludes "
      "every bias-sum level (needs K >= 0.714985)"),
@@ -645,7 +645,7 @@ def test_invalid_and_infeasible_inputs_raise_on_every_call(args, error, message)
             with pytest.raises(error) as exc:
                 solve(*args)
             assert str(exc.value) == message
-    gram_ok = error is InfeasibleError or message == "K must be positive"
+    gram_ok = error is InfeasibleError or message.startswith("K must be positive")
     assert _gram.cache_info().currsize == 1 + (gram_ok and args[:2] != (1_000, 0))
 
 
@@ -695,6 +695,19 @@ def test_optimal_weights_self_consistency():
     # s_star is the objective at a_star
     assert scheme.s_star == pytest.approx(float(objective(scheme.a_star, xi)), rel=1e-12)
     assert scheme.scaled_s_star == pytest.approx(500 ** (2.0 / 3.0) * scheme.s_star, rel=1e-15)
+
+
+def test_weight_shape_across_budgets():
+    w = {n: optimal_weights(n, 0, Q21, 1.0).weights for n in (100, 300, 1000, 2000)}
+    for n, weights in w.items():
+        assert weights.shape == (n,)
+        assert math.fsum(weights) == pytest.approx(1.0, abs=1e-10)
+    # the negative head and positive tail at the reference budget
+    assert w[1000][0] < 0.0 < w[1000][-1]
+    # the largest magnitude shrinks with the budget once the head has
+    # formed (n = 100 is still pre-asymptotic)
+    peaks = [np.abs(w[n]).max() for n in (300, 1000, 2000)]
+    assert peaks[0] > peaks[1] > peaks[2]
 
 
 def test_weight_scheme_is_a_solution_with_its_weights():

@@ -53,8 +53,11 @@ def test_delta_schedule_validation():
         DeltaSchedule(scale=1.0, alpha=-0.1)
     with pytest.raises(ValueError):
         DeltaSchedule(scale=1.0, alpha=0.1, n0=-1)
-    with pytest.raises(ValueError):
-        DeltaSchedule(scale=1.0, alpha=0.1).delta(0)
+    # nan gave nan and inf gave 0.0, neither a positive size, and 1.5 a
+    # size for a draw that does not exist
+    for j in (0, 1.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="draw index must be an integer >= 1"):
+            DeltaSchedule(scale=1.0, alpha=0.1).delta(j)
     with pytest.raises(ValueError):
         DeltaSchedule(scale=1.0, alpha=0.1).deltas(0)
 

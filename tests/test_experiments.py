@@ -25,7 +25,6 @@ from bvbal import (
     amrr_recursive_tied,
     averaged_estimate,
     baseline_estimate,
-    emit_weight_distribution,
     optimal_weights,
     paired_risk_ratio,
     recursive_estimate,
@@ -34,7 +33,7 @@ from bvbal import (
     weighted_estimate,
 )
 from bvbal.calibration import phi_sum, xi_matrix, ztilde_squared
-from bvbal.experiments import CSV_HEADER, MAX_WORKERS, MM1_BUDGETS_FULL, weight_distribution_csv
+from bvbal.experiments import CSV_HEADER, MAX_WORKERS, MM1_BUDGETS_FULL
 
 from helpers import unit_spec
 
@@ -139,14 +138,11 @@ def test_bad_worker_counts_are_rejected(workers):
         run_experiment(small_config(), workers=workers)
 
 
-def test_rerun_is_byte_identical(tmp_path):
+def test_rerun_is_byte_identical():
     config = small_config()
     a, b = run_experiment(config), run_experiment(config)
     assert a.json_text() == b.json_text()
-    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
-    a.to_csv(pa)
-    b.to_csv(pb)
-    assert pa.read_bytes() == pb.read_bytes()
+    assert a.csv_text() == b.csv_text()
 
 
 def test_csv_header_and_shape():
@@ -220,10 +216,18 @@ def test_mse_and_se_definitions():
 def test_row_and_error_lookup():
     report = run_experiment(small_config())
     assert report.row("recursive", 64).n == 64
+    assert report.row("recursive", 64.0) is report.row("recursive", 64)
     with pytest.raises(KeyError):
         report.row("median", 64)
     with pytest.raises(KeyError):
         report.errors("baseline", 999)
+    # n = 64.9 used to find the n = 64 row, and nan to raise a bare
+    # "cannot convert float NaN to integer"
+    for n in (64.9, 100.9, math.nan, math.inf):
+        for lookup in (report.row, report.errors,
+                       lambda label, n: paired_risk_ratio(report, label, n)):
+            with pytest.raises(ValueError, match="budget n must be a positive integer"):
+                lookup("recursive", n)
 
 
 def test_ratio_is_none_without_a_baseline():
@@ -516,35 +520,12 @@ def test_queue_setting_validation_and_mapping():
 
     assert isinstance(s.make_oracle(), MM1DerivativeOracle)
     assert isinstance(QueueSetting(mode="sp").make_oracle(), MM1GradientOracleSP)
-
-
-# ------------------------------------------------------- weight emission
-
-
-def test_weight_distribution_rows():
-    budgets = (100, 300, 1000, 2000)
-    rows = emit_weight_distribution(budgets, Q21, 1.0)
-    assert len(rows) == sum(budgets)
-    by_n = {n: np.array([w for m, _, w in rows if m == n]) for n in budgets}
-    for n in budgets:
-        assert math.fsum(by_n[n]) == pytest.approx(1.0, abs=1e-10)
-    # the negative head and positive tail at the reference budget
-    assert by_n[1000][0] < 0.0 < by_n[1000][-1]
-    # the largest magnitude shrinks with the budget once the head has
-    # formed (n = 100 is still pre-asymptotic)
-    peaks = [np.abs(by_n[n]).max() for n in (300, 1000, 2000)]
-    assert peaks[0] > peaks[1] > peaks[2]
-    text = weight_distribution_csv(rows).splitlines()
-    assert text[0] == "n,j,weight"
-    assert len(text) == 1 + sum(budgets)
-
-
-def test_weight_distribution_rejects_a_fractional_budget():
-    # int(n) used to run n = 64.7 at 64
-    with pytest.raises(ValueError, match="n must be an integer >= 1, got 64.7"):
-        emit_weight_distribution((64.7,), Q21, 1.0)
-    rows = emit_weight_distribution((64.0,), Q21, 1.0)
-    assert {n for n, _, _ in rows} == {64} and type(rows[0][0]) is int
+    # true_value() is the (4, 4, 10) derivative whatever the params: at
+    # (4, 4, 20) it scored against 0.0946 where the exact value is 0.2210
+    for params in (QueueParams(4.0, 4.0, 20), QueueParams(2.0, 4.0, 10)):
+        with pytest.raises(ValueError, match=r"known only at QueueParams\(arrival_rate=4.0"):
+            QueueSetting(params=params)
+    assert QueueSetting(params=QueueParams(4, 4, 10)) == s
 
 
 # ------------------------------------------------------ adversarial sweep
@@ -555,6 +536,14 @@ def test_adversarial_grid_rejects_a_fractional_budget():
     with pytest.raises(ConfigurationError, match="budget n must be a positive integer"):
         adversarial_risk_grid(Q21, 1.0, 64.7, replications=4,
                               B_values=(1.0,), sigma_values=(1.0,))
+
+
+@pytest.mark.parametrize("grid", [dict(B_values=()), dict(sigma_values=[]), dict(B_values=1.0)])
+def test_adversarial_grid_rejects_an_empty_grid(grid):
+    # an empty axis used to end in "max() arg is an empty sequence", and a
+    # scalar one in "iteration over a 0-d array"
+    with pytest.raises(ConfigurationError, match="must be non-empty 1-d sequences"):
+        adversarial_risk_grid(Q21, 1.0, 64, replications=4, **grid)
 
 
 def test_adversarial_grid_smoke():

@@ -31,6 +31,14 @@ def test_count_rule_is_written_once():
     assert copies == []
 
 
+def test_positive_rule_is_written_once():
+    # `errors.positive` is the one rule for a positive real, the same
+    # guard against a hand-written copy drifting from it
+    copies = [path.name for path in PACKAGE_DIR.glob("*.py")
+              if path.name != "errors.py" and "> 0 and math.isfinite(" in path.read_text()]
+    assert copies == []
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_module_star_import_resolves(module):
     # a star import raises AttributeError on an __all__ entry that is gone
