@@ -36,7 +36,13 @@ Every O(n) exact sum (the power sums behind `xi_matrix`, the
 estimator's initial-point coefficient in `bvbal.estimators`) goes through
 one streaming kernel, `_exact_sums`: a vectorised error-free-extraction
 sum, fed blocks of at most _BLOCK terms, that returns the correctly
-rounded value `math.fsum` returns, bit for bit.  The solver's O(n) passes
+rounded value `math.fsum` returns, bit for bit.  The self-checks only
+decide pass or fail, so they first try `_bounded_sums`, a plain sum of
+the same blocks with an error bound that holds in any summation order
+(2 gamma_{_BLOCK-1} sum|x| + 2 u |t| + 2**-1022, u = 2**-53); when both
+bounds are clear of half the 1e-10 tolerance that pass decides, and
+otherwise the exact sums do, so every rejection and its message are the
+exact kernel's.  The solver's O(n) passes
 make their terms block by block in cache-sized buffers: `solve_weights`
 allocates no n-length array, and the weights that `materialise` builds
 are the only one of `optimal_weights`.
@@ -92,6 +98,12 @@ _STEPS = np.arange(_BLOCK, dtype=float)
 _STEPS.setflags(write=False)
 _HUGE = 2.0**960
 _MIN_NORMAL_EXP = -1022
+# `_bounded_sums`: the unit roundoff u, gamma_{_BLOCK - 1} =
+# (_BLOCK - 1) u / (1 - (_BLOCK - 1) u), and the smallest normal double,
+# its absolute term for underflow
+_UNIT = 2.0**-53
+_GAMMA = (_BLOCK - 1) * _UNIT / (1.0 - (_BLOCK - 1) * _UNIT)
+_TINY = 2.0**_MIN_NORMAL_EXP
 # entries of the `_gram` memo, each a few floats
 _GRAMS = 64
 _GRID_POINTS = 10_000
@@ -214,6 +226,46 @@ def _exact_sums(n: int, blocks, count: int) -> list[_ExactSum]:
         for total, block in zip(sums, blocks(lo, hi), strict=True):
             total.add(block)
     return sums
+
+
+def _bounded_sums(n: int, blocks, count: int) -> list[tuple[float, float]] | None:
+    """``count`` sums of n terms each, in one cheap pass over the blocks
+    of `_exact_sums`: for each sum, an estimate t and a bound e with
+    |t - s| <= e, where s is the sum's real value; None ("undecided") if
+    any term, block sum or total is not finite.
+
+    Each block of m <= _BLOCK terms is summed by `np.add.reduce`, and so
+    are its magnitudes.  In any summation order a block sum is within
+    gamma_{m-1} * sum|x| of the block's real sum, gamma_k = k u / (1 - k u)
+    with u = 2**-53 (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2002, section 4.2); additions whose result is subnormal
+    are exact, so underflow breaks none of it.  t is the `math.fsum` of
+    the block sums, within u |t| of their real sum.  So
+    e = 2 gamma_{_BLOCK-1} * fsum(magnitude sums) + 2 u |t| + 2**-1022:
+    the factor 2 covers the rounding of the magnitude sums and of e
+    itself, and 2**-1022 a product that underflows.  The one scratch
+    buffer is a block long.
+    """
+    parts: list[list[float]] = [[] for _ in range(count)]
+    mags: list[list[float]] = [[] for _ in range(count)]
+    scratch = np.empty(min(n, _BLOCK))
+    with np.errstate(over="ignore", invalid="ignore"):  # undecided, not warned
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            for part, mag, block in zip(parts, mags, blocks(lo, hi), strict=True):
+                part.append(float(np.add.reduce(block)))
+                mag.append(float(np.add.reduce(np.abs(block, out=scratch[: hi - lo]))))
+    bounded = []
+    for part, mag in zip(parts, mags):
+        try:
+            total, size = math.fsum(part), math.fsum(mag)
+        except (OverflowError, ValueError):  # a finite overflow, or inf - inf
+            return None
+        bound = 2.0 * _GAMMA * size + 2.0 * _UNIT * abs(total) + _TINY
+        if not math.isfinite(bound):  # an inf or nan among the sums
+            return None
+        bounded.append((total, bound))
+    return bounded
 
 
 def _exact_sum(x) -> float:
@@ -612,7 +664,12 @@ class WeightScheme(WeightSolution):
     w_j = lambda1 / (j+n0)**kappa_fast + lambda2 / (j+n0)**kappa_slow.
     Construction self-checks them: finite, summing to one, reproducing
     a_star, with 0 < eta_star within the finite cap K, a known regime and
-    a finite k_min > 0."""
+    a finite k_min > 0.
+
+    The two sums are checked within 1e-10.  A bounded pass
+    (`_bounded_sums`) accepts them when each estimate is within half that
+    of its target with its error bound added; otherwise the exact sums
+    (`_exact_sums`, fsum's bits) decide, and name the failing value."""
 
     weights: np.ndarray
 
@@ -630,7 +687,7 @@ class WeightScheme(WeightSolution):
             raise ValueError("weights must be finite")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        # sum w and sum (j + n0)**(-alpha q1) w in one pass over blocks of w
+        # the terms of sum w and sum (j + n0)**(-alpha q1) w, block by block
         exponent = -self.order.alpha * self.order.q1
         j = np.empty(min(w.shape[0], _BLOCK))
 
@@ -642,6 +699,14 @@ class WeightScheme(WeightSolution):
             jb *= w[lo:hi]
             yield jb
 
+        # bounds clear of half the tolerance pass both checks, as the exact
+        # sums below would; anything else is decided by those
+        bounded = _bounded_sums(w.shape[0], blocks, 2)
+        if bounded is not None:
+            (t0, e0), (t1, e1) = bounded
+            if (abs(t0 - 1.0) + e0 <= 0.5e-10 and math.isfinite(self.a_star)
+                    and abs(t1 - self.a_star) + e1 <= 0.5e-10 * max(1.0, abs(self.a_star))):
+                return
         sums = _exact_sums(w.shape[0], blocks, 2)
         total = sums[0].value()
         if not abs(total - 1.0) <= 1e-10 * max(1.0, abs(total)):

@@ -204,7 +204,8 @@ def _weight_blocks(weights: np.ndarray) -> Iterator[tuple[int, list[float]]]:
 
 
 def _cmd_weights(args) -> int:
-    order, K, n, n0 = BiasOrder(args.q1, args.q2), args.K, args.n, args.n0
+    order, K, n0 = BiasOrder(args.q1, args.q2), args.K, args.n0
+    n = count(args.n, "n must be an integer >= 1", 1)
     if n < 2:
         raise InfeasibleError(
             f"n={n}: the constraint system is singular with fewer than two "

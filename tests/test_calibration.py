@@ -17,8 +17,10 @@ from bvbal.calibration import (
     RecursiveCalibration,
     WeightScheme,
     WeightSolution,
+    _bounded_sums,
     _exact_sum,
     _exact_sums,
+    _ExactSum,
     _gram,
     amrr_general,
     amrr_recursive_free,
@@ -254,6 +256,48 @@ def test_streamed_sums_fall_back_lazily_in_the_callers_order():
         second.value()
     with pytest.raises(ValueError):
         first.value()
+
+
+# ------------------------------------------------------ bounded-sum pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    values=st.lists(st.one_of(_SPREAD, st.sampled_from([0.0, -0.0, 5e-324, -5e-324])),
+                    min_size=1, max_size=80),
+    size=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 40_000]),
+    poison=st.sampled_from([None, math.inf, -math.inf, math.nan]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bounded_sum_brackets_fsum(values, size, poison, seed):
+    # the inputs of the exact kernel's wide-and-subnormal test, at lengths
+    # around the block edges: the estimate is within its bound of fsum's
+    # correctly rounded sum, and any inf or nan leaves the pass undecided
+    rng = np.random.default_rng(seed)
+    x = np.resize(np.array(values, dtype=float), size)
+    rng.shuffle(x)
+    if poison is not None:
+        x[rng.integers(size)] = poison
+    bounded = _bounded_sums(size, lambda lo, hi: (x[lo:hi], -x[lo:hi]), 2)
+    if poison is not None:
+        assert bounded is None
+        return
+    want = math.fsum(x)
+    for (total, bound), sign in zip(bounded, (1.0, -1.0)):
+        assert abs(total - sign * want) <= bound
+
+
+def test_bounded_sum_is_undecided_when_a_total_is_not_finite():
+    # finite block sums whose total overflows, a block sum that overflows,
+    # and infinities of both signs in different blocks
+    x = np.zeros(2 * _BLOCK)
+    x[0] = x[_BLOCK] = 1e308
+    y = np.zeros(2 * _BLOCK)
+    y[0], y[_BLOCK] = math.inf, -math.inf
+    for z in (x, x[: _BLOCK + 1][::-1].copy(), y):
+        assert _bounded_sums(z.shape[0], lambda lo, hi: (z[lo:hi],), 1) is None
+    one = np.ones(3)
+    assert _bounded_sums(3, lambda lo, hi: (one[lo:hi], one[lo:hi] * 1e308), 2) is None
 
 
 def _two_level_phi_sum(kappa, n, n0):
@@ -743,6 +787,94 @@ def test_weight_scheme_rejects_tampering():
             WeightScheme(weights=weights, **fields)
     with pytest.raises(ValueError):
         scheme.deltas(0.0)
+
+
+def _count_exact_adds(monkeypatch) -> list:
+    """Patch `_ExactSum.add` to log each call; returns the log."""
+    calls, add = [], _ExactSum.add
+
+    def logged(self, block):
+        calls.append(block.shape[0])
+        return add(self, block)
+
+    monkeypatch.setattr(_ExactSum, "add", logged)
+    return calls
+
+
+def _reference_check(w, n0, a_star):
+    """`WeightScheme`'s two sum checks on math.fsum: the message of the
+    first one that fails, or None."""
+    total = math.fsum(w)
+    if not abs(total - 1.0) <= 1e-10 * max(1.0, abs(total)):
+        return f"weights must sum to 1 within 1e-10, got {total!r}"
+    j = np.arange(1, w.shape[0] + 1, dtype=float) + n0
+    bias_sum = math.fsum(j ** (-Q21.alpha * Q21.q1) * w)
+    if not (math.isfinite(a_star) and abs(bias_sum - a_star) <= 1e-10 * max(1.0, abs(a_star))):
+        return f"weights reproduce bias sum {bias_sum!r}, expected a*={a_star!r}"
+    return None
+
+
+def _steps(x, ulps):
+    """x moved by ``ulps`` ulps, up when positive."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+def test_weight_checks_decide_as_fsum_at_the_tolerance_edges(monkeypatch):
+    # weights and a* tampered so the exact sums land a few ulps either side
+    # of 1 +- 1e-10 and a* +- 1e-10 max(1, |a*|), and +-1e12 entries that
+    # cancel: no bound is clear of the tolerance, and WeightScheme accepts
+    # or rejects each as the fsum reference does, with its message
+    n0 = 500
+    scheme = optimal_weights(40_000, n0, Q21, 2.0)
+    fields = {f.name: getattr(scheme, f.name) for f in dataclasses.fields(WeightSolution)}
+    cases = []
+    for edge in (1.0 - 1e-10, 1.0 + 1e-10):
+        for ulps in range(-3, 4):
+            target, w = _steps(edge, ulps), scheme.weights.copy()
+            w[-1] += target - math.fsum(w)  # its ulp is far below 1's
+            assert math.fsum(w) == target
+            cases.append((w, n0, scheme.a_star))
+    cancelling = scheme.weights.copy()
+    cancelling[:3] = 1e12, -1e12, math.fsum(cancelling[:3])
+    j = np.arange(1, scheme.n + 1, dtype=float) + n0
+    for w in (scheme.weights, cancelling):
+        bias_sum = math.fsum(j ** (-Q21.alpha * Q21.q1) * w)  # |a*| < 1, then about 8e7
+        for sign in (-1.0, 1.0):
+            edge = bias_sum + sign * 1e-10 * max(1.0, abs(bias_sum))
+            cases += [(w, n0, _steps(edge, ulps)) for ulps in range(-3, 4)]
+    cases.append((cancelling, n0, bias_sum))
+    # three weights (n0 = 0) whose left-to-right sum drops the 1.5e-10
+    # that the exact sum keeps: only the bound keeps the bounded pass off
+    lossy = np.array([2.0**40, 1.0 + 1.5e-10, -(2.0**40)])
+    cases.append((lossy, 0, math.fsum(np.arange(1.0, 4.0) ** (-Q21.alpha * Q21.q1) * lossy)))
+    calls = _count_exact_adds(monkeypatch)
+    outcomes = set()
+    for w, n0, a_star in cases:
+        want = _reference_check(w, n0, a_star)
+        del calls[:]
+        try:
+            WeightScheme(weights=w, **{**fields, "n": w.shape[0], "n0": n0, "a_star": a_star})
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want
+        assert calls  # the exact sums decided it
+        outcomes.add(want and want.startswith("weights must sum"))
+    assert outcomes == {None, True, False}  # accepted, and each check failing
+
+
+@pytest.mark.parametrize("n0", [0, 500])
+@pytest.mark.parametrize("K", [1.0, 2.0])
+def test_weight_checks_take_the_bounded_pass(n0, K, monkeypatch):
+    # a solved scheme's sums are far inside the tolerance, so the bounded
+    # pass decides both checks and the exact kernel never runs (the Gram
+    # matrix's power sums are memoised by the first call)
+    optimal_weights(2e5, n0, Q21, K)
+    calls = _count_exact_adds(monkeypatch)
+    optimal_weights(2e5, n0, Q21, K)
+    assert calls == []
 
 
 @pytest.mark.parametrize("d", [math.inf, -math.inf, math.nan])

@@ -87,6 +87,15 @@ def test_weights_singular_budget_exits_3(capsys):
     assert "singular" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_weights_budget_below_one_exits_2(capsys, n):
+    # a budget that is no count is a usage error, as in run-synthetic, not
+    # the singular system that a budget of one draw is
+    code, _, err = run(capsys, "weights", "--n", n)
+    assert code == 2
+    assert err == f"n must be an integer >= 1, got {n}\n"
+
+
 def test_weights_budget_past_2_53_exits_2(capsys):
     code, _, err = run(capsys, "weights", "--n", "10", "--n0", str(2**53 - 9))
     assert code == 2
