@@ -11,7 +11,6 @@ transient testbed, `experiments` the paired Monte Carlo harness, and
 
 from .calibration import (
     FreeRecursiveOptimum,
-    RecursiveCalibration,
     TiedRecursiveOptimum,
     WeightScheme,
     WeightSolution,

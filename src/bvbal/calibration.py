@@ -67,13 +67,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, InfeasibleError, count, positive
+from .errors import InfeasibleError, count, positive
 from .oracles import BiasOrder
 
 __all__ = [
     "XiMatrix",
     "WeightScheme",
-    "RecursiveCalibration",
     "TiedRecursiveOptimum",
     "FreeRecursiveOptimum",
     "phi_sum",
@@ -346,9 +345,6 @@ class XiMatrix:
     phi12: float
     phi22: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.xi11, self.xi12], [self.xi12, self.xi22]])
-
     def phi_array(self) -> np.ndarray:
         return np.array([[self.phi11, self.phi12], [self.phi12, self.phi22]])
 
@@ -516,19 +512,14 @@ def _minimize_on_interval(
     return best, _objective(best, xi)
 
 
-def pilot_a(xi_or_order, K: float, n: int | None = None) -> float:
+def pilot_a(xi: XiMatrix, K: float) -> float:
     """Asymptotic magnitude of the optimal bias-sum level,
     sqrt(q1/(q1+q2)) / (K**(q1+q2) * n**(q1/(2(q1+q2)))); used to anchor
     search grids."""
-    if isinstance(xi_or_order, XiMatrix):
-        order, n = xi_or_order.order, xi_or_order.n
-    else:
-        order = xi_or_order
-        if n is None:
-            raise ValueError("n is required when passing a BiasOrder")
-    q1, q2 = order.q1, order.q2
+    positive(K, "K must be positive")
+    q1, q2 = xi.order.q1, xi.order.q2
     s = q1 + q2
-    return math.sqrt(q1 / s) / (float(K) ** s * float(n) ** (q1 / (2.0 * s)))
+    return math.sqrt(q1 / s) / (float(K) ** s * float(xi.n) ** (q1 / (2.0 * s)))
 
 
 def solve_a_star(xi: XiMatrix, order: BiasOrder, K: float) -> float:
@@ -571,8 +562,8 @@ def eta_balance(a: float, xi: XiMatrix) -> float:
     (ztilde_squared(a, xi) / a**2) ** alpha.  A level a is feasible under
     cap K exactly when this value is <= K.
     """
-    if a == 0.0:
-        raise ValueError("bias-sum level a must be nonzero")
+    if a == 0.0 or not math.isfinite(a):
+        raise ValueError(f"bias-sum level a must be finite and nonzero, got {a}")
     return float((ztilde_squared(a, xi) / (a * a)) ** xi.order.alpha)
 
 
@@ -839,48 +830,6 @@ def amrr_recursive_free(order: BiasOrder) -> FreeRecursiveOptimum:
     ratio = 2.0 ** (2.0 * q2 / s) * e ** (-e)
     d_scale = ((q1 + 2.0 * q2) / (4.0 * s)) ** order.alpha
     return FreeRecursiveOptimum(ratio, d_scale, 1.0)
-
-
-def _check_steps(c: float, beta: float) -> None:
-    """The rule for gamma_j = c (j + n0)**(-beta): c finite and > 0, 0 < beta <= 1."""
-    positive(c, "step constant c must be positive", ConfigurationError)
-    if not 0.0 < beta <= 1.0:
-        raise ConfigurationError(f"beta must lie in (0, 1], got {beta}")
-
-
-@dataclass(frozen=True, slots=True)
-class RecursiveCalibration:
-    """Recommended (c, beta, d_scale) for a recursive or averaged run.
-
-    Produced by the classmethod constructors; `check(order)` verifies the
-    convergence condition c > q1 / (2 (q1 + q2)) that beta = 1 requires.
-    """
-
-    c: float
-    beta: float
-    d_scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        _check_steps(self.c, self.beta)
-        positive(self.d_scale, "d_scale must be positive", ConfigurationError)
-
-    @classmethod
-    def tied_optimal(cls, order: BiasOrder) -> "RecursiveCalibration":
-        opt = amrr_recursive_tied(order)
-        return cls(c=opt.c_opt, beta=1.0, d_scale=1.0)
-
-    @classmethod
-    def free_optimal(cls, order: BiasOrder, beta: float = 1.0) -> "RecursiveCalibration":
-        opt = amrr_recursive_free(order)
-        return cls(c=opt.c_opt, beta=beta, d_scale=opt.d_scale)
-
-    def check(self, order: BiasOrder) -> "RecursiveCalibration":
-        if self.beta == 1.0 and not self.c > order.q1 * order.alpha:
-            raise ConfigurationError(
-                f"beta = 1 requires c > q1/(2(q1+q2)) = {order.q1 * order.alpha!r}, "
-                f"got c = {self.c!r}"
-            )
-        return self
 
 
 def brute_force_weights(n: int, n0: int, order: BiasOrder, a: float) -> np.ndarray:

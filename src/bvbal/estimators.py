@@ -33,7 +33,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .calibration import _BLOCK, WeightScheme, _check_steps, _exact_sum, _exact_sums
+from .calibration import _BLOCK, WeightScheme, _exact_sum, _exact_sums
 from .errors import ConfigurationError, count, positive
 from .oracles import BiasOrder, SampleOracle, StreamKey, SyntheticOracleSpec
 
@@ -72,12 +72,6 @@ class DeltaSchedule:
         if not (self.alpha >= 0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be non-negative, got {self.alpha}")
         object.__setattr__(self, "n0", count(self.n0, "n0 must be a non-negative integer"))
-
-    @classmethod
-    def balanced(cls, order: BiasOrder, scale: float = 1.0, n0: int = 0) -> "DeltaSchedule":
-        """Schedule at the bias-variance balancing exponent alpha =
-        1 / (2 (q1 + q2))."""
-        return cls(scale=scale, alpha=order.alpha, n0=n0)
 
     def delta(self, j: int) -> float:
         j = count(j, "draw index must be an integer >= 1", 1)
@@ -129,6 +123,13 @@ class EstimatorRun:
 
 
 _check_budget = partial(count, what="budget n must be a positive integer", minimum=1)
+
+
+def _check_steps(c: float, beta: float) -> None:
+    """The rule for gamma_j = c (j + n0)**(-beta): c finite and > 0, 0 < beta <= 1."""
+    positive(c, "step constant c must be positive", ConfigurationError)
+    if not 0.0 < beta <= 1.0:
+        raise ConfigurationError(f"beta must lie in (0, 1], got {beta}")
 
 
 def _steps(c: float, beta: float, n: int, n0: int) -> tuple[np.ndarray, int]:

@@ -38,7 +38,6 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -50,7 +49,13 @@ from .calibration import (
     optimal_weights,
 )
 from .errors import ConfigurationError, count, positive
-from .estimators import DeltaSchedule, LinearPlan, RecursiveParams, predict_mse_leading
+from .estimators import (
+    DeltaSchedule,
+    LinearPlan,
+    RecursiveParams,
+    _check_budget,
+    predict_mse_leading,
+)
 from .oracles import BiasOrder, SampleOracle, StreamKey, SyntheticOracleSpec
 from .queueing import (
     MM1_TRUE_ARRIVAL_DERIVATIVE,
@@ -79,7 +84,6 @@ ESTIMATOR_KINDS = ("baseline", "recursive", "averaged", "weighted")
 MM1_BUDGETS_FULL = (10_000, 20_000, 30_000, 50_000, 80_000, 100_000)
 CSV_HEADER = "estimator,n,mse,se,ratio,theory"
 MAX_WORKERS = 256  # the most worker threads one run may start
-_budget = partial(count, what="budget n must be a positive integer", minimum=1)
 # the one queue the reference derivatives MM1_TRUE_* are known for
 _REFERENCE_QUEUE = QueueParams(4.0, 4.0, 10)
 
@@ -110,14 +114,6 @@ class QueueSetting:
         if self.mode == "sp" and (self.crn or self.target != "arrival"):
             raise ValueError("mode 'sp' moves both rates with independent runs; "
                              "it takes neither a target nor crn")
-
-    @property
-    def order(self) -> BiasOrder:
-        return self.make_oracle().order
-
-    @property
-    def dim(self) -> int:
-        return self.make_oracle().dim
 
     def true_value(self) -> np.ndarray:
         if self.mode == "sp":
@@ -196,7 +192,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         C = ConfigurationError
-        budgets = tuple(_budget(n, error=C) for n in self.budgets)
+        budgets = tuple(_check_budget(n, error=C) for n in self.budgets)
         if not self.estimators:
             raise C("at least one estimator entry is required")
         if not budgets or len(set(budgets)) != len(budgets):
@@ -209,10 +205,6 @@ class ExperimentConfig:
         for name, value in (("estimators", tuple(self.estimators)), ("budgets", budgets),
                             ("n0", n0), ("replications", reps), ("seed", seed)):
             object.__setattr__(self, name, value)
-
-    @property
-    def order(self) -> BiasOrder:
-        return self.model.order
 
     def to_dict(self) -> dict:
         m = self.model
@@ -248,9 +240,10 @@ class ExperimentConfig:
 
 
 def _build_plan(s: EstimatorSetting, n: int, config: ExperimentConfig,
-                shared: dict) -> tuple[str, LinearPlan, float | None]:
-    """Map one entry at budget n to (label, plan, theory), applying the
-    defaults documented on `EstimatorSetting`; on a synthetic model theory
+                order: BiasOrder, shared: dict) -> tuple[str, LinearPlan, float | None]:
+    """Map one entry at budget n to (label, plan, theory) on a model of
+    bias order ``order`` (the run's oracle's), applying the defaults
+    documented on `EstimatorSetting`; on a synthetic model theory
     is the plan's exact MSE for weighted entries and the leading-order
     prediction for the others (None elsewhere or out of regime).
     ``shared`` maps (schedule, n) to the deltas of plans already built
@@ -263,7 +256,6 @@ def _build_plan(s: EstimatorSetting, n: int, config: ExperimentConfig,
             shared[key] = schedule.deltas(n)
         return shared[key]
 
-    order = config.order
     d, alpha, n0 = config.baseline_d, order.alpha, config.n0
     synthetic = isinstance(config.model, SyntheticOracleSpec)
     label, theory = s.kind, None
@@ -367,14 +359,14 @@ class ExperimentReport:
     schema_version = 1
 
     def row(self, estimator: str, n: int) -> ReportRow:
-        n = _budget(n)
+        n = _check_budget(n)
         for r in self.rows:
             if r.estimator == estimator and r.n == n:
                 return r
         raise KeyError(f"no row for estimator={estimator!r}, n={n}")
 
     def errors(self, estimator: str, n: int) -> np.ndarray:
-        return self.squared_errors[f"{estimator}|{_budget(n)}"]
+        return self.squared_errors[f"{estimator}|{_check_budget(n)}"]
 
     def csv_text(self) -> str:
         lines = [CSV_HEADER]
@@ -432,7 +424,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
         oracle = config.model.make_oracle()
         theta = config.model.true_value()
     shared: dict = {}
-    entries = [[_build_plan(s, n, config, shared) for s in config.estimators]
+    entries = [[_build_plan(s, n, config, oracle.order, shared) for s in config.estimators]
                for n in config.budgets]
     labels = [label for label, _, _ in entries[0]]
     if len(set(labels)) != len(labels):

@@ -176,16 +176,15 @@ class SampleOracle(Protocol):
     schedule into buffers it reuses; the single-run estimators call
     ``sample_path``.
 
-    An explicit subclass inherits ``prepare``, ``transform``,
-    ``sample_path`` and ``sample``, which compose the map bit for bit,
-    and defines ``dim``, ``draw`` and four hooks: ``_checked(deltas)``
-    returns the checked 1-d schedule, ``_block_shape(n)`` the shape of an
-    n-draw block, ``_constants(deltas)`` what the map needs that depends
-    on the checked schedule alone (the deltas themselves, or read-only
-    arrays that ``prepare`` computes once from them), and
-    ``_map(constants, block, out, scratch)`` is the map, given those
-    constants in place of the deltas, both buffers and a block of that
-    shape.
+    An explicit subclass inherits ``prepare``, ``sample_path`` and
+    ``sample``, which compose the map bit for bit, and defines ``dim``,
+    ``draw`` and four hooks: ``_checked(deltas)`` returns the checked 1-d
+    schedule, ``_block_shape(n)`` the shape of an n-draw block,
+    ``_constants(deltas)`` what the map needs that depends on the checked
+    schedule alone (the deltas themselves, or read-only arrays that
+    ``prepare`` computes once from them), and ``_map(constants, block,
+    out, scratch)`` is the map, given those constants in place of the
+    deltas, both buffers and a block of that shape.
     """
 
     @property
@@ -198,15 +197,10 @@ class SampleOracle(Protocol):
         once."""
         return _Prepared(self, self._checked(deltas))
 
-    def transform(self, deltas, block: np.ndarray) -> np.ndarray:
-        """Samples at ``deltas`` from a block made by ``draw``, shape
-        (n, dim): ``prepare(deltas).transform(block)``."""
-        return self.prepare(deltas).transform(block)
-
     def sample_path(self, deltas, stream: StreamKey) -> np.ndarray:
         """One sample per entry of ``deltas`` from a single stream, shape
-        (n, dim): ``transform(deltas, draw(len(deltas), stream))``, with
-        the schedule checked before anything is drawn."""
+        (n, dim): ``prepare(deltas).transform(draw(len(deltas), stream))``,
+        with the schedule checked before anything is drawn."""
         prepared = self.prepare(deltas)
         return prepared.transform(self.draw(prepared.deltas.shape[0], stream))
 

@@ -99,7 +99,7 @@ def difference_expression(oracle, deltas, block):
 
 def check_prepared(oracle, expression, block, schedules):
     """``prepare(d).transform(block, out, scratch)`` (returning ``out``),
-    the allocating map and ``transform(d, block)`` all equal
+    the allocating map and a freshly prepared map all equal
     ``expression(oracle, d, block)`` bit for bit; buffers reused across
     schedules A, B, then A give A's bits both times; the block is left
     unmodified."""
@@ -114,5 +114,5 @@ def check_prepared(oracle, expression, block, schedules):
         assert prepared.transform(block, out, scratch) is out
         assert out.tobytes() == want
         assert prepared.transform(block).tobytes() == want
-        assert oracle.transform(d, block).tobytes() == want
+        assert oracle.prepare(d).transform(block).tobytes() == want
     assert block.tobytes() == before.tobytes()

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from bvbal import BiasOrder, InfeasibleError
 from bvbal.calibration import (
     _BLOCK,
-    RecursiveCalibration,
     WeightScheme,
     WeightSolution,
     _bounded_sums,
@@ -37,7 +36,6 @@ from bvbal.calibration import (
     xi_matrix,
     ztilde_squared,
 )
-from bvbal.errors import ConfigurationError
 
 Q21 = BiasOrder(2.0, 1.0)
 Q11 = BiasOrder(1.0, 1.0)
@@ -383,7 +381,8 @@ def test_xi_matrix_inverts_phi(n, n0, q1, q2):
     # tiny n at large n0 makes the rows nearly collinear and caps the
     # attainable product error at cond * eps; 1e-8 is ample elsewhere
     tol = max(1e-8, 64.0 * np.finfo(float).eps * np.linalg.cond(phi))
-    assert np.allclose(phi @ xi.as_array(), np.eye(2), atol=tol)
+    inverse = np.array([[xi.xi11, xi.xi12], [xi.xi12, xi.xi22]])
+    assert np.allclose(phi @ inverse, np.eye(2), atol=tol)
 
 
 def test_xi_matrix_validation():
@@ -396,8 +395,8 @@ def test_xi_matrix_validation():
 def test_ztilde_is_the_constraint_quadratic():
     xi = xi_matrix(Q21, 50)
     for a in (-1.3, 0.2, 4.0):
-        v = np.array([a, 1.0])
-        assert ztilde_squared(a, xi) == pytest.approx(float(v @ xi.as_array() @ v), rel=1e-13)
+        quadratic = xi.xi11 * a * a + 2.0 * xi.xi12 * a + xi.xi22
+        assert ztilde_squared(a, xi) == pytest.approx(quadratic, rel=1e-13)
     arr = ztilde_squared(np.array([-1.3, 0.2]), xi)
     assert arr.shape == (2,)
 
@@ -458,9 +457,11 @@ def test_feasible_intervals_empty_when_cap_too_small():
 
 
 def test_eta_balance_rejects_zero():
+    # nan and +-inf gave nan with a RuntimeWarning
     xi = xi_matrix(Q21, 10)
-    with pytest.raises(ValueError):
-        eta_balance(0.0, xi)
+    for a in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="a must be finite and nonzero"):
+            eta_balance(a, xi)
 
 
 def test_infeasible_error_names_the_minimal_cap():
@@ -710,12 +711,17 @@ def test_equal_keys_share_one_memo_entry_and_the_bits():
     assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
 
 
-def test_pilot_a_call_forms():
-    xi = xi_matrix(Q21, 400)
-    assert pilot_a(xi, 1.5) == pilot_a(Q21, 1.5, n=400)
-    assert pilot_a(Q21, 1.0, n=100) == pytest.approx(math.sqrt(2.0 / 3.0) / 100 ** (1.0 / 3.0), rel=1e-15)
-    with pytest.raises(ValueError):
-        pilot_a(Q21, 1.0)
+def test_pilot_a_formula():
+    # sqrt(q1/(q1+q2)) / (K**(q1+q2) n**(q1/(2(q1+q2)))) at q1 = 2, q2 = 1
+    want = math.sqrt(2.0 / 3.0) / 100 ** (1.0 / 3.0)
+    assert pilot_a(xi_matrix(Q21, 100), 1.0) == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("K", [0.0, -1.0, math.nan, math.inf])
+def test_pilot_a_rejects_a_cap_that_is_not_positive_and_finite(K):
+    # 0 raised ZeroDivisionError, -1 gave -0.176, nan gave nan, inf gave 0.0
+    with pytest.raises(ValueError, match="K must be positive"):
+        pilot_a(xi_matrix(Q21, 100), K)
 
 
 # ---------------------------------------------------------- weight schemes
@@ -927,17 +933,3 @@ def test_amrr_recursive_free_frozen_values():
     opt = amrr_recursive_free(Q11)
     assert opt.ratio == pytest.approx(2.0 * 1.5**-1.5, rel=1e-14)
     assert opt.d_scale == pytest.approx(0.375**0.25, rel=1e-14)
-
-
-def test_recursive_calibration_constructors():
-    tied = RecursiveCalibration.tied_optimal(Q21)
-    assert (tied.c, tied.beta, tied.d_scale) == (pytest.approx(7.0 / 3.0), 1.0, 1.0)
-    free = RecursiveCalibration.free_optimal(Q21)
-    assert free.c == 1.0 and free.d_scale == pytest.approx((1.0 / 3.0) ** (1.0 / 6.0))
-    assert free.check(Q21) is free
-    with pytest.raises(ConfigurationError):
-        RecursiveCalibration(c=0.25, beta=1.0).check(Q21)  # needs c > 1/3
-    with pytest.raises(ConfigurationError):
-        RecursiveCalibration(c=1.0, beta=1.5)
-    with pytest.raises(ConfigurationError):
-        RecursiveCalibration(c=-1.0, beta=0.5)

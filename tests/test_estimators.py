@@ -40,7 +40,7 @@ def test_delta_schedule_values():
     assert s.delta(1) == 2.0 * 4.0**-0.25
     assert np.allclose(s.deltas(3), 2.0 * np.array([4.0, 5.0, 6.0]) ** -0.25, rtol=1e-15)
     assert s.terminal(3) == 2.0 * 6.0**-0.25
-    b = DeltaSchedule.balanced(Q21, scale=1.5)
+    b = DeltaSchedule(1.5, Q21.alpha)
     assert b.alpha == Q21.alpha and b.scale == 1.5 and b.n0 == 0
     flat = DeltaSchedule(scale=0.7, alpha=0.0)
     assert np.all(flat.deltas(5) == 0.7)
@@ -60,6 +60,13 @@ def test_delta_schedule_validation():
             DeltaSchedule(scale=1.0, alpha=0.1).delta(j)
     with pytest.raises(ValueError):
         DeltaSchedule(scale=1.0, alpha=0.1).deltas(0)
+
+
+@pytest.mark.parametrize("c, beta", [(1.0, 1.5), (-1.0, 0.5), (1.0, 0.0), (math.nan, 0.5)])
+def test_recursive_params_validation(c, beta):
+    # c finite and > 0, 0 < beta <= 1
+    with pytest.raises(ConfigurationError):
+        RecursiveParams(c, beta)
 
 
 # ------------------------------------------------------------ coefficients
@@ -206,14 +213,14 @@ def test_baseline_noiseless_frozen_value():
     # q1 = 2, B = 1, d = 1, alpha = 1/6, n = 64: terminal delta is exactly
     # 1/2, so the estimate is theta + 2**-2
     spec = unit_spec(sigma=0.0)
-    run = baseline_estimate(spec, 64, DeltaSchedule.balanced(Q21), StreamKey(0))
+    run = baseline_estimate(spec, 64, DeltaSchedule(1.0, Q21.alpha), StreamKey(0))
     assert run.estimate[0] == 0.25
     assert run.n == 64
 
 
 def test_all_estimators_recover_a_constant_target():
     spec = unit_spec(theta=2.5, B=0.0, sigma=0.0)
-    sched = DeltaSchedule.balanced(Q21)
+    sched = DeltaSchedule(1.0, Q21.alpha)
     key = StreamKey(1)
     assert baseline_estimate(spec, 20, sched, key).estimate[0] == 2.5
     run = recursive_estimate(spec, 20, sched, RecursiveParams(1.0, 1.0), key)
@@ -227,13 +234,13 @@ def test_all_estimators_recover_a_constant_target():
 def test_averaged_with_matching_init_reproduces_constant():
     spec = unit_spec(theta=2.5, B=0.0, sigma=0.0)
     params = RecursiveParams(0.7, 0.4, init=np.array([2.5]))
-    run = averaged_estimate(spec, 9, DeltaSchedule.balanced(Q21), params, StreamKey(1))
+    run = averaged_estimate(spec, 9, DeltaSchedule(1.0, Q21.alpha), params, StreamKey(1))
     assert run.estimate[0] == pytest.approx(2.5, rel=1e-12)
 
 
 def test_unit_first_step_wipes_the_init():
     spec = unit_spec()
-    sched = DeltaSchedule.balanced(Q21)
+    sched = DeltaSchedule(1.0, Q21.alpha)
     a = recursive_estimate(spec, 30, sched, RecursiveParams(1.0, 1.0), StreamKey(3))
     b = recursive_estimate(spec, 30, sched,
                            RecursiveParams(1.0, 1.0, init=np.array([999.0])), StreamKey(3))
@@ -308,7 +315,7 @@ def test_combination_kernel_forms_terms_in_a_given_buffer(p):
 
 def test_one_hot_weights_pick_one_draw():
     spec = unit_spec()
-    sched = DeltaSchedule.balanced(Q21)
+    sched = DeltaSchedule(1.0, Q21.alpha)
     key = StreamKey(8)
     samples = spec.sample_path(sched.deltas(12), key)
     w = np.zeros(12)
@@ -319,7 +326,7 @@ def test_one_hot_weights_pick_one_draw():
 
 def test_weighted_combination_is_linear():
     spec = unit_spec()
-    sched = DeltaSchedule.balanced(Q21)
+    sched = DeltaSchedule(1.0, Q21.alpha)
     key = StreamKey(9)
     rng = np.random.default_rng(0)
     w1, w2 = rng.normal(size=20), rng.normal(size=20)
@@ -345,19 +352,19 @@ def test_plan_rejects_deltas_and_coeffs_that_do_not_match(deltas, coeffs):
 
 def test_weighted_length_mismatch():
     with pytest.raises(ConfigurationError):
-        weighted_estimate(unit_spec(), 10, DeltaSchedule.balanced(Q21),
+        weighted_estimate(unit_spec(), 10, DeltaSchedule(1.0, Q21.alpha),
                           np.full(9, 1.0 / 9.0), StreamKey(0))
 
 
 def test_averaged_requires_beta_below_one():
     with pytest.raises(ConfigurationError):
-        averaged_estimate(unit_spec(), 10, DeltaSchedule.balanced(Q21),
+        averaged_estimate(unit_spec(), 10, DeltaSchedule(1.0, Q21.alpha),
                           RecursiveParams(1.0, 1.0), StreamKey(0))
 
 
 def test_traces():
     spec = unit_spec()
-    sched = DeltaSchedule.balanced(Q21)
+    sched = DeltaSchedule(1.0, Q21.alpha)
     key = StreamKey(31)
     n = 40
     samples = spec.sample_path(sched.deltas(n), key)
@@ -385,7 +392,7 @@ def test_traces():
 
 
 def test_estimate_array_is_read_only():
-    run = baseline_estimate(unit_spec(), 5, DeltaSchedule.balanced(Q21), StreamKey(0))
+    run = baseline_estimate(unit_spec(), 5, DeltaSchedule(1.0, Q21.alpha), StreamKey(0))
     with pytest.raises(ValueError):
         run.estimate[0] = 0.0
 

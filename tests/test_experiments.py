@@ -203,6 +203,21 @@ def test_each_cell_draws_its_stream_once(monkeypatch):
     assert sorted(calls) == cells
 
 
+def test_a_queue_run_makes_one_oracle(monkeypatch):
+    # every plan takes the bias order from the run's oracle: reading it
+    # off the setting built an oracle per plan, 7 for table 5's six plans
+    calls = []
+    original = QueueSetting.make_oracle
+
+    def counting(self):
+        calls.append(self.mode)
+        return original(self)
+
+    monkeypatch.setattr(QueueSetting, "make_oracle", counting)
+    reproduce_table(5, replications=2, seed=1)
+    assert calls == ["cfd"]
+
+
 def test_mse_and_se_definitions():
     report = run_experiment(small_config())
     for row in report.rows:
@@ -511,9 +526,9 @@ def test_queue_setting_validation_and_mapping():
         with pytest.raises(ValueError, match="mode 'sp'"):
             QueueSetting(mode="sp", **kw)
     s = QueueSetting()
-    assert s.order == Q21 and s.dim == 1
+    assert s.make_oracle().order == Q21 and s.make_oracle().dim == 1
     assert s.true_value().shape == (1,)
-    assert QueueSetting(mode="sp").dim == 2
+    assert QueueSetting(mode="sp").make_oracle().dim == 2
     assert QueueSetting(mode="sp").true_value().shape == (2,)
     assert QueueSetting(target="service").true_value()[0] < 0
     from bvbal import MM1DerivativeOracle, MM1GradientOracleSP

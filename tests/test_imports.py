@@ -39,6 +39,14 @@ def test_positive_rule_is_written_once():
     assert copies == []
 
 
+def test_budget_rule_is_written_once():
+    # `estimators._check_budget` is the one rule for a budget n; a second
+    # `partial(count, ...)` spelling elsewhere could drift from it
+    copies = [path.name for path in PACKAGE_DIR.glob("*.py")
+              if "budget n must be a positive integer" in path.read_text()]
+    assert copies == ["estimators.py"]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_module_star_import_resolves(module):
     # a star import raises AttributeError on an __all__ entry that is gone

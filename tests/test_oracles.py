@@ -109,10 +109,10 @@ def test_one_draw_replays_through_any_schedule():
     z = spec.draw(n, key)
     before = z.copy()
     for deltas in (np.full(n, 0.3), np.geomspace(1.0, 0.01, n), 0.9 * np.arange(1, n + 1.0) ** -0.2):
-        assert np.array_equal(spec.transform(deltas, z), spec.sample_path(deltas, key))
+        assert np.array_equal(spec.prepare(deltas).transform(z), spec.sample_path(deltas, key))
     assert np.array_equal(z, before)
     with pytest.raises(ValueError):
-        spec.transform(np.full(n - 1, 0.3), z)
+        spec.prepare(np.full(n - 1, 0.3)).transform(z)
 
 
 def test_mean_includes_higher_order_term():
@@ -299,7 +299,7 @@ def _sp_at(oracle, delta, signs):
     # an sp draw with its direction columns overwritten by ``signs``
     block = oracle.draw(1, StreamKey(0))
     block[:, :len(signs)] = signs
-    return oracle.transform([delta], block)[0]
+    return oracle.prepare([delta]).transform(block)[0]
 
 
 def test_sp_two_dim_hand_values():
@@ -357,7 +357,7 @@ def test_sp_validation():
     with pytest.raises(ValueError):
         _sp_at(oracle, 0.3, [1.0, 0.5])
     with pytest.raises(ValueError):
-        oracle.transform([0.3], oracle.draw(1, StreamKey(0))[:, 1:])
+        oracle.prepare([0.3]).transform(oracle.draw(1, StreamKey(0))[:, 1:])
     with pytest.raises(ValueError):
         oracle.sample(0.0, StreamKey(0))
     with pytest.raises(ValueError):
@@ -375,9 +375,9 @@ def test_fd_one_draw_replays_through_any_schedule():
             block = oracle.draw(n, key)
             before = block.copy()
             for deltas in (np.full(n, 0.2), np.geomspace(0.9, 0.01, n)):
-                got = oracle.transform(deltas, block)
+                got = oracle.prepare(deltas).transform(block)
                 assert np.array_equal(got, oracle.sample_path(deltas, key))
-                contiguous = oracle.transform(deltas, np.ascontiguousarray(block))
+                contiguous = oracle.prepare(deltas).transform(np.ascontiguousarray(block))
                 assert contiguous.tobytes() == got.tobytes()
             assert np.array_equal(block, before)
 
@@ -490,8 +490,6 @@ class _Duck:
 
     def prepare(self, deltas): ...
 
-    def transform(self, deltas, block): ...
-
     def sample_path(self, deltas, stream): ...
 
     def sample(self, delta, stream): ...
@@ -505,9 +503,10 @@ def test_an_oracle_with_only_its_hooks_inherits_the_contract():
     check_prepared(oracle, lambda o, d, b: b + d[:, None], block,
                    [np.full(n, 0.5), np.geomspace(1.0, 0.1, n)])
     deltas = np.linspace(0.1, 2.0, n)
-    assert oracle.sample_path(deltas, key).tobytes() == oracle.transform(deltas, block).tobytes()
+    prepared = oracle.prepare(deltas)
+    assert oracle.sample_path(deltas, key).tobytes() == prepared.transform(block).tobytes()
     assert oracle.sample(0.3, key).tobytes() == oracle.sample_path([0.3], key)[0].tobytes()
     with pytest.raises(ValueError, match="variate block has shape"):
-        oracle.transform(deltas, block[:-1])
+        prepared.transform(block[:-1])
     with pytest.raises(ValueError, match="positive"):
         oracle.sample_path([0.1, -1.0], key)

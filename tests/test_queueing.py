@@ -277,13 +277,14 @@ def test_one_draw_replays_through_any_schedule(oracle):
     block = oracle.draw(n, key)
     before = block.copy()
     for deltas in (np.full(n, 0.2), np.geomspace(1.5, 0.01, n), 0.5 * np.arange(501, 501 + n) ** -0.1667):
-        got = oracle.transform(deltas, block)
+        prepared = oracle.prepare(deltas)
+        got = prepared.transform(block)
         assert np.array_equal(got, oracle.sample_path(deltas, key))
         # the map reads values, not memory layout
-        assert oracle.transform(deltas, np.ascontiguousarray(block)).tobytes() == got.tobytes()
+        assert prepared.transform(np.ascontiguousarray(block)).tobytes() == got.tobytes()
     assert np.array_equal(block, before)
     with pytest.raises(ValueError):
-        oracle.transform(np.full(n + 1, 0.2), block)
+        oracle.prepare(np.full(n + 1, 0.2)).transform(block)
 
 
 @pytest.mark.parametrize("n", [1, _FILL_ROWS - 1, _FILL_ROWS, _FILL_ROWS + 1, 2 * _FILL_ROWS + 1])
@@ -350,7 +351,7 @@ def test_crn_path_is_the_independent_path_with_slot_one_replaced(target):
     block = plain.draw(n, key)
     assert np.array_equal(crn.draw(n, key)[:, 0], block[:, 0])
     block[:, 1] = block[:, 0]
-    assert np.array_equal(crn.sample_path(deltas, key), plain.transform(deltas, block))
+    assert np.array_equal(crn.sample_path(deltas, key), plain.prepare(deltas).transform(block))
 
 
 def test_crn_slashes_the_variance():
