@@ -33,19 +33,18 @@ code; the Monte Carlo layers consume the outputs.
 
 Every O(n) exact sum (the power sums behind `xi_matrix`, the
 `WeightScheme` self-checks, and `LinearPlan.mse` and the averaged
-estimator's initial-point coefficient in `bvbal.estimators`) goes through
-one streaming kernel, `_exact_sums`: a vectorised error-free-extraction
-sum, fed blocks of at most _BLOCK terms, that returns the correctly
-rounded value `math.fsum` returns, bit for bit.  The self-checks only
-decide pass or fail, so they first try `_bounded_sums`, a plain sum of
-the same blocks with an error bound that holds in any summation order
-(2 gamma_{_BLOCK-1} sum|x| + 2 u |t| + 2**-1022, u = 2**-53); when both
-bounds are clear of half the 1e-10 tolerance that pass decides, and
-otherwise the exact sums do, so every rejection and its message are the
-exact kernel's.  The solver's O(n) passes
-make their terms block by block in cache-sized buffers: `solve_weights`
-allocates no n-length array, and the weights that `materialise` builds
-are the only one of `optimal_weights`.
+estimator's initial-point coefficient in `bvbal.estimators`) is one pass
+of one streaming kernel, `_exact_sums`, over all its terms: a vectorised
+error-free-extraction sum, fed blocks of at most _BLOCK terms, that
+returns the correctly rounded value `math.fsum` returns, bit for bit.
+The self-checks only decide pass or fail, so they first try
+`_bounded_sums`, a plain sum of the same blocks with an error bound that
+holds in any summation order; when both bounds are clear of half the
+1e-10 tolerance that pass decides, and otherwise the exact sums do, so
+every rejection and its message are the exact kernel's.  The solver's
+O(n) passes make their terms block by block in cache-sized buffers:
+`solve_weights` allocates no n-length array, and the weights that
+`materialise` builds are the only one of `optimal_weights`.
 
 `solve_weights` memoises its Gram matrix: `_gram` caches the `XiMatrix`
 of `xi_matrix` by the validated key (float q1, float q2, int n, int n0),
@@ -59,6 +58,7 @@ n + n0 = 2**53, past which j + n0 is no longer an exact double.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
@@ -89,7 +89,6 @@ __all__ = [
     "brute_force_weights",
 ]
 
-_CHUNK = 1 << 20
 # `_exact_sums`: block length (each block buffer is 128 KiB), the largest
 # magnitude it extracts, and the lowest exponent of a normal double
 _BLOCK = 1 << 14
@@ -284,34 +283,24 @@ def _arange_into(out: np.ndarray, first: int, start: float) -> np.ndarray:
 
 
 def _power_sums(kappas: tuple[float, ...], n: int, n0: int) -> list[float]:
-    """`phi_sum` for each kappa, in one pass over blocks of j held in two
-    block buffers (j and one power), with `phi_sum`'s per-run rounding."""
+    """`phi_sum` for each kappa, in one `_exact_sums` pass over blocks of
+    j held in two block buffers (j and one power)."""
     width = min(n, _BLOCK)
     j, power = np.empty(width), np.empty(width)
-    runs: list[list[float]] = [[] for _ in kappas]
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        start = float(lo + 1 + n0)
 
-        def blocks(a: int, b: int):
-            jb = _arange_into(j[: b - a], a, start)
-            for kappa in kappas:
-                yield np.power(jb, -kappa, out=power[: b - a])
+    def blocks(lo: int, hi: int):
+        jb = _arange_into(j[: hi - lo], lo, float(1 + n0))
+        for kappa in kappas:
+            yield np.power(jb, -kappa, out=power[: hi - lo])
 
-        for total, run in zip(_exact_sums(hi - lo, blocks, len(kappas)), runs):
-            run.append(total.value())
-    return [_exact_sum(run) for run in runs]
+    return [total.value() for total in _exact_sums(n, blocks, len(kappas))]
 
 
 def phi_sum(kappa: float, n: int, n0: int = 0) -> float:
-    """Power sum sum_{j=1}^{n} (j + n0)**(-kappa) over the rounded terms.
-
-    The terms are made and summed block by block in cache-sized buffers
-    (`_exact_sums`).  Each run of up to 2**20 terms is summed exactly
-    rounded, and the run sums are then summed exactly rounded.  Up to
-    2**20 terms this is the correctly rounded sum of the rounded terms;
-    past that it is rounded twice, so within 1.5 ulp of it.  That keeps
-    the constraint checks downstream at 1e-10 at n = 1e7.
+    """Power sum sum_{j=1}^{n} (j + n0)**(-kappa) over the rounded terms,
+    correctly rounded: bit for bit `math.fsum` of the n terms.  The terms
+    are made and summed block by block in cache-sized buffers
+    (`_exact_sums`), so no n-length array is made.
     """
     n, n0 = _check_counts(n, n0)
     kappa = float(kappa)
@@ -432,12 +421,17 @@ def feasible_intervals(xi: XiMatrix, order: BiasOrder, K: float) -> list[tuple[f
     Since xi22 > 0, a = 0 is never feasible, so each interval lies in one
     sign and there are at most two of them.  Endpoints may be +-inf; an
     empty list means the cap is infeasible at this (n, K).  ``order`` must
-    be the order ``xi`` was built for.
+    be the order ``xi`` was built for.  A K whose K**(2 (q1 + q2))
+    overflows is rejected, with the bound on K.
     """
     if order != xi.order:
         raise ValueError(f"order {order} differs from the Gram matrix's {xi.order}")
     positive(K, "K must be positive")
-    A = float(K) ** (2.0 * (order.q1 + order.q2)) - xi.xi11
+    try:
+        A = float(K) ** (2.0 * (order.q1 + order.q2)) - xi.xi11
+    except OverflowError:
+        raise ValueError(f"K must be below {2.0 ** (512 / (order.q1 + order.q2)):.4g}, where "
+                         f"K**(2 (q1 + q2)) overflows, got {K}") from None
     B = -2.0 * xi.xi12
     C = -xi.xi22
     if A > 0.0:
@@ -512,14 +506,24 @@ def _minimize_on_interval(
     return best, _objective(best, xi)
 
 
+def _over_power(num: float, factor: float, K: float, p: float) -> float:
+    """num / (factor * K**p) for positive inputs; where the divisor
+    overflows, exp(log num - log factor - p log K), within about 1e-13
+    relative of the quotient, and 0.0 once that underflows."""
+    with contextlib.suppress(OverflowError):
+        if (divisor := factor * float(K) ** p) < math.inf:
+            return num / divisor
+    return math.exp(math.log(num) - math.log(factor) - p * math.log(K))
+
+
 def pilot_a(xi: XiMatrix, K: float) -> float:
     """Asymptotic magnitude of the optimal bias-sum level,
     sqrt(q1/(q1+q2)) / (K**(q1+q2) * n**(q1/(2(q1+q2)))); used to anchor
-    search grids."""
+    search grids; `_over_power` keeps a huge K's value."""
     positive(K, "K must be positive")
     q1, q2 = xi.order.q1, xi.order.q2
     s = q1 + q2
-    return math.sqrt(q1 / s) / (float(K) ** s * float(xi.n) ** (q1 / (2.0 * s)))
+    return _over_power(math.sqrt(q1 / s), float(xi.n) ** (q1 / (2.0 * s)), K, s)
 
 
 def solve_a_star(xi: XiMatrix, order: BiasOrder, K: float) -> float:
@@ -775,10 +779,11 @@ def amrr_general(order: BiasOrder, K: float) -> float:
     """Asymptotic minimax risk ratio of the capped weighted scheme:
     q1 / ((q1 + q2) * K**(2 q2)).  Strictly decreasing in K; equals the
     limit of n**(q1/(q1+q2)) * s_star along `optimal_weights` solutions.
+    `_over_power` keeps a huge K's value, below 2**-1024.
     """
     positive(K, "K must be positive")
     q1, q2 = order.q1, order.q2
-    return q1 / ((q1 + q2) * float(K) ** (2.0 * q2))
+    return _over_power(q1, q1 + q2, K, 2.0 * q2)
 
 
 class TiedRecursiveOptimum(NamedTuple):
@@ -843,6 +848,8 @@ def brute_force_weights(n: int, n0: int, order: BiasOrder, a: float) -> np.ndarr
     n, n0 = _check_counts(n, n0, minimum=2)
     if n > 50:
         raise ValueError(f"brute-force path is restricted to n <= 50, got {n}")
+    if not math.isfinite(a):
+        raise ValueError(f"bias-sum level a must be finite, got {a}")
     j = np.arange(1, n + 1, dtype=float) + n0
     var_factor = j ** (2.0 * order.alpha * order.q2)
     bias_factor = j ** (-order.alpha * order.q1)

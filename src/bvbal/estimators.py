@@ -452,8 +452,8 @@ def predict_mse_leading(kind: str, order: BiasOrder, d: float, B2: float,
     """
     q1, q2 = order.q1, order.q2
     positive(d, "d must be positive")
-    if B2 < 0 or sigma2 < 0:
-        raise ValueError("B2 and sigma2 must be non-negative")
+    if not (0 <= B2 < math.inf and 0 <= sigma2 < math.inf):
+        raise ValueError(f"B2 and sigma2 must be finite and non-negative, got {B2}, {sigma2}")
     n = _check_budget(n)
     alpha = order.alpha if alpha is None else float(alpha)
     if not alpha > 0:

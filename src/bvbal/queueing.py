@@ -10,10 +10,10 @@ with A_j the j-th interarrival time and S_j the j-th service time; the
 j-th system time is T_j = W_j + S_j, and one replication reports
 mean(T_1..T_k).  The sweep runs customer-major: every replication of an
 evaluation advances together along contiguous (customer, replication)
-rows, in place, and the mean over customers is an explicit row sum in
-numpy's pairwise summation order, so it equals the mean over each
-replication's (k,) row of system times bit for bit.  A single
-replication is the one-column case of the same sweep.
+rows, in place.  The mean over customers is an explicit in-order row
+sum, T_1 + T_2 + ... + T_k, divided by k, so a replication's mean does
+not depend on the block's layout or on how many replications share the
+sweep.  A single replication is the one-column case of the same sweep.
 
 Derivative oracles perturb a rate by +-delta and form a central
 difference of two replications, giving a biased-noisy estimate of the
@@ -134,42 +134,13 @@ def _system_times(rates: list, e: np.ndarray) -> np.ndarray:
     return times
 
 
-def _pairwise_rows(t: np.ndarray) -> np.ndarray:
-    """Sum of the rows of ``t`` in numpy's pairwise order, the order of
-    ``np.add.reduce`` along a contiguous axis: below 8 rows a plain sum
-    from 0.0; up to 128 rows eight accumulators stepping by 8, combined
-    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
-    leftover rows in sequence; above that the two halves split at
-    k/2 - (k/2 mod 8).  ``t`` is overwritten.
-
-    Divided by k, the sum of a customer-major (k, n) block of system
-    times is ``t.T.mean(axis=-1)`` bit for bit: numpy also adds the sum
-    to its identity 0.0, which could only turn a -0.0 sum into 0.0, and
-    no row is -0.0: the first is S_1, and every later one is
-    max(T_{j-1} - A_j, 0.0) + S_j, where the maximum is +-0.0 or positive
-    and S_j is +0.0 or positive (-log1p(-u) of u in [0, 1) over a
-    positive rate), and -0.0 + +0.0 is +0.0.  The sum may be a view of
-    ``t``; the quotient by k is a fresh (n,) array, so the block can be
-    freed."""
-    k = t.shape[0]
-    if k < 8:
-        total = np.zeros_like(t[0])
-        for row in t:
-            total += row
-        return total
-    if k > 128:
-        half = k // 2 - (k // 2) % 8
-        return _pairwise_rows(t[:half]) + _pairwise_rows(t[half:])
-    acc = t[:8]
-    for i in range(8, k - k % 8, 8):
-        acc += t[i:i + 8]
-    acc[0::2] += acc[1::2]
-    acc[0::4] += acc[2::4]
-    total = acc[0]
-    total += acc[4]
-    for row in t[k - k % 8:]:
+def _customer_mean(t: np.ndarray) -> np.ndarray:
+    """Mean over the rows of a customer-major (k, n) block of system
+    times, summed in row order into row 0 of ``t``, T_1 first."""
+    total = t[0]
+    for row in t[1:]:
         total += row
-    return total
+    return total / t.shape[0]
 
 
 def mm1_transient_sample(params: QueueParams, stream: StreamKey) -> TransientSample:
@@ -177,15 +148,14 @@ def mm1_transient_sample(params: QueueParams, stream: StreamKey) -> TransientSam
     e = _unit_exponentials(stream.generator().random((2, params.num_customers)))
     times = _system_times([params.arrival_rate, params.service_rate], e[None])
     per_customer = times[:, 0].copy()
-    mean = _pairwise_rows(times)[0] / params.num_customers
-    return TransientSample(float(mean), per_customer)
+    return TransientSample(float(_customer_mean(times)[0]), per_customer)
 
 
 def _mean_system_time(rates: list, e: np.ndarray) -> np.ndarray:
     """Average system time of the first k customers, one replication per
     row of ``e`` (shape (n, 2, k): arrivals, then services) at ``rates``
     = (arrival, service), as `_system_times` reads them."""
-    return _pairwise_rows(_system_times(rates, e)) / e.shape[-1]
+    return _customer_mean(_system_times(rates, e))
 
 
 _TARGETS = ("arrival", "service")

@@ -298,14 +298,12 @@ def test_bounded_sum_is_undecided_when_a_total_is_not_finite():
     assert _bounded_sums(3, lambda lo, hi: (one[lo:hi], one[lo:hi] * 1e308), 2) is None
 
 
-def _two_level_phi_sum(kappa, n, n0):
-    """`phi_sum` as it was built before streaming: one n-length arange and
-    power per run of 2**20 terms, each run rounded by fsum, then the runs."""
-    runs = []
-    for lo in range(0, n, 1 << 20):
-        hi = min(lo + (1 << 20), n)
-        runs.append(math.fsum(np.power(np.arange(lo + 1 + n0, hi + 1 + n0, dtype=float), -kappa)))
-    return math.fsum(runs)
+def _fsum_phi(kappa, n, n0):
+    """`math.fsum` of all n terms (j + n0)**(-kappa) of one arange: the
+    bits `phi_sum` must return at every n.  At n <= 2**20 they are also
+    the bits of the phi_sum that rounded each run of 2**20 terms, then
+    the run sums."""
+    return math.fsum(np.power(np.arange(1 + n0, n + 1 + n0, dtype=float), -kappa).tolist())
 
 
 @pytest.mark.parametrize("kappa, n, n0", [
@@ -320,7 +318,7 @@ def test_phi_sum_keeps_the_two_level_bits(kappa, n, n0):
             phi_sum(kappa, n, n0)
         return
     with np.errstate(over="ignore"):
-        assert phi_sum(kappa, n, n0).hex() == _two_level_phi_sum(kappa, n, n0).hex()
+        assert phi_sum(kappa, n, n0).hex() == _fsum_phi(kappa, n, n0).hex()
 
 
 @pytest.mark.parametrize("order, n, n0", [
@@ -329,7 +327,7 @@ def test_phi_sum_keeps_the_two_level_bits(kappa, n, n0):
 def test_xi_matrix_one_pass_keeps_the_two_level_bits(order, n, n0):
     xi = xi_matrix(order, n, n0)
     kf, ks = weight_decay_exponents(order)
-    want = [_two_level_phi_sum(kappa, n, n0).hex() for kappa in (1.0, kf, ks)]
+    want = [_fsum_phi(kappa, n, n0).hex() for kappa in (1.0, kf, ks)]
     assert [xi.phi11.hex(), xi.phi12.hex(), xi.phi22.hex()] == want
 
 
@@ -433,6 +431,13 @@ def test_brute_force_guards():
         brute_force_weights(1, 0, Q21, 0.1)
 
 
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+def test_brute_force_rejects_a_level_that_is_not_finite(a):
+    # these returned all-nan weights
+    with pytest.raises(ValueError, match="bias-sum level a must be finite"):
+        brute_force_weights(10, 0, Q21, a)
+
+
 # --------------------------------------------------------- feasible region
 
 
@@ -449,6 +454,33 @@ def test_feasible_intervals_structure():
             for end in (lo, hi):
                 if math.isfinite(end):
                     assert eta_balance(end, xi) == pytest.approx(K, rel=1e-6)
+
+
+def test_a_cap_past_the_overflow_bound_is_rejected_with_the_bound():
+    # K**(2 (q1 + q2)) overflowed below the solver; a cap just under the
+    # bound still solves
+    xi = xi_matrix(Q21, 100)
+    for call in (lambda K: feasible_intervals(xi, Q21, K),
+                 lambda K: solve_weights(100, 0, Q21, K)):
+        with pytest.raises(ValueError, match=r"K must be below 2\.376e\+51, .* got 1e\+60"):
+            call(1e60)
+    assert [len(iv) for iv in feasible_intervals(xi, Q21, 2e51)] == [2, 2]
+    assert solve_weights(100, 0, Q21, 1e50).regime == "boundary"
+
+
+def test_closed_forms_of_a_huge_cap_underflow_instead_of_raising():
+    # amrr_general and pilot_a divide by a power of K: past its overflow
+    # they return the quotient, tiny or 0.0; in range they keep their bits
+    xi = xi_matrix(Q21, 100)
+    assert amrr_general(Q21, 1e150) == 2.0 / (3.0 * 1e150**2.0)
+    assert amrr_general(Q21, 1e154) == pytest.approx(2.0 / 3.0 / 1e154 / 1e154, rel=1e-12)
+    assert amrr_general(Q21, 1e160) == pytest.approx(2.0 / 3.0 / 1e160 / 1e160, rel=1e-9)
+    assert amrr_general(Q21, 1e200) == amrr_general(Q21, 1.7e308) == 0.0
+    root, scale = math.sqrt(2.0 / 3.0), 100.0 ** (1.0 / 3.0)
+    assert pilot_a(xi, 1e100) == root / (1e100**3.0 * scale)
+    assert pilot_a(xi, 1e102) == pytest.approx(root / scale / 1e306, rel=1e-12)
+    assert pilot_a(xi, 1e103) == pytest.approx(root / scale / 1e306 / 1e3, rel=1e-9)
+    assert pilot_a(xi, 1e110) == 0.0
 
 
 def test_feasible_intervals_empty_when_cap_too_small():
@@ -574,8 +606,8 @@ _SOLVER_PINS = {
 @pytest.mark.parametrize("n, n0, K", list(_SOLVER_PINS), ids=str)
 def test_optimal_weights_bit_pins(n, n0, K):
     """The solver's output, bit for bit: interior regime (n = 1e4,
-    n0 = 500), boundary regime (n = 1e5, n0 = 0), and a budget past the
-    2**20-term chunk of `phi_sum`.
+    n0 = 500), boundary regime (n = 1e5, n0 = 0), and a budget past
+    2**20 terms.
 
     The pin is exact because the reports are that sensitive: one ulp up
     on phi_sum(1.0, 1e4, 500) moves the interior a* by 8.8e-9 relative

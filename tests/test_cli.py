@@ -65,6 +65,23 @@ def test_amrr_rejects_nonpositive_cap(capsys):
     assert "K must be positive" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("weights", "--n", "100", "--K", "1e60"),
+    ("run-synthetic", "--n", "1000", "--reps", "2", "--K", "1e60", "--seed", "1"),
+], ids=["weights", "run-synthetic"])
+def test_a_cap_past_the_overflow_bound_exits_2(capsys, argv):
+    # K**6 overflowed and ended in a traceback; the message names the bound
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == "K must be below 2.376e+51, where K**(2 (q1 + q2)) overflows, got 1e+60\n"
+
+
+def test_amrr_of_a_huge_cap_rounds_to_zero(capsys):
+    code, out, err = run(capsys, "amrr", "--K", "1e200")
+    assert (code, err) == (0, "")
+    assert "amrr: 0\n" in out
+
+
 def test_options_a_command_would_ignore_are_rejected(capsys, tmp_path, monkeypatch):
     # amrr writes no file and draws nothing, and weights draws nothing: an
     # --out or --seed there used to be accepted and silently ignored

@@ -442,6 +442,16 @@ def test_leading_prediction_approaches_the_exact_risk(kind, beta, alpha, ratios)
     assert got[0] > got[1] > got[2] > 1.0
 
 
+@pytest.mark.parametrize("B2, sigma2", [
+    (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (-math.inf, 1.0),
+    (1.0, -1.0),
+])
+def test_predicted_mse_needs_finite_non_negative_bias_and_noise(B2, sigma2):
+    # nan and inf came back as nan and inf
+    with pytest.raises(ValueError, match="B2 and sigma2 must be finite and non-negative"):
+        predict_mse_leading("baseline", Q21, 1.0, B2, sigma2, 100)
+
+
 def test_predicted_mse_regime_errors():
     with pytest.raises(ValueError):
         predict_mse_leading("baseline", Q21, 1.0, 1.0, 1.0, 100, alpha=0.5)

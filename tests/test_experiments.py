@@ -73,7 +73,7 @@ def crn_queue_config():
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("make, digest", [
     (small_config, "67b2a09260b6405978fa1d79bada3bff37fbfcc03e7f70e3075f67a29389a484"),
-    (crn_queue_config, "761818d6b295224840e47974493b7bb3d64e9b3c15b338d795ea7c5c2765e70d"),
+    (crn_queue_config, "bcdd41c8ce612c575b7d4d4047cf1d326cb16620ea2e9d353b9c2bddf383300a"),
 ], ids=["synthetic", "crn-queue"])
 def test_report_bytes_are_pinned(make, digest, workers):
     # sha256 of the JSON report: samples, reductions and aggregation keep
@@ -91,7 +91,7 @@ def test_threads_share_no_state():
         for workers in (4, 7):
             text = run_experiment(crn_queue_config(), workers=workers).json_text()
             assert hashlib.sha256(text.encode()).hexdigest() == (
-                "761818d6b295224840e47974493b7bb3d64e9b3c15b338d795ea7c5c2765e70d")
+                "bcdd41c8ce612c575b7d4d4047cf1d326cb16620ea2e9d353b9c2bddf383300a")
     finally:
         sys.setswitchinterval(interval)
 
