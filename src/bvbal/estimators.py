@@ -144,7 +144,7 @@ def _steps(c: float, beta: float, n: int, n0: int) -> tuple[np.ndarray, int]:
         if n0 == 0:
             first = int(np.argmax(over)) + 1
             raise ConfigurationError(
-                f"step size c (j + n0)**(-beta) = {gam[first - 1]!r} exceeds 1 "
+                f"step size c (j + n0)**(-beta) = {float(gam[first - 1])!r} exceeds 1 "
                 f"at j={first} with n0=0; increase n0 or reduce c"
             )
         gam = np.minimum(gam, 1.0)

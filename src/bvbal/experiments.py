@@ -17,6 +17,13 @@ as the recursive and averaged defaults, share one deltas array and one
 map), which gives the same samples as its own ``sample_path`` call
 would.
 
+Plans are built once per configuration and maps are prepared once per
+run.  A plan depends on neither the seed nor the replication count, so
+the module keeps one slot holding the last configuration's plans (label,
+read-only `LinearPlan` and theory of each entry), keyed by the
+configuration without those two fields; a rerun at another seed,
+replication count or worker count takes its plans from the slot.
+
 Reports are deterministic byte-for-byte for a given configuration,
 independent of the worker count: replications are partitioned by index,
 each worker produces the squared errors for its slice, and the slices
@@ -54,6 +61,8 @@ from .estimators import (
     LinearPlan,
     RecursiveParams,
     _check_budget,
+    _steps,
+    _warn_clamped,
     predict_mse_leading,
 )
 from .oracles import BiasOrder, SampleOracle, StreamKey, SyntheticOracleSpec
@@ -141,8 +150,9 @@ class EstimatorSetting:
     Setting a field that the kind ignores raises `ConfigurationError`:
     baseline takes none of c, beta, d_scale, K; recursive and averaged
     take no K; weighted takes none of c, beta, d_scale (its scale is the
-    solved eta_star).  ``label`` renames the entry in reports; only a
-    baseline entry may be labelled "baseline".
+    solved eta_star).  ``label`` renames the entry in reports: a non-empty
+    str without ',', '|' or a line break, and only a baseline entry may be
+    labelled "baseline".
     """
 
     kind: str
@@ -157,8 +167,11 @@ class EstimatorSetting:
             raise ConfigurationError(
                 f"kind must be one of {ESTIMATOR_KINDS}, got {self.kind!r}"
             )
-        if self.label is not None and ("," in self.label or "|" in self.label):
-            raise ConfigurationError("label must not contain ',' or '|'")
+        label = self.label
+        if label is not None and (not isinstance(label, str) or not label
+                                  or any(ch in label for ch in ",|\n\r")):
+            raise ConfigurationError("label must be a non-empty str without ',', '|', "
+                                     f"'\\n' or '\\r', got {label!r}")
         if self.label == "baseline" and self.kind != "baseline":
             raise ConfigurationError(f"label 'baseline' names the baseline kind, not {self.kind}")
         ignored = _IGNORED_FIELDS[self.kind]
@@ -177,8 +190,9 @@ class ExperimentConfig:
     ``baseline_d`` is the perturbation scale d of the baseline; every
     other estimator derives its schedule from the same d (recursive and
     averaged multiply it by their d_scale, weighted by its solved
-    eta_star).  ``K`` is the default inflation cap for weighted entries
-    that do not set their own.  ``budgets`` are distinct integers >= 1.
+    eta_star); on a synthetic model it must keep d**(2 q1) and d**(-2 q2)
+    finite and non-zero.  ``K`` is the default inflation cap for weighted
+    entries that do not set their own.  ``budgets`` are distinct integers >= 1.
     """
 
     model: SyntheticOracleSpec | QueueSetting
@@ -198,6 +212,8 @@ class ExperimentConfig:
         if not budgets or len(set(budgets)) != len(budgets):
             raise C(f"budgets must be distinct and non-empty, got {budgets}")
         positive(self.baseline_d, "baseline_d must be positive", C)
+        if isinstance(self.model, SyntheticOracleSpec):
+            _check_synthetic_d(self.baseline_d, self.model.order)
         positive(self.K, "K must be positive", C)
         n0 = count(self.n0, "n0 must be a non-negative integer", error=C)
         reps = count(self.replications, "replications must be an integer >= 2", 2, error=C)
@@ -235,12 +251,52 @@ class ExperimentConfig:
         }
 
     def hash(self) -> str:
-        payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        return hashlib.sha256(_canonical(self.to_dict()).encode()).hexdigest()[:16]
 
 
-def _build_plan(s: EstimatorSetting, n: int, config: ExperimentConfig,
-                order: BiasOrder, shared: dict) -> tuple[str, LinearPlan, float | None]:
+def _canonical(doc: dict) -> str:
+    """The one serialisation of a configuration document, which `hash`
+    digests and the plan slot is keyed by."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _check_synthetic_d(d: float, order: BiasOrder) -> None:
+    """Reject a baseline d at which the synthetic model's d**(2 q1) or
+    d**(-2 q2) overflows or rounds to zero; the message gives the range
+    from the float limits 2**1024 and 2**-1074."""
+    q1, q2 = order.q1, order.q2
+    try:
+        ok = 0.0 < d ** (2.0 * q1) < math.inf and 0.0 < d ** (-2.0 * q2) < math.inf
+    except OverflowError:
+        ok = False
+    if not ok:
+        lo, hi = max(-537.0 / q1, -512.0 / q2), min(512.0 / q1, 537.0 / q2)
+        hi = math.inf if hi >= 1024.0 else 2.0 ** hi
+        raise ConfigurationError(
+            f"baseline_d must lie in about ({2.0 ** lo:.4g}, {hi:.4g}), where d**(2 q1) "
+            f"and d**(-2 q2) are finite and non-zero, got {d}")
+
+
+def _build_plans(config: ExperimentConfig, order: BiasOrder) -> tuple[tuple, tuple]:
+    """Every entry at every budget as (label, plan, theory), grouped by
+    budget, with each plan's deltas and coeffs made read-only, and the
+    arguments of each recursive-clamp warning the build logged, in order."""
+    shared: dict = {}
+    clamps: list = []
+    entries = tuple(tuple(_build_plan(s, n, config, order, shared, clamps)
+                          for s in config.estimators) for n in config.budgets)
+    labels = [label for label, _, _ in entries[0]]
+    if len(set(labels)) != len(labels):
+        raise ConfigurationError(f"estimator labels must be unique, got {labels}")
+    for group in entries:
+        for _, plan, _ in group:
+            plan.deltas.setflags(write=False)
+            plan.coeffs.setflags(write=False)
+    return entries, tuple(clamps)
+
+
+def _build_plan(s: EstimatorSetting, n: int, config: ExperimentConfig, order: BiasOrder,
+                shared: dict, clamps: list) -> tuple[str, LinearPlan, float | None]:
     """Map one entry at budget n to (label, plan, theory) on a model of
     bias order ``order`` (the run's oracle's), applying the defaults
     documented on `EstimatorSetting`; on a synthetic model theory
@@ -248,7 +304,9 @@ def _build_plan(s: EstimatorSetting, n: int, config: ExperimentConfig,
     prediction for the others (None elsewhere or out of regime).
     ``shared`` maps (schedule, n) to the deltas of plans already built
     along that schedule in this run; a plan on one of them reuses the
-    array, and one on a new schedule adds its own."""
+    array, and one on a new schedule adds its own.  A recursive or
+    averaged plan whose steps were clamped appends its warning's
+    arguments to ``clamps``."""
 
     def along(schedule: DeltaSchedule) -> np.ndarray:
         key = (schedule, n)
@@ -276,9 +334,14 @@ def _build_plan(s: EstimatorSetting, n: int, config: ExperimentConfig,
         c = 1.0 if s.c is None else float(s.c)
         beta = (1.0 if s.kind == "recursive" else 0.5) if s.beta is None else float(s.beta)
         d_scale = amrr_recursive_free(order).d_scale if s.d_scale is None else float(s.d_scale)
+        positive(d_scale, "d_scale must be positive", ConfigurationError)
         build = LinearPlan.recursive if s.kind == "recursive" else LinearPlan.averaged
         schedule = DeltaSchedule(d_scale * d, alpha, n0)
         plan = build(n, schedule, RecursiveParams(c, beta), deltas=along(schedule))
+        # c <= 1 keeps every step c (j + n0)**(-beta) at or below 1
+        clamped = _steps(c, beta, n, n0)[1] if c > 1.0 else 0
+        if clamped:
+            clamps.append((clamped, c, beta, n0))
         if synthetic:
             theory = _try_predict(s.kind, order, d_scale * d, config, n, c=c, beta=beta)
     return (label if s.label is None else s.label), plan, theory
@@ -400,6 +463,12 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
+# The last configuration `run_experiment` built plans for, as (key, entries,
+# clamps); one assignment replaces it, so a concurrent run reads either the
+# old triple or the new one
+_last_plans: tuple = (None, (), ())
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     """Run the paired experiment and aggregate per-(estimator, budget)
     MSE, standard error, risk ratio against the baseline entry (found by
@@ -411,7 +480,17 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     results are identical for any value.  A model with zero error
     everywhere (degenerate synthetic spec) reports ratio 1.0 by
     convention and sets the degenerate flag.
+
+    Plans are built once per configuration: the entries' plans and
+    theory go into a module slot keyed by ``config.to_dict()`` without
+    ``seed`` and ``replications``, and a run whose key matches the slot
+    builds nothing (it still logs any recursive-clamp warning the build
+    logged).  Maps are prepared once per run.  The slot holds only the
+    last configuration's plans, so they stay alive after the call returns
+    (about 7 MB for five plans at n = 1e5); a build that raises leaves
+    the slot as it was.
     """
+    global _last_plans
     what = f"workers must be an integer in [1, {MAX_WORKERS}]"
     if isinstance(workers, bool):
         raise ConfigurationError(f"{what}, got {workers!r}")
@@ -423,12 +502,17 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     else:
         oracle = config.model.make_oracle()
         theta = config.model.true_value()
-    shared: dict = {}
-    entries = [[_build_plan(s, n, config, oracle.order, shared) for s in config.estimators]
-               for n in config.budgets]
-    labels = [label for label, _, _ in entries[0]]
-    if len(set(labels)) != len(labels):
-        raise ConfigurationError(f"estimator labels must be unique, got {labels}")
+    doc = config.to_dict()
+    del doc["seed"], doc["replications"]
+    key = _canonical(doc)
+    last = _last_plans
+    if last[0] == key:
+        _, entries, clamps = last
+        for args in clamps:  # every run of a clamping plan says so
+            _warn_clamped(*args)
+    else:
+        entries, clamps = _build_plans(config, oracle.order)
+        _last_plans = (key, entries, clamps)
     plan_groups = tuple(tuple(plan for _, plan, _ in group) for group in entries)
     # plans that share a deltas array share its map, prepared once
     arrays = {id(plan.deltas): plan.deltas for plans in plan_groups for plan in plans}

@@ -76,6 +76,17 @@ def test_a_cap_past_the_overflow_bound_exits_2(capsys, argv):
     assert err == "K must be below 2.376e+51, where K**(2 (q1 + q2)) overflows, got 1e+60\n"
 
 
+@pytest.mark.parametrize("d", ["1e78", "1e-200", "1e-160"])
+def test_a_synthetic_d_out_of_range_exits_2(capsys, d):
+    # 1e78 and 1e-200 ended in OverflowError and ZeroDivisionError
+    # tracebacks, and 1e-160 printed mse=inf se=nan ratio=nan
+    code, out, err = run(capsys, "run-synthetic", "--n", "1000", "--reps", "2",
+                         "--seed", "1", "--d", d)
+    assert (code, out) == (2, "")
+    assert err == ("baseline_d must lie in about (1.491e-81, 1.158e+77), where d**(2 q1) "
+                   f"and d**(-2 q2) are finite and non-zero, got {float(d)}\n")
+
+
 def test_amrr_of_a_huge_cap_rounds_to_zero(capsys):
     code, out, err = run(capsys, "amrr", "--K", "1e200")
     assert (code, err) == (0, "")

@@ -160,6 +160,14 @@ def test_oversized_step_without_offset_is_an_error():
         recursion_coefficients(2.0, 1.0, 10, 0)
 
 
+def test_an_oversized_step_is_printed_as_a_float():
+    # the message printed the numpy repr np.float64(2.0)
+    with pytest.raises(ConfigurationError) as exc:
+        recursion_coefficients(2.0, 0.5, 10, 0)
+    assert str(exc.value) == ("step size c (j + n0)**(-beta) = 2.0 exceeds 1 at j=1 "
+                              "with n0=0; increase n0 or reduce c")
+
+
 def test_oversized_step_with_offset_clamps_and_warns(caplog):
     # c = 8, n0 = 5: gammas 8/6, 8/7 clamp to 1; gamma_3 = 1 exactly
     with caplog.at_level(logging.WARNING, logger="bvbal.estimators"):

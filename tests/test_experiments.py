@@ -1,19 +1,24 @@
 """Experiment harness: pairing discipline, report determinism, the exact
 weighted-risk prediction, and the reference-table builders."""
 
+import dataclasses
 import hashlib
+import logging
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
 
+import bvbal.experiments as experiments
 from bvbal import (
     BiasOrder,
     ConfigurationError,
     DeltaSchedule,
     EstimatorSetting,
     ExperimentConfig,
+    InfeasibleError,
     QueueParams,
     QueueSetting,
     RecursiveParams,
@@ -143,6 +148,138 @@ def test_rerun_is_byte_identical():
     a, b = run_experiment(config), run_experiment(config)
     assert a.json_text() == b.json_text()
     assert a.csv_text() == b.csv_text()
+
+
+# ------------------------------------------------------------- plan slot
+
+_PINNED = {
+    small_config: "67b2a09260b6405978fa1d79bada3bff37fbfcc03e7f70e3075f67a29389a484",
+    crn_queue_config: "bcdd41c8ce612c575b7d4d4047cf1d326cb16620ea2e9d353b9c2bddf383300a",
+}
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Empty the plan slot, and record every weight solve a run makes."""
+    monkeypatch.setattr(experiments, "_last_plans", (None, (), ()))
+    calls = []
+    original = experiments.optimal_weights
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(experiments, "optimal_weights", counting)
+    return calls
+
+
+@pytest.mark.parametrize("make", [small_config, crn_queue_config], ids=["synthetic", "crn-queue"])
+def test_a_slot_hit_is_byte_identical_to_a_cold_run(make, solves):
+    # a plan depends on neither the seed nor the replication count, so a
+    # rerun at either, or at another worker count, takes the last plans
+    for seed, reps, workers in ((3, 20, 1), (4, 9, 2), (make().seed, 13, 3)):
+        config = dataclasses.replace(make(), seed=seed, replications=reps)
+        run_experiment(make())
+        solves.clear()
+        hit = run_experiment(config, workers=workers).json_text()
+        assert solves == []
+        experiments._last_plans = (None, (), ())
+        assert run_experiment(config, workers=workers).json_text() == hit
+        assert solves
+
+
+@pytest.mark.parametrize("change", [
+    dict(K=2.0), dict(n0=3), dict(budgets=(64,)), dict(baseline_d=0.5),
+    dict(model=unit_spec(B=2.0)),
+    dict(estimators=(EstimatorSetting("baseline", label="flat"), EstimatorSetting("weighted"))),
+], ids=["K", "n0", "budgets", "baseline_d", "B", "label"])
+def test_a_hit_solves_nothing_and_a_plan_field_rebuilds(change, solves):
+    base = small_config(estimators=(EstimatorSetting("baseline"), EstimatorSetting("weighted")))
+    run_experiment(base)
+    solves.clear()
+    run_experiment(dataclasses.replace(base, seed=99, replications=7), workers=2)
+    assert solves == []
+    run_experiment(dataclasses.replace(base, seed=99, replications=7, **change))
+    assert solves
+
+
+def test_the_slot_holds_only_the_last_configuration(solves):
+    # two budgets with one weighted entry: two solves per build
+    counts = []
+    for config in (small_config(), small_config(K=2.0), small_config(), small_config()):
+        solves.clear()
+        run_experiment(config)
+        counts.append(len(solves))
+    assert counts == [2, 2, 2, 0]
+
+
+def test_an_infeasible_entry_raises_on_every_call(solves):
+    run_experiment(small_config())
+    last = experiments._last_plans
+    config = small_config(estimators=(EstimatorSetting("baseline"),
+                                      EstimatorSetting("weighted", K=0.5)), budgets=(1000,))
+    for _ in range(2):
+        with pytest.raises(InfeasibleError, match="no feasible weight scheme at n=1000, K=0.5"):
+            run_experiment(config)
+    assert experiments._last_plans is last
+
+
+def test_slot_plans_are_read_only(solves):
+    run_experiment(small_config())
+    _, entries, _ = experiments._last_plans
+    plans = [plan for group in entries for _, plan, _ in group]
+    assert len(plans) == 8
+    for array in (a for plan in plans for a in (plan.deltas, plan.coeffs)):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
+def test_every_run_of_a_clamping_plan_warns_once(caplog, solves):
+    # c = 8, beta = 0.5, n0 = 5: steps 8 (j + 5)**-0.5 exceed 1 for j <= 58;
+    # the second run is a slot hit and still says so
+    config = small_config(estimators=(EstimatorSetting("baseline"),
+                                      EstimatorSetting("recursive", c=8.0, beta=0.5)),
+                          budgets=(100,), n0=5)
+    slots = []
+    for _ in range(2):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="bvbal.estimators"):
+            run_experiment(config)
+        assert [r.getMessage() for r in caplog.records] == [
+            "clamping 58 recursive step(s) above 1 (c=8, beta=0.5, n0=5)"]
+        slots.append(experiments._last_plans)
+    assert slots[0] is slots[1]
+
+
+def test_threads_running_two_configurations_keep_their_bytes():
+    # four threads alternate two configurations, switching as often as the
+    # interpreter allows, so a run may find either one's plans in the slot
+    # or have them replaced while it runs; every report keeps its pinned bytes
+    got, errors = [], []
+
+    def work(first):
+        try:
+            for i in range(4):
+                make = (small_config, crn_queue_config)[(first + i) % 2]
+                text = run_experiment(make()).json_text()
+                got.append((_PINNED[make], hashlib.sha256(text.encode()).hexdigest()))
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(i % 2,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(got) == 16 and all(want == digest for want, digest in got)
 
 
 def test_csv_header_and_shape():
@@ -378,6 +515,24 @@ def test_estimator_setting_validation():
     EstimatorSetting("recursive", c=0.5, beta=0.5, d_scale=0.5)
     EstimatorSetting("averaged", c=0.5, beta=0.5, d_scale=0.5)
     EstimatorSetting("weighted", K=2.0)
+
+
+@pytest.mark.parametrize("kind", ["recursive", "averaged"])
+@pytest.mark.parametrize("d_scale", [0.0, -1.0, math.nan, math.inf])
+def test_a_bad_d_scale_is_named(kind, d_scale):
+    # it reached DeltaSchedule and raised a bare "scale must be positive"
+    config = small_config(estimators=(EstimatorSetting("baseline"),
+                                      EstimatorSetting(kind, d_scale=d_scale)))
+    with pytest.raises(ConfigurationError, match=f"d_scale must be positive, got {d_scale}"):
+        run_experiment(config)
+
+
+@pytest.mark.parametrize("label", ["", "a\nb", "a\rb", 5], ids=["empty", "newline", "return", "int"])
+def test_labels_that_break_a_report_row_are_rejected(label):
+    # "" wrote a row with no estimator name, "a\nb" split a csv_text() row
+    # in two, and 5 raised a TypeError
+    with pytest.raises(ConfigurationError, match="label must be a non-empty str"):
+        EstimatorSetting("baseline", label=label)
 
 
 def test_experiment_config_validation():
