@@ -161,6 +161,14 @@ def _warn_clamped(clamped: int, c: float, beta: float, n0: int) -> None:
         )
 
 
+def _clamp_warning(c: float, beta: float, n: int, n0: int) -> tuple[int, float, float, int]:
+    """The arguments of the `_warn_clamped` call that a coefficient build
+    at (c, beta, n, n0) makes, for a caller that reuses the coefficients
+    and must warn again; c <= 1 keeps every step c (j + n0)**(-beta) at or
+    below 1 (j + n0 >= 1), so only a larger c counts the steps."""
+    return (_steps(c, beta, n, n0)[1] if c > 1.0 else 0), c, beta, n0
+
+
 def recursion_coefficients(c: float, beta: float, n: int, n0: int = 0) -> tuple[np.ndarray, float]:
     """Sample coefficients u_j and initial-point coefficient t0 such that
     the recursive estimate equals sum_j u_j X_j + t0 * init.

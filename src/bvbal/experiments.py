@@ -18,11 +18,14 @@ map), which gives the same samples as its own ``sample_path`` call
 would.
 
 Plans are built once per configuration and maps are prepared once per
-run.  A plan depends on neither the seed nor the replication count, so
-the module keeps one slot holding the last configuration's plans (label,
-read-only `LinearPlan` and theory of each entry), keyed by the
-configuration without those two fields; a rerun at another seed,
-replication count or worker count takes its plans from the slot.
+run.  A plan depends on the entries, budgets, baseline d, K, n0 and the
+model's bias order, never on the model's constants, the seed or the
+replication count, so the module keeps one slot holding the last
+configuration's plans (label and read-only `LinearPlan` of each entry),
+keyed by those fields alone.  A rerun at another seed, replication count
+or worker count, or one that changes only the model's constants, as the
+cells of `adversarial_risk_grid` do, takes its plans from the slot; the
+theory column, which depends on the constants, is computed per run.
 
 Reports are deterministic byte-for-byte for a given configuration,
 independent of the worker count: replications are partitioned by index,
@@ -61,7 +64,7 @@ from .estimators import (
     LinearPlan,
     RecursiveParams,
     _check_budget,
-    _steps,
+    _clamp_warning,
     _warn_clamped,
     predict_mse_leading,
 )
@@ -256,7 +259,7 @@ class ExperimentConfig:
 
 def _canonical(doc: dict) -> str:
     """The one serialisation of a configuration document, which `hash`
-    digests and the plan slot is keyed by."""
+    digests and `_plan_key` keys the plan slot by."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
@@ -277,36 +280,51 @@ def _check_synthetic_d(d: float, order: BiasOrder) -> None:
             f"and d**(-2 q2) are finite and non-zero, got {d}")
 
 
-def _build_plans(config: ExperimentConfig, order: BiasOrder) -> tuple[tuple, tuple]:
-    """Every entry at every budget as (label, plan, theory), grouped by
-    budget, with each plan's deltas and coeffs made read-only, and the
-    arguments of each recursive-clamp warning the build logged, in order."""
+def _plan_key(config: ExperimentConfig, order: BiasOrder) -> str:
+    """What a configuration's plans depend on, serialised as `hash`
+    serialises the whole configuration: every field but the model, seed
+    and replications, plus the model's bias order."""
+    doc = config.to_dict()
+    del doc["model"], doc["seed"], doc["replications"]
+    doc["order"] = [order.q1, order.q2]
+    return _canonical(doc)
+
+
+class _Entry(NamedTuple):
+    """One entry at one budget as the plan slot keeps it: its label, its
+    plan, and what its theory and its clamp warning need."""
+
+    label: str
+    kind: str
+    plan: LinearPlan
+    scale: float  # the perturbation scale its schedule starts from
+    steps: RecursiveParams | None = None  # recursive and averaged only
+    clamp: tuple | None = None  # its build's `_warn_clamped` arguments
+
+
+def _build_plans(config: ExperimentConfig, order: BiasOrder) -> tuple[tuple[_Entry, ...], ...]:
+    """Every entry at every budget, grouped by budget, with each plan's
+    deltas and coeffs made read-only."""
     shared: dict = {}
-    clamps: list = []
-    entries = tuple(tuple(_build_plan(s, n, config, order, shared, clamps)
-                          for s in config.estimators) for n in config.budgets)
-    labels = [label for label, _, _ in entries[0]]
+    entries = tuple(tuple(_build_plan(s, n, config, order, shared) for s in config.estimators)
+                    for n in config.budgets)
+    labels = [e.label for e in entries[0]]
     if len(set(labels)) != len(labels):
         raise ConfigurationError(f"estimator labels must be unique, got {labels}")
     for group in entries:
-        for _, plan, _ in group:
-            plan.deltas.setflags(write=False)
-            plan.coeffs.setflags(write=False)
-    return entries, tuple(clamps)
+        for e in group:
+            e.plan.deltas.setflags(write=False)
+            e.plan.coeffs.setflags(write=False)
+    return entries
 
 
-def _build_plan(s: EstimatorSetting, n: int, config: ExperimentConfig, order: BiasOrder,
-                shared: dict, clamps: list) -> tuple[str, LinearPlan, float | None]:
-    """Map one entry at budget n to (label, plan, theory) on a model of
-    bias order ``order`` (the run's oracle's), applying the defaults
-    documented on `EstimatorSetting`; on a synthetic model theory
-    is the plan's exact MSE for weighted entries and the leading-order
-    prediction for the others (None elsewhere or out of regime).
-    ``shared`` maps (schedule, n) to the deltas of plans already built
-    along that schedule in this run; a plan on one of them reuses the
-    array, and one on a new schedule adds its own.  A recursive or
-    averaged plan whose steps were clamped appends its warning's
-    arguments to ``clamps``."""
+def _build_plan(s: EstimatorSetting, n: int, config: ExperimentConfig,
+                order: BiasOrder, shared: dict) -> _Entry:
+    """Map one entry at budget n to its `_Entry` on a model of bias order
+    ``order`` (the run's oracle's), applying the defaults documented on
+    `EstimatorSetting`.  ``shared`` maps (schedule, n) to the deltas of
+    plans already built along that schedule in this run; a plan on one
+    of them reuses the array, and one on a new schedule adds its own."""
 
     def along(schedule: DeltaSchedule) -> np.ndarray:
         key = (schedule, n)
@@ -315,43 +333,40 @@ def _build_plan(s: EstimatorSetting, n: int, config: ExperimentConfig, order: Bi
         return shared[key]
 
     d, alpha, n0 = config.baseline_d, order.alpha, config.n0
-    synthetic = isinstance(config.model, SyntheticOracleSpec)
-    label, theory = s.kind, None
+    label = s.kind if s.label is None else s.label
     if s.kind == "baseline":
-        plan = LinearPlan.baseline(n, DeltaSchedule(d, alpha, n0))
-        if synthetic:
-            theory = _try_predict("baseline", order, d, config, n)
-    elif s.kind == "weighted":
+        return _Entry(label, s.kind, LinearPlan.baseline(n, DeltaSchedule(d, alpha, n0)), d)
+    if s.kind == "weighted":
         K = float(config.K if s.K is None else s.K)
         positive(K, "K must be positive", ConfigurationError)
-        label = f"weighted-K{K:g}"
         scheme = optimal_weights(n, n0, order, K)
         schedule = DeltaSchedule(scheme.eta_star * d, alpha, n0)
         plan = LinearPlan.weighted(n, schedule, scheme, deltas=along(schedule))
-        if synthetic:
-            theory = plan.mse(config.model)
-    else:  # recursive or averaged
-        c = 1.0 if s.c is None else float(s.c)
-        beta = (1.0 if s.kind == "recursive" else 0.5) if s.beta is None else float(s.beta)
-        d_scale = amrr_recursive_free(order).d_scale if s.d_scale is None else float(s.d_scale)
-        positive(d_scale, "d_scale must be positive", ConfigurationError)
-        build = LinearPlan.recursive if s.kind == "recursive" else LinearPlan.averaged
-        schedule = DeltaSchedule(d_scale * d, alpha, n0)
-        plan = build(n, schedule, RecursiveParams(c, beta), deltas=along(schedule))
-        # c <= 1 keeps every step c (j + n0)**(-beta) at or below 1
-        clamped = _steps(c, beta, n, n0)[1] if c > 1.0 else 0
-        if clamped:
-            clamps.append((clamped, c, beta, n0))
-        if synthetic:
-            theory = _try_predict(s.kind, order, d_scale * d, config, n, c=c, beta=beta)
-    return (label if s.label is None else s.label), plan, theory
+        return _Entry(f"weighted-K{K:g}" if s.label is None else s.label, s.kind, plan,
+                      schedule.scale)
+    # recursive or averaged
+    c = 1.0 if s.c is None else float(s.c)
+    beta = (1.0 if s.kind == "recursive" else 0.5) if s.beta is None else float(s.beta)
+    d_scale = amrr_recursive_free(order).d_scale if s.d_scale is None else float(s.d_scale)
+    positive(d_scale, "d_scale must be positive", ConfigurationError)
+    build = LinearPlan.recursive if s.kind == "recursive" else LinearPlan.averaged
+    schedule, steps = DeltaSchedule(d_scale * d, alpha, n0), RecursiveParams(c, beta)
+    plan = build(n, schedule, steps, deltas=along(schedule))
+    return _Entry(label, s.kind, plan, schedule.scale, steps, _clamp_warning(c, beta, n, n0))
 
 
-def _try_predict(kind: str, order: BiasOrder, d: float, config: ExperimentConfig,
-                 n: int, c: float | None = None, beta: float | None = None) -> float | None:
-    B, noise = config.model.B, config.model.noise_scale
+def _theory(e: _Entry, model: SyntheticOracleSpec | QueueSetting, n: int) -> float | None:
+    """On a synthetic model, the plan's exact MSE for a weighted entry
+    and the leading-order prediction for the others (None elsewhere or
+    out of the convergent regime)."""
+    if not isinstance(model, SyntheticOracleSpec):
+        return None
+    if e.kind == "weighted":
+        return e.plan.mse(model)
+    B, noise = model.B, model.noise_scale
+    c, beta = (None, None) if e.steps is None else (e.steps.c, e.steps.beta)
     try:
-        return predict_mse_leading(kind, order, d, float(np.dot(B, B)),
+        return predict_mse_leading(e.kind, model.order, e.scale, float(np.dot(B, B)),
                                    float(np.dot(noise, noise)), n, c=c, beta=beta)
     except ValueError:
         # out of the convergent regime: no leading-order prediction exists
@@ -463,10 +478,9 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
-# The last configuration `run_experiment` built plans for, as (key, entries,
-# clamps); one assignment replaces it, so a concurrent run reads either the
-# old triple or the new one
-_last_plans: tuple = (None, (), ())
+# The last plans `run_experiment` built, as (`_plan_key`, entries); one
+# assignment replaces the pair, so a concurrent run reads a whole pair
+_last_plans: tuple = (None, ())
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
@@ -481,14 +495,19 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     everywhere (degenerate synthetic spec) reports ratio 1.0 by
     convention and sets the degenerate flag.
 
-    Plans are built once per configuration: the entries' plans and
-    theory go into a module slot keyed by ``config.to_dict()`` without
-    ``seed`` and ``replications``, and a run whose key matches the slot
-    builds nothing (it still logs any recursive-clamp warning the build
-    logged).  Maps are prepared once per run.  The slot holds only the
-    last configuration's plans, so they stay alive after the call returns
-    (about 7 MB for five plans at n = 1e5); a build that raises leaves
-    the slot as it was.
+    Plans are built once per configuration: they go into a module slot
+    keyed by what they depend on (``config.to_dict()`` without the
+    model, ``seed`` and ``replications``, plus the model's bias order),
+    and a run whose key matches the slot builds nothing (it still logs
+    any recursive-clamp warning the build logged).  Maps and the theory
+    column are computed once per run.  The slot holds only the last
+    plans, and keeps them alive after the call returns, also after a
+    one-shot run: one coefficient array per entry and at most one deltas
+    array per entry at each budget, so at most 16 * len(estimators) *
+    sum(budgets) bytes (7.2 MB of the 8 MB bound for the five entries of
+    the synthetic benchmark configuration at n = 1e5).  A miss empties
+    the slot before it builds, so that the run does not hold the old
+    plans and the new at once, and a build that raises leaves it empty.
     """
     global _last_plans
     what = f"workers must be an integer in [1, {MAX_WORKERS}]"
@@ -502,21 +521,20 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     else:
         oracle = config.model.make_oracle()
         theta = config.model.true_value()
-    doc = config.to_dict()
-    del doc["seed"], doc["replications"]
-    key = _canonical(doc)
-    last = _last_plans
-    if last[0] == key:
-        _, entries, clamps = last
-        for args in clamps:  # every run of a clamping plan says so
-            _warn_clamped(*args)
+    key = _plan_key(config, oracle.order)
+    last_key, entries = _last_plans  # one read: a concurrent run may replace it
+    if last_key == key:
+        for e in (e for group in entries for e in group if e.clamp):
+            _warn_clamped(*e.clamp)  # every run of a clamping plan says so
     else:
-        entries, clamps = _build_plans(config, oracle.order)
-        _last_plans = (key, entries, clamps)
-    plan_groups = tuple(tuple(plan for _, plan, _ in group) for group in entries)
+        # drop the old plans before the build, so that the two never add up
+        _last_plans, entries = (None, ()), ()
+        entries = _build_plans(config, oracle.order)
+        _last_plans = (key, entries)
+    plan_groups = tuple(tuple(e.plan for e in group) for group in entries)
     # plans that share a deltas array share its map, prepared once
     arrays = {id(plan.deltas): plan.deltas for plans in plan_groups for plan in plans}
-    prepared = {key: oracle.prepare(deltas) for key, deltas in arrays.items()}
+    prepared = {ident: oracle.prepare(deltas) for ident, deltas in arrays.items()}
     maps = [[prepared[id(plan.deltas)] for plan in plans] for plans in plan_groups]
 
     R = config.replications
@@ -542,7 +560,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
         cols = sq[:, col:col + len(group)]
         col += len(group)
         base_mse = None if base is None else math.fsum(cols[:, base]) / R
-        for (label, _, theory), e in zip(group, cols.T):
+        for entry, e in zip(group, cols.T):
             mse = math.fsum(e) / R
             se = float(np.std(e, ddof=1) / math.sqrt(R))
             if base_mse is None:
@@ -552,8 +570,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
                 degenerate = True
             else:
                 ratio = mse / base_mse
-            rows.append(ReportRow(label, n, mse, se, ratio, theory))
-            squared_errors[f"{label}|{n}"] = e.copy()
+            rows.append(ReportRow(entry.label, n, mse, se, ratio,
+                                  _theory(entry, config.model, n)))
+            squared_errors[f"{entry.label}|{n}"] = e.copy()
     return ExperimentReport(
         rows=tuple(rows),
         squared_errors=squared_errors,
@@ -561,7 +580,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
         seed=config.seed,
         replications=R,
         degenerate=degenerate,
-        baseline=None if base is None else entries[0][base][0],
+        baseline=None if base is None else entries[0][base].label,
     )
 
 

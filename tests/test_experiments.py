@@ -7,6 +7,7 @@ import logging
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -152,16 +153,10 @@ def test_rerun_is_byte_identical():
 
 # ------------------------------------------------------------- plan slot
 
-_PINNED = {
-    small_config: "67b2a09260b6405978fa1d79bada3bff37fbfcc03e7f70e3075f67a29389a484",
-    crn_queue_config: "bcdd41c8ce612c575b7d4d4047cf1d326cb16620ea2e9d353b9c2bddf383300a",
-}
-
-
 @pytest.fixture
 def solves(monkeypatch):
     """Empty the plan slot, and record every weight solve a run makes."""
-    monkeypatch.setattr(experiments, "_last_plans", (None, (), ()))
+    monkeypatch.setattr(experiments, "_last_plans", (None, ()))
     calls = []
     original = experiments.optimal_weights
 
@@ -183,16 +178,16 @@ def test_a_slot_hit_is_byte_identical_to_a_cold_run(make, solves):
         solves.clear()
         hit = run_experiment(config, workers=workers).json_text()
         assert solves == []
-        experiments._last_plans = (None, (), ())
+        experiments._last_plans = (None, ())
         assert run_experiment(config, workers=workers).json_text() == hit
         assert solves
 
 
 @pytest.mark.parametrize("change", [
     dict(K=2.0), dict(n0=3), dict(budgets=(64,)), dict(baseline_d=0.5),
-    dict(model=unit_spec(B=2.0)),
+    dict(model=unit_spec(q1=1.0)),
     dict(estimators=(EstimatorSetting("baseline", label="flat"), EstimatorSetting("weighted"))),
-], ids=["K", "n0", "budgets", "baseline_d", "B", "label"])
+], ids=["K", "n0", "budgets", "baseline_d", "bias-order", "label"])
 def test_a_hit_solves_nothing_and_a_plan_field_rebuilds(change, solves):
     base = small_config(estimators=(EstimatorSetting("baseline"), EstimatorSetting("weighted")))
     run_experiment(base)
@@ -201,6 +196,28 @@ def test_a_hit_solves_nothing_and_a_plan_field_rebuilds(change, solves):
     assert solves == []
     run_experiment(dataclasses.replace(base, seed=99, replications=7, **change))
     assert solves
+
+
+def test_new_model_constants_reuse_the_plans_and_recompute_the_theory(solves):
+    # B, sigma, theta and the higher-order bias set the samples and the
+    # theory column, never a plan; the bias order is checked above
+    first = small_config(model=unit_spec(B=2.0, sigma=0.5))
+    before = run_experiment(first)
+    for spec in (unit_spec(B=0.1, sigma=7.0), unit_spec(theta=1.5, hob=0.3)):
+        config = dataclasses.replace(first, model=spec)
+        solves.clear()
+        hit = run_experiment(config)
+        assert solves == []
+        experiments._last_plans = (None, ())
+        cold = run_experiment(config)
+        assert solves and hit.json_text() == cold.json_text()
+        assert [r.theory for r in hit.rows] != [r.theory for r in before.rows]
+
+
+def test_the_adversarial_grid_builds_its_plans_once(solves):
+    # its 25 cells change only B and sigma, so 24 of them are slot hits
+    grid = adversarial_risk_grid(Q21, 1.0, 64, replications=4, seed=3)
+    assert len(grid.cells) == 25 and len(solves) == 1
 
 
 def test_the_slot_holds_only_the_last_configuration(solves):
@@ -215,19 +232,35 @@ def test_the_slot_holds_only_the_last_configuration(solves):
 
 def test_an_infeasible_entry_raises_on_every_call(solves):
     run_experiment(small_config())
-    last = experiments._last_plans
     config = small_config(estimators=(EstimatorSetting("baseline"),
                                       EstimatorSetting("weighted", K=0.5)), budgets=(1000,))
     for _ in range(2):
         with pytest.raises(InfeasibleError, match="no feasible weight scheme at n=1000, K=0.5"):
             run_experiment(config)
-    assert experiments._last_plans is last
+    assert experiments._last_plans == (None, ())
+
+
+def test_a_miss_drops_the_old_plans_before_it_builds(solves, monkeypatch):
+    # the slot held the old plans through the build, so a run of a new
+    # configuration held both sets at once
+    run_experiment(small_config())
+    old = weakref.ref(experiments._last_plans[1][0][0].plan.coeffs)
+    alive = []
+    build = experiments._build_plans
+
+    def checking(*args):
+        alive.append(old() is not None)
+        return build(*args)
+
+    monkeypatch.setattr(experiments, "_build_plans", checking)
+    run_experiment(small_config(K=2.0))
+    assert alive == [False]
 
 
 def test_slot_plans_are_read_only(solves):
     run_experiment(small_config())
-    _, entries, _ = experiments._last_plans
-    plans = [plan for group in entries for _, plan, _ in group]
+    _, entries = experiments._last_plans
+    plans = [e.plan for group in entries for e in group]
     assert len(plans) == 8
     for array in (a for plan in plans for a in (plan.deltas, plan.coeffs)):
         assert not array.flags.writeable
@@ -255,15 +288,17 @@ def test_every_run_of_a_clamping_plan_warns_once(caplog, solves):
 def test_threads_running_two_configurations_keep_their_bytes():
     # four threads alternate two configurations, switching as often as the
     # interpreter allows, so a run may find either one's plans in the slot
-    # or have them replaced while it runs; every report keeps its pinned bytes
+    # or have them replaced while it runs; every report keeps the bytes of
+    # a run alone, which test_report_bytes_are_pinned pins
+    makes = (small_config, crn_queue_config)
+    alone = {make: run_experiment(make()).json_text() for make in makes}
     got, errors = [], []
 
     def work(first):
         try:
             for i in range(4):
-                make = (small_config, crn_queue_config)[(first + i) % 2]
-                text = run_experiment(make()).json_text()
-                got.append((_PINNED[make], hashlib.sha256(text.encode()).hexdigest()))
+                make = makes[(first + i) % 2]
+                got.append((alone[make], run_experiment(make()).json_text()))
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
@@ -279,7 +314,7 @@ def test_threads_running_two_configurations_keep_their_bytes():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert len(got) == 16 and all(want == digest for want, digest in got)
+    assert len(got) == 16 and all(want == text for want, text in got)
 
 
 def test_csv_header_and_shape():
