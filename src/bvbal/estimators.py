@@ -27,8 +27,10 @@ from __future__ import annotations
 
 import logging
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import accumulate
 
 import numpy as np
@@ -78,9 +80,12 @@ class DeltaSchedule:
         return self.scale * float(j + self.n0) ** (-self.alpha)
 
     def deltas(self, n: int) -> np.ndarray:
-        _check_budget(n)
-        j = np.arange(1, n + 1, dtype=float) + self.n0
-        return self.scale * j ** (-self.alpha)
+        """The n sizes delta_1..delta_n, one shared read-only array per
+        (schedule, n) while the plan memo holds it."""
+        n, scale, alpha = _check_budget(n), float(self.scale), float(self.alpha)
+        return _memo(("deltas", scale, alpha, self.n0, n),
+                     lambda: scale * (np.arange(1, n + 1, dtype=float) + self.n0) ** (-alpha),
+                     lambda a: a)
 
     def terminal(self, n: int) -> float:
         """The size the schedule reaches at the end of an n-draw budget."""
@@ -124,6 +129,52 @@ class EstimatorRun:
 
 _check_budget = partial(count, what="budget n must be a positive integer", minimum=1)
 
+# The memo's bound on its parts' charges: array bytes, plus _ENTRY_BYTES each
+_MEMO_BYTES = 64 * 2**20
+_ENTRY_BYTES = 1024
+
+
+class _Memo:
+    """The one memo of plan parts, keyed by every input a part depends on:
+    "recursive" and "averaged" coefficients by (c, beta, n, n0), "deltas"
+    by (scale, alpha, n0, n), the harness's "weights" by (n, n0, q1, q2,
+    K).  It evicts the least recently used first.  A call returns
+    ``build()``'s value, its array ``array_of(value)`` made read-only.
+    Two threads that miss one key both build it (outside the lock) and
+    share the first value stored; a build that raises stores nothing, and
+    a part charged more than the bound is returned but not kept."""
+
+    def __init__(self) -> None:
+        self.parts: OrderedDict = OrderedDict()  # key -> (value, charge)
+        self.nbytes = 0  # the sum of the charges
+        self.lock = threading.Lock()
+
+    def __call__(self, key: tuple, build, array_of):
+        with self.lock:
+            if key in self.parts:
+                self.parts.move_to_end(key)
+                return self.parts[key][0]
+        value = build()
+        array_of(value).setflags(write=False)
+        charge = array_of(value).nbytes + _ENTRY_BYTES
+        with self.lock:
+            if key in self.parts:
+                return self.parts[key][0]
+            if charge <= _MEMO_BYTES:
+                self.parts[key] = (value, charge)
+                self.nbytes += charge
+                while self.nbytes > _MEMO_BYTES:
+                    self.nbytes -= self.parts.popitem(last=False)[1][1]
+        return value
+
+    def clear(self) -> None:
+        with self.lock:
+            self.parts.clear()
+            self.nbytes = 0
+
+
+_memo = _Memo()
+
 
 def _check_steps(c: float, beta: float) -> None:
     """The rule for gamma_j = c (j + n0)**(-beta): c finite and > 0, 0 < beta <= 1."""
@@ -151,9 +202,20 @@ def _steps(c: float, beta: float, n: int, n0: int) -> tuple[np.ndarray, int]:
     return gam, clamped
 
 
+def _coefficients(kind: str, build, c: float, beta: float, n: int, n0: int):
+    """``build(c, beta, n, n0)``'s coefficients through the memo; the clamp
+    count kept with them is logged on every call, as every build logs it."""
+    _check_steps(c, beta)
+    c, beta, n = float(c), float(beta), _check_budget(n)
+    n0 = count(n0, "n0 must be a non-negative integer")
+    coeffs, t0, clamped = _memo((kind, c, beta, n, n0), lambda: build(c, beta, n, n0),
+                                lambda part: part[0])
+    _warn_clamped(clamped, c, beta, n0)
+    return coeffs, t0
+
+
 def _warn_clamped(clamped: int, c: float, beta: float, n0: int) -> None:
-    """The one clamp warning of a coefficient build; logged outside any
-    cache so that every build which clamps says so."""
+    """The one clamp warning of a coefficient build."""
     if clamped:
         logger.warning(
             "clamping %d recursive step(s) above 1 (c=%g, beta=%g, n0=%d)",
@@ -161,37 +223,28 @@ def _warn_clamped(clamped: int, c: float, beta: float, n0: int) -> None:
         )
 
 
-def _clamp_warning(c: float, beta: float, n: int, n0: int) -> tuple[int, float, float, int]:
-    """The arguments of the `_warn_clamped` call that a coefficient build
-    at (c, beta, n, n0) makes, for a caller that reuses the coefficients
-    and must warn again; c <= 1 keeps every step c (j + n0)**(-beta) at or
-    below 1 (j + n0 >= 1), so only a larger c counts the steps."""
-    return (_steps(c, beta, n, n0)[1] if c > 1.0 else 0), c, beta, n0
+def _recursion(c: float, beta: float, n: int, n0: int) -> tuple[np.ndarray, float, int]:
+    if beta == 1.0 and c == 1.0:
+        return np.full(n, 1.0 / (n + n0)), n0 / (n + n0), 0
+    gam, clamped = _steps(c, beta, n, n0)
+    rc = np.cumprod((1.0 - gam)[::-1])[::-1]  # rc[i] = prod_{k >= i+1} (1 - gamma_k)
+    return gam * np.append(rc[1:], 1.0), float(rc[0]), clamped
 
 
 def recursion_coefficients(c: float, beta: float, n: int, n0: int = 0) -> tuple[np.ndarray, float]:
-    """Sample coefficients u_j and initial-point coefficient t0 such that
-    the recursive estimate equals sum_j u_j X_j + t0 * init.
+    """Read-only sample coefficients u_j and initial-point coefficient t0
+    such that the recursive estimate equals sum_j u_j X_j + t0 * init.
 
     u_j = gamma_j * prod_{k > j} (1 - gamma_k) and t0 = prod_k (1 - gamma_k).
     The c = 1, beta = 1 case telescopes exactly to the running mean
     u_j = 1 / (n + n0), t0 = n0 / (n + n0), and is emitted in that closed
-    form so the identity holds bit-for-bit; with n0 >= 0 its steps
-    1 / (j + n0) are at most 1, so none is clamped and none is built.
+    form so the identity holds bit-for-bit; its steps 1 / (j + n0) are at
+    most 1, so none is clamped and none is built.  Kept in the plan memo.
     """
-    n = _check_budget(n)
-    if beta == 1.0 and c == 1.0 and n0 >= 0:
-        return np.full(n, 1.0 / (n + n0)), n0 / (n + n0)
-    gam, clamped = _steps(c, beta, n, n0)
-    _warn_clamped(clamped, c, beta, n0)
-    q = 1.0 - gam
-    rc = np.cumprod(q[::-1])[::-1]  # rc[i] = prod_{k >= i+1} (1 - gamma_k)
-    tail = np.append(rc[1:], 1.0)
-    return gam * tail, float(rc[0])
+    return _coefficients("recursive", _recursion, c, beta, n, n0)
 
 
-@lru_cache(maxsize=32)
-def _averaged_coefficients_cached(c: float, beta: float, n: int, n0: int) -> tuple[np.ndarray, float, int]:
+def _averaged(c: float, beta: float, n: int, n0: int) -> tuple[np.ndarray, float, int]:
     gam, clamped = _steps(c, beta, n, n0)
     q = 1.0 - gam
     # R_j = 1 + sum_{m > j} prod_{j < k <= m} (1 - gamma_k), backwards;
@@ -205,21 +258,15 @@ def _averaged_coefficients_cached(c: float, beta: float, n: int, n0: int) -> tup
 
     R = np.fromiter(accumulate(backwards(), lambda r, qk: 1.0 + qk * r, initial=1.0),
                     float, n)[::-1]
-    ubar = gam * R / n
-    t0bar = _exact_sum(np.cumprod(q)) / n
-    ubar.setflags(write=False)
-    return ubar, t0bar, clamped
+    return gam * R / n, _exact_sum(np.cumprod(q)) / n, clamped
 
 
 def averaged_coefficients(c: float, beta: float, n: int, n0: int = 0) -> tuple[np.ndarray, float]:
-    """Sample and initial-point coefficients of the averaged estimator
-    (the running mean over the n recursive iterates); cached per
-    configuration since the backward recurrence is the only O(n) Python
-    loop in the hot path."""
-    n = _check_budget(n)
-    ubar, t0bar, clamped = _averaged_coefficients_cached(float(c), float(beta), n, int(n0))
-    _warn_clamped(clamped, c, beta, n0)
-    return ubar, t0bar
+    """Read-only sample and initial-point coefficients of the averaged
+    estimator (the running mean over the n recursive iterates).  Kept in
+    the plan memo: the backward recurrence is the only O(n) Python loop
+    in the hot path."""
+    return _coefficients("averaged", _averaged, c, beta, n, n0)
 
 
 def _resolve_init(init: np.ndarray | None, dim: int) -> np.ndarray:
@@ -242,9 +289,8 @@ class LinearPlan:
     The four constructors hold every per-kind rule (budget, schedule,
     coefficients, validation); `reduce` is the one reduction, shared by
     the single-run estimators and the paired harness.  The three that
-    draw along the schedule take ``deltas``, ``schedule.deltas(n)``
-    itself, when the caller already holds it, so plans on one schedule
-    and budget can share one array.
+    draw along the schedule take their deltas from `DeltaSchedule.deltas`,
+    so plans on one schedule and budget share one array.
     """
 
     deltas: np.ndarray
@@ -266,16 +312,14 @@ class LinearPlan:
         return cls(np.full(n, schedule.terminal(n)), np.full(n, 1.0 / n))
 
     @classmethod
-    def recursive(cls, n: int, schedule: DeltaSchedule, params: RecursiveParams,
-                  *, deltas: np.ndarray | None = None) -> "LinearPlan":
+    def recursive(cls, n: int, schedule: DeltaSchedule, params: RecursiveParams) -> "LinearPlan":
         """The final iterate of the recursion along the schedule."""
         n = _check_budget(n)
         u, t0 = recursion_coefficients(params.c, params.beta, n, schedule.n0)
-        return cls(schedule.deltas(n) if deltas is None else deltas, u, t0)
+        return cls(schedule.deltas(n), u, t0)
 
     @classmethod
-    def averaged(cls, n: int, schedule: DeltaSchedule, params: RecursiveParams,
-                 *, deltas: np.ndarray | None = None) -> "LinearPlan":
+    def averaged(cls, n: int, schedule: DeltaSchedule, params: RecursiveParams) -> "LinearPlan":
         """The running mean of the recursive iterates; requires beta < 1
         (at beta = 1 the recursion already averages and there is nothing
         to gain, so the combination is rejected rather than silently
@@ -286,11 +330,11 @@ class LinearPlan:
                 f"averaging requires beta < 1, got beta = {params.beta}"
             )
         ubar, t0bar = averaged_coefficients(params.c, params.beta, n, schedule.n0)
-        return cls(schedule.deltas(n) if deltas is None else deltas, ubar, t0bar)
+        return cls(schedule.deltas(n), ubar, t0bar)
 
     @classmethod
-    def weighted(cls, n: int, schedule: DeltaSchedule, scheme: "WeightScheme | np.ndarray",
-                 *, deltas: np.ndarray | None = None) -> "LinearPlan":
+    def weighted(cls, n: int, schedule: DeltaSchedule,
+                 scheme: "WeightScheme | np.ndarray") -> "LinearPlan":
         """Explicit weights along the schedule: a solved `WeightScheme` or
         any weight vector of length n."""
         n = _check_budget(n)
@@ -300,7 +344,7 @@ class LinearPlan:
                 f"weight vector has length {weights.shape[0] if weights.ndim == 1 else weights.shape}, "
                 f"budget is n={n}"
             )
-        return cls(schedule.deltas(n) if deltas is None else deltas, weights)
+        return cls(schedule.deltas(n), weights)
 
     def reduce(self, samples: np.ndarray, init: np.ndarray | None = None, *,
                terms: np.ndarray | None = None) -> np.ndarray:

@@ -11,21 +11,19 @@ an estimator, built by the same constructors the single-run estimators
 use, so a replication's error is that of the single-run estimate on its
 stream.  The stream is drawn once per (replication, budget) cell, and
 every plan maps that one variate block through its schedule (the map
-the oracle's ``prepare`` returns, made once per distinct schedule and
-budget and run and shared by every worker: plans on one schedule, such
-as the recursive and averaged defaults, share one deltas array and one
-map), which gives the same samples as its own ``sample_path`` call
-would.
+the oracle's ``prepare`` returns, made once per distinct deltas array
+per run and shared by every worker: plans on one schedule, such as the
+recursive and averaged defaults, share one deltas array and one map),
+which gives the same samples as its own ``sample_path`` call would.
 
-Plans are built once per configuration and maps are prepared once per
-run.  A plan depends on the entries, budgets, baseline d, K, n0 and the
-model's bias order, never on the model's constants, the seed or the
-replication count, so the module keeps one slot holding the last
-configuration's plans (label and read-only `LinearPlan` of each entry),
-keyed by those fields alone.  A rerun at another seed, replication count
-or worker count, or one that changes only the model's constants, as the
-cells of `adversarial_risk_grid` do, takes its plans from the slot; the
-theory column, which depends on the constants, is computed per run.
+Every run builds its plans from read-only parts kept in the plan memo
+of `bvbal.estimators`, at most 64 MiB in all (`_MEMO_BYTES`):
+coefficients keyed by (c, beta, n, n0), deltas by (schedule, n) and each
+weighted entry's `WeightScheme` by (n, n0, q1, q2, K).  None depends on
+the model's constants, the seed or the replication count, so a rerun at
+another seed, replication count or worker count, or one that changes
+only the model's constants, as the cells of `adversarial_risk_grid` do,
+solves and builds nothing; the theory column is computed per run.
 
 Reports are deterministic byte-for-byte for a given configuration,
 independent of the worker count: replications are partitioned by index,
@@ -64,8 +62,7 @@ from .estimators import (
     LinearPlan,
     RecursiveParams,
     _check_budget,
-    _clamp_warning,
-    _warn_clamped,
+    _memo,
     predict_mse_leading,
 )
 from .oracles import BiasOrder, SampleOracle, StreamKey, SyntheticOracleSpec
@@ -254,19 +251,14 @@ class ExperimentConfig:
         }
 
     def hash(self) -> str:
-        return hashlib.sha256(_canonical(self.to_dict()).encode()).hexdigest()[:16]
+        text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _canonical(doc: dict) -> str:
-    """The one serialisation of a configuration document, which `hash`
-    digests and `_plan_key` keys the plan slot by."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def _check_synthetic_d(d: float, order: BiasOrder) -> None:
-    """Reject a baseline d at which the synthetic model's d**(2 q1) or
-    d**(-2 q2) overflows or rounds to zero; the message gives the range
-    from the float limits 2**1024 and 2**-1074."""
+def _check_synthetic_d(d: float, order: BiasOrder, what: str = "baseline_d") -> None:
+    """Reject a scale d (``what``) at which the synthetic model's
+    d**(2 q1) or d**(-2 q2) overflows or rounds to zero; the message
+    gives the range from the float limits 2**1024 and 2**-1074."""
     q1, q2 = order.q1, order.q2
     try:
         ok = 0.0 < d ** (2.0 * q1) < math.inf and 0.0 < d ** (-2.0 * q2) < math.inf
@@ -276,100 +268,77 @@ def _check_synthetic_d(d: float, order: BiasOrder) -> None:
         lo, hi = max(-537.0 / q1, -512.0 / q2), min(512.0 / q1, 537.0 / q2)
         hi = math.inf if hi >= 1024.0 else 2.0 ** hi
         raise ConfigurationError(
-            f"baseline_d must lie in about ({2.0 ** lo:.4g}, {hi:.4g}), where d**(2 q1) "
+            f"{what} must lie in about ({2.0 ** lo:.4g}, {hi:.4g}), where d**(2 q1) "
             f"and d**(-2 q2) are finite and non-zero, got {d}")
 
 
-def _plan_key(config: ExperimentConfig, order: BiasOrder) -> str:
-    """What a configuration's plans depend on, serialised as `hash`
-    serialises the whole configuration: every field but the model, seed
-    and replications, plus the model's bias order."""
-    doc = config.to_dict()
-    del doc["model"], doc["seed"], doc["replications"]
-    doc["order"] = [order.q1, order.q2]
-    return _canonical(doc)
-
-
 class _Entry(NamedTuple):
-    """One entry at one budget as the plan slot keeps it: its label, its
-    plan, and what its theory and its clamp warning need."""
+    """One entry at one budget: its label, its plan, and what its theory needs."""
 
     label: str
     kind: str
     plan: LinearPlan
     scale: float  # the perturbation scale its schedule starts from
     steps: RecursiveParams | None = None  # recursive and averaged only
-    clamp: tuple | None = None  # its build's `_warn_clamped` arguments
 
 
 def _build_plans(config: ExperimentConfig, order: BiasOrder) -> tuple[tuple[_Entry, ...], ...]:
-    """Every entry at every budget, grouped by budget, with each plan's
-    deltas and coeffs made read-only."""
-    shared: dict = {}
-    entries = tuple(tuple(_build_plan(s, n, config, order, shared) for s in config.estimators)
+    """Every entry at every budget, grouped by budget."""
+    entries = tuple(tuple(_build_plan(s, n, config, order) for s in config.estimators)
                     for n in config.budgets)
     labels = [e.label for e in entries[0]]
     if len(set(labels)) != len(labels):
         raise ConfigurationError(f"estimator labels must be unique, got {labels}")
-    for group in entries:
-        for e in group:
-            e.plan.deltas.setflags(write=False)
-            e.plan.coeffs.setflags(write=False)
     return entries
 
 
 def _build_plan(s: EstimatorSetting, n: int, config: ExperimentConfig,
-                order: BiasOrder, shared: dict) -> _Entry:
-    """Map one entry at budget n to its `_Entry` on a model of bias order
-    ``order`` (the run's oracle's), applying the defaults documented on
-    `EstimatorSetting`.  ``shared`` maps (schedule, n) to the deltas of
-    plans already built along that schedule in this run; a plan on one
-    of them reuses the array, and one on a new schedule adds its own."""
+                order: BiasOrder) -> _Entry:
+    """One entry at budget n as an `_Entry` on a model of bias order
+    ``order`` (the run's oracle's), with `EstimatorSetting`'s defaults; on
+    a synthetic model its scale must pass the baseline d's rule."""
 
-    def along(schedule: DeltaSchedule) -> np.ndarray:
-        key = (schedule, n)
-        if key not in shared:
-            shared[key] = schedule.deltas(n)
-        return shared[key]
+    def schedule_at(scale: float, label: str) -> DeltaSchedule:
+        if isinstance(config.model, SyntheticOracleSpec):
+            _check_synthetic_d(scale, order, f"the scale of entry {label!r}")
+        return DeltaSchedule(scale, alpha, n0)
 
     d, alpha, n0 = config.baseline_d, order.alpha, config.n0
     label = s.kind if s.label is None else s.label
     if s.kind == "baseline":
-        return _Entry(label, s.kind, LinearPlan.baseline(n, DeltaSchedule(d, alpha, n0)), d)
+        return _Entry(label, s.kind, LinearPlan.baseline(n, schedule_at(d, label)), d)
     if s.kind == "weighted":
         K = float(config.K if s.K is None else s.K)
         positive(K, "K must be positive", ConfigurationError)
-        scheme = optimal_weights(n, n0, order, K)
-        schedule = DeltaSchedule(scheme.eta_star * d, alpha, n0)
-        plan = LinearPlan.weighted(n, schedule, scheme, deltas=along(schedule))
-        return _Entry(f"weighted-K{K:g}" if s.label is None else s.label, s.kind, plan,
-                      schedule.scale)
+        scheme = _memo(("weights", n, n0, float(order.q1), float(order.q2), K),
+                       lambda: optimal_weights(n, n0, order, K), lambda w: w.weights)
+        label = f"weighted-K{K:g}" if s.label is None else s.label
+        schedule = schedule_at(scheme.eta_star * d, label)
+        return _Entry(label, s.kind, LinearPlan.weighted(n, schedule, scheme), schedule.scale)
     # recursive or averaged
     c = 1.0 if s.c is None else float(s.c)
     beta = (1.0 if s.kind == "recursive" else 0.5) if s.beta is None else float(s.beta)
     d_scale = amrr_recursive_free(order).d_scale if s.d_scale is None else float(s.d_scale)
     positive(d_scale, "d_scale must be positive", ConfigurationError)
     build = LinearPlan.recursive if s.kind == "recursive" else LinearPlan.averaged
-    schedule, steps = DeltaSchedule(d_scale * d, alpha, n0), RecursiveParams(c, beta)
-    plan = build(n, schedule, steps, deltas=along(schedule))
-    return _Entry(label, s.kind, plan, schedule.scale, steps, _clamp_warning(c, beta, n, n0))
+    schedule, steps = schedule_at(d_scale * d, label), RecursiveParams(c, beta)
+    return _Entry(label, s.kind, build(n, schedule, steps), schedule.scale, steps)
 
 
 def _theory(e: _Entry, model: SyntheticOracleSpec | QueueSetting, n: int) -> float | None:
     """On a synthetic model, the plan's exact MSE for a weighted entry
-    and the leading-order prediction for the others (None elsewhere or
-    out of the convergent regime)."""
+    and the leading-order prediction for the others (None elsewhere, out
+    of the convergent regime, or past the float range)."""
     if not isinstance(model, SyntheticOracleSpec):
         return None
-    if e.kind == "weighted":
-        return e.plan.mse(model)
     B, noise = model.B, model.noise_scale
     c, beta = (None, None) if e.steps is None else (e.steps.c, e.steps.beta)
     try:
+        if e.kind == "weighted":
+            return e.plan.mse(model)
         return predict_mse_leading(e.kind, model.order, e.scale, float(np.dot(B, B)),
                                    float(np.dot(noise, noise)), n, c=c, beta=beta)
-    except ValueError:
-        # out of the convergent regime: no leading-order prediction exists
+    except (ValueError, OverflowError):  # no prediction, or one past the float range
         return None
 
 
@@ -478,11 +447,6 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
-# The last plans `run_experiment` built, as (`_plan_key`, entries); one
-# assignment replaces the pair, so a concurrent run reads a whole pair
-_last_plans: tuple = (None, ())
-
-
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     """Run the paired experiment and aggregate per-(estimator, budget)
     MSE, standard error, risk ratio against the baseline entry (found by
@@ -495,21 +459,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     everywhere (degenerate synthetic spec) reports ratio 1.0 by
     convention and sets the degenerate flag.
 
-    Plans are built once per configuration: they go into a module slot
-    keyed by what they depend on (``config.to_dict()`` without the
-    model, ``seed`` and ``replications``, plus the model's bias order),
-    and a run whose key matches the slot builds nothing (it still logs
-    any recursive-clamp warning the build logged).  Maps and the theory
-    column are computed once per run.  The slot holds only the last
-    plans, and keeps them alive after the call returns, also after a
-    one-shot run: one coefficient array per entry and at most one deltas
-    array per entry at each budget, so at most 16 * len(estimators) *
-    sum(budgets) bytes (7.2 MB of the 8 MB bound for the five entries of
-    the synthetic benchmark configuration at n = 1e5).  A miss empties
-    the slot before it builds, so that the run does not hold the old
-    plans and the new at once, and a build that raises leaves it empty.
+    Every run builds its plans from the plan memo's parts (see the
+    module docstring), and a recursive entry that clamps its steps warns
+    on every run.  On a synthetic model each entry's own scale must lie
+    in the range the baseline d must (else `ConfigurationError`, naming
+    the entry).
     """
-    global _last_plans
     what = f"workers must be an integer in [1, {MAX_WORKERS}]"
     if isinstance(workers, bool):
         raise ConfigurationError(f"{what}, got {workers!r}")
@@ -521,16 +476,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     else:
         oracle = config.model.make_oracle()
         theta = config.model.true_value()
-    key = _plan_key(config, oracle.order)
-    last_key, entries = _last_plans  # one read: a concurrent run may replace it
-    if last_key == key:
-        for e in (e for group in entries for e in group if e.clamp):
-            _warn_clamped(*e.clamp)  # every run of a clamping plan says so
-    else:
-        # drop the old plans before the build, so that the two never add up
-        _last_plans, entries = (None, ()), ()
-        entries = _build_plans(config, oracle.order)
-        _last_plans = (key, entries)
+    entries = _build_plans(config, oracle.order)
     plan_groups = tuple(tuple(e.plan for e in group) for group in entries)
     # plans that share a deltas array share its map, prepared once
     arrays = {id(plan.deltas): plan.deltas for plans in plan_groups for plan in plans}
@@ -562,7 +508,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
         base_mse = None if base is None else math.fsum(cols[:, base]) / R
         for entry, e in zip(group, cols.T):
             mse = math.fsum(e) / R
-            se = float(np.std(e, ddof=1) / math.sqrt(R))
             if base_mse is None:
                 ratio = None
             elif base_mse == 0.0:
@@ -570,7 +515,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
                 degenerate = True
             else:
                 ratio = mse / base_mse
-            rows.append(ReportRow(entry.label, n, mse, se, ratio,
+            rows.append(ReportRow(entry.label, n, mse, _standard_error(e), ratio,
                                   _theory(entry, config.model, n)))
             squared_errors[f"{entry.label}|{n}"] = e.copy()
     return ExperimentReport(
@@ -582,6 +527,16 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
         degenerate=degenerate,
         baseline=None if base is None else entries[0][base].label,
     )
+
+
+def _standard_error(e: np.ndarray) -> float:
+    """np.std(e, ddof=1) / sqrt(len(e)) on e * 2**-k, 2**k bounding max(e),
+    scaled back by 2**k.  The power of two scales every step exactly (the
+    squares by 2**-2k, which the square root halves), so away from
+    underflow the bits are the unscaled formula's, and a finite MSE has a
+    finite se."""
+    k = math.frexp(float(np.max(e)))[1]
+    return math.ldexp(float(np.std(np.ldexp(e, -k), ddof=1) / math.sqrt(e.shape[0])), k)
 
 
 def paired_risk_ratio(report: ExperimentReport, estimator: str, n: int,

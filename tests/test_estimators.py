@@ -25,7 +25,8 @@ from bvbal import (
     recursive_estimate,
     weighted_estimate,
 )
-from bvbal.estimators import averaged_coefficients, recursion_coefficients
+import bvbal.estimators as estimators
+from bvbal.estimators import _memo, _steps, averaged_coefficients, recursion_coefficients
 
 from helpers import unit_spec
 
@@ -197,6 +198,39 @@ def test_each_clamping_run_warns_exactly_once(caplog, trace):
         with caplog.at_level(logging.WARNING, logger="bvbal.estimators"):
             estimate(spec, 6, sched, params, StreamKey(3), trace=trace)
         assert [r.getMessage() for r in caplog.records] == [message]
+
+
+# ------------------------------------------------------------- plan memo
+
+
+def test_single_runs_build_their_coefficients_once(monkeypatch):
+    # two runs of each kind at one (c, beta, n, n0) make one step build
+    # per kind, and the estimates keep the bits of runs on cold builds
+    spec, sched = unit_spec(sigma=0.5), DeltaSchedule(0.8, 0.2, n0=3)
+    params = RecursiveParams(0.6, 0.8)
+    runs = ((recursive_estimate, StreamKey(1)), (recursive_estimate, StreamKey(2)),
+            (averaged_estimate, StreamKey(1)), (averaged_estimate, StreamKey(2)))
+    cold = []
+    for estimate, key in runs:
+        _memo.clear()
+        cold.append(estimate(spec, 2000, sched, params, key).estimate.tobytes())
+    _memo.clear()
+    steps = []
+    monkeypatch.setattr(estimators, "_steps", lambda *args: steps.append(args) or _steps(*args))
+    warm = [estimate(spec, 2000, sched, params, key).estimate.tobytes() for estimate, key in runs]
+    assert warm == cold
+    assert steps == [(0.6, 0.8, 2000, 3)] * 2
+    assert sched.deltas(2000) is sched.deltas(2000)
+
+
+def test_a_part_larger_than_the_bound_is_not_kept(monkeypatch):
+    monkeypatch.setattr(estimators, "_MEMO_BYTES", 100_000)
+    _memo.clear()
+    sched = DeltaSchedule(1.0, 0.25)
+    small, big = sched.deltas(1000), sched.deltas(20_000)  # 8 kB and 160 kB
+    assert big.tobytes() == (np.arange(1.0, 20_001.0) ** -0.25).tobytes()
+    assert list(_memo.parts) == [("deltas", 1.0, 0.25, 0, 1000)]
+    assert sched.deltas(1000) is small and sched.deltas(20_000) is not big
 
 
 def test_averaged_hand_literal_n2():

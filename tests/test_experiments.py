@@ -2,16 +2,20 @@
 weighted-risk prediction, and the reference-table builders."""
 
 import dataclasses
+import gc
 import hashlib
 import logging
 import math
+import statistics
 import sys
 import threading
-import weakref
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+import bvbal.estimators as estimators
 import bvbal.experiments as experiments
 from bvbal import (
     BiasOrder,
@@ -39,6 +43,7 @@ from bvbal import (
     weighted_estimate,
 )
 from bvbal.calibration import phi_sum, xi_matrix, ztilde_squared
+from bvbal.estimators import _memo
 from bvbal.experiments import CSV_HEADER, MAX_WORKERS, MM1_BUDGETS_FULL
 
 from helpers import unit_spec
@@ -151,12 +156,12 @@ def test_rerun_is_byte_identical():
     assert a.csv_text() == b.csv_text()
 
 
-# ------------------------------------------------------------- plan slot
+# ------------------------------------------------------------- plan memo
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Empty the plan slot, and record every weight solve a run makes."""
-    monkeypatch.setattr(experiments, "_last_plans", (None, ()))
+    """Empty the plan memo, and record every weight solve a run makes."""
+    _memo.clear()
     calls = []
     original = experiments.optimal_weights
 
@@ -169,33 +174,40 @@ def solves(monkeypatch):
 
 
 @pytest.mark.parametrize("make", [small_config, crn_queue_config], ids=["synthetic", "crn-queue"])
-def test_a_slot_hit_is_byte_identical_to_a_cold_run(make, solves):
-    # a plan depends on neither the seed nor the replication count, so a
-    # rerun at either, or at another worker count, takes the last plans
+def test_a_memo_hit_is_byte_identical_to_a_cold_run(make, solves):
+    # a plan part depends on neither the seed nor the replication count,
+    # so a rerun at either, or at another worker count, solves nothing
     for seed, reps, workers in ((3, 20, 1), (4, 9, 2), (make().seed, 13, 3)):
         config = dataclasses.replace(make(), seed=seed, replications=reps)
         run_experiment(make())
         solves.clear()
         hit = run_experiment(config, workers=workers).json_text()
         assert solves == []
-        experiments._last_plans = (None, ())
+        _memo.clear()
         assert run_experiment(config, workers=workers).json_text() == hit
         assert solves
 
 
-@pytest.mark.parametrize("change", [
-    dict(K=2.0), dict(n0=3), dict(budgets=(64,)), dict(baseline_d=0.5),
-    dict(model=unit_spec(q1=1.0)),
-    dict(estimators=(EstimatorSetting("baseline", label="flat"), EstimatorSetting("weighted"))),
+@pytest.mark.parametrize("change, solved", [
+    (dict(K=2.0), True), (dict(n0=3), True), (dict(budgets=(64,)), False),
+    (dict(baseline_d=0.5), False), (dict(model=unit_spec(q1=1.0)), True),
+    (dict(estimators=(EstimatorSetting("baseline", label="flat"),
+                      EstimatorSetting("weighted"))), False),
 ], ids=["K", "n0", "budgets", "baseline_d", "bias-order", "label"])
-def test_a_hit_solves_nothing_and_a_plan_field_rebuilds(change, solves):
+def test_a_hit_solves_nothing_and_a_plan_field_rebuilds(change, solved, solves):
+    # a weight scheme is keyed by (n, n0, q1, q2, K): a change to one of
+    # those solves again, and any other change rebuilds the plans from
+    # the memo's scheme; either way the bytes are a cold run's
     base = small_config(estimators=(EstimatorSetting("baseline"), EstimatorSetting("weighted")))
     run_experiment(base)
     solves.clear()
     run_experiment(dataclasses.replace(base, seed=99, replications=7), workers=2)
     assert solves == []
-    run_experiment(dataclasses.replace(base, seed=99, replications=7, **change))
-    assert solves
+    config = dataclasses.replace(base, seed=99, replications=7, **change)
+    text = run_experiment(config).json_text()
+    assert bool(solves) == solved
+    _memo.clear()
+    assert run_experiment(config).json_text() == text
 
 
 def test_new_model_constants_reuse_the_plans_and_recompute_the_theory(solves):
@@ -208,61 +220,50 @@ def test_new_model_constants_reuse_the_plans_and_recompute_the_theory(solves):
         solves.clear()
         hit = run_experiment(config)
         assert solves == []
-        experiments._last_plans = (None, ())
+        _memo.clear()
         cold = run_experiment(config)
         assert solves and hit.json_text() == cold.json_text()
         assert [r.theory for r in hit.rows] != [r.theory for r in before.rows]
 
 
 def test_the_adversarial_grid_builds_its_plans_once(solves):
-    # its 25 cells change only B and sigma, so 24 of them are slot hits
+    # its 25 cells change only B and sigma, so 24 of them are memo hits
     grid = adversarial_risk_grid(Q21, 1.0, 64, replications=4, seed=3)
     assert len(grid.cells) == 25 and len(solves) == 1
 
 
-def test_the_slot_holds_only_the_last_configuration(solves):
-    # two budgets with one weighted entry: two solves per build
+def test_the_memo_keeps_every_configuration_that_fits(solves):
+    # two budgets with one weighted entry: two solves, and none when
+    # either configuration comes back
     counts = []
-    for config in (small_config(), small_config(K=2.0), small_config(), small_config()):
+    for config in (small_config(), small_config(K=2.0), small_config(), small_config(K=2.0)):
         solves.clear()
         run_experiment(config)
         counts.append(len(solves))
-    assert counts == [2, 2, 2, 0]
+    assert counts == [2, 2, 0, 0]
 
 
 def test_an_infeasible_entry_raises_on_every_call(solves):
     run_experiment(small_config())
     config = small_config(estimators=(EstimatorSetting("baseline"),
                                       EstimatorSetting("weighted", K=0.5)), budgets=(1000,))
+    solves.clear()
     for _ in range(2):
         with pytest.raises(InfeasibleError, match="no feasible weight scheme at n=1000, K=0.5"):
             run_experiment(config)
-    assert experiments._last_plans == (None, ())
+    assert len(solves) == 2  # the failed solve is not kept
 
 
-def test_a_miss_drops_the_old_plans_before_it_builds(solves, monkeypatch):
-    # the slot held the old plans through the build, so a run of a new
-    # configuration held both sets at once
+def test_memo_parts_are_read_only(solves):
+    # per budget: the recursive and averaged coefficients, their one
+    # shared deltas array, the weight scheme and its deltas
     run_experiment(small_config())
-    old = weakref.ref(experiments._last_plans[1][0][0].plan.coeffs)
-    alive = []
-    build = experiments._build_plans
-
-    def checking(*args):
-        alive.append(old() is not None)
-        return build(*args)
-
-    monkeypatch.setattr(experiments, "_build_plans", checking)
-    run_experiment(small_config(K=2.0))
-    assert alive == [False]
-
-
-def test_slot_plans_are_read_only(solves):
-    run_experiment(small_config())
-    _, entries = experiments._last_plans
-    plans = [e.plan for group in entries for e in group]
-    assert len(plans) == 8
-    for array in (a for plan in plans for a in (plan.deltas, plan.coeffs)):
+    arrays = {"recursive": lambda v: v[0], "averaged": lambda v: v[0],
+              "deltas": lambda v: v, "weights": lambda v: v.weights}
+    parts = [(key[0], arrays[key[0]](value)) for key, (value, _) in _memo.parts.items()]
+    assert sorted(kind for kind, _ in parts) == sorted(
+        ["recursive", "averaged", "deltas", "deltas", "weights"] * 2)
+    for _, array in parts:
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
@@ -270,26 +271,50 @@ def test_slot_plans_are_read_only(solves):
 
 def test_every_run_of_a_clamping_plan_warns_once(caplog, solves):
     # c = 8, beta = 0.5, n0 = 5: steps 8 (j + 5)**-0.5 exceed 1 for j <= 58;
-    # the second run is a slot hit and still says so
+    # the second run is a memo hit and still says so
     config = small_config(estimators=(EstimatorSetting("baseline"),
                                       EstimatorSetting("recursive", c=8.0, beta=0.5)),
                           budgets=(100,), n0=5)
-    slots = []
+    coeffs = []
     for _ in range(2):
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="bvbal.estimators"):
             run_experiment(config)
         assert [r.getMessage() for r in caplog.records] == [
             "clamping 58 recursive step(s) above 1 (c=8, beta=0.5, n0=5)"]
-        slots.append(experiments._last_plans)
-    assert slots[0] is slots[1]
+        coeffs.append(_memo.parts[("recursive", 8.0, 0.5, 100, 5)][0][0])
+    assert coeffs[0] is coeffs[1]
+
+
+def test_the_memo_retains_at_most_its_bound(monkeypatch, solves):
+    # at a 1 MiB bound, a configuration whose parts take about 5 MB, then
+    # a small one: the memo keeps the most recent parts within the bound,
+    # and the memory still held after both runs is about that much
+    bound = 2**20
+    monkeypatch.setattr(estimators, "_MEMO_BYTES", bound)
+    large = small_config(budgets=(40_000, 60_000), replications=2)
+    run_experiment(small_config(budgets=(7,)))  # lazy imports are not the memo's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        run_experiment(large)
+        assert _memo.nbytes <= bound
+        run_experiment(small_config())
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - held
+    finally:
+        tracemalloc.stop()
+    assert _memo.nbytes <= bound
+    assert ("recursive", 1.0, 1.0, 64, 0) in _memo.parts
+    assert held <= bound + 2**16, held
 
 
 def test_threads_running_two_configurations_keep_their_bytes():
     # four threads alternate two configurations, switching as often as the
-    # interpreter allows, so a run may find either one's plans in the slot
-    # or have them replaced while it runs; every report keeps the bytes of
-    # a run alone, which test_report_bytes_are_pinned pins
+    # interpreter allows, so a run may find either one's parts in the memo
+    # or build them while another thread does; every report keeps the
+    # bytes of a run alone, which test_report_bytes_are_pinned pins
     makes = (small_config, crn_queue_config)
     alone = {make: run_experiment(make()).json_text() for make in makes}
     got, errors = [], []
@@ -524,6 +549,44 @@ def test_queue_model_runs_without_theory():
     report = run_experiment(config)
     assert all(r.theory is None for r in report.rows)
     assert report.row("recursive", 200).ratio is not None
+
+
+def test_a_finite_mse_has_a_finite_se():
+    # at d = 1e-80 the squared errors reach about 1e158, and np.std squared
+    # their deviations past the float range: every row printed se=inf
+    config = small_config(budgets=(1000,), baseline_d=1e-80, replications=10, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run_experiment(config)
+    for row in report.rows:
+        e = report.errors(row.estimator, 1000)
+        assert row.mse > 1e150 and math.isfinite(row.se)
+        assert row.se == pytest.approx(statistics.stdev(e) / math.sqrt(10), rel=1e-12)
+
+
+def test_an_entry_scale_past_the_float_range_is_rejected():
+    # d_scale * baseline_d = 2e77 puts d**4 past the float range; fsum of
+    # the squared errors overflowed
+    config = small_config(estimators=(EstimatorSetting("baseline"),
+                                      EstimatorSetting("recursive", d_scale=2.0)),
+                          budgets=(1000,), baseline_d=1e77, replications=10)
+    with pytest.raises(ConfigurationError) as exc:
+        run_experiment(config)
+    assert str(exc.value) == (
+        "the scale of entry 'recursive' must lie in about (1.491e-81, 1.158e+77), where "
+        "d**(2 q1) and d**(-2 q2) are finite and non-zero, got 2e+77")
+
+
+def test_a_theory_past_the_float_range_is_none():
+    # at scale 1e77 the rows are finite, but the recursive entry's
+    # leading-order bias (c d**2 / (c - 1/3))**2 overflows
+    config = small_config(estimators=(EstimatorSetting("baseline"),
+                                      EstimatorSetting("recursive", d_scale=1.0)),
+                          budgets=(1000,), baseline_d=1e77, replications=10)
+    report = run_experiment(config)
+    assert all(math.isfinite(r.mse) and math.isfinite(r.se) for r in report.rows)
+    assert report.row("baseline", 1000).theory is not None
+    assert report.row("recursive", 1000).theory is None
 
 
 # ---------------------------------------------------------- configuration
