@@ -85,7 +85,7 @@ class DeltaSchedule:
         n, scale, alpha = _check_budget(n), float(self.scale), float(self.alpha)
         return _memo(("deltas", scale, alpha, self.n0, n),
                      lambda: scale * (np.arange(1, n + 1, dtype=float) + self.n0) ** (-alpha),
-                     lambda a: a)
+                     lambda a: (a,))
 
     def terminal(self, n: int) -> float:
         """The size the schedule reaches at the end of an n-draw budget."""
@@ -137,26 +137,35 @@ _ENTRY_BYTES = 1024
 class _Memo:
     """The one memo of plan parts, keyed by every input a part depends on:
     "recursive" and "averaged" coefficients by (c, beta, n, n0), "deltas"
-    by (scale, alpha, n0, n), the harness's "weights" by (n, n0, q1, q2,
-    K).  It evicts the least recently used first.  A call returns
-    ``build()``'s value, its array ``array_of(value)`` made read-only.
-    Two threads that miss one key both build it (outside the lock) and
-    share the first value stored; a build that raises stores nothing, and
-    a part charged more than the bound is returned but not kept."""
+    by (scale, alpha, n0, n), and the harness's parts: "weights" by (n,
+    n0, q1, q2, K), a weighted plan's "risk sums" by that key, its scale
+    and whether the model has a higher-order term, and a "map" by its
+    model and its schedule's key.  It evicts the least recently used
+    first.  A call returns ``build()``'s value, the arrays
+    ``arrays_of(value)`` made read-only; the value is charged the bytes
+    of the distinct buffers those arrays keep alive.  Two threads that
+    miss one key both build it (outside the lock) and share the first
+    value stored; a build that raises stores nothing, and a part charged
+    more than the bound is returned but not kept."""
 
     def __init__(self) -> None:
         self.parts: OrderedDict = OrderedDict()  # key -> (value, charge)
         self.nbytes = 0  # the sum of the charges
         self.lock = threading.Lock()
 
-    def __call__(self, key: tuple, build, array_of):
+    def __call__(self, key: tuple, build, arrays_of):
         with self.lock:
             if key in self.parts:
                 self.parts.move_to_end(key)
                 return self.parts[key][0]
         value = build()
-        array_of(value).setflags(write=False)
-        charge = array_of(value).nbytes + _ENTRY_BYTES
+        buffers = {}  # id -> bytes of each distinct buffer the arrays keep alive
+        for array in arrays_of(value):
+            array.setflags(write=False)
+            while isinstance(array.base, np.ndarray):  # a view keeps its base alive
+                array = array.base
+            buffers[id(array)] = array.nbytes
+        charge = sum(buffers.values()) + _ENTRY_BYTES
         with self.lock:
             if key in self.parts:
                 return self.parts[key][0]
@@ -209,7 +218,7 @@ def _coefficients(kind: str, build, c: float, beta: float, n: int, n0: int):
     c, beta, n = float(c), float(beta), _check_budget(n)
     n0 = count(n0, "n0 must be a non-negative integer")
     coeffs, t0, clamped = _memo((kind, c, beta, n, n0), lambda: build(c, beta, n, n0),
-                                lambda part: part[0])
+                                lambda part: part[:1])
     _warn_clamped(clamped, c, beta, n0)
     return coeffs, t0
 
@@ -307,9 +316,14 @@ class LinearPlan:
 
     @classmethod
     def baseline(cls, n: int, schedule: DeltaSchedule) -> "LinearPlan":
-        """Weights 1/n on n draws at the schedule's terminal size."""
+        """Weights 1/n on n draws at the schedule's terminal size: the
+        deltas of the constant schedule at that size (x**-0.0 is 1.0, so
+        each is the terminal size exactly) and the running mean's
+        coefficients, the recursion's at c = beta = 1 and n0 = 0; both
+        are plan-memo parts."""
         n = _check_budget(n)
-        return cls(np.full(n, schedule.terminal(n)), np.full(n, 1.0 / n))
+        flat = DeltaSchedule(schedule.terminal(n), 0.0, schedule.n0)
+        return cls(flat.deltas(n), recursion_coefficients(1.0, 1.0, n)[0])
 
     @classmethod
     def recursive(cls, n: int, schedule: DeltaSchedule, params: RecursiveParams) -> "LinearPlan":
@@ -373,11 +387,22 @@ class LinearPlan:
         ``init`` (the origin by default): |bias|**2 + |noise_scale|**2
         sum c**2 delta**(-2 q2), where bias = theta (sum c - 1) + init_coeff
         init + B sum c delta**q1 + h sum c delta**(q1 + 1).  Every sum is
-        exactly rounded and formed in this order.  The three or four O(n)
-        sums are streamed together through one block-length buffer
-        (`_exact_sums`), so no n-length array is made."""
+        exactly rounded and formed in this order, in two steps: the O(n)
+        sums over the plan alone (`_risk_sums`, which depend on the model
+        only through its bias order and whether h is set), then one O(dim)
+        combination with the model's constants and ``init`` (`_risk`).  The
+        harness keeps a weighted plan's sums in the plan memo and repeats
+        only the second step."""
         init = _resolve_init(init, spec.dim)
-        q1, q2, h = spec.order.q1, spec.order.q2, spec.higher_order_bias
+        return self._risk(self._risk_sums(spec.order, spec.higher_order_bias is not None),
+                          spec, init)
+
+    def _risk_sums(self, order: BiasOrder, higher: bool) -> tuple[float, ...]:
+        """The exact sums of `mse`: sum c, sum c delta**q1, sum c
+        delta**(q1 + 1) when ``higher``, and sum (c delta**-q2)**2.  They
+        are streamed together through one block-length buffer
+        (`_exact_sums`), so no n-length array is made."""
+        q1, q2 = order.q1, order.q2
         n = self.coeffs.shape[0]
         buf = np.empty(min(n, _BLOCK))
 
@@ -387,7 +412,7 @@ class LinearPlan:
             np.power(d, q1, out=t)
             t *= c
             yield t  # c delta**q1
-            if h is not None:
+            if higher:
                 t *= d
                 yield t  # c delta**(q1 + 1)
             np.power(d, -q2, out=t)
@@ -395,13 +420,20 @@ class LinearPlan:
             t *= t
             yield t  # (c delta**-q2)**2
 
-        total, *bias_sums, variance = _exact_sums(n, blocks, 3 if h is None else 4)
-        bias = spec.theta * (total.value() - 1.0) + self.init_coeff * init
-        bias += spec.B * bias_sums[0].value()
-        if h is not None:
-            bias += h * bias_sums[1].value()
+        return tuple(s.value() for s in _exact_sums(n, blocks, 4 if higher else 3))
+
+    def _risk(self, sums: tuple[float, ...], spec: SyntheticOracleSpec,
+              init: np.ndarray | None = None) -> float:
+        """`mse` on ``spec`` from ``init`` given the plan's `_risk_sums` for
+        that model: O(dim) work."""
+        init = _resolve_init(init, spec.dim)
+        total, *bias_sums, variance = sums
+        bias = spec.theta * (total - 1.0) + self.init_coeff * init
+        bias += spec.B * bias_sums[0]
+        if spec.higher_order_bias is not None:
+            bias += spec.higher_order_bias * bias_sums[1]
         noise2 = _exact_sum(spec.noise_scale * spec.noise_scale)
-        return _exact_sum(bias * bias) + noise2 * variance.value()
+        return _exact_sum(bias * bias) + noise2 * variance
 
 
 def _run(oracle: SampleOracle, plan: LinearPlan, stream: StreamKey,

@@ -118,10 +118,11 @@ def test_worker_count_does_not_change_the_bytes():
 @pytest.mark.parametrize("q", [(2.0, 1.0), (1.5, 0.5)])
 def test_threads_share_the_prepared_maps_off_the_unit_model(monkeypatch, q):
     # every worker replays the same read-only maps, prepared once per
-    # distinct (schedule, budget) and run, here with the divisor reused
-    # (q2 = 1) or stored, three coordinates and a higher-order bias term;
-    # the recursive and averaged entries share one schedule, so each
-    # budget prepares three maps for its four plans
+    # (model, schedule, budget) and kept in the plan memo, here with the
+    # divisor reused (q2 = 1) or stored, three coordinates and a
+    # higher-order bias term; the recursive and averaged entries share one
+    # schedule, so the first run prepares three maps per budget for its
+    # four plans, later runs prepare none, and a cleared memo prepares again
     spec = SyntheticOracleSpec(theta=[0.5, -1.0, 2.0], B=[1.0, 0.3, -2.0],
                                noise_scale=[1.0, 0.5, 2.0], order=BiasOrder(*q),
                                higher_order_bias=[0.7, -0.2, 1.5])
@@ -134,11 +135,16 @@ def test_threads_share_the_prepared_maps_off_the_unit_model(monkeypatch, q):
         return original(self, deltas)
 
     monkeypatch.setattr(SyntheticOracleSpec, "_constants", counting)
+    _memo.clear()
+    every_map = sorted(n for n in config.budgets for _ in range(3))
     texts = set()
-    for workers in (1, 2, 3):
+    for workers, want in ((1, every_map), (2, []), (3, []), ("cleared", every_map)):
         prepared.clear()
+        if workers == "cleared":
+            _memo.clear()
+            workers = 1
         texts.add(run_experiment(config, workers=workers).json_text())
-        assert sorted(prepared) == sorted(n for n in config.budgets for _ in range(3))
+        assert sorted(prepared) == want
     assert len(texts) == 1
 
 
@@ -255,18 +261,27 @@ def test_an_infeasible_entry_raises_on_every_call(solves):
 
 
 def test_memo_parts_are_read_only(solves):
-    # per budget: the recursive and averaged coefficients, their one
-    # shared deltas array, the weight scheme and its deltas
+    # per budget: the running mean's coefficients (the baseline's and the
+    # recursive entry's), the averaged ones, three deltas arrays (the
+    # baseline's constant one, the one the recursive and averaged entries
+    # share, the weighted one), the weight scheme, its risk sums (floats
+    # in a tuple), and one prepared map per deltas array: its deltas, the
+    # divisor (a view of them at q2 = 1) and the means
     run_experiment(small_config())
-    arrays = {"recursive": lambda v: v[0], "averaged": lambda v: v[0],
-              "deltas": lambda v: v, "weights": lambda v: v.weights}
-    parts = [(key[0], arrays[key[0]](value)) for key, (value, _) in _memo.parts.items()]
+    arrays = {"recursive": lambda v: [v[0]], "averaged": lambda v: [v[0]],
+              "deltas": lambda v: [v], "weights": lambda v: [v.weights],
+              "risk sums": lambda v: [], "map": lambda v: [v.deltas, *v.constants]}
+    parts = [(key[0], value) for key, (value, _) in _memo.parts.items()]
     assert sorted(kind for kind, _ in parts) == sorted(
-        ["recursive", "averaged", "deltas", "deltas", "weights"] * 2)
-    for _, array in parts:
-        assert not array.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 1.0
+        ["recursive", "averaged", "deltas", "deltas", "deltas", "weights", "risk sums",
+         "map", "map", "map"] * 2)
+    for kind, value in parts:
+        if kind == "risk sums":
+            assert type(value) is tuple and all(type(v) is float for v in value)
+        for array in arrays[kind](value):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
 
 
 def test_every_run_of_a_clamping_plan_warns_once(caplog, solves):
@@ -308,6 +323,23 @@ def test_the_memo_retains_at_most_its_bound(monkeypatch, solves):
     assert _memo.nbytes <= bound
     assert ("recursive", 1.0, 1.0, 64, 0) in _memo.parts
     assert held <= bound + 2**16, held
+
+
+def test_a_warm_synthetic_run_allocates_only_its_buffers_and_one_draw(solves):
+    # a warm run takes its plans, a weighted plan's risk sums and the
+    # prepared maps from the memo, so what it allocates at budget n is the
+    # slice's path and scratch buffers and one draw block at a time
+    n = 20_000
+    config = small_config(budgets=(n,), replications=4)
+    run_experiment(config)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_experiment(dataclasses.replace(config, seed=5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * n * config.model.dim + 2**16, peak
 
 
 def test_threads_running_two_configurations_keep_their_bytes():
@@ -587,6 +619,68 @@ def test_a_theory_past_the_float_range_is_none():
     assert all(math.isfinite(r.mse) and math.isfinite(r.se) for r in report.rows)
     assert report.row("baseline", 1000).theory is not None
     assert report.row("recursive", 1000).theory is None
+
+
+@pytest.mark.parametrize("constant, name", [
+    ("B", r"\|B\| s\*\*q1"), ("hob", r"\|h\| s\*\*\(q1 \+ 1\)"), ("sigma", r"sigma s\*\*-q2"),
+])
+def test_a_model_constant_past_the_float_range_is_rejected(constant, name):
+    # at 1e155 the baseline's term in that constant reaches 2**512 at its
+    # scale d = 1, and its square overflows: B = 1e155 reported mse=inf and
+    # se=nan on both rows; at 1e153 every row is finite
+    config = small_config(estimators=(EstimatorSetting("baseline"), EstimatorSetting("weighted")),
+                          budgets=(100,), replications=100, seed=1)
+    with pytest.raises(ConfigurationError, match=rf"of entry 'baseline', {name} is 1e\+155"):
+        run_experiment(dataclasses.replace(config, model=unit_spec(**{constant: 1e155})))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run_experiment(dataclasses.replace(config, model=unit_spec(**{constant: 1e153})))
+    for row in report.rows:
+        assert all(math.isfinite(v) for v in (row.mse, row.se, row.ratio, row.theory)), row
+
+
+METAMORPHIC_ENTRIES = (EstimatorSetting("baseline"), EstimatorSetting("recursive"),
+                       EstimatorSetting("averaged"), EstimatorSetting("weighted", K=1.0),
+                       EstimatorSetting("weighted", K=2.0))
+
+
+@pytest.mark.parametrize("lam", [2.0, 0.5, 2.0**-20])
+def test_units_of_delta_leave_every_mse_bit_identical(lam, solves):
+    # (d, B, sigma) -> (lam d, B lam**-q1, sigma lam**q2) draws the same
+    # samples, so every row keeps its bits, the weighted rows' exact theory
+    # too; the scaled run follows the first, so a memo part served to the
+    # wrong model or scale would move them
+    q1, q2 = 2.0, 1.0
+    base = small_config(model=unit_spec(q1, q2, B=1.5, sigma=0.75), baseline_d=0.5,
+                        estimators=METAMORPHIC_ENTRIES, replications=20)
+    scaled = dataclasses.replace(base, model=unit_spec(q1, q2, B=1.5 * lam**-q1,
+                                                       sigma=0.75 * lam**q2),
+                                 baseline_d=0.5 * lam)
+    one, two = run_experiment(base), run_experiment(scaled)
+    for a, b in zip(one.rows, two.rows, strict=True):
+        assert (b.mse, b.se, b.ratio) == (a.mse, a.se, a.ratio)
+        assert b.theory == (a.theory if a.estimator.startswith("weighted")
+                            else pytest.approx(a.theory, rel=1e-14))
+    assert two.squared_errors.keys() == one.squared_errors.keys()
+    for key, e in one.squared_errors.items():
+        assert two.squared_errors[key].tobytes() == e.tobytes()
+
+
+@pytest.mark.parametrize("c", [2.0, 0.5, 2.0**30])
+def test_units_of_x_scale_every_mse_by_c_squared(c, solves):
+    # (B, sigma) -> (c B, c sigma), here with the higher-order bias too,
+    # scales every sample by c, so every squared error, MSE, se and theory
+    # by c**2 exactly and no ratio moves; the scaled run follows the
+    # first, so a prepared map served to the wrong model would not scale
+    base = small_config(model=unit_spec(B=1.5, sigma=0.75, hob=0.3),
+                        estimators=METAMORPHIC_ENTRIES, replications=20)
+    scaled = dataclasses.replace(base, model=unit_spec(B=1.5 * c, sigma=0.75 * c, hob=0.3 * c))
+    one, two = run_experiment(base), run_experiment(scaled)
+    for a, b in zip(one.rows, two.rows, strict=True):
+        assert (b.mse, b.se, b.theory) == (a.mse * c * c, a.se * c * c, a.theory * c * c)
+        assert b.ratio == a.ratio
+    for key, e in one.squared_errors.items():
+        assert two.squared_errors[key].tobytes() == (e * (c * c)).tobytes()
 
 
 # ---------------------------------------------------------- configuration
