@@ -85,7 +85,7 @@ class DeltaSchedule:
         n, scale, alpha = _check_budget(n), float(self.scale), float(self.alpha)
         return _memo(("deltas", scale, alpha, self.n0, n),
                      lambda: scale * (np.arange(1, n + 1, dtype=float) + self.n0) ** (-alpha),
-                     lambda a: (a,))
+                     lambda a: a)
 
     def terminal(self, n: int) -> float:
         """The size the schedule reaches at the end of an n-draw budget."""
@@ -138,34 +138,27 @@ class _Memo:
     """The one memo of plan parts, keyed by every input a part depends on:
     "recursive" and "averaged" coefficients by (c, beta, n, n0), "deltas"
     by (scale, alpha, n0, n), and the harness's parts: "weights" by (n,
-    n0, q1, q2, K), a weighted plan's "risk sums" by that key, its scale
-    and whether the model has a higher-order term, and a "map" by its
-    model and its schedule's key.  It evicts the least recently used
-    first.  A call returns ``build()``'s value, the arrays
-    ``arrays_of(value)`` made read-only; the value is charged the bytes
-    of the distinct buffers those arrays keep alive.  Two threads that
-    miss one key both build it (outside the lock) and share the first
-    value stored; a build that raises stores nothing, and a part charged
-    more than the bound is returned but not kept."""
+    n0, q1, q2, K) and a weighted plan's "risk sums" by that key, its
+    scale and whether the model has a higher-order term.  It evicts the
+    least recently used first.  A call returns ``build()``'s value, its
+    array ``array_of(value)`` made read-only.  Two threads that miss one
+    key both build it (outside the lock) and share the first value
+    stored; a build that raises stores nothing, and a part charged more
+    than the bound is returned but not kept."""
 
     def __init__(self) -> None:
         self.parts: OrderedDict = OrderedDict()  # key -> (value, charge)
         self.nbytes = 0  # the sum of the charges
         self.lock = threading.Lock()
 
-    def __call__(self, key: tuple, build, arrays_of):
+    def __call__(self, key: tuple, build, array_of):
         with self.lock:
             if key in self.parts:
                 self.parts.move_to_end(key)
                 return self.parts[key][0]
         value = build()
-        buffers = {}  # id -> bytes of each distinct buffer the arrays keep alive
-        for array in arrays_of(value):
-            array.setflags(write=False)
-            while isinstance(array.base, np.ndarray):  # a view keeps its base alive
-                array = array.base
-            buffers[id(array)] = array.nbytes
-        charge = sum(buffers.values()) + _ENTRY_BYTES
+        array_of(value).setflags(write=False)
+        charge = array_of(value).nbytes + _ENTRY_BYTES
         with self.lock:
             if key in self.parts:
                 return self.parts[key][0]
@@ -218,7 +211,7 @@ def _coefficients(kind: str, build, c: float, beta: float, n: int, n0: int):
     c, beta, n = float(c), float(beta), _check_budget(n)
     n0 = count(n0, "n0 must be a non-negative integer")
     coeffs, t0, clamped = _memo((kind, c, beta, n, n0), lambda: build(c, beta, n, n0),
-                                lambda part: part[:1])
+                                lambda part: part[0])
     _warn_clamped(clamped, c, beta, n0)
     return coeffs, t0
 
@@ -320,7 +313,7 @@ class LinearPlan:
         deltas of the constant schedule at that size (x**-0.0 is 1.0, so
         each is the terminal size exactly) and the running mean's
         coefficients, the recursion's at c = beta = 1 and n0 = 0; both
-        are plan-memo parts."""
+        are plan-memo parts, shared and read-only."""
         n = _check_budget(n)
         flat = DeltaSchedule(schedule.terminal(n), 0.0, schedule.n0)
         return cls(flat.deltas(n), recursion_coefficients(1.0, 1.0, n)[0])
@@ -422,7 +415,7 @@ class LinearPlan:
 
         return tuple(s.value() for s in _exact_sums(n, blocks, 4 if higher else 3))
 
-    def _risk(self, sums: tuple[float, ...], spec: SyntheticOracleSpec,
+    def _risk(self, sums: tuple[float, ...] | list[float], spec: SyntheticOracleSpec,
               init: np.ndarray | None = None) -> float:
         """`mse` on ``spec`` from ``init`` given the plan's `_risk_sums` for
         that model: O(dim) work."""

@@ -20,16 +20,14 @@ Every run takes what does not depend on its stream from read-only parts
 kept in the plan memo of `bvbal.estimators`, at most 64 MiB in all
 (`_MEMO_BYTES`): coefficients keyed by (c, beta, n, n0), deltas by
 (schedule, n), each weighted entry's `WeightScheme` by (n, n0, q1, q2,
-K), that entry's exact risk sums (`LinearPlan._risk_sums`) by the same
-key, its scale and whether the model has a higher-order term, and each
-prepared map by its model (the `QueueSetting`, or a synthetic spec's
-bias order and constants) and its schedule.  The plans and the risk sums
-depend on neither the model's constants, the seed nor the replication
-count, so a run that changes only those, as the cells of
+K), and that entry's exact risk sums (`LinearPlan._risk_sums`) by the
+same key, its scale and whether the model has a higher-order term.  None
+depends on the model's constants, the seed or the replication count, so
+a rerun at another seed, replication count or worker count, or one that
+changes only the model's constants, as the cells of
 `adversarial_risk_grid` do, solves and builds nothing, and its theory
 column combines the kept sums with the constants in O(dim) per weighted
-row.  A rerun on the same model at another seed, replication count or
-worker count also prepares nothing.
+row.  The maps depend on the model's constants and are prepared per run.
 
 Reports are deterministic byte-for-byte for a given configuration,
 independent of the worker count: replications are partitioned by index,
@@ -279,14 +277,12 @@ def _check_synthetic_d(d: float, order: BiasOrder, what: str = "baseline_d") -> 
 
 
 class _Entry(NamedTuple):
-    """One entry at one budget: its label, its plan, the schedule its
-    deltas follow, and what its theory needs."""
+    """One entry at one budget: its label, its plan, and what its theory needs."""
 
     label: str
     kind: str
     plan: LinearPlan
-    schedule: DeltaSchedule  # the baseline's is constant at its terminal size
-    scale: float  # the perturbation scale its theory starts from
+    scale: float  # the perturbation scale its schedule starts from
     steps: RecursiveParams | None = None  # recursive and averaged only
     scheme: tuple | None = None  # weighted only: its WeightScheme's memo key
 
@@ -317,18 +313,17 @@ def _build_plan(s: EstimatorSetting, n: int, config: ExperimentConfig,
     d, alpha, n0 = config.baseline_d, order.alpha, config.n0
     label = s.kind if s.label is None else s.label
     if s.kind == "baseline":
-        flat = DeltaSchedule(schedule_at(d, label).terminal(n), 0.0, n0)
-        return _Entry(label, s.kind, LinearPlan.baseline(n, flat), flat, d)
+        return _Entry(label, s.kind, LinearPlan.baseline(n, schedule_at(d, label)), d)
     if s.kind == "weighted":
         K = float(config.K if s.K is None else s.K)
         positive(K, "K must be positive", ConfigurationError)
         key = (n, n0, float(order.q1), float(order.q2), K)
         scheme = _memo(("weights", *key), lambda: optimal_weights(n, n0, order, K),
-                       lambda w: (w.weights,))
+                       lambda w: w.weights)
         label = f"weighted-K{K:g}" if s.label is None else s.label
         schedule = schedule_at(scheme.eta_star * d, label)
-        return _Entry(label, s.kind, LinearPlan.weighted(n, schedule, scheme), schedule,
-                      schedule.scale, scheme=key)
+        return _Entry(label, s.kind, LinearPlan.weighted(n, schedule, scheme), schedule.scale,
+                      scheme=key)
     # recursive or averaged
     c = 1.0 if s.c is None else float(s.c)
     beta = (1.0 if s.kind == "recursive" else 0.5) if s.beta is None else float(s.beta)
@@ -336,7 +331,7 @@ def _build_plan(s: EstimatorSetting, n: int, config: ExperimentConfig,
     positive(d_scale, "d_scale must be positive", ConfigurationError)
     build = LinearPlan.recursive if s.kind == "recursive" else LinearPlan.averaged
     schedule, steps = schedule_at(d_scale * d, label), RecursiveParams(c, beta)
-    return _Entry(label, s.kind, build(n, schedule, steps), schedule, schedule.scale, steps)
+    return _Entry(label, s.kind, build(n, schedule, steps), schedule.scale, steps)
 
 
 def _check_synthetic_constants(spec: SyntheticOracleSpec, s: float, label: str) -> None:
@@ -373,8 +368,8 @@ def _theory(e: _Entry, model: SyntheticOracleSpec | QueueSetting, n: int) -> flo
         if e.kind == "weighted":
             higher = model.higher_order_bias is not None
             sums = _memo(("risk sums", *e.scheme, e.scale, higher),
-                         lambda: e.plan._risk_sums(model.order, higher), lambda _: ())
-            return e.plan._risk(sums, model)
+                         lambda: np.array(e.plan._risk_sums(model.order, higher)), lambda a: a)
+            return e.plan._risk(sums.tolist(), model)
         return predict_mse_leading(e.kind, model.order, e.scale, float(np.dot(B, B)),
                                    float(np.dot(noise, noise)), n, c=c, beta=beta)
     except (ValueError, OverflowError):  # no prediction, or one past the float range
@@ -498,11 +493,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     everywhere (degenerate synthetic spec) reports ratio 1.0 by
     convention and sets the degenerate flag.
 
-    Every run builds its plans, its weighted rows' exact risk sums and
-    its prepared maps from the plan memo's parts (see the module
-    docstring), so a warm run allocates only its path buffers and one
-    draw block at a time; a recursive entry that clamps its steps warns
-    on every run.  On a synthetic model each entry's own scale s must
+    Every run builds its plans and its weighted rows' exact risk sums
+    from the plan memo's parts (see the module docstring) and prepares
+    its maps afresh; a recursive entry that clamps its steps warns on
+    every run.  On a synthetic model each entry's own scale s must
     lie in the range the baseline d must, and keep |B| s**q1,
     |h| s**(q1 + 1) and sigma s**-q2 below 2**512 (else
     `ConfigurationError`, naming the entry and the term).
@@ -520,11 +514,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
         theta = config.model.true_value()
     entries = _build_plans(config, oracle.order)
     plan_groups = tuple(tuple(e.plan for e in group) for group in entries)
-    # plans on one schedule share its map, prepared once per model
-    model = _model_key(config.model)
-    maps = [[_memo(("map", model, e.schedule.scale, e.schedule.alpha, e.schedule.n0, n),
-                   lambda: oracle.prepare(e.plan.deltas), _map_arrays) for e in group]
-            for n, group in zip(config.budgets, entries)]
+    # plans that share a deltas array share its map, prepared once
+    arrays = {id(plan.deltas): plan.deltas for plans in plan_groups for plan in plans}
+    prepared = {ident: oracle.prepare(deltas) for ident, deltas in arrays.items()}
+    maps = [[prepared[id(plan.deltas)] for plan in plans] for plans in plan_groups]
 
     R = config.replications
     # one worker skips the pool: through it, mm1-cfd-n1e4's op_p50_s rose 8%
@@ -570,23 +563,6 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
         degenerate=degenerate,
         baseline=None if base is None else entries[0][base].label,
     )
-
-
-def _model_key(model: SyntheticOracleSpec | QueueSetting) -> tuple:
-    """What a prepared map depends on besides its schedule: the queue
-    setting itself, or a synthetic spec's bias order and the bytes of its
-    constants (bytes, since -0.0 == 0.0 as floats)."""
-    if isinstance(model, QueueSetting):
-        return (model,)
-    h = model.higher_order_bias
-    return (float(model.order.q1), float(model.order.q2), model.theta.tobytes(),
-            model.B.tobytes(), model.noise_scale.tobytes(), None if h is None else h.tobytes())
-
-
-def _map_arrays(prepared) -> tuple:
-    """The arrays a prepared map keeps alive: its deltas and its constants."""
-    constants = prepared.constants
-    return (prepared.deltas, *(constants if isinstance(constants, tuple) else (constants,)))
 
 
 def _standard_error(e: np.ndarray) -> float:

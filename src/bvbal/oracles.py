@@ -170,8 +170,8 @@ class SampleOracle(Protocol):
     block, writes the (n, dim) samples into ``out`` (any memory layout)
     and may overwrite ``scratch``, a 1-d buffer of at least n dim floats;
     either buffer is allocated when omitted, and no map modifies the
-    block.  The harness keeps each (model, schedule) map in its plan
-    memo, shares it among its worker threads, draws a block once per
+    block.  The harness prepares each schedule once per run, shares the
+    prepared maps among its worker threads, draws a block once per
     (replication, budget) cell and replays it through every prepared
     schedule into buffers it reuses; the single-run estimators call
     ``sample_path``.
