@@ -383,9 +383,9 @@ def _run_slice(oracle: SampleOracle, theta: np.ndarray, plan_groups: tuple,
     the maps are read-only, so every slice of a run shares them."""
     dim, size = oracle.dim, max(plans[0].deltas.shape[0] for plans in plan_groups)
     # every (replication, plan) writes its samples into one reused buffer,
-    # where the reduction then forms its terms in place, and every map
-    # shares one scratch buffer: a fresh path per plan re-faulted its pages
-    paths, scratch = np.empty(dim * size), np.empty(dim * size)
+    # where the reduction then forms its terms in place: a fresh path per
+    # plan re-faulted its pages
+    paths = np.empty(dim * size)
     total = sum(len(g) for g in plan_groups)
     out = np.empty((hi - lo, total))
     for row, r in enumerate(range(lo, hi)):
@@ -396,7 +396,7 @@ def _run_slice(oracle: SampleOracle, theta: np.ndarray, plan_groups: tuple,
             block = oracle.draw(n, StreamKey(seed, (r, bidx)))
             terms = paths[:dim * n].reshape(dim, n)
             for plan, prepared in zip(plans, group):
-                samples = prepared.transform(block, terms.T, scratch)
+                samples = prepared.transform(block, terms.T)
                 diff = plan.reduce(samples, terms=terms) - theta
                 out[row, col] = float(diff @ diff)
                 col += 1

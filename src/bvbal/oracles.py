@@ -138,20 +138,16 @@ class _Prepared:
         self.deltas = deltas
         self.constants = oracle._constants(deltas)
 
-    def transform(self, block: np.ndarray, out: np.ndarray | None = None,
-                  scratch: np.ndarray | None = None) -> np.ndarray:
+    def transform(self, block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The (n, dim) samples from a block made by the oracle's
-        ``draw``, written into ``out`` (any memory layout) when given.
-        ``scratch``, a 1-d buffer of at least n dim floats, may be
-        overwritten; either buffer is allocated when omitted.  The block
-        is not modified."""
+        ``draw``, written into ``out`` (any memory layout) when given and
+        allocated when omitted.  The block is not modified."""
         oracle, n = self.oracle, self.deltas.shape[0]
         shape = oracle._block_shape(n)
         if block.shape != shape:
             raise ValueError(f"variate block has shape {block.shape}, expected {shape}")
         out = np.empty((n, oracle.dim)) if out is None else out
-        scratch = np.empty(n * oracle.dim) if scratch is None else scratch
-        return oracle._map(self.constants, block, out, scratch)
+        return oracle._map(self.constants, block, out)
 
 
 @runtime_checkable
@@ -166,14 +162,14 @@ class SampleOracle(Protocol):
     (draw-fastest for a finite-difference oracle), and a map gives the
     same bytes from a C-contiguous copy.  ``prepare(deltas)`` checks a
     schedule once, raising its validation errors, and returns the map:
-    ``prepared.transform(block, out, scratch)`` raises those of the
-    block, writes the (n, dim) samples into ``out`` (any memory layout)
-    and may overwrite ``scratch``, a 1-d buffer of at least n dim floats;
-    either buffer is allocated when omitted, and no map modifies the
-    block.  The harness prepares each schedule once per run, shares the
-    prepared maps among its worker threads, draws a block once per
-    (replication, budget) cell and replays it through every prepared
-    schedule into buffers it reuses; the single-run estimators call
+    ``prepared.transform(block, out)`` raises those of the block and
+    writes the (n, dim) samples into ``out`` (any memory layout),
+    allocated when omitted; no map modifies the block, and a map that
+    needs working memory beyond ``out`` allocates it per call.  The
+    harness prepares each schedule once per run, shares the prepared
+    maps among its worker threads, draws a block once per (replication,
+    budget) cell and replays it through every prepared schedule into one
+    samples buffer it reuses; the single-run estimators call
     ``sample_path``.
 
     An explicit subclass inherits ``prepare``, ``sample_path`` and
@@ -183,8 +179,8 @@ class SampleOracle(Protocol):
     ``_constants(deltas)`` what the map needs that depends on the checked
     schedule alone (the deltas themselves, or read-only arrays that
     ``prepare`` computes once from them), and ``_map(constants, block,
-    out, scratch)`` is the map, given those constants in place of the
-    deltas, both buffers and a block of that shape.
+    out)`` is the map, given those constants in place of the deltas, the
+    output buffer and a block of that shape.
     """
 
     @property
@@ -321,11 +317,11 @@ class SyntheticOracleSpec(SampleOracle):
             arr.setflags(write=False)
         return divisor, means
 
-    def _map(self, constants, z, out, scratch) -> np.ndarray:
+    def _map(self, constants, z, out) -> np.ndarray:
         """``means + (noise_scale * z) / delta**q2`` into ``out``, one
         rounding per operation of that expression, as the out-of-place
         form rounds; the divisor and the means come from ``_constants``,
-        so ``scratch`` is not touched."""
+        so nothing else is allocated."""
         divisor, means = constants
         np.multiply(self.noise_scale, z, out=out)
         out /= divisor
@@ -335,13 +331,20 @@ class SyntheticOracleSpec(SampleOracle):
 
 @dataclass(frozen=True)
 class BatchedFunction:
-    """A noisy function evaluated at many points at once, one row of
+    """A noisy function evaluated at many points at once, one block of
     variates per evaluation.
 
-    ``fn(points, variates)`` returns shape (n,).  ``variates`` has shape
-    (n, *shape), row j driving evaluation j.  ``points`` holds one entry
-    per coordinate of the base point ``x``: the coordinate itself as a
-    float, or an (n, 1) column where an oracle perturbs it row by row.
+    ``fn(points, variates)`` returns shape (e, n): ``variates`` has shape
+    (e, n, *shape), entry (i, j) driving evaluation i of draw j, and a
+    finite-difference oracle passes both evaluation points of a
+    difference in one call, e = 2.  The variates may be strided views
+    (under common random numbers the evaluation axis has stride 0), and
+    ``fn`` must not write to them.  ``points`` holds one entry per
+    coordinate of the base point ``x``: the coordinate itself as a
+    float, or an (e, n) array where an oracle perturbs it per evaluation
+    and draw.  A function written for one evaluation at a time reads
+    ``variates[..., i]`` where it read ``variates[:, i]``, and returns
+    shape ``variates.shape[:2]``.
     ``prepare``, if given, turns uniforms on [0, 1) into the variates
     ``fn`` reads, in place and elementwise (inverse-transform sampling,
     say); it runs once per draw, on the slots the oracle reads and in
@@ -390,7 +393,8 @@ class FiniteDifferenceOracle(SampleOracle):
     """Finite-difference oracle over a batched noisy function.
 
     Draw j evaluates ``function`` twice, at x + s0 delta_j v and at
-    x + s1 delta_j v, and returns (f_0 - f_1) / ((s0 - s1) delta_j v):
+    x + s1 delta_j v, and returns (f_0 - f_1) / ((s0 - s1) delta_j v);
+    a map makes one ``fn`` call for both evaluations of every draw:
 
     * cfd: (f(x + delta e) - f(x - delta e)) / (2 delta), q1 = 2;
     * ffd: (f(x + delta e) - f(x)) / delta, q1 = 1;
@@ -401,7 +405,10 @@ class FiniteDifferenceOracle(SampleOracle):
     with e the ``coord`` unit vector (ignored under sp) and noise order
     q2 = 1 throughout.  Under ``crn`` both evaluations read the variates
     of slot 0, so their noise is common; by default they are
-    independent.
+    independent.  The call's variates are a view of the block with the
+    evaluation slot moved first (stride 0 under ``crn``), and its moved
+    coordinates are (2, n) arrays: x + step, x - step or a copy of x per
+    evaluation, one rounding each, so every sign of zero is kept.
 
     A draw row holds, in order: p direction uniforms (sp only, with p the
     dimension of x, turned into +-1 by u < 0.5 -> -1), then one variate
@@ -487,43 +494,39 @@ class FiniteDifferenceOracle(SampleOracle):
             self.function.prepare(slots[:, 0] if self.crn else slots)
         return block
 
-    def _evaluate(self, sign: float, step: np.ndarray, moved: np.ndarray,
-                  variates: np.ndarray) -> np.ndarray:
-        """``function`` at x + sign * step: column k of ``step`` moves
-        coordinate ``_moved[k]``, written as an (n, 1) column into row k
-        of ``moved``."""
-        x = list(self.function.x)
-        if sign:
-            shift = np.add if sign > 0 else np.subtract
-            for k, i in enumerate(self._moved):
-                x[i] = shift(x[i], step[:, k:k + 1], out=moved[k, :, None])
-        return self.function.fn(x, variates)
-
     def _constants(self, deltas) -> np.ndarray:
         """The map reads the checked deltas themselves."""
         return deltas
 
-    def _map(self, deltas, block, out, scratch) -> np.ndarray:
+    def _map(self, deltas, block, out) -> np.ndarray:
         """(f_0 - f_1) / ((s0 - s1) step) into ``out``, with step the
-        deltas column (times the block's directions under sp).  The
-        difference is formed in column 0 of ``out``; ``scratch`` holds
-        the moved coordinates of one evaluation point at a time, then
-        the divisor."""
+        deltas column (times the block's directions under sp), from one
+        ``fn`` call on both evaluations.  The difference is formed in
+        column 0 of ``out``; the (m, 2, n) buffer of the m moved
+        coordinates' points then holds the divisor."""
         n, p = deltas.shape[0], self._directions
-        slots = block[:, p:].reshape(n, 2, *self.function.shape)
+        slots = block[:, p:].reshape(n, 2, *self.function.shape).swapaxes(0, 1)
+        if self.crn:
+            slots = np.broadcast_to(slots[:1], slots.shape)
         step = deltas[:, None]
         if p:
             h = block[:, :p]
             if not np.all(np.abs(h) == 1.0):
                 raise ValueError("direction columns must hold +1 or -1")
             step = step * h
-        m = step.shape[1]
-        moved = scratch[:m * n].reshape(m, n)
         s0, s1, _ = _SCHEMES[self.scheme]
-        diff = out[:, 0]
-        diff[...] = self._evaluate(s0, step, moved, slots[:, 0])
-        diff -= self._evaluate(s1, step, moved, slots[:, 0 if self.crn else 1])
-        divisor = np.multiply(s0 - s1, step, out=moved.T)
+        moved = np.empty((step.shape[1], 2, n))
+        x = list(self.function.x)
+        for k, i in enumerate(self._moved):
+            for row, sign in zip(moved[k], (s0, s1)):
+                if sign:
+                    (np.add if sign > 0 else np.subtract)(x[i], step[:, k], out=row)
+                else:
+                    row.fill(x[i])
+            x[i] = moved[k]
+        f = self.function.fn(x, slots)
+        diff = np.subtract(f[0], f[1], out=out[:, 0])
+        divisor = np.multiply(s0 - s1, step, out=moved[:, 0].T)
         # under sp the difference is read from the output's own column 0,
         # an overlap numpy resolves by buffering the input
         return np.divide(diff[:, None], divisor, out=out)

@@ -8,12 +8,14 @@ Waiting times follow the Lindley recursion
 
 with A_j the j-th interarrival time and S_j the j-th service time; the
 j-th system time is T_j = W_j + S_j, and one replication reports
-mean(T_1..T_k).  The sweep runs customer-major: every replication of an
-evaluation advances together along contiguous (customer, replication)
-rows, in place.  The mean over customers is an explicit in-order row
-sum, T_1 + T_2 + ... + T_k, divided by k, so a replication's mean does
-not depend on the block's layout or on how many replications share the
-sweep.  A single replication is the one-column case of the same sweep.
+mean(T_1..T_k).  The sweep runs customer-major: every replication of a
+call advances together along rolling rows, one per customer, and the
+mean over customers is an explicit in-order row sum,
+T_1 + T_2 + ... + T_k, divided by k, so a replication's mean does not
+depend on the block's layout or on how many replications share the
+sweep.  Both evaluation points of a finite difference are one call: the
+rows have shape (2, n), evaluation by draw.  A single replication is the
+scalar case of the same sweep.
 
 Derivative oracles perturb a rate by +-delta and form a central
 difference of two replications, giving a biased-noisy estimate of the
@@ -26,16 +28,17 @@ rates.
 
 All randomness enters through uniform blocks drawn and mapped as
 `bvbal.oracles.SampleOracle` states, so two oracles sharing a key
-consume identical variates; a draw-fastest block makes the n draws of
-each (slot, process, customer) variate the contiguous row the sweep
-reads.  Inverse-transform sampling (-log1p(-U) / rate) keeps a uniform
-block's meaning fixed when only rates change, which is what makes common
-random numbers and coupling-based tests exact.  It also lets ``draw``
-turn the block into unit-rate exponentials -log1p(-U) once, in place,
-for every schedule it is then mapped through.  A central-difference draw
-goes one step further: the rate it never moves is fixed, so the draw
-divides that process by it once, and each evaluation divides only the
-moved process by its perturbed rate.
+consume identical variates; a draw-fastest block makes the 2 n draws
+of each (process, customer) variate in a central-difference block's two
+slots the contiguous (2, n) row the sweep reads.  Inverse-transform
+sampling (-log1p(-U) / rate) keeps a uniform block's meaning fixed when
+only rates change, which is what makes common random numbers and
+coupling-based tests exact.  It also lets ``draw`` turn the block into
+unit-rate exponentials -log1p(-U) once, in place, for every schedule it
+is then mapped through.  A central-difference draw goes one step
+further: the rate it never moves is fixed, so the draw divides that
+process by it once, and each evaluation divides only the moved process
+by its perturbed rate.
 """
 
 from __future__ import annotations
@@ -99,63 +102,52 @@ def _unit_exponentials(u: np.ndarray) -> np.ndarray:
     return np.negative(u, out=u)
 
 
-def _system_times(rates: list, e: np.ndarray) -> np.ndarray:
-    """System times T_1..T_k, customer-major: row j of the (k, n) result
-    holds customer j + 1 of every replication.
+def _mean_system_time(rates: list, e: np.ndarray,
+                      times: np.ndarray | None = None) -> np.ndarray:
+    """Average system time of the first k customers, one replication per
+    entry of the leading shape of ``e``, (..., 2, k): arrivals, then
+    services.  ``rates`` = (arrival, service), each a float or an array
+    of that leading shape for a process of unit-rate exponentials, or
+    None for one that already holds its times.
 
-    ``e`` has shape (n, 2, k), one replication per row (arrivals, then
-    services), and ``rates`` = (arrival, service), each a float, an
-    (n, 1) column or None.  A process with a rate holds unit-rate
-    exponentials and is divided by its rate straight into a contiguous
-    (k, n) buffer; one with None already holds its times and is read in
-    place (services) or copied (arrivals, whose buffer becomes the system
-    times).  From a draw-fastest block each source row is contiguous
-    too, so the Lindley sweep steps along contiguous rows in place, and
-    ``e`` is never modified.  Each step is
-    T_j = max(T_{j-1} - A_j, 0) + S_j, three row operations: the
-    recursion's W_{j-1} + S_{j-1} is T_{j-1}, already rounded into row
-    j - 1, so the step is the recursion's bit for bit.  The first
-    interarrival cannot affect system times (the system starts empty).
+    The sweep runs over rolling rows of the leading shape, with no
+    (k, ...) buffer: T_1 = S_1, then T_j = max(T_{j-1} - A_j, 0) + S_j,
+    each A_j and S_j divided by its rate as it is read, and T_j is added
+    into a running sum, T_1 first, which is divided by k.  The
+    recursion's W_{j-1} + S_{j-1} is T_{j-1}, already rounded, so the
+    step is the recursion's bit for bit; A_1 cannot affect system times
+    (the system starts empty) and is not read.  From a draw-fastest
+    block each row read is contiguous, and ``e`` is not modified.
+    ``times``, of shape (k, ...), receives T_1..T_k when given.
     """
-    n, _, k = e.shape
-    a, s = e[:, 0].T, e[:, 1].T
-    if rates[0] is None:
-        times = a.copy()
-    else:
-        times = np.divide(a, np.asarray(rates[0]).T, out=np.empty((k, n)))
-    if rates[1] is not None:
-        s = np.divide(s, np.asarray(rates[1]).T, out=np.empty((k, n)))
-    times[0] = s[0]
-    for j in range(1, k):
-        row = times[j]
-        np.subtract(times[j - 1], row, out=row)
-        np.maximum(row, 0.0, out=row)
-        row += s[j]
-    return times
+    a, s = e[..., 0, :], e[..., 1, :]
+    t, step = np.empty(e.shape[:-2]), np.empty(e.shape[:-2])
 
+    def scaled(v, rate):
+        return v if rate is None else np.divide(v, rate, out=step)
 
-def _customer_mean(t: np.ndarray) -> np.ndarray:
-    """Mean over the rows of a customer-major (k, n) block of system
-    times, summed in row order into row 0 of ``t``, T_1 first."""
-    total = t[0]
-    for row in t[1:]:
-        total += row
-    return total / t.shape[0]
+    np.copyto(t, scaled(s[..., 0], rates[1]))
+    total = t.copy()
+    if times is not None:
+        times[0] = t
+    for j in range(1, e.shape[-1]):
+        np.subtract(t, scaled(a[..., j], rates[0]), out=t)
+        np.maximum(t, 0.0, out=t)
+        t += scaled(s[..., j], rates[1])
+        total += t
+        if times is not None:
+            times[j] = t
+    total /= e.shape[-1]
+    return total
 
 
 def mm1_transient_sample(params: QueueParams, stream: StreamKey) -> TransientSample:
     """One replication of the transient measure from a fresh stream."""
-    e = _unit_exponentials(stream.generator().random((2, params.num_customers)))
-    times = _system_times([params.arrival_rate, params.service_rate], e[None])
-    per_customer = times[:, 0].copy()
-    return TransientSample(float(_customer_mean(times)[0]), per_customer)
-
-
-def _mean_system_time(rates: list, e: np.ndarray) -> np.ndarray:
-    """Average system time of the first k customers, one replication per
-    row of ``e`` (shape (n, 2, k): arrivals, then services) at ``rates``
-    = (arrival, service), as `_system_times` reads them."""
-    return _customer_mean(_system_times(rates, e))
+    k = params.num_customers
+    e = _unit_exponentials(stream.generator().random((2, k)))
+    times = np.empty(k)
+    mean = _mean_system_time([params.arrival_rate, params.service_rate], e, times)
+    return TransientSample(float(mean), times)
 
 
 _TARGETS = ("arrival", "service")
@@ -177,7 +169,8 @@ class _FixedRateTimes:
 @dataclass(frozen=True, slots=True)
 class _MovedRateMean:
     """``fn`` of a measure with one rate fixed: the mean system time at
-    the moved rate ``points[0]``, the fixed process read as its times."""
+    the moved rate ``points[0]`` (a float or one rate per evaluation and
+    draw), the fixed process read as its times."""
 
     moved: int
 

@@ -75,8 +75,10 @@ SIGNS = {"cfd": (1.0, -1.0), "ffd": (1.0, 0.0), "bfd": (0.0, -1.0), "sp": (1.0, 
 
 
 def difference_expression(oracle, deltas, block):
-    """A finite-difference oracle's out-of-place difference, which its
-    prepared map must reproduce bit for bit."""
+    """A finite-difference oracle's out-of-place difference, from two
+    separate ``fn`` calls with an evaluation axis of length 1 and the
+    unmoved coordinates as floats, which its prepared map must reproduce
+    bit for bit."""
     n, s0, s1 = deltas.shape[0], *SIGNS[oracle.scheme]
     x = oracle.function.x
     p = len(x) if oracle.scheme == "sp" else 0
@@ -84,34 +86,33 @@ def difference_expression(oracle, deltas, block):
     step = deltas[:, None] * block[:, :p] if p else deltas[:, None]
     moved = range(p) if p else (oracle.coord,)
 
-    def points(sign):
+    def evaluate(sign, slot):
         pts = list(x)
         for k, i in enumerate(moved):
             if sign:
-                col = step[:, k:k + 1]
-                pts[i] = pts[i] + col if sign > 0 else pts[i] - col
-        return pts
+                row = step[None, :, k]
+                pts[i] = pts[i] + row if sign > 0 else pts[i] - row
+        return oracle.function.fn(pts, slots[None, :, slot])[0]
 
-    fn = oracle.function.fn
-    diff = fn(points(s0), slots[:, 0]) - fn(points(s1), slots[:, 0 if oracle.crn else 1])
+    diff = evaluate(s0, 0) - evaluate(s1, 0 if oracle.crn else 1)
     return diff[:, None] / ((s0 - s1) * step)
 
 
 def check_prepared(oracle, expression, block, schedules):
-    """``prepare(d).transform(block, out, scratch)`` (returning ``out``),
-    the allocating map and a freshly prepared map all equal
-    ``expression(oracle, d, block)`` bit for bit; buffers reused across
-    schedules A, B, then A give A's bits both times; the block is left
+    """``prepare(d).transform(block, out)`` (returning ``out``), the
+    allocating map and a freshly prepared map all equal
+    ``expression(oracle, d, block)`` bit for bit; a buffer reused across
+    schedules A, B, then A gives A's bits both times; the block is left
     unmodified."""
     before = block.copy()
     # the harness's layout: samples are the transpose of a contiguous
-    # (dim, n) buffer, and the scratch holds n * dim floats
+    # (dim, n) buffer
     n, dim = block.shape[0], oracle.dim
-    out, scratch = np.empty((dim, n)).T, np.empty(n * dim)
+    out = np.empty((dim, n)).T
     maps = [oracle.prepare(d) for d in schedules]
     for d, prepared in zip(schedules + schedules[:1], maps + maps[:1]):
         want = expression(oracle, d, block).tobytes()
-        assert prepared.transform(block, out, scratch) is out
+        assert prepared.transform(block, out) is out
         assert out.tobytes() == want
         assert prepared.transform(block).tobytes() == want
         assert oracle.prepare(d).transform(block).tobytes() == want

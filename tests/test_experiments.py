@@ -316,8 +316,8 @@ def test_a_warm_synthetic_run_allocates_only_its_maps_buffers_and_one_draw(solve
     # a warm run takes its plans, the baseline's parts among them, and a
     # weighted plan's risk sums from the memo, so what it allocates at
     # budget n is the means of its three prepared maps (one per distinct
-    # schedule), the slice's path and scratch buffers and one draw block
-    # at a time; the baseline's own two n-length arrays would exceed it
+    # schedule), the slice's path buffer and one draw block at a time;
+    # the baseline's own two n-length arrays would exceed it
     n = 20_000
     config = small_config(budgets=(n,), replications=4)
     run_experiment(config)
@@ -328,7 +328,7 @@ def test_a_warm_synthetic_run_allocates_only_its_maps_buffers_and_one_draw(solve
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * 8 * n * config.model.dim + 2**16, peak
+    assert peak <= 5 * 8 * n * config.model.dim + 2**16, peak
 
 
 def test_threads_running_two_configurations_keep_their_bytes():

@@ -1,6 +1,7 @@
 """Oracle layer: stream keys, the synthetic model, and the
 finite-difference oracle under its four schemes."""
 
+import dataclasses
 import itertools
 import math
 
@@ -184,11 +185,11 @@ def test_degenerate_flag():
 
 def _fn(expr, x, noise=None):
     """A batched test function: ``expr`` of the point's coordinates plus
-    ``noise`` of each row's single variate, one value per row."""
+    ``noise`` of each (evaluation, draw) entry's single variate."""
 
     def fn(points, v):
         value = expr(*points) + (0.0 if noise is None else noise(v))
-        return np.broadcast_to(value, (v.shape[0], 1))[:, 0]
+        return np.broadcast_to(value, v.shape[:2])
 
     return BatchedFunction(x, (1,), fn, _centre)
 
@@ -203,7 +204,7 @@ def _fd(expr, x, scheme="cfd", coord=0, crn=False, noise=None):
 
 
 def _unit_noise(v):
-    return 10.0 * v[:, 0, None]
+    return 10.0 * v[..., 0]
 
 
 def test_cfd_quadratic_frozen():
@@ -282,14 +283,14 @@ def test_fd_validation():
 def test_fd_positive_domain_caps_delta():
     # a positive function's perturbed coordinates must stay above 0:
     # only the schemes that step down are capped, by the moved coordinate
-    f = BatchedFunction([2.0, 0.5], (1,), lambda pts, v: v[:, 0], positive=True)
+    f = BatchedFunction([2.0, 0.5], (1,), lambda pts, v: v[..., 0], positive=True)
     FiniteDifferenceOracle(f, "ffd", 1).sample(3.0, StreamKey(0))
     FiniteDifferenceOracle(f, "cfd", 0).sample(1.0, StreamKey(0))
     for scheme, coord, delta in (("cfd", 1, 0.5), ("bfd", 0, 2.0), ("sp", 0, 0.5)):
         with pytest.raises(ValueError):
             FiniteDifferenceOracle(f, scheme, coord).sample(delta, StreamKey(0))
     with pytest.raises(ValueError):
-        BatchedFunction([1.0, 0.0], (1,), lambda pts, v: v[:, 0], positive=True)
+        BatchedFunction([1.0, 0.0], (1,), lambda pts, v: v[..., 0], positive=True)
 
 
 # -------------------------------------------- simultaneous perturbation
@@ -428,6 +429,37 @@ def test_prepared_difference_transform_is_the_expression_bit_for_bit(scheme, crn
     check_prepared(oracle, difference_expression, oracle.draw(n, StreamKey(9)), schedules)
 
 
+@pytest.mark.parametrize("scheme", ["cfd", "ffd", "bfd", "sp"])
+@pytest.mark.parametrize("crn", [False, True])
+def test_a_map_calls_fn_once_on_a_view_of_the_block(scheme, crn):
+    # both evaluations of every draw are one fn call, whose variates are
+    # the block's own memory with the evaluation slot first (stride 0
+    # under crn); the moved coordinates arrive as (2, n) arrays and the
+    # others as the base point's floats
+    calls = []
+    inner = _fn(lambda x, y: x * y + x**3, [1.0, 2.0], _unit_noise)
+
+    def fn(points, v):
+        calls.append((points, v))
+        return inner.fn(points, v)
+
+    oracle = FiniteDifferenceOracle(dataclasses.replace(inner, fn=fn), scheme, 1, crn)
+    n = 50
+    block = oracle.draw(n, StreamKey(10))
+    for deltas in (np.geomspace(0.9, 0.01, n), np.full(n, 0.2)):
+        calls.clear()
+        oracle.prepare(deltas).transform(block)
+        assert len(calls) == 1
+        (points, v), = calls
+        assert v.shape == (2, n, 1) and np.shares_memory(v, block)
+        assert (v.strides[0] == 0) == crn
+        for i, point in enumerate(points):
+            if scheme == "sp" or i == 1:
+                assert point.shape == (2, n)
+            else:
+                assert point == 1.0 and isinstance(point, float)
+
+
 def test_prepared_transform_keeps_every_validation():
     spec = unit_spec()
     for bad in ([0.5, 0.0], [0.5, -0.1], np.ones((2, 2))):
@@ -435,7 +467,7 @@ def test_prepared_transform_keeps_every_validation():
             spec.prepare(bad)
     with pytest.raises(ValueError):
         spec.prepare(np.full(3, 0.5)).transform(spec.draw(4, StreamKey(0)))
-    f = BatchedFunction([2.0, 0.5], (1,), lambda pts, v: v[:, 0], positive=True)
+    f = BatchedFunction([2.0, 0.5], (1,), lambda pts, v: v[..., 0], positive=True)
     with pytest.raises(ValueError):  # the positive-coordinate cap
         FiniteDifferenceOracle(f, "cfd", 1).prepare([0.1, 0.5])
     sp = _fd(lambda x, y: x, [1.0, 2.0], "sp")
@@ -454,7 +486,8 @@ def test_prepared_transform_keeps_every_validation():
 class _Shifted(SampleOracle):
     """The smallest oracle on the shared contract: uniforms shifted by
     their deltas, in two coordinates.  It defines only ``dim``, ``draw``
-    and the four hooks, and its map asserts that it gets both buffers."""
+    and the four hooks, and its map asserts that it gets its output
+    buffer."""
 
     dim = 2
 
@@ -473,12 +506,9 @@ class _Shifted(SampleOracle):
     def _constants(self, deltas):
         return deltas
 
-    def _map(self, deltas, block, out, scratch):
-        n = deltas.shape[0]
-        assert out.shape == (n, 2) and scratch.ndim == 1 and scratch.shape[0] >= 2 * n
-        col = scratch[:n, None]
-        np.copyto(col, deltas[:, None])
-        return np.add(block, col, out=out)
+    def _map(self, deltas, block, out):
+        assert out.shape == (deltas.shape[0], 2)
+        return np.add(block, deltas[:, None], out=out)
 
 
 class _Duck:

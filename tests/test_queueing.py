@@ -22,7 +22,6 @@ from bvbal.queueing import (
     MM1_TRUE_ARRIVAL_DERIVATIVE,
     MM1_TRUE_SERVICE_DERIVATIVE,
     _mean_system_time,
-    _system_times,
     _transient_measure,
 )
 
@@ -50,86 +49,103 @@ def test_lindley_matches_event_driven_simulation():
 
 
 def _draw_major_times(rates, e):
-    """The Lindley sweep over the last axis of (n, k) draw-major arrays,
-    the reference the customer-major sweep must reproduce bit for bit."""
-    a, s = e[:, 0] / rates[0], e[:, 1] / rates[1]
+    """The Lindley sweep over the last axis of draw-major (..., 2, k)
+    arrays, each rate a float or an array of their leading shape, the
+    reference the customer-major sweep must reproduce bit for bit."""
+    a, s = (e[..., i, :] / np.asarray(rates[i])[..., None] for i in (0, 1))
     times = np.empty_like(s)
-    times[:, 0] = s[:, 0]
-    wait = np.zeros_like(s[:, 0])
+    times[..., 0] = s[..., 0]
+    wait = np.zeros_like(s[..., 0])
     for j in range(1, a.shape[-1]):
-        wait = np.maximum(wait + s[:, j - 1] - a[:, j], 0.0)
-        times[:, j] = wait + s[:, j]
+        wait = np.maximum(wait + s[..., j - 1] - a[..., j], 0.0)
+        times[..., j] = wait + s[..., j]
     return times
 
 
 def _in_order_mean(times):
-    """Mean over the last axis of (n, k) draw-major system times, each
-    row summed customer by customer in Python floats, T_1 first."""
-    return np.array([reduce(operator.add, row) for row in times.tolist()]) / times.shape[-1]
+    """Mean over the last axis of draw-major system times, each
+    replication summed customer by customer in Python floats, T_1 first."""
+    rows = times.reshape(-1, times.shape[-1]).tolist()
+    sums = np.array([reduce(operator.add, row) for row in rows]).reshape(times.shape[:-1])
+    return sums / times.shape[-1]
 
 
 def _exponentials(u):
     return -np.log1p(-u)
 
 
+def _evaluation_views(block):
+    """The layouts an (n, 2, 2, k) block reaches the sweep in: both
+    evaluation slots as a leading (2, n) axis, and the crn view of slot 0
+    with that axis at stride 0."""
+    pair = np.moveaxis(block, 1, 0)
+    return pair, np.broadcast_to(pair[:1], pair.shape)
+
+
 @pytest.mark.parametrize("k", [*range(1, 21), 127, 128, 129, 130, 200])
 def test_customer_major_sweep_is_the_draw_major_mean_bit_for_bit(k):
-    # cfd slot views of an (n, 2, 2, k) block and sp-shaped views of an
-    # (n, 2 + 4 k) block, C-order and draw-fastest (as the oracles draw
-    # them), at float rates and (n, 1) rate columns on either coordinate;
-    # an all-zero block pins the sign of zero
+    # both evaluation slots of (n, 2, 2, k) cfd blocks and of sp-shaped
+    # views of (n, 2 + 4 k) blocks as a leading (2, n) axis, C-order and
+    # draw-fastest (as the oracles draw them), and the stride-0 crn view
+    # of a draw-fastest block, at float rates and (2, n) rate arrays on
+    # either coordinate; an all-zero block pins the sign of zero
     rng = np.random.default_rng(1000 + k)
     for n in (1, 7, 1000):
         cfd = _exponentials(rng.random((n, 2, 2, k)))
         sp_block = _exponentials(rng.random((n, 2 + 4 * k)))
-        sp = sp_block[:, 2:].reshape(n, 2, 2, k)
-        cfd_fast = np.asfortranarray(cfd)
-        sp_fast = np.asfortranarray(sp_block)[:, 2:].reshape(n, 2, 2, k)
         zero = _exponentials(np.zeros((n, 2, 2, k)))
-        views = (cfd[:, 0], cfd[:, 1], sp[:, 0], sp[:, 1], zero[:, 0],
-                 cfd_fast[:, 0], cfd_fast[:, 1], sp_fast[:, 0], sp_fast[:, 1],
-                 np.asfortranarray(zero)[:, 1])
-        column = 4.0 + rng.uniform(-0.5, 0.5, (n, 1))
-        for rates in ([4.0, 4.0], [column, 4.0], [3.5, column], [column, column[::-1]]):
+        fast = np.asfortranarray(cfd)
+        views = [np.moveaxis(block, 1, 0) for block in (
+            cfd, sp_block[:, 2:].reshape(n, 2, 2, k), zero, fast,
+            np.asfortranarray(sp_block)[:, 2:].reshape(n, 2, 2, k))]
+        views.append(_evaluation_views(fast)[1])
+        rate = 4.0 + rng.uniform(-0.5, 0.5, (2, n))
+        for rates in ([4.0, 4.0], [rate, 4.0], [3.5, rate], [rate, rate[::-1]]):
             for e in views:
                 before = e.copy()
                 got = _mean_system_time(rates, e)
                 want = _in_order_mean(_draw_major_times(rates, e))
-                assert got.shape == (n,)
+                assert got.shape == e.shape[:2]
                 assert got.tobytes() == want.tobytes()
                 assert np.array_equal(e, before)
 
 
 def test_a_replication_mean_does_not_depend_on_the_replication_count():
-    # the customers are summed in row order whatever the number of columns
-    e = _exponentials(np.random.default_rng(10).random((1000, 2, 10)))
-    for rates in ([4.0, 4.0], [3.5, 4.5]):
-        assert _mean_system_time(rates, e[:1]).tobytes() == _mean_system_time(rates, e)[:1].tobytes()
+    # the customers are summed in row order whatever the number of draws
+    # or evaluations that share the sweep
+    e = _exponentials(np.random.default_rng(10).random((2, 1000, 2, 10)))
+    rate = 4.0 + np.random.default_rng(11).uniform(-0.5, 0.5, (2, 1000))
+    for rates in ([4.0, 4.0], [3.5, 4.5], [rate, 4.5], [3.5, rate]):
+        whole = _mean_system_time(rates, e)
+        for part in (np.s_[:1], np.s_[:, :1], np.s_[1:, 999:]):
+            at = [r if np.ndim(r) == 0 else r[part] for r in rates]
+            assert _mean_system_time(at, e[part]).tobytes() == whole[part].tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 2, 9, 10, 129])
 def test_sweep_reads_a_pre_scaled_process_bit_for_bit(k):
     # a cfd draw divides the process whose rate stays fixed once, in the
     # block; the sweep reads its times (rate None) on either coordinate,
-    # from C-order and draw-fastest blocks, and gives the bits of dividing
-    # in every evaluation, without modifying the block
+    # from every evaluation view of C-order and draw-fastest blocks, and
+    # gives the bits of dividing in every evaluation, per customer and in
+    # the mean, without modifying the block
     rng = np.random.default_rng(2000 + k)
     for n in (1, 7, 1000):
-        column = 4.0 + rng.uniform(-0.5, 0.5, (n, 1))
+        moved_rate = 4.0 + rng.uniform(-0.5, 0.5, (2, n))
         for order in ("C", "F"):
             unit = np.asarray(_exponentials(rng.random((n, 2, 2, k))), order=order)
             for fixed, rate in ((0, 3.5), (1, 4.0)):
                 block = unit.copy(order="K")
                 np.divide(block[:, :, fixed], rate, out=block[:, :, fixed])
                 before = block.copy(order="K")
-                for slot in (0, 1):
-                    for moved_rate in (4.5, column):
+                for moved in (4.5, moved_rate):
+                    for e, ref in zip(_evaluation_views(block), _evaluation_views(unit)):
                         rates, at = [rate, rate], [None, None]
-                        rates[1 - fixed] = at[1 - fixed] = moved_rate
-                        want = _draw_major_times(rates, unit[:, slot])
-                        got = _system_times(at, block[:, slot])
-                        assert got.T.tobytes() == want.tobytes()
-                        got = _mean_system_time(at, block[:, slot])
+                        rates[1 - fixed] = at[1 - fixed] = moved
+                        want = _draw_major_times(rates, ref)
+                        times = np.empty((k, 2, n))
+                        got = _mean_system_time(at, e, times)
+                        assert np.moveaxis(times, 0, -1).tobytes() == want.tobytes()
                         assert got.tobytes() == _in_order_mean(want).tobytes()
                 assert block.tobytes() == before.tobytes()
 
@@ -142,19 +158,21 @@ def test_sweep_keeps_the_bits_at_ties_and_zero_services(k):
     # constructed ties exact after the division
     rng = np.random.default_rng(40 + k)
     n = 64
-    column = 2.0 ** rng.integers(-2, 3, (n, 1)).astype(float)
-    for rates in ([1.0, 1.0], [2.0, 0.5], [column, 0.25], [0.5, column]):
-        e = rng.exponential(size=(n, 2, k))
-        e[:, 1][rng.random((n, k)) < 0.3] = 0.0
+    rate = 2.0 ** rng.integers(-2, 3, (2, n)).astype(float)
+    for rates in ([1.0, 1.0], [2.0, 0.5], [rate, 0.25], [0.5, rate]):
+        e = rng.exponential(size=(2, n, 2, k))
+        e[..., 1, :][rng.random((2, n, k)) < 0.3] = 0.0
         for j in range(1, k):
-            tie = rng.random(n) < 0.5
-            t = _draw_major_times(rates, e)[:, j - 1]
-            e[tie, 0, j] = t[tie] * np.broadcast_to(rates[0], (n, 1))[tie, 0]
-        want = _draw_major_times(rates, e)
-        assert np.any(want[:, 1:] == 0.0) or k == 1
-        for block in (e, np.asfortranarray(e)):
-            assert _system_times(rates, block).T.tobytes() == want.tobytes()
-            got = _mean_system_time(rates, block)
+            tie = rng.random((2, n)) < 0.5
+            t = _draw_major_times(rates, e)[..., j - 1]
+            e[..., 0, j][tie] = t[tie] * np.broadcast_to(rates[0], (2, n))[tie]
+        assert np.any(_draw_major_times(rates, e)[..., 1:] == 0.0) or k == 1
+        fast = np.moveaxis(np.asfortranarray(np.moveaxis(e, 0, 1)), 1, 0)
+        for block in (e, fast, np.broadcast_to(e[:1], e.shape)):
+            want = _draw_major_times(rates, block)
+            times = np.empty((k, 2, n))
+            got = _mean_system_time(rates, block, times)
+            assert np.moveaxis(times, 0, -1).tobytes() == want.tobytes()
             assert got.tobytes() == _in_order_mean(want).tobytes()
 
 
