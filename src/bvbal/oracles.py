@@ -334,22 +334,20 @@ class BatchedFunction:
     """A noisy function evaluated at many points at once, one block of
     variates per evaluation.
 
-    ``fn(points, variates)`` returns shape (e, n): ``variates`` has shape
-    (e, n, *shape), entry (i, j) driving evaluation i of draw j, and a
-    finite-difference oracle passes both evaluation points of a
-    difference in one call, e = 2.  The variates may be strided views
-    (under common random numbers the evaluation axis has stride 0), and
-    ``fn`` must not write to them.  ``points`` holds one entry per
-    coordinate of the base point ``x``: the coordinate itself as a
-    float, or an (e, n) array where an oracle perturbs it per evaluation
-    and draw.  A function written for one evaluation at a time reads
-    ``variates[..., i]`` where it read ``variates[:, i]``, and returns
-    shape ``variates.shape[:2]``.
+    ``fn(points, variates)`` returns shape (e, n), checked: ``variates``
+    has shape (e, n, *shape), entry (i, j) driving evaluation i of draw
+    j; a finite-difference oracle passes both points of a difference in
+    one call, e = 2.  The variates may be strided views (the evaluation
+    axis has stride 0 under common random numbers) that ``fn`` must not
+    write to.  ``points`` holds one entry per coordinate of ``x``: the
+    coordinate as a float, or an (e, n) array where an oracle perturbs
+    it per evaluation and draw.  A function written for one evaluation
+    reads ``variates[..., i]`` for ``variates[:, i]`` and returns shape
+    ``variates.shape[:2]``.
     ``prepare``, if given, turns uniforms on [0, 1) into the variates
     ``fn`` reads, in place and elementwise (inverse-transform sampling,
     say); it runs once per draw, on the slots the oracle reads and in
-    the block's memory layout, however many schedules the block then
-    serves.
+    the block's memory layout, however many schedules the block serves.
     ``positive`` declares that every coordinate of an evaluated point
     must stay strictly positive (rates, scales).
     """
@@ -525,6 +523,8 @@ class FiniteDifferenceOracle(SampleOracle):
                     row.fill(x[i])
             x[i] = moved[k]
         f = self.function.fn(x, slots)
+        if np.shape(f) != slots.shape[:2]:
+            raise ValueError(f"fn must return shape {slots.shape[:2]}, got {np.shape(f)}")
         diff = np.subtract(f[0], f[1], out=out[:, 0])
         divisor = np.multiply(s0 - s1, step, out=moved[:, 0].T)
         # under sp the difference is read from the output's own column 0,

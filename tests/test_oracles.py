@@ -460,6 +460,16 @@ def test_a_map_calls_fn_once_on_a_view_of_the_block(scheme, crn):
                 assert point == 1.0 and isinstance(point, float)
 
 
+@pytest.mark.parametrize("scheme", ["cfd", "sp"])
+def test_a_function_of_the_one_evaluation_contract_raises(scheme):
+    # v[:, 0] was one evaluation's (n,) column; on (2, n, 1) variates it
+    # is a (2, 1) array that would broadcast over the draws unchecked
+    oracle = FiniteDifferenceOracle(BatchedFunction([1.0, 2.0], (1,), lambda pts, v: v[:, 0]),
+                                    scheme)
+    with pytest.raises(ValueError, match=r"fn must return shape \(2, 5\)"):
+        oracle.sample_path(np.full(5, 0.1), StreamKey(0))
+
+
 def test_prepared_transform_keeps_every_validation():
     spec = unit_spec()
     for bad in ([0.5, 0.0], [0.5, -0.1], np.ones((2, 2))):

@@ -87,8 +87,9 @@ def test_customer_major_sweep_is_the_draw_major_mean_bit_for_bit(k):
     # both evaluation slots of (n, 2, 2, k) cfd blocks and of sp-shaped
     # views of (n, 2 + 4 k) blocks as a leading (2, n) axis, C-order and
     # draw-fastest (as the oracles draw them), and the stride-0 crn view
-    # of a draw-fastest block, at float rates and (2, n) rate arrays on
-    # either coordinate; an all-zero block pins the sign of zero
+    # of draw-fastest blocks, at float rates and (2, n) rate arrays on
+    # either coordinate; an all-zero block, in C order, draw-fastest and
+    # its crn view, pins the sign of zero
     rng = np.random.default_rng(1000 + k)
     for n in (1, 7, 1000):
         cfd = _exponentials(rng.random((n, 2, 2, k)))
@@ -98,7 +99,8 @@ def test_customer_major_sweep_is_the_draw_major_mean_bit_for_bit(k):
         views = [np.moveaxis(block, 1, 0) for block in (
             cfd, sp_block[:, 2:].reshape(n, 2, 2, k), zero, fast,
             np.asfortranarray(sp_block)[:, 2:].reshape(n, 2, 2, k))]
-        views.append(_evaluation_views(fast)[1])
+        views.append(np.moveaxis(np.asfortranarray(zero), 1, 0))
+        views += [_evaluation_views(b)[1] for b in (fast, np.asfortranarray(zero))]
         rate = 4.0 + rng.uniform(-0.5, 0.5, (2, n))
         for rates in ([4.0, 4.0], [rate, 4.0], [3.5, rate], [rate, rate[::-1]]):
             for e in views:
