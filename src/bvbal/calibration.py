@@ -46,22 +46,26 @@ O(n) passes make their terms block by block in cache-sized buffers:
 `solve_weights` allocates no n-length array, and the weights that
 `materialise` builds are the only one of `optimal_weights`.
 
-`solve_weights` memoises its Gram matrix: `_gram` caches the `XiMatrix`
-of `xi_matrix` by the validated key (float q1, float q2, int n, int n0),
-so the caps of one budget, and repeated requests, share one set of power
-sums.  a* and the rest of the solution are solved on every call, and
-`materialise` builds the weights and runs `WeightScheme`'s O(n)
-self-checks on every call; the memo holds no n-length array, and invalid
-or infeasible inputs raise on every call.  Budgets end at
-n + n0 = 2**53, past which j + n0 is no longer an exact double.
+The package's one cache, `_memo`, lives here: a byte-bounded memo of
+read-only parts, shared with `bvbal.estimators` and `bvbal.experiments`
+(its policy is `_Memo`'s).  This module keys one part: the Gram matrix
+of `solve_weights`, ("gram", float q1, float q2, int n, int n0), so the
+caps of one budget, and repeated requests, share one set of power sums;
+it holds no n-length array.  a* and the rest of the solution are solved
+on every call, and `materialise` builds the weights and runs
+`WeightScheme`'s O(n) self-checks on every call; invalid or infeasible
+inputs raise on every call.  Budgets end at n + n0 = 2**53, past which
+j + n0 is no longer an exact double.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, fields
-from functools import lru_cache, partial
+from functools import partial
 from itertools import islice
 from typing import NamedTuple
 
@@ -102,11 +106,57 @@ _MIN_NORMAL_EXP = -1022
 _UNIT = 2.0**-53
 _GAMMA = (_BLOCK - 1) * _UNIT / (1.0 - (_BLOCK - 1) * _UNIT)
 _TINY = 2.0**_MIN_NORMAL_EXP
-# entries of the `_gram` memo, each a few floats
-_GRAMS = 64
 _GRID_POINTS = 10_000
 _GOLDEN_RTOL = 1e-12
 _PILOT_CAP_FACTOR = 1e3
+# The memo's bound on its parts' charges: array bytes, plus _ENTRY_BYTES each
+_MEMO_BYTES = 64 * 2**20
+_ENTRY_BYTES = 1024
+
+
+class _Memo:
+    """The package's one memo of read-only parts, each keyed by every
+    input it depends on; the modules that key parts say which.  A call
+    returns ``build()``'s value, its array ``array_of(value)``, if it has
+    one, made read-only.  A part is charged its array's bytes plus
+    _ENTRY_BYTES; the memo keeps at most _MEMO_BYTES of charges, evicting
+    the least recently used part first, and a part charged more than
+    that is returned but not kept.  Two threads that miss one key both
+    build it (outside the lock) and share the first value stored; a
+    build that raises stores nothing."""
+
+    def __init__(self) -> None:
+        self.parts: OrderedDict = OrderedDict()  # key -> (value, charge)
+        self.nbytes = 0  # the sum of the charges
+        self.lock = threading.Lock()
+
+    def __call__(self, key: tuple, build, array_of=None):
+        with self.lock:
+            if key in self.parts:
+                self.parts.move_to_end(key)
+                return self.parts[key][0]
+        value = build()
+        charge = _ENTRY_BYTES
+        if array_of is not None:
+            array_of(value).setflags(write=False)
+            charge += array_of(value).nbytes
+        with self.lock:
+            if key in self.parts:
+                return self.parts[key][0]
+            if charge <= _MEMO_BYTES:
+                self.parts[key] = (value, charge)
+                self.nbytes += charge
+                while self.nbytes > _MEMO_BYTES:
+                    self.nbytes -= self.parts.popitem(last=False)[1][1]
+        return value
+
+    def clear(self) -> None:
+        with self.lock:
+            self.parts.clear()
+            self.nbytes = 0
+
+
+_memo = _Memo()
 
 
 def weight_decay_exponents(order: BiasOrder) -> tuple[float, float]:
@@ -571,11 +621,6 @@ def eta_balance(a: float, xi: XiMatrix) -> float:
     return float((ztilde_squared(a, xi) / (a * a)) ** xi.order.alpha)
 
 
-@lru_cache(maxsize=_GRAMS)
-def _gram(q1: float, q2: float, n: int, n0: int) -> XiMatrix:
-    return xi_matrix(BiasOrder(q1, q2), n, n0)
-
-
 @dataclass(frozen=True)
 class WeightSolution:
     """The solved capped minimax problem for one (n, n0, order, K), without
@@ -731,14 +776,15 @@ def solve_weights(n: int, n0: int, order: BiasOrder, K: float) -> WeightSolution
     boundary.  Holds no n-length array: the O(n) power sums stream
     through block buffers.
 
-    The Gram matrix is memoised by (float q1, float q2, int n, int n0),
-    so equal keys (n = 1e5 and 100000, ``BiasOrder(2, 1)`` and
-    ``BiasOrder(2.0, 1.0)``) share one entry and its bits.  Everything
-    else, a* included, is solved on every call, and invalid or infeasible
-    inputs raise on every call.
+    The Gram matrix is the memo's "gram" part, keyed by (float q1,
+    float q2, int n, int n0), so equal keys (n = 1e5 and 100000,
+    ``BiasOrder(2, 1)`` and ``BiasOrder(2.0, 1.0)``) share one entry and
+    its bits.  Everything else, a* included, is solved on every call, and
+    invalid or infeasible inputs raise on every call.
     """
     n, n0 = _check_counts(n, n0)
-    xi = _gram(float(order.q1), float(order.q2), n, n0)
+    q1, q2 = float(order.q1), float(order.q2)
+    xi = _memo(("gram", q1, q2, n, n0), lambda: xi_matrix(BiasOrder(q1, q2), n, n0))
     a_star = solve_a_star(xi, order, K)
     lam = np.linalg.solve(xi.phi_array(), np.array([a_star, 1.0]))
     eta_star = eta_balance(a_star, xi)

@@ -27,15 +27,13 @@ from __future__ import annotations
 
 import logging
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
 
 import numpy as np
 
-from .calibration import _BLOCK, WeightScheme, _exact_sum, _exact_sums
+from .calibration import _BLOCK, WeightScheme, _exact_sum, _exact_sums, _memo
 from .errors import ConfigurationError, count, positive
 from .oracles import BiasOrder, SampleOracle, StreamKey, SyntheticOracleSpec
 
@@ -114,12 +112,10 @@ class RecursiveParams:
 
 @dataclass(frozen=True)
 class EstimatorRun:
-    """Result of one estimator invocation: the estimate, the budget spent,
-    and (optionally) the per-step iterate trace for diagnostics."""
+    """Result of one estimator invocation: the estimate and the budget spent."""
 
     estimate: np.ndarray
     n: int
-    trace: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         est = np.atleast_1d(np.asarray(self.estimate, dtype=float))
@@ -128,55 +124,6 @@ class EstimatorRun:
 
 
 _check_budget = partial(count, what="budget n must be a positive integer", minimum=1)
-
-# The memo's bound on its parts' charges: array bytes, plus _ENTRY_BYTES each
-_MEMO_BYTES = 64 * 2**20
-_ENTRY_BYTES = 1024
-
-
-class _Memo:
-    """The one memo of plan parts, keyed by every input a part depends on:
-    "recursive" and "averaged" coefficients by (c, beta, n, n0), "deltas"
-    by (scale, alpha, n0, n), and the harness's parts: "weights" by (n,
-    n0, q1, q2, K) and a weighted plan's "risk sums" by that key, its
-    scale and whether the model has a higher-order term.  It evicts the
-    least recently used first.  A call returns ``build()``'s value, its
-    array ``array_of(value)`` made read-only.  Two threads that miss one
-    key both build it (outside the lock) and share the first value
-    stored; a build that raises stores nothing, and a part charged more
-    than the bound is returned but not kept."""
-
-    def __init__(self) -> None:
-        self.parts: OrderedDict = OrderedDict()  # key -> (value, charge)
-        self.nbytes = 0  # the sum of the charges
-        self.lock = threading.Lock()
-
-    def __call__(self, key: tuple, build, array_of):
-        with self.lock:
-            if key in self.parts:
-                self.parts.move_to_end(key)
-                return self.parts[key][0]
-        value = build()
-        array_of(value).setflags(write=False)
-        charge = array_of(value).nbytes + _ENTRY_BYTES
-        with self.lock:
-            if key in self.parts:
-                return self.parts[key][0]
-            if charge <= _MEMO_BYTES:
-                self.parts[key] = (value, charge)
-                self.nbytes += charge
-                while self.nbytes > _MEMO_BYTES:
-                    self.nbytes -= self.parts.popitem(last=False)[1][1]
-        return value
-
-    def clear(self) -> None:
-        with self.lock:
-            self.parts.clear()
-            self.nbytes = 0
-
-
-_memo = _Memo()
-
 
 def _check_steps(c: float, beta: float) -> None:
     """The rule for gamma_j = c (j + n0)**(-beta): c finite and > 0, 0 < beta <= 1."""
@@ -430,76 +377,46 @@ class LinearPlan:
 
 
 def _run(oracle: SampleOracle, plan: LinearPlan, stream: StreamKey,
-         init: np.ndarray | None = None, trace_of=None) -> EstimatorRun:
+         init: np.ndarray | None = None) -> EstimatorRun:
     """The run step every estimator shares: draw the plan's path from the
-    stream, reduce it, and trace it with ``trace_of`` if one is given."""
+    stream and reduce it."""
     samples = oracle.sample_path(plan.deltas, stream)
-    trace = None if trace_of is None else trace_of(samples)
-    return EstimatorRun(plan.reduce(samples, init), samples.shape[0], trace)
+    return EstimatorRun(plan.reduce(samples, init), samples.shape[0])
 
 
 def baseline_estimate(oracle: SampleOracle, n: int, schedule: DeltaSchedule,
-                      stream: StreamKey, trace: bool = False) -> EstimatorRun:
+                      stream: StreamKey) -> EstimatorRun:
     """Average n draws at the schedule's terminal size
     delta = scale * (n + n0)**(-alpha)."""
-    plan = LinearPlan.baseline(n, schedule)
-    return _run(oracle, plan, stream, trace_of=_running_mean if trace else None)
+    return _run(oracle, LinearPlan.baseline(n, schedule), stream)
 
 
 def recursive_estimate(oracle: SampleOracle, n: int, schedule: DeltaSchedule,
-                       params: RecursiveParams, stream: StreamKey,
-                       trace: bool = False) -> EstimatorRun:
+                       params: RecursiveParams, stream: StreamKey) -> EstimatorRun:
     """One stochastic-approximation pass along the shrinking schedule.
 
     Consumes exactly n draws; the estimate is the final iterate, computed
-    through the shared reduction kernel.  A trace, if requested, is the
-    literal iterate sequence (its last entry can differ from the estimate
-    by float rounding only).
+    through the shared reduction kernel.
     """
-    plan = LinearPlan.recursive(n, schedule, params)
-    trace_of = (lambda x: _iterate_trace(x, params, schedule)) if trace else None
-    return _run(oracle, plan, stream, params.init, trace_of)
+    return _run(oracle, LinearPlan.recursive(n, schedule, params), stream, params.init)
 
 
 def averaged_estimate(oracle: SampleOracle, n: int, schedule: DeltaSchedule,
-                      params: RecursiveParams, stream: StreamKey,
-                      trace: bool = False) -> EstimatorRun:
+                      params: RecursiveParams, stream: StreamKey) -> EstimatorRun:
     """Running mean of the recursive iterates; requires beta < 1 (see
     `LinearPlan.averaged`)."""
-    plan = LinearPlan.averaged(n, schedule, params)
-    trace_of = (lambda x: _running_mean(_iterate_trace(x, params, schedule))) if trace else None
-    return _run(oracle, plan, stream, params.init, trace_of)
+    return _run(oracle, LinearPlan.averaged(n, schedule, params), stream, params.init)
 
 
 def weighted_estimate(oracle: SampleOracle, n: int, schedule: DeltaSchedule,
-                      scheme: "WeightScheme | np.ndarray", stream: StreamKey,
-                      trace: bool = False) -> EstimatorRun:
+                      scheme: "WeightScheme | np.ndarray", stream: StreamKey) -> EstimatorRun:
     """Explicit linear combination of draws along the schedule.
 
     ``scheme`` is a solved `WeightScheme` or any weight vector of length
     n.  The schedule should already carry the calibrated scale (for a
     solved scheme, scale = eta_star * d).
     """
-    plan = LinearPlan.weighted(n, schedule, scheme)
-    trace_of = (lambda x: np.cumsum(plan.coeffs[:, None] * x, axis=0)) if trace else None
-    return _run(oracle, plan, stream, trace_of=trace_of)
-
-
-def _running_mean(x: np.ndarray) -> np.ndarray:
-    return np.cumsum(x, axis=0) / np.arange(1, x.shape[0] + 1)[:, None]
-
-
-def _iterate_trace(samples: np.ndarray, params: RecursiveParams,
-                   schedule: DeltaSchedule) -> np.ndarray:
-    n = samples.shape[0]
-    # the plan's coefficient build has already warned about any clamp
-    gam, _ = _steps(params.c, params.beta, n, schedule.n0)
-    out = np.empty_like(samples)
-    cur = _resolve_init(params.init, samples.shape[1]).astype(float)
-    for j in range(n):
-        cur = (1.0 - gam[j]) * cur + gam[j] * samples[j]
-        out[j] = cur
-    return out
+    return _run(oracle, LinearPlan.weighted(n, schedule, scheme), stream)
 
 
 def predict_mse_leading(kind: str, order: BiasOrder, d: float, B2: float,

@@ -17,14 +17,14 @@ array and one map), which gives the same samples as its own
 ``sample_path`` call would.
 
 Every run takes what does not depend on its stream from read-only parts
-kept in the plan memo of `bvbal.estimators`, at most 64 MiB in all
-(`_MEMO_BYTES`): coefficients keyed by (c, beta, n, n0), deltas by
-(schedule, n), each weighted entry's `WeightScheme` by (n, n0, q1, q2,
-K), and that entry's exact risk sums (`LinearPlan._risk_sums`) by the
-same key, its scale and whether the model has a higher-order term.  None
-depends on the model's constants, the seed or the replication count, so
-a rerun at another seed, replication count or worker count, or one that
-changes only the model's constants, as the cells of
+of the package's one memo, `bvbal.calibration._memo`: the plan
+constructors' coefficients and deltas, and the two parts this module
+keys, each weighted entry's `WeightScheme` ("weights", by (n, n0, q1,
+q2, K)) and its exact risk sums (`LinearPlan._risk_sums`; "risk sums",
+by that key, its scale and whether the model has a higher-order term).
+None depends on the model's constants, the seed or the replication
+count, so a rerun at another seed, replication count or worker count,
+or one that changes only the model's constants, as the cells of
 `adversarial_risk_grid` do, solves and builds nothing, and its theory
 column combines the kept sums with the constants in O(dim) per weighted
 row.  The maps depend on the model's constants and are prepared per run.
@@ -55,6 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .calibration import (
+    _memo,
     amrr_general,
     amrr_recursive_free,
     amrr_recursive_tied,
@@ -66,7 +67,6 @@ from .estimators import (
     LinearPlan,
     RecursiveParams,
     _check_budget,
-    _memo,
     predict_mse_leading,
 )
 from .oracles import BiasOrder, SampleOracle, StreamKey, SyntheticOracleSpec
@@ -213,6 +213,12 @@ class ExperimentConfig:
         budgets = tuple(_check_budget(n, error=C) for n in self.budgets)
         if not self.estimators:
             raise C("at least one estimator entry is required")
+        estimators = tuple(self.estimators)
+        for s in estimators:
+            if not isinstance(s, EstimatorSetting):
+                raise C(f"estimators entries must be EstimatorSetting, got {s!r}")
+        if not isinstance(self.model, (SyntheticOracleSpec, QueueSetting)):
+            raise C(f"model must be a SyntheticOracleSpec or a QueueSetting, got {self.model!r}")
         if not budgets or len(set(budgets)) != len(budgets):
             raise C(f"budgets must be distinct and non-empty, got {budgets}")
         positive(self.baseline_d, "baseline_d must be positive", C)
@@ -222,7 +228,7 @@ class ExperimentConfig:
         n0 = count(self.n0, "n0 must be a non-negative integer", error=C)
         reps = count(self.replications, "replications must be an integer >= 2", 2, error=C)
         seed = count(self.seed, "seed must lie in [0, 2**64)", 0, 2**64, C)
-        for name, value in (("estimators", tuple(self.estimators)), ("budgets", budgets),
+        for name, value in (("estimators", estimators), ("budgets", budgets),
                             ("n0", n0), ("replications", reps), ("seed", seed)):
             object.__setattr__(self, name, value)
 
@@ -494,10 +500,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     convention and sets the degenerate flag.
 
     Every run builds its plans and its weighted rows' exact risk sums
-    from the plan memo's parts (see the module docstring) and prepares
-    its maps afresh; a recursive entry that clamps its steps warns on
-    every run.  On a synthetic model each entry's own scale s must
-    lie in the range the baseline d must, and keep |B| s**q1,
+    from parts of `bvbal.calibration._memo` (see the module docstring)
+    and prepares its maps afresh; a recursive entry that clamps its
+    steps warns on every run.  On a synthetic model each entry's own
+    scale s must lie in the range the baseline d must, and keep |B| s**q1,
     |h| s**(q1 + 1) and sigma s**-q2 below 2**512 (else
     `ConfigurationError`, naming the entry and the term).
     """

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bvbal.calibration as calibration
 from bvbal import BiasOrder, InfeasibleError
 from bvbal.calibration import (
     _BLOCK,
@@ -20,7 +21,7 @@ from bvbal.calibration import (
     _exact_sum,
     _exact_sums,
     _ExactSum,
-    _gram,
+    _memo,
     amrr_general,
     amrr_recursive_free,
     amrr_recursive_tied,
@@ -337,7 +338,7 @@ def test_optimal_weights_holds_one_n_length_array():
     # reports its data buffers to tracemalloc)
     n = 200_000
     optimal_weights(1_000, 0, Q21, 2.0)
-    _gram.cache_clear()  # measure a cold solve
+    _memo.clear()  # measure a cold solve
     tracemalloc.start()
     try:
         optimal_weights(n, 0, Q21, 2.0)
@@ -660,9 +661,9 @@ def test_memoised_solves_match_a_cold_solve(n):
     for order in (Q21, Q11, BiasOrder(1.5, 0.7)):
         cold = {}
         for K, n0 in keys:
-            _gram.cache_clear()
+            _memo.clear()
             cold[K, n0] = _solved(n, n0, order, K)
-        _gram.cache_clear()
+        _memo.clear()
         # interleaved: caps sharing a budget's Gram matrix, repeats, and
         # (at n = 2, n0 = 500) infeasible caps between feasible ones
         for K, n0 in keys + keys[::-1] + keys[1::2] + keys[::2]:
@@ -679,9 +680,14 @@ def test_every_call_returns_a_fresh_read_only_weights_array():
     assert first.weights.tobytes() == second.weights.tobytes()
 
 
+def _grams():
+    """The Gram matrices the memo holds."""
+    return sum(key[0] == "gram" for key in _memo.parts)
+
+
 def test_memo_keeps_no_n_length_array():
     n = 200_000
-    _gram.cache_clear()
+    _memo.clear()
     tracemalloc.start()
     try:
         scheme = optimal_weights(n, 0, Q21, 2.0)
@@ -691,7 +697,7 @@ def test_memo_keeps_no_n_length_array():
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert _gram.cache_info().currsize == 1
+    assert _grams() == len(_memo.parts) == 1
     assert kept < 0.05 * 8 * n
 
 
@@ -715,7 +721,7 @@ def test_invalid_and_infeasible_inputs_raise_on_every_call(args, error, message)
     # the messages and their order (counts, then n >= 2, then K) are the
     # unmemoised solver's; a failed Gram matrix leaves no memo entry, a
     # failed cap keeps its budget's valid one
-    _gram.cache_clear()
+    _memo.clear()
     optimal_weights(1_000, 0, Q21, 2.0)
     for _ in range(3):
         for solve in (solve_weights, optimal_weights):
@@ -723,12 +729,27 @@ def test_invalid_and_infeasible_inputs_raise_on_every_call(args, error, message)
                 solve(*args)
             assert str(exc.value) == message
     gram_ok = error is InfeasibleError or message.startswith("K must be positive")
-    assert _gram.cache_info().currsize == 1 + (gram_ok and args[:2] != (1_000, 0))
+    assert _grams() == 1 + (gram_ok and args[:2] != (1_000, 0))
 
 
-def test_equal_keys_share_one_memo_entry_and_the_bits():
+def _counting_builds(monkeypatch):
+    """Record every Gram matrix build from here on."""
+    builds = []
+    monkeypatch.setattr(calibration, "xi_matrix",
+                        lambda *args: builds.append(args) or xi_matrix(*args))
+    return builds
+
+
+def _pinned(n, n0, K):
+    s = optimal_weights(n, n0, Q21, K)
+    fields = repr((s.lambda1, s.lambda2, s.a_star, s.eta_star, s.s_star))
+    return hashlib.sha256(s.weights.tobytes()).hexdigest(), fields
+
+
+def test_equal_keys_share_one_memo_entry_and_the_bits(monkeypatch):
     want = _SOLVER_PINS[100_000, 0, 2.0]
-    _gram.cache_clear()
+    _memo.clear()
+    builds = _counting_builds(monkeypatch)
     for n, n0, order, K in [
         (100_000, 0, BiasOrder(2, 1), 2),
         (np.int64(100_000), np.int64(0), Q21, 2.0),
@@ -739,8 +760,25 @@ def test_equal_keys_share_one_memo_entry_and_the_bits():
         fields = repr((s.lambda1, s.lambda2, s.a_star, s.eta_star, s.s_star))
         assert (hashlib.sha256(s.weights.tobytes()).hexdigest(), fields) == want
         assert (s.n, s.n0, s.K, s.order) == (100_000, 0, 2.0, order)
-    info = _gram.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
+    assert len(builds) == 1 and _grams() == 1
+
+
+def test_an_evicted_gram_matrix_rebuilds_to_the_same_bits(monkeypatch):
+    # a bound of one part: each new budget evicts the last one's Gram
+    # matrix, which a later solve rebuilds, bit for bit; clear() empties
+    # the memo, so the next solve builds once and the one after none
+    monkeypatch.setattr(calibration, "_MEMO_BYTES", calibration._ENTRY_BYTES)
+    _memo.clear()
+    builds = _counting_builds(monkeypatch)
+    keys = [(100_000, 0, 2.0), (10_000, 500, 1.0), (100_000, 0, 1.0), (10_000, 500, 2.0)]
+    for n, n0, K in keys:
+        assert _pinned(n, n0, K) == _SOLVER_PINS[n, n0, K]
+        assert _grams() == len(_memo.parts) == 1
+    assert len(builds) == 4
+    _memo.clear()
+    for _ in range(2):
+        assert _pinned(10_000, 500, 2.0) == _SOLVER_PINS[10_000, 500, 2.0]
+    assert len(builds) == 5
 
 
 def test_pilot_a_formula():

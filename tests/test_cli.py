@@ -13,7 +13,7 @@ import tracemalloc
 import pytest
 
 from bvbal import BiasOrder, amrr_general, optimal_weights
-from bvbal.calibration import _gram
+from bvbal.calibration import _memo
 from bvbal.cli import main
 
 Q21 = BiasOrder(2.0, 1.0)
@@ -234,7 +234,7 @@ def test_streamed_file_is_the_whole_text(capsys, tmp_path, n, n0, K, fmt):
 
 
 def _traced_peak(capsys, *argv):
-    _gram.cache_clear()  # a cold solve
+    _memo.clear()  # a cold solve
     tracemalloc.start()
     try:
         code = main(list(argv))

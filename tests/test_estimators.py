@@ -25,6 +25,7 @@ from bvbal import (
     recursive_estimate,
     weighted_estimate,
 )
+import bvbal.calibration as calibration
 import bvbal.estimators as estimators
 from bvbal.estimators import _memo, _steps, averaged_coefficients, recursion_coefficients
 
@@ -179,10 +180,9 @@ def test_oversized_step_with_offset_clamps_and_warns(caplog):
     assert t0 == 0.0
 
 
-@pytest.mark.parametrize("trace", [False, True], ids=["plain", "trace"])
-def test_each_clamping_run_warns_exactly_once(caplog, trace):
-    # c = 8, n0 = 5 clamps early steps: every run says so once, traced or
-    # not, including a repeated averaged run on cached coefficients
+def test_each_clamping_run_warns_exactly_once(caplog):
+    # c = 8, n0 = 5 clamps early steps: every run says so once, including
+    # a repeated averaged run on cached coefficients
     spec = unit_spec(sigma=0.5)
     sched = DeltaSchedule(1.0, 1.0 / 6.0, n0=5)
     averaged = (averaged_estimate, RecursiveParams(8.0, 0.5),
@@ -196,7 +196,7 @@ def test_each_clamping_run_warns_exactly_once(caplog, trace):
     for estimate, params, message in runs:
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="bvbal.estimators"):
-            estimate(spec, 6, sched, params, StreamKey(3), trace=trace)
+            estimate(spec, 6, sched, params, StreamKey(3))
         assert [r.getMessage() for r in caplog.records] == [message]
 
 
@@ -224,7 +224,7 @@ def test_single_runs_build_their_coefficients_once(monkeypatch):
 
 
 def test_a_part_larger_than_the_bound_is_not_kept(monkeypatch):
-    monkeypatch.setattr(estimators, "_MEMO_BYTES", 100_000)
+    monkeypatch.setattr(calibration, "_MEMO_BYTES", 100_000)
     _memo.clear()
     sched = DeltaSchedule(1.0, 0.25)
     small, big = sched.deltas(1000), sched.deltas(20_000)  # 8 kB and 160 kB
@@ -405,32 +405,25 @@ def test_averaged_requires_beta_below_one():
 
 
 def test_traces():
+    # the recursive estimate is the last iterate of the literal recursion
+    # theta_j = (1 - gamma_j) theta_{j-1} + gamma_j X_j from the origin,
+    # and the averaged estimate is the running mean of its iterates
     spec = unit_spec()
     sched = DeltaSchedule(1.0, Q21.alpha)
     key = StreamKey(31)
     n = 40
     samples = spec.sample_path(sched.deltas(n), key)
-
-    run = baseline_estimate(spec, n, DeltaSchedule(scale=sched.terminal(n), alpha=0.0),
-                            key, trace=True)
-    flat = spec.sample_path(np.full(n, sched.terminal(n)), key)
-    assert np.allclose(run.trace, np.cumsum(flat, axis=0) / np.arange(1, n + 1)[:, None],
-                       rtol=1e-12)
-
-    run = recursive_estimate(spec, n, sched, RecursiveParams(0.9, 1.0), key, trace=True)
-    assert run.trace.shape == (n, 1)
-    assert np.allclose(run.trace[-1], run.estimate, rtol=1e-9)
-    # the trace is the literal iterate sequence
-    cur, gam = 0.0, lambda j: 0.9 / j
-    for j in range(1, 6):
-        cur = (1.0 - gam(j)) * cur + gam(j) * samples[j - 1, 0]
-        assert run.trace[j - 1, 0] == pytest.approx(cur, rel=1e-12)
-
-    run = averaged_estimate(spec, n, sched, RecursiveParams(0.9, 0.5), key, trace=True)
-    assert np.allclose(run.trace[-1], run.estimate, rtol=1e-9)
-
-    run = weighted_estimate(spec, n, sched, np.full(n, 1.0 / n), key, trace=True)
-    assert np.allclose(run.trace[-1], run.estimate, rtol=1e-12)
+    for params, estimate, of_iterates in (
+        (RecursiveParams(0.9, 1.0), recursive_estimate, lambda it: it[-1]),
+        (RecursiveParams(0.9, 0.5), averaged_estimate, lambda it: np.mean(it, axis=0)),
+    ):
+        cur, iterates = np.zeros(1), []
+        for j in range(1, n + 1):
+            gam = params.c * j ** -params.beta
+            cur = (1.0 - gam) * cur + gam * samples[j - 1]
+            iterates.append(cur)
+        run = estimate(spec, n, sched, params, key)
+        assert np.allclose(run.estimate, of_iterates(np.array(iterates)), rtol=1e-9)
 
 
 def test_estimate_array_is_read_only():

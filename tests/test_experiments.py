@@ -6,6 +6,7 @@ import gc
 import hashlib
 import logging
 import math
+import re
 import statistics
 import sys
 import threading
@@ -15,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-import bvbal.estimators as estimators
+import bvbal.calibration as calibration
 import bvbal.experiments as experiments
 from bvbal import (
     BiasOrder,
@@ -42,8 +43,7 @@ from bvbal import (
     run_experiment,
     weighted_estimate,
 )
-from bvbal.calibration import phi_sum, xi_matrix, ztilde_squared
-from bvbal.estimators import _memo
+from bvbal.calibration import _memo, phi_sum, xi_matrix, ztilde_squared
 from bvbal.experiments import CSV_HEADER, MAX_WORKERS, MM1_BUDGETS_FULL
 
 from helpers import unit_spec
@@ -258,14 +258,18 @@ def test_memo_parts_are_read_only(solves):
     # per budget: the running mean's coefficients (the baseline's and the
     # recursive entry's), the averaged ones, three deltas arrays (the
     # baseline's constant one, the one the recursive and averaged entries
-    # share, the weighted one), the weight scheme and its risk sums
+    # share, the weighted one), the weight scheme, its risk sums, and the
+    # solver's Gram matrix, the one part without an array
     run_experiment(small_config())
-    arrays = {"recursive": lambda v: v[0], "averaged": lambda v: v[0],
-              "deltas": lambda v: v, "weights": lambda v: v.weights, "risk sums": lambda v: v}
+    arrays = {"recursive": lambda v: v[0], "averaged": lambda v: v[0], "deltas": lambda v: v,
+              "weights": lambda v: v.weights, "risk sums": lambda v: v, "gram": lambda v: None}
     parts = [(key[0], arrays[key[0]](value)) for key, (value, _) in _memo.parts.items()]
     assert sorted(kind for kind, _ in parts) == sorted(
-        ["recursive", "averaged", "deltas", "deltas", "deltas", "weights", "risk sums"] * 2)
-    for _, array in parts:
+        ["recursive", "averaged", "deltas", "deltas", "deltas", "weights", "risk sums",
+         "gram"] * 2)
+    assert all(charge == calibration._ENTRY_BYTES
+               for key, (_, charge) in _memo.parts.items() if key[0] == "gram")
+    for _, array in (part for part in parts if part[0] != "gram"):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
@@ -293,7 +297,7 @@ def test_the_memo_retains_at_most_its_bound(monkeypatch, solves):
     # a small one: the memo keeps the most recent parts within the bound,
     # and the memory still held after both runs is about that much
     bound = 2**20
-    monkeypatch.setattr(estimators, "_MEMO_BYTES", bound)
+    monkeypatch.setattr(calibration, "_MEMO_BYTES", bound)
     large = small_config(budgets=(40_000, 60_000), replications=2)
     run_experiment(small_config(budgets=(7,)))  # lazy imports are not the memo's
     gc.collect()
@@ -733,6 +737,20 @@ def test_experiment_config_validation():
         small_config(n0=-1)
     with pytest.raises(ConfigurationError):
         small_config(baseline_d=0.0)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("estimators", ("baseline",), "estimators entries must be EstimatorSetting, got 'baseline'"),
+    ("estimators", (EstimatorSetting("baseline"), None),
+     "estimators entries must be EstimatorSetting, got None"),
+    ("model", "x", "model must be a SyntheticOracleSpec or a QueueSetting, got 'x'"),
+    ("model", QueueParams(4.0, 4.0, 10), "model must be a SyntheticOracleSpec or a QueueSetting"),
+], ids=["str-entry", "none-entry", "str-model", "queue-params-model"])
+def test_config_rejects_an_entry_or_a_model_of_another_type(field, value, message):
+    # they were accepted; run_experiment then raised AttributeError ('str'
+    # object has no attribute 'label' / 'make_oracle') and hash() TypeError
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        small_config(**{field: value})
 
 
 @pytest.mark.parametrize("setting", [

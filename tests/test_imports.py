@@ -5,6 +5,7 @@ removed function cannot linger as a stale export."""
 import ast
 import importlib
 import pathlib
+import re
 
 import pytest
 
@@ -45,6 +46,16 @@ def test_budget_rule_is_written_once():
     copies = [path.name for path in PACKAGE_DIR.glob("*.py")
               if "budget n must be a positive integer" in path.read_text()]
     assert copies == ["estimators.py"]
+
+
+def test_cache_is_written_once():
+    # `calibration._memo` is the package's one cache, with one bound and
+    # one clear(); a second cache would keep what clear() leaves warm
+    sources = {path.name: path.read_text() for path in PACKAGE_DIR.glob("*.py")}
+    other = re.compile(r"lru_cache|cached_property|functools\.cache\b"
+                       r"|from functools import [^\n]*\bcache\b")
+    assert [name for name, text in sources.items() if other.search(text)] == []
+    assert sum(text.count("_Memo(") for text in sources.values()) == 1
 
 
 @pytest.mark.parametrize("module", MODULES)
