@@ -43,8 +43,9 @@ holds in any summation order; when both bounds are clear of half the
 1e-10 tolerance that pass decides, and otherwise the exact sums do, so
 every rejection and its message are the exact kernel's.  The solver's
 O(n) passes make their terms block by block in cache-sized buffers:
-`solve_weights` allocates no n-length array, and the weights that
-`materialise` builds are the only one of `optimal_weights`.
+`solve_weights` allocates no n-length array, and `materialise` fills the
+weights, the only n-length array of `optimal_weights`, in the same
+block pass that checks them.
 
 The package's one cache, `_memo`, lives here: a byte-bounded memo of
 read-only parts, shared with `bvbal.estimators` and `bvbal.experiments`
@@ -64,7 +65,8 @@ import contextlib
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, fields
+from collections.abc import Callable
+from dataclasses import InitVar, dataclass, fields
 from functools import partial
 from itertools import islice
 from typing import NamedTuple
@@ -164,6 +166,12 @@ def weight_decay_exponents(order: BiasOrder) -> tuple[float, float]:
     weight family for a given bias/noise order."""
     s = order.q1 + order.q2
     return (order.q1 + 2.0 * order.q2) / (2.0 * s), order.q2 / s
+
+
+def _bias_exponent(order: BiasOrder) -> float:
+    """-alpha q1, the exponent of the per-draw bias factor (j + n0)**(-alpha q1)
+    that `WeightScheme` checks the weights' bias sum with."""
+    return -order.alpha * order.q1
 
 
 def _check_counts(n: int, n0: int, minimum: int = 1) -> tuple[int, int]:
@@ -679,23 +687,29 @@ class WeightSolution:
 
     def materialise(self) -> WeightScheme:
         """The n weights lambda1 (j+n0)**(-kappa_fast) + lambda2
-        (j+n0)**(-kappa_slow), built block by block into a fresh array
-        (the only n-length one), as a `WeightScheme` that self-checks
-        them."""
+        (j+n0)**(-kappa_slow), as a `WeightScheme` that self-checks them.
+
+        A fresh array (the only n-length one) is handed to the constructor
+        unfilled, with a fill that writes each block as its check reads
+        it, so the weights are built and checked in one block pass and
+        never re-read.  Where the check's bias power (j+n0)**(-alpha q1)
+        is (j+n0)**(-kappa_slow) bit for bit (q1 = 2 q2), the fill reuses
+        it."""
         kf, ks = weight_decay_exponents(self.order)
-        w = np.empty(self.n)
-        j = np.empty(min(self.n, _BLOCK))
-        for lo in range(0, self.n, _BLOCK):
-            wb = w[lo : lo + _BLOCK]
-            jb = _arange_into(j[: wb.shape[0]], lo, 1.0)
-            jb += self.n0
+        shared = -ks == _bias_exponent(self.order)
+
+        def fill(wb: np.ndarray, jb: np.ndarray, power: np.ndarray) -> None:
             np.power(jb, -kf, out=wb)
             wb *= self.lambda1
-            jb **= -ks
-            jb *= self.lambda2
+            if shared:
+                np.multiply(power, self.lambda2, out=jb)
+            else:
+                jb **= -ks
+                jb *= self.lambda2
             wb += jb
-        return WeightScheme(weights=w, **{f.name: getattr(self, f.name)
-                                          for f in fields(WeightSolution)})
+
+        return WeightScheme(weights=np.empty(self.n), _fill=fill,
+                            **{f.name: getattr(self, f.name) for f in fields(WeightSolution)})
 
 
 @dataclass(frozen=True)
@@ -706,14 +720,21 @@ class WeightScheme(WeightSolution):
     a_star, with 0 < eta_star within the finite cap K, a known regime and
     a finite k_min > 0.
 
-    The two sums are checked within 1e-10.  A bounded pass
-    (`_bounded_sums`) accepts them when each estimate is within half that
-    of its target with its error bound added; otherwise the exact sums
-    (`_exact_sums`, fsum's bits) decide, and name the failing value."""
+    The two sums are checked within 1e-10, over blocks of the weights and
+    their bias terms w_j (j+n0)**(-alpha q1).  The blocks are read from
+    the weights array; `WeightSolution.materialise` passes a private
+    ``_fill`` that writes each weight block first, so its weights are
+    built in the same pass and stay the only n-length array.  A bounded
+    pass (`_bounded_sums`) accepts the sums when each estimate is within
+    half the tolerance of its target with its error bound added, which
+    also proves every weight finite; otherwise the finished array is
+    checked for finiteness and the exact sums (`_exact_sums`, fsum's
+    bits) decide, and name the failing value."""
 
     weights: np.ndarray
+    _fill: InitVar[Callable[[np.ndarray, np.ndarray, np.ndarray], None] | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _fill) -> None:
         positive(self.K, "K must be positive")
         if not 0 < self.eta_star <= self.K + 1e-9:
             raise ValueError(f"scale inflation eta*={self.eta_star!r} outside (0, K={self.K!r}]")
@@ -723,31 +744,34 @@ class WeightScheme(WeightSolution):
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.n,):
             raise ValueError(f"weights must have shape ({self.n},), got {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        # the terms of sum w and sum (j + n0)**(-alpha q1) w, block by block
-        exponent = -self.order.alpha * self.order.q1
-        j = np.empty(min(w.shape[0], _BLOCK))
+        n, exponent = w.shape[0], _bias_exponent(self.order)
+        j, power = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
 
-        def blocks(lo: int, hi: int):
-            yield w[lo:hi]
+        def blocks(fill, lo: int, hi: int):
+            # the terms of sum w and sum (j + n0)**(-alpha q1) w; ``fill``,
+            # if any, writes w[lo:hi] from j + n0 and that power first
             jb = _arange_into(j[: hi - lo], lo, 1.0)
             jb += self.n0
-            jb **= exponent
-            jb *= w[lo:hi]
-            yield jb
+            pb = np.power(jb, exponent, out=power[: hi - lo])
+            if fill is not None:
+                fill(w[lo:hi], jb, pb)
+            yield w[lo:hi]
+            pb *= w[lo:hi]
+            yield pb
 
         # bounds clear of half the tolerance pass both checks, as the exact
         # sums below would; anything else is decided by those
-        bounded = _bounded_sums(w.shape[0], blocks, 2)
+        bounded = _bounded_sums(n, partial(blocks, _fill), 2)
+        w.setflags(write=False)
         if bounded is not None:
             (t0, e0), (t1, e1) = bounded
             if (abs(t0 - 1.0) + e0 <= 0.5e-10 and math.isfinite(self.a_star)
                     and abs(t1 - self.a_star) + e1 <= 0.5e-10 * max(1.0, abs(self.a_star))):
                 return
-        sums = _exact_sums(w.shape[0], blocks, 2)
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
+        sums = _exact_sums(n, partial(blocks, None), 2)
         total = sums[0].value()
         if not abs(total - 1.0) <= 1e-10 * max(1.0, abs(total)):
             raise ValueError(f"weights must sum to 1 within 1e-10, got {total!r}")

@@ -210,10 +210,10 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         C = ConfigurationError
-        budgets = tuple(_check_budget(n, error=C) for n in self.budgets)
-        if not self.estimators:
+        budgets = tuple(_check_budget(n, error=C) for n in _entries(self.budgets, "budgets"))
+        estimators = _entries(self.estimators, "estimators")
+        if not estimators:
             raise C("at least one estimator entry is required")
-        estimators = tuple(self.estimators)
         for s in estimators:
             if not isinstance(s, EstimatorSetting):
                 raise C(f"estimators entries must be EstimatorSetting, got {s!r}")
@@ -263,6 +263,19 @@ class ExperimentConfig:
     def hash(self) -> str:
         text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _entries(value, name: str) -> tuple:
+    """The entries of an `ExperimentConfig` field that takes several, as a
+    tuple; a str or bytes, or a value that is not iterable (a bare
+    entry), is rejected with the field's name."""
+    try:
+        entries = iter(value)
+    except TypeError:
+        entries = None
+    if entries is None or isinstance(value, (str, bytes)):
+        raise ConfigurationError(f"{name} must be a sequence of entries, got {value!r}")
+    return tuple(entries)
 
 
 def _check_synthetic_d(d: float, order: BiasOrder, what: str = "baseline_d") -> None:

@@ -953,6 +953,57 @@ def test_weight_checks_take_the_bounded_pass(n0, K, monkeypatch):
     assert calls == []
 
 
+def _hand_solution(n, n0, order):
+    """A `WeightSolution` whose weights put half their mass on each decay
+    component (any n0, where a solve may fail), with a* their exact bias
+    sum, and those weights from whole arrays."""
+    kf, ks = weight_decay_exponents(order)
+    j = np.arange(1, n + 1, dtype=float) + n0
+    lambda1, lambda2 = 0.5 / math.fsum(j**-kf), 0.5 / math.fsum(j**-ks)
+    w = j**-kf * lambda1 + j**-ks * lambda2
+    a_star = math.fsum(j ** (-order.alpha * order.q1) * w)
+    solution = WeightSolution(lambda1=lambda1, lambda2=lambda2, a_star=a_star, eta_star=1.0,
+                              s_star=1.0, n=n, n0=n0, K=2.0, order=order,
+                              regime="boundary", k_min=1.0)
+    return solution, w
+
+
+_FUSED_ORDERS = {"2-1": (Q21, True), "1-0.5": (BiasOrder(1.0, 0.5), True),
+                 "1-1": (Q11, False), "1.5-0.5": (BiasOrder(1.5, 0.5), False),
+                 "1-3": (BiasOrder(1.0, 3.0), False)}
+
+
+@pytest.mark.parametrize("name", list(_FUSED_ORDERS))
+@pytest.mark.parametrize("n0", [0, 500, 10**9])
+@pytest.mark.parametrize("n", [2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+def test_materialise_checks_the_blocks_it_fills(name, n0, n, monkeypatch):
+    # materialise fills each weight block as the bounded pass reads it; its
+    # (estimate, bound) pairs are, bit for bit, those of the same pass over
+    # the blocks the constructor reads from the finished array, and the
+    # weights are those of whole-array arithmetic.  Where q1 = 2 q2 the
+    # check's bias power is kappa_slow's, and the fill reuses it
+    order, shared = _FUSED_ORDERS[name]
+    assert (-weight_decay_exponents(order)[1] == -order.alpha * order.q1) == shared
+    solution, w = _hand_solution(n, n0, order)
+    pairs, bounded = [], calibration._bounded_sums
+    monkeypatch.setattr(calibration, "_bounded_sums",
+                        lambda *args: pairs.append(bounded(*args)) or pairs[-1])
+    scheme = solution.materialise()
+    assert scheme.weights.tobytes() == w.tobytes()
+    WeightScheme(weights=w, **{f.name: getattr(solution, f.name)
+                               for f in dataclasses.fields(WeightSolution)})
+    assert len(pairs) == 2 and pairs[0] is not None
+    assert [(t.hex(), e.hex()) for t, e in pairs[0]] == [(t.hex(), e.hex()) for t, e in pairs[1]]
+
+
+def test_materialise_rejects_weights_its_fill_overflows():
+    # the fill runs inside the bounded pass, which leaves an overflow
+    # undecided; the finished array's finiteness check then rejects it
+    solution = dataclasses.replace(_hand_solution(3, 0, Q21)[0], lambda1=1e308, lambda2=1e308)
+    with pytest.raises(ValueError, match="weights must be finite"):
+        solution.materialise()
+
+
 @pytest.mark.parametrize("d", [math.inf, -math.inf, math.nan])
 def test_weight_scheme_deltas_reject_a_non_finite_scale(d):
     # an infinite d would give an all-inf schedule, which DeltaSchedule

@@ -753,6 +753,25 @@ def test_config_rejects_an_entry_or_a_model_of_another_type(field, value, messag
         small_config(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("budgets", 64), ("budgets", "64"), ("estimators", EstimatorSetting("baseline")),
+], ids=["int-budgets", "str-budgets", "bare-estimator"])
+def test_config_rejects_a_field_that_is_not_a_sequence(field, value):
+    # each raised a plain TypeError that named no field: "... object is
+    # not iterable", or for "64" a str compared with an int
+    with pytest.raises(ConfigurationError,
+                       match=re.escape(f"{field} must be a sequence of entries, got {value!r}")):
+        small_config(**{field: value})
+
+
+def test_config_takes_iterators_of_valid_entries():
+    entries = (EstimatorSetting("baseline"), EstimatorSetting("weighted"))
+    config = small_config(budgets=iter([64, 128]), estimators=iter(entries))
+    assert config.budgets == (64, 128) and config.estimators == entries
+    with pytest.raises(ConfigurationError, match="at least one estimator entry"):
+        small_config(estimators=iter(()))
+
+
 @pytest.mark.parametrize("setting", [
     EstimatorSetting("recursive", c=-1.0),
     EstimatorSetting("recursive", beta=2.0),
