@@ -21,8 +21,10 @@ this module answers two questions about spending a budget of n draws:
   kappa_slow = q2 / (q1 + q2), pinned by two linear constraints: the
   weights sum to one and the weighted bias sum equals a free scalar a.
   The outer problem over a is one-dimensional; `solve_a_star` minimizes
-  it.  `solve_weights` solves the whole problem in O(1) memory and
-  returns a `WeightSolution` (a*, eta*, lambda1, lambda2, S*, the regime
+  it over the positive feasible interval, where a* always lies (a
+  negative level loses to its mirror, since xi12 < 0).  `solve_weights`
+  solves the whole problem in O(1) memory and returns a
+  `WeightSolution` (a*, eta*, lambda1, lambda2, S*, the regime
   and the smallest feasible cap K_min); its `materialise` method builds
   and self-checks the n weights as a `WeightScheme`, which is that
   solution with its weights, so `optimal_weights(...).regime` and
@@ -477,13 +479,20 @@ def feasible_intervals(xi: XiMatrix, order: BiasOrder, K: float) -> list[tuple[f
         (K**(2 (q1 + q2)) - xi11) a**2 - 2 xi12 a - xi22 >= 0.
 
     Since xi22 > 0, a = 0 is never feasible, so each interval lies in one
-    sign and there are at most two of them.  Endpoints may be +-inf; an
-    empty list means the cap is infeasible at this (n, K).  ``order`` must
-    be the order ``xi`` was built for.  A K whose K**(2 (q1 + q2))
-    overflows is rejected, with the bound on K.
+    sign and there are at most two of them.  xi12 = -phi12 / det < 0, as
+    in every Gram matrix `xi_matrix` builds, makes the last one positive:
+    [root, inf) or [xi22 / (-2 xi12), inf) when the a**2 coefficient is
+    positive or zero, and the span of two positive roots when it is
+    negative.  Endpoints may be +-inf; an empty list means the cap is
+    infeasible at this (n, K).  ``order`` must be the order ``xi`` was
+    built for; an ``xi`` with xi12 >= 0 (only a hand-built one) is
+    rejected, and so is a K whose K**(2 (q1 + q2)) overflows, with the
+    bound on K.
     """
     if order != xi.order:
         raise ValueError(f"order {order} differs from the Gram matrix's {xi.order}")
+    if not xi.xi12 < 0.0:
+        raise ValueError(f"xi12 must be negative, as in every Gram matrix, got {xi.xi12}")
     positive(K, "K must be positive")
     try:
         A = float(K) ** (2.0 * (order.q1 + order.q2)) - xi.xi11
@@ -496,26 +505,23 @@ def feasible_intervals(xi: XiMatrix, order: BiasOrder, K: float) -> list[tuple[f
         lo, hi = _quadratic_roots(A, B, C)  # opposite signs: C/A < 0
         return [(-math.inf, lo), (hi, math.inf)]
     if A == 0.0:
-        if B > 0.0:
-            return [(-C / B, math.inf)]
-        if B < 0.0:
-            return [(-math.inf, -C / B)]
-        return []
+        return [(-C / B, math.inf)]
     roots = _quadratic_roots(A, B, C)
     if roots is None:
         return []
     return [roots]
 
 
-def _golden_minimize(f, lo: float, hi: float, rtol: float = _GOLDEN_RTOL) -> float:
-    """Golden-section argmin of f on [lo, hi]; compares the interior
-    optimum against both endpoints, so boundary minima are found."""
+def _golden_minimize(f, lo: float, hi: float) -> float:
+    """Golden-section argmin of f on [lo, hi] to relative tolerance
+    _GOLDEN_RTOL; compares the interior optimum against both endpoints,
+    so boundary minima are found."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while abs(b - a) > rtol * max(abs(a), abs(b), 1e-300):
+    while abs(b - a) > _GOLDEN_RTOL * max(abs(a), abs(b), 1e-300):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -529,39 +535,26 @@ def _golden_minimize(f, lo: float, hi: float, rtol: float = _GOLDEN_RTOL) -> flo
     return candidates[int(np.argmin(values))]
 
 
-def _minimize_on_interval(
-    lo: float, hi: float, xi: XiMatrix, pilot: float
-) -> tuple[float, float]:
-    """Grid-then-golden minimizer of the risk objective on one feasible
-    interval.  Unbounded ends are capped at a multiple of the asymptotic
-    pilot magnitude and the cap is extended whenever the grid argmin lands
-    on it, so a capped bracket never hides the optimum."""
+def _minimize_on_interval(lo: float, hi: float, xi: XiMatrix, pilot: float) -> float:
+    """Grid-then-golden minimizer of the risk objective on one positive
+    feasible interval.  An unbounded hi is capped at a multiple of the
+    asymptotic pilot magnitude and the cap is extended whenever the grid
+    argmin lands on it, so a capped bracket never hides the optimum."""
     if lo == hi:
-        return lo, _objective(lo, xi)
-    sign = 1.0 if hi > 0 else -1.0
-    # magnitudes of the endpoints along the interval's sign
-    if sign > 0:
-        m_near, m_far = lo, hi
-    else:
-        m_near, m_far = -hi, -lo
-    capped = math.isinf(m_far)
-    m_cap = max(_PILOT_CAP_FACTOR * pilot, 10.0 * m_near) if capped else m_far
+        return lo
+    capped = math.isinf(hi)
+    cap = max(_PILOT_CAP_FACTOR * pilot, 10.0 * lo) if capped else hi
     while True:
-        grid = sign * np.geomspace(m_near, m_cap, _GRID_POINTS)
-        grid[0] = sign * m_near  # exact feasibility boundary
+        grid = np.geomspace(lo, cap, _GRID_POINTS)
+        grid[0] = lo  # exact feasibility boundary
         if not capped:
-            grid[-1] = sign * m_far
-        vals = _objective(grid, xi)
-        idx = int(np.argmin(vals))
-        if capped and idx >= _GRID_POINTS - 2:
-            m_cap *= 100.0
-            continue
-        break
-    lo_b = grid[max(idx - 1, 0)]
-    hi_b = grid[min(idx + 1, _GRID_POINTS - 1)]
-    lo_b, hi_b = min(lo_b, hi_b), max(lo_b, hi_b)
-    best = _golden_minimize(lambda x: _objective(x, xi), lo_b, hi_b)
-    return best, _objective(best, xi)
+            grid[-1] = hi
+        idx = int(np.argmin(_objective(grid, xi)))
+        if not capped or idx < _GRID_POINTS - 2:
+            break
+        cap *= 100.0
+    return _golden_minimize(lambda x: _objective(x, xi), grid[max(idx - 1, 0)],
+                            grid[min(idx + 1, _GRID_POINTS - 1)])
 
 
 def _over_power(num: float, factor: float, K: float, p: float) -> float:
@@ -588,10 +581,10 @@ def solve_a_star(xi: XiMatrix, order: BiasOrder, K: float) -> float:
     """Optimal bias-sum level a*: argmin of the size-free worst-case risk
     over the feasible set of the inflation cap K.
 
-    Dense log-spaced grids (anchored at the asymptotic pilot magnitude)
-    locate the basin on each feasible interval; golden-section refinement
-    takes it to relative tolerance 1e-12.  Exact ties between a positive
-    and a negative candidate break toward the positive one.
+    Only the positive feasible interval is searched: a dense log-spaced
+    grid (anchored at the asymptotic pilot magnitude) locates the basin,
+    and golden-section refinement takes it to relative tolerance 1e-12.
+    That search rests on xi12 < 0, which `feasible_intervals` checks.
 
     Raises
     ------
@@ -608,14 +601,11 @@ def solve_a_star(xi: XiMatrix, order: BiasOrder, K: float) -> float:
             f"no feasible weight scheme at n={xi.n}, K={K}: the inflation "
             f"cap excludes every bias-sum level (needs K >= {k_min:.6g})"
         )
-    pilot = pilot_a(xi, K)
-    best_a, best_val = None, math.inf
-    for lo, hi in intervals:
-        a, val = _minimize_on_interval(lo, hi, xi, pilot)
-        incumbent = best_a if best_a is not None else -math.inf
-        if val < best_val or (val == best_val and a > incumbent):
-            best_a, best_val = a, val
-    return float(best_a)
+    # With xi12 < 0, ztilde_squared(-a) - ztilde_squared(a) = -4 xi12 a > 0
+    # for a > 0: a feasible a < 0 leaves -a feasible at a smaller risk, so
+    # a* lies on the positive interval, the last one.
+    lo, hi = intervals[-1]
+    return float(_minimize_on_interval(lo, hi, xi, pilot_a(xi, K)))
 
 
 def eta_balance(a: float, xi: XiMatrix) -> float:
@@ -816,7 +806,7 @@ def solve_weights(n: int, n0: int, order: BiasOrder, K: float) -> WeightSolution
         raise InfeasibleError(
             f"solver returned an infeasible bias-sum level at n={xi.n}, K={K}"
         )
-    boundary = any(a_star in ends for ends in feasible_intervals(xi, order, K))
+    boundary = a_star in feasible_intervals(xi, order, K)[-1]
     return WeightSolution(
         lambda1=float(lam[0]),
         lambda2=float(lam[1]),

@@ -74,8 +74,11 @@ class DeltaSchedule:
         object.__setattr__(self, "n0", count(self.n0, "n0 must be a non-negative integer"))
 
     def delta(self, j: int) -> float:
+        """delta_j, bit for bit ``deltas(n)[j - 1]``: the same numpy power
+        on a one-element array."""
         j = count(j, "draw index must be an integer >= 1", 1)
-        return self.scale * float(j + self.n0) ** (-self.alpha)
+        size = float(self.scale) * (np.array([j], dtype=float) + self.n0) ** (-float(self.alpha))
+        return float(size[0])
 
     def deltas(self, n: int) -> np.ndarray:
         """The n sizes delta_1..delta_n, one shared read-only array per
@@ -523,7 +526,7 @@ def chung_recursion_check(c_seq, b_seq, alpha: float, steps: int,
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    steps = _check_budget(steps)
+    steps = count(steps, "steps must be a positive integer", 1)
     cf = c_seq if callable(c_seq) else (lambda _n, _c=float(c_seq): _c)
     bf = b_seq if callable(b_seq) else (lambda _n, _b=float(b_seq): _b)
     v = float(v0)

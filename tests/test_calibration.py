@@ -520,16 +520,36 @@ def test_solver_rejects_an_order_the_gram_matrix_was_not_built_for():
     assert solve_a_star(xi, BiasOrder(2, 1), 2.0) == solve_a_star(xi, Q21, 2.0)
 
 
+def test_solver_rejects_a_gram_matrix_without_negative_xi12():
+    # the positive-interval search rests on xi12 < 0, which every Gram
+    # matrix has; only a hand-built one can break it
+    for v in (0.0, 0.5):
+        xi = dataclasses.replace(xi_matrix(Q21, 100), xi12=v)
+        with pytest.raises(ValueError, match="xi12 must be negative"):
+            feasible_intervals(xi, Q21, 2.0)
+        with pytest.raises(ValueError, match="xi12 must be negative"):
+            solve_a_star(xi, Q21, 2.0)
+
+
 # ------------------------------------------------------------- the solver
 
 
 def test_solver_beats_dense_grid():
-    for n, K in ((200, 1.2), (50, 1.0), (1000, 0.8)):
-        xi = xi_matrix(Q21, n)
-        a_star = solve_a_star(xi, Q21, K)
+    # the solver searches the positive interval only; a* must also beat a
+    # dense grid on the negative one, where there is one.  The last input
+    # is a huge cap whose best negative level is within 4e-14 relative
+    cases = [(Q21, n, 0, K) for n, K in ((200, 1.2), (50, 1.0), (1000, 0.8))]
+    cases += [(Q21, 10_000, 500, 2.0), (Q21, 10_000, 500, 4.0),
+              (Q11, 10_000, 0, 2.0), (BiasOrder(0.5, 2.0), 10_000, 0, 2.0),
+              (BiasOrder(4.0, 0.5), 10_000, 500, 2.0), (BiasOrder(1.0, 3.0), 10_000, 0, 1.0),
+              (BiasOrder(4.0, 0.5), 10_000, 0, 1e3)]
+    for order, n, n0, K in cases:
+        xi = xi_matrix(order, n, n0)
+        a_star = solve_a_star(xi, order, K)
+        assert a_star > 0.0
         best = objective(a_star, xi)
         pilot = pilot_a(xi, K)
-        for lo, hi in feasible_intervals(xi, Q21, K):
+        for lo, hi in feasible_intervals(xi, order, K):
             lo = max(lo, -1e3 * pilot) if math.isinf(lo) else lo
             hi = min(hi, 1e3 * pilot) if math.isinf(hi) else hi
             sign = math.copysign(1.0, lo + hi)

@@ -46,6 +46,12 @@ def test_delta_schedule_values():
     assert b.alpha == Q21.alpha and b.scale == 1.5 and b.n0 == 0
     flat = DeltaSchedule(scale=0.7, alpha=0.0)
     assert np.all(flat.deltas(5) == 0.7)
+    # delta(j) is deltas(n)[j - 1] bit for bit; Python's float power
+    # differed from numpy's array power at thousands of positions
+    for sched in (DeltaSchedule(1.0, 1.0), DeltaSchedule(2.0, 0.5, 3),
+                  DeltaSchedule(0.7, 0.25, 500), DeltaSchedule(1.3, 1.0 / 6.0)):
+        sizes = sched.deltas(5000)
+        assert all(sched.delta(j) == sizes[j - 1] for j in range(1, 5001))
 
 
 def test_delta_schedule_validation():
@@ -700,5 +706,5 @@ def test_comparison_recursion_validation():
         chung_recursion_check(2.0, 4.0, 0.0, 100)
     with pytest.raises(ValueError):
         chung_recursion_check(2.0, 4.0, 1.5, 100)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^steps must be a positive integer, got 0$"):
         chung_recursion_check(2.0, 4.0, 1.0, 0)
