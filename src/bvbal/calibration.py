@@ -176,11 +176,12 @@ def _bias_exponent(order: BiasOrder) -> float:
     return -order.alpha * order.q1
 
 
-def _check_counts(n: int, n0: int, minimum: int = 1) -> tuple[int, int]:
-    n = count(n, f"n must be an integer >= {minimum}", minimum)
-    n0 = count(n0, "n0 must be a non-negative integer")
+def _check_counts(n: int, n0: int, minimum: int = 1,
+                  error: type[ValueError] = ValueError) -> tuple[int, int]:
+    n = count(n, f"n must be an integer >= {minimum}", minimum, error=error)
+    n0 = count(n0, "n0 must be a non-negative integer", error=error)
     if n + n0 > 2**53:
-        raise ValueError(
+        raise error(
             f"n + n0 must be at most 2**53, got n={n}, n0={n0}: past it "
             "j + n0 is not an exact double"
         )
@@ -594,18 +595,27 @@ def solve_a_star(xi: XiMatrix, order: BiasOrder, K: float) -> float:
     """
     intervals = feasible_intervals(xi, order, K)
     if not intervals:
-        # min over a of ztilde^2/a^2 is det(Xi)/xi22 = 1/phi(1), so the
-        # smallest cap any weighting can respect is phi(1)**(-alpha).
-        k_min = xi.phi11 ** -order.alpha
-        raise InfeasibleError(
-            f"no feasible weight scheme at n={xi.n}, K={K}: the inflation "
-            f"cap excludes every bias-sum level (needs K >= {k_min:.6g})"
-        )
+        raise _infeasible(xi, order, K, "no feasible weight scheme",
+                          ": the inflation cap excludes every bias-sum level")
     # With xi12 < 0, ztilde_squared(-a) - ztilde_squared(a) = -4 xi12 a > 0
     # for a > 0: a feasible a < 0 leaves -a feasible at a smaller risk, so
     # a* lies on the positive interval, the last one.
     lo, hi = intervals[-1]
     return float(_minimize_on_interval(lo, hi, xi, pilot_a(xi, K)))
+
+
+def _k_min(xi: XiMatrix, order: BiasOrder) -> float:
+    """The smallest cap any weighting can respect: min over a of
+    ztilde^2/a^2 is det(Xi)/xi22 = 1/phi(1), so it is phi(1)**(-alpha)."""
+    return xi.phi11 ** -order.alpha
+
+
+def _infeasible(xi: XiMatrix, order: BiasOrder, K: float, head: str,
+                tail: str = "") -> InfeasibleError:
+    """The `InfeasibleError` for cap K at xi's n; every such message ends
+    by naming the smallest feasible cap."""
+    return InfeasibleError(
+        f"{head} at n={xi.n}, K={K}{tail} (needs K >= {_k_min(xi, order):.6g})")
 
 
 def eta_balance(a: float, xi: XiMatrix) -> float:
@@ -803,9 +813,7 @@ def solve_weights(n: int, n0: int, order: BiasOrder, K: float) -> WeightSolution
     lam = np.linalg.solve(xi.phi_array(), np.array([a_star, 1.0]))
     eta_star = eta_balance(a_star, xi)
     if eta_star > K + 1e-9:
-        raise InfeasibleError(
-            f"solver returned an infeasible bias-sum level at n={xi.n}, K={K}"
-        )
+        raise _infeasible(xi, order, K, "solver returned an infeasible bias-sum level")
     boundary = a_star in feasible_intervals(xi, order, K)[-1]
     return WeightSolution(
         lambda1=float(lam[0]),
@@ -818,7 +826,7 @@ def solve_weights(n: int, n0: int, order: BiasOrder, K: float) -> WeightSolution
         K=float(K),
         order=order,
         regime="boundary" if boundary else "interior",
-        k_min=xi.phi11 ** -order.alpha,
+        k_min=_k_min(xi, order),
     )
 
 

@@ -15,14 +15,14 @@ writes byte-identical files.
 
 A --config file holds one ``key=value`` per line of UTF-8 text (``#``
 starts a comment line) and serves as defaults.  Keys are the command's
-long option names with ``_`` for ``-`` (``allow_large``, ``max_budget``);
-each value is parsed and checked by the flag's own argparse action, so it
-takes the values the flag takes (a switch takes true/false, and ``n``
-lines add budgets as repeated ``--n`` flags do).  Flags on the command line
-override the file, ``--n`` included: any ``--n`` replaces the file's
-budgets.  A key that belongs to another command is ignored; an unknown
-key or a rejected value exits 2 and names the file and line; a file that
-is not UTF-8, or a budget given twice, exits 2 too.
+long option names with ``_`` for ``-`` (``max_budget``); each value is
+parsed and checked by the flag's own argparse action, so it takes the
+values the flag takes (``n`` lines add budgets as repeated ``--n`` flags
+do).  Flags on the command line override the file, ``--n`` included: any
+``--n`` replaces the file's budgets.  A key that belongs to another
+command is ignored; an unknown key or a rejected value exits 2 and names
+the file and line; a file that is not UTF-8, or a budget given twice,
+exits 2 too.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ __all__ = ["main"]
 # weights per chunk of a `bvbal weights` file: the file is written block by
 # block, so no text of n rows is ever held
 _ROWS = 4096
-_SWITCH = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _flag(convert: Callable, rule: Callable, what: str, *bounds: int) -> Callable:
@@ -88,7 +87,7 @@ class _Budgets(argparse.Action):
 
 def _read_config(path: str, commands: dict, command: str) -> dict:
     """Defaults for ``command`` from a --config file, each value run through
-    the action of the flag it names (its type, choices, switch or append)."""
+    the action of the flag it names (its type, choices or append)."""
     parser = commands[command]
     skip = ("help", "config")
     known = {a.dest for p in commands.values() for a in p._actions} - set(skip)
@@ -113,15 +112,8 @@ def _read_config(path: str, commands: dict, command: str) -> dict:
         action = actions.get(key)
         if action is None:
             continue  # an option of another command
-        try:
-            if action.nargs == 0:  # a switch: true sets it, false leaves it off
-                if value.lower() not in _SWITCH:
-                    raise argparse.ArgumentError(
-                        action, f"expected true or false, got {value!r}")
-                if _SWITCH[value.lower()]:
-                    action(parser, ns, [])
-            else:  # argparse's own conversion and choices check for one value
-                action(parser, ns, parser._get_values(action, [value]))
+        try:  # argparse's own conversion and choices check for one value
+            action(parser, ns, parser._get_values(action, [value]))
         except argparse.ArgumentError as exc:
             raise ConfigurationError(f"{where}: {exc}") from None
         seen.add(key)
@@ -292,15 +284,12 @@ def _cmd_run_mm1(args) -> int:
 
 
 def _cmd_reproduce_table(args) -> int:
-    if not 1 <= args.id <= 8:
-        raise ConfigurationError(f"table id must be 1..8, got {args.id}")
     kwargs = {}
     if args.id >= 5:
         kwargs = dict(
             scale=args.scale,
             replications=args.reps,
             seed=_pick_seed(args),
-            allow_large=args.allow_large,
             max_budget=args.max_budget,
             workers=args.workers,
         )
@@ -346,13 +335,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = command("reproduce-table", "rebuild reference table 1-8", _cmd_reproduce_table,
                 "table", "out")
-    p.add_argument("--id", type=int, required=True)
+    p.add_argument("--id", type=int, choices=range(1, 9), required=True)
     p.add_argument("--scale", type=float, default=1.0,
                    help="budget multiplier for tables 5-8 (scaled min >= 1e3)")
-    p.add_argument("--allow-large", action="store_true",
-                   help="run budgets above --max-budget too")
     p.add_argument("--max-budget", type=int, default=10_000,
-                   help="largest budget run without --allow-large")
+                   help="largest budget run; larger ones are skipped")
     return parser, commands
 
 

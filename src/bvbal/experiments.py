@@ -40,7 +40,7 @@ baseline entry's label, so `paired_risk_ratio` and the tables never name it.
 
 `reproduce_table` rebuilds the reference tables: 1-4 are closed forms
 (instant), 5-8 are paired queueing runs (Monte Carlo; budgets above
-``max_budget`` are skipped unless explicitly allowed).
+``max_budget`` are skipped).
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .calibration import (
+    _check_counts,
     _memo,
     amrr_general,
     amrr_recursive_free,
@@ -196,7 +197,9 @@ class ExperimentConfig:
     averaged multiply it by their d_scale, weighted by its solved
     eta_star); on a synthetic model it must keep d**(2 q1) and d**(-2 q2)
     finite and non-zero.  ``K`` is the default inflation cap for weighted
-    entries that do not set their own.  ``budgets`` are distinct integers >= 1.
+    entries that do not set their own.  ``budgets`` are distinct integers >= 1,
+    and ``max(budgets) + n0`` is at most 2**53, so every j + n0 is an exact
+    double.
     """
 
     model: SyntheticOracleSpec | QueueSetting
@@ -225,7 +228,7 @@ class ExperimentConfig:
         if isinstance(self.model, SyntheticOracleSpec):
             _check_synthetic_d(self.baseline_d, self.model.order)
         positive(self.K, "K must be positive", C)
-        n0 = count(self.n0, "n0 must be a non-negative integer", error=C)
+        n0 = _check_counts(max(budgets), self.n0, error=C)[1]
         reps = count(self.replications, "replications must be an integer >= 2", 2, error=C)
         seed = count(self.seed, "seed must lie in [0, 2**64)", 0, 2**64, C)
         for name, value in (("estimators", estimators), ("budgets", budgets),
@@ -539,7 +542,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     maps = [[prepared[id(plan.deltas)] for plan in plans] for plans in plan_groups]
 
     R = config.replications
-    # one worker skips the pool: through it, mm1-cfd-n1e4's op_p50_s rose 8%
+    # one worker skips the pool: on a worker thread, even a reused one,
+    # reproduce_table(5, replications=8) was slower in 28-33 of 40 pairs
     if workers == 1:
         sq = _run_slice(oracle, theta, plan_groups, maps, config.seed, 0, R)
     else:
@@ -740,8 +744,7 @@ _TABLE_MC = {
 
 def reproduce_table(table_id: int, *, scale: float = 1.0,
                     replications: int = 1000, seed: int = 0,
-                    allow_large: bool = False, max_budget: int = 10_000,
-                    workers: int = 1) -> TableResult:
+                    max_budget: int = 10_000, workers: int = 1) -> TableResult:
     """Rebuild reference table 1-8.
 
     Tables 1-2: closed-form risk ratios of the recursive and averaged
@@ -749,7 +752,7 @@ def reproduce_table(table_id: int, *, scale: float = 1.0,
     asymptotic ratio over K = 0.5..2.0.  Tables 5-8: paired queueing
     experiments (cfd/sp x baseline scale 1 or 2); ``scale`` multiplies
     the budgets (scaled minimum must stay >= 1e3) and budgets above
-    ``max_budget`` are skipped unless ``allow_large`` is set.
+    ``max_budget`` are skipped.
     """
     if table_id in (1, 2):
         order = _TABLE_ORDERS[table_id]
@@ -780,13 +783,11 @@ def reproduce_table(table_id: int, *, scale: float = 1.0,
         raise ValueError(
             f"scaled minimum budget {min(budgets)} is below 1e3; raise scale"
         )
-    if not allow_large:
-        budgets = tuple(n for n in budgets if n <= max_budget)
-        if not budgets:
-            raise ValueError(
-                f"all scaled budgets exceed max_budget={max_budget}; "
-                "pass allow_large=True to run them"
-            )
+    budgets = tuple(n for n in budgets if n <= max_budget)
+    if not budgets:
+        raise ValueError(
+            f"all scaled budgets exceed max_budget={max_budget}; raise max_budget to run them"
+        )
     estimators = [EstimatorSetting("baseline"), EstimatorSetting("recursive")]
     estimators += [EstimatorSetting("weighted", K=k) for k in Ks]
     config = ExperimentConfig(

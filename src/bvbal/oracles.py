@@ -127,16 +127,17 @@ def _power(d: np.ndarray, q: float, out: np.ndarray) -> np.ndarray:
 
 class _Prepared:
     """An oracle's map from variate blocks to samples at one checked
-    ``deltas`` vector, made by the oracle's ``prepare``.  It holds what
-    the oracle's ``_constants`` computes once from the checked deltas,
-    and passes that to ``_map`` in place of the deltas."""
+    ``deltas`` vector, made by the oracle's ``prepare``.  Every schedule
+    must be 1-d and strictly positive; the oracle's ``_constants`` then
+    checks what its own map needs and computes once from the deltas what
+    ``_map`` is passed in their place."""
 
     __slots__ = ("oracle", "deltas", "constants")
 
-    def __init__(self, oracle, deltas: np.ndarray) -> None:
+    def __init__(self, oracle, deltas) -> None:
         self.oracle = oracle
-        self.deltas = deltas
-        self.constants = oracle._constants(deltas)
+        self.deltas = _positive_deltas(deltas)
+        self.constants = oracle._constants(self.deltas)
 
     def transform(self, block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The (n, dim) samples from a block made by the oracle's
@@ -173,14 +174,15 @@ class SampleOracle(Protocol):
     ``sample_path``.
 
     An explicit subclass inherits ``prepare``, ``sample_path`` and
-    ``sample``, which compose the map bit for bit, and defines ``dim``,
-    ``draw`` and four hooks: ``_checked(deltas)`` returns the checked 1-d
-    schedule, ``_block_shape(n)`` the shape of an n-draw block,
-    ``_constants(deltas)`` what the map needs that depends on the checked
-    schedule alone (the deltas themselves, or read-only arrays that
-    ``prepare`` computes once from them), and ``_map(constants, block,
-    out)`` is the map, given those constants in place of the deltas, the
-    output buffer and a block of that shape.
+    ``sample``, which compose the map bit for bit and check that every
+    schedule is 1-d and strictly positive, and defines ``dim``, ``draw``
+    and three hooks: ``_block_shape(n)`` returns the shape of an n-draw
+    block, ``_constants(deltas)`` raises the oracle's own schedule errors
+    and returns what the map needs that depends on the checked schedule
+    alone (the deltas themselves, or read-only arrays that ``prepare``
+    computes once from them), and ``_map(constants, block, out)`` is the
+    map, given those constants in place of the deltas, the output buffer
+    and a block of that shape.
     """
 
     @property
@@ -191,7 +193,7 @@ class SampleOracle(Protocol):
     def prepare(self, deltas) -> _Prepared:
         """The map from variate blocks to samples at ``deltas``, checked
         once."""
-        return _Prepared(self, self._checked(deltas))
+        return _Prepared(self, deltas)
 
     def sample_path(self, deltas, stream: StreamKey) -> np.ndarray:
         """One sample per entry of ``deltas`` from a single stream, shape
@@ -296,10 +298,6 @@ class SyntheticOracleSpec(SampleOracle):
         """The variate block of an n-draw path: standard normals of shape
         (n, dim), row j feeding draw j."""
         return stream.generator().standard_normal((int(n), self.dim))
-
-    def _checked(self, deltas) -> np.ndarray:
-        """The schedule, checked: all strictly positive, 1-d."""
-        return _positive_deltas(deltas)
 
     def _block_shape(self, n: int) -> tuple[int, int]:
         return (n, self.dim)
@@ -456,11 +454,10 @@ class FiniteDifferenceOracle(SampleOracle):
         p, shape = self._directions, self.function.shape
         return (n, p + 2 * math.prod(shape)) if p else (n, 2, *shape)
 
-    def _checked(self, deltas) -> np.ndarray:
-        """The schedule, checked: all strictly positive, 1-d, and below
-        the moved coordinates of a positive function when a scheme steps
-        down."""
-        deltas = _positive_deltas(deltas)
+    def _constants(self, deltas) -> np.ndarray:
+        """The map reads the checked deltas themselves, which must stay
+        below the moved coordinates of a positive function when a scheme
+        steps down."""
         s0, s1, _ = _SCHEMES[self.scheme]
         if self.function.positive and min(s0, s1) < 0:
             limit = min(self.function.x[i] for i in self._moved)
@@ -491,10 +488,6 @@ class FiniteDifferenceOracle(SampleOracle):
             slots = block[:, p:].reshape(n, 2, *self.function.shape)
             self.function.prepare(slots[:, 0] if self.crn else slots)
         return block
-
-    def _constants(self, deltas) -> np.ndarray:
-        """The map reads the checked deltas themselves."""
-        return deltas
 
     def _map(self, deltas, block, out) -> np.ndarray:
         """(f_0 - f_1) / ((s0 - s1) step) into ``out``, with step the

@@ -580,6 +580,52 @@ def test_interior_regime_pins():
     assert abs(resid) < 1e-8 * scale
 
 
+def test_an_optimum_past_the_first_grid_cap_extends_the_cap(monkeypatch):
+    # at (4, 0.5), n = 10, n0 = 500 the first grid of the unbounded positive
+    # interval tops out at 0.05138, below a*, so the grid argmin lands on
+    # the cap and the cap is extended before the golden refinement
+    order = BiasOrder(4.0, 0.5)
+    tops = []
+    geomspace = np.geomspace
+
+    def spy(lo, hi, num):
+        tops.append(hi)
+        return geomspace(lo, hi, num)
+
+    monkeypatch.setattr(calibration.np, "geomspace", spy)
+    s = solve_weights(10, 500, order, 10.0)
+    monkeypatch.undo()
+    assert len(tops) >= 2 and tops[0] == pytest.approx(0.05138457046468482, rel=1e-12)
+    assert tops[0] < s.a_star < tops[-1]
+    assert s.a_star == pytest.approx(0.06285661625428447, rel=1e-9)
+    assert s.regime == "interior"
+    # the interior optimum is the larger root of the stationarity condition
+    # (q1+q2) xi11 a**2 + (q1+2 q2) xi12 a + q2 xi22 = 0
+    xi = xi_matrix(order, 10, 500)
+    A, B, C = 4.5 * xi.xi11, 5.0 * xi.xi12, 0.5 * xi.xi22
+    root = (-B + math.sqrt(B * B - 4.0 * A * C)) / (2.0 * A)
+    assert root == pytest.approx(0.0628566162882338, rel=1e-12)
+    assert s.a_star == pytest.approx(root, rel=1e-8)
+
+
+def test_a_one_point_interval_below_k_min_is_infeasible_and_names_k_min():
+    # at (0.5, 2), n = 10, n0 = 1e6, K = 10 lies below k_min = 10.000011, but
+    # rounding leaves the one-point interval [lo, lo]: the search returns
+    # lo, and the eta post-check rejects it with the cap it needs
+    order = BiasOrder(0.5, 2.0)
+    xi = xi_matrix(order, 10, 1_000_000)
+    k_min = xi.phi11 ** -order.alpha
+    assert 10.0 < k_min < 10.00002
+    [(lo, hi)] = feasible_intervals(xi, order, 10.0)
+    assert lo == hi
+    assert solve_a_star(xi, order, 10.0) == lo
+    with pytest.raises(InfeasibleError) as exc:
+        solve_weights(10, 1_000_000, order, 10.0)
+    assert str(exc.value) == ("solver returned an infeasible bias-sum level at "
+                              f"n=10, K=10.0 (needs K >= {k_min:.6g})")
+    assert solve_weights(10, 1_000_000, order, k_min * 1.001).a_star > 0.0
+
+
 def test_large_budget_regression_pins():
     # frozen solver state at n = 1e6 (the slow drift toward the asymptote
     # is the point: these sit well above the amrr_general limits)

@@ -130,12 +130,30 @@ def test_weights_budget_past_2_53_exits_2(capsys):
     assert "n + n0 must be at most 2**53" in err
 
 
+def test_run_offset_past_2_53_exits_2(capsys):
+    code, out, err = run(capsys, "run-synthetic", "--n0", "9007199254740993", "--seed", "1")
+    assert code == 2
+    assert "n + n0 must be at most 2**53" in err
+    assert out == ""
+
+
 def test_weights_infeasible_cap_reports_threshold(capsys):
     code, _, err = run(capsys, "weights", "--n", "1000", "--K", "0.5")
     assert code == 3
     assert "n=1000" in err
     k_min = math.fsum(1.0 / j for j in range(1, 1001)) ** (-1.0 / 6.0)
     assert f"{k_min:.6g}" in err
+
+
+def test_weights_cap_rejected_by_the_post_check_reports_threshold(capsys):
+    # a cap just below k_min that rounding leaves one feasible point for:
+    # the solver's post-check rejects it, and names the cap too
+    code, out, err = run(capsys, "weights", "--n", "10", "--n0", "1000000",
+                         "--K", "10", "--q1", "0.5", "--q2", "2")
+    assert code == 3
+    assert err == ("solver returned an infeasible bias-sum level at n=10, "
+                   "K=10.0 (needs K >= 10)\n")
+    assert out == ""
 
 
 def test_weights_csv_export_roundtrip(capsys, tmp_path):
@@ -409,7 +427,8 @@ def test_config_key_of_another_command_is_ignored(capsys, tmp_path):
     (("weights", "--n", "20"), "format = xml"),
     (("run-mm1",), "mode = bogus"),
     (("run-synthetic",), "seed = -1"),
-    (("reproduce-table", "--id", "3"), "allow_large = maybe"),
+    (("reproduce-table", "--id", "3"), "max_budget = lots"),
+    (("reproduce-table", "--id", "3"), "id = 9"),
 ])
 def test_config_bad_value_exits_2(capsys, tmp_path, command, line):
     # a value the flag would reject is rejected from the file too, before
@@ -435,15 +454,24 @@ def test_config_budgets_and_flag_replacement(capsys, tmp_path):
     assert re.findall(r"n=\s*(\d+)", out) == ["32", "48"]
 
 
-def test_config_switch_and_table_options(capsys, tmp_path):
+def test_config_table_options(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("allow_large = true\nmax_budget = 1000\nscale = 0.1\n"
-                   "reps = 4\nseed = 1\n")
+    cfg.write_text("max_budget = 10000\nscale = 0.1\nreps = 4\nseed = 1\n")
     code, out, _ = run(capsys, "reproduce-table", "--id", "5", "--config", str(cfg))
     assert code == 0
-    # allow_large runs the budgets above max_budget too: all six scaled rows
+    # max_budget covers the largest scaled budget: all six rows run
     assert [line.split()[0] for line in out.splitlines()[1:]] == [
         "1000", "2000", "3000", "5000", "8000", "10000"]
+
+
+def test_config_allow_large_is_an_unknown_key(capsys, tmp_path):
+    # max_budget is the one budget cap; the old switch is not a key
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("allow_large = true\n")
+    code, out, err = run(capsys, "reproduce-table", "--id", "5", "--config", str(cfg))
+    assert code == 2
+    assert f"{cfg}:1" in err and "unknown key" in err
+    assert out == ""
 
 
 def test_config_malformed_line_exits_2(capsys, tmp_path):
@@ -495,7 +523,15 @@ def test_reproduce_table_closed_form(capsys):
 def test_reproduce_table_bad_id(capsys):
     code, _, err = run(capsys, "reproduce-table", "--id", "9")
     assert code == 2
-    assert "table id" in err
+    assert "--id" in err and "invalid choice" in err
+
+
+def test_reproduce_table_allow_large_is_a_usage_error(capsys):
+    # --max-budget is the one budget cap; no switch lifts it
+    code, out, err = run(capsys, "reproduce-table", "--id", "5", "--allow-large")
+    assert code == 2
+    assert "unrecognized arguments: --allow-large" in err
+    assert out == ""
 
 
 def test_reproduce_table_mc_smoke(capsys, tmp_path):

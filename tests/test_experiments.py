@@ -739,6 +739,16 @@ def test_experiment_config_validation():
         small_config(baseline_d=0.0)
 
 
+def test_config_rejects_an_offset_past_exact_doubles():
+    # past max(budgets) + n0 = 2**53 the schedules' j + n0 are not exact
+    # doubles; a weighted entry's ValueError came only from run_experiment
+    top = 2**53 - 128
+    assert small_config(n0=top).n0 == top
+    message = f"n + n0 must be at most 2**53, got n=128, n0={top + 1}"
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        small_config(n0=top + 1)
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("estimators", ("baseline",), "estimators entries must be EstimatorSetting, got 'baseline'"),
     ("estimators", (EstimatorSetting("baseline"), None),
@@ -1011,8 +1021,8 @@ def test_table_budget_guards():
     # scaled minimum below 1e3
     with pytest.raises(ValueError, match="below 1e3"):
         reproduce_table(5, scale=0.05, replications=10)
-    # everything above the cap without the opt-in flag
-    with pytest.raises(ValueError, match="allow_large"):
+    # every scaled budget above the cap
+    with pytest.raises(ValueError, match="exceed max_budget=5000; raise max_budget"):
         reproduce_table(5, scale=1.0, replications=10, max_budget=5000)
     # a non-finite scale has no budgets to round to
     with pytest.raises(ValueError, match="scale must be positive"):

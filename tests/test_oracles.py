@@ -496,8 +496,8 @@ def test_prepared_transform_keeps_every_validation():
 class _Shifted(SampleOracle):
     """The smallest oracle on the shared contract: uniforms shifted by
     their deltas, in two coordinates.  It defines only ``dim``, ``draw``
-    and the four hooks, and its map asserts that it gets its output
-    buffer."""
+    and the three hooks, and its map asserts that it gets its output
+    buffer; the contract checks its schedules."""
 
     dim = 2
 
@@ -506,12 +506,6 @@ class _Shifted(SampleOracle):
 
     def _block_shape(self, n):
         return (n, 2)
-
-    def _checked(self, deltas):
-        deltas = np.asarray(deltas, dtype=float)
-        if deltas.ndim != 1 or not np.all(deltas > 0):
-            raise ValueError("deltas must be positive and 1-d")
-        return deltas
 
     def _constants(self, deltas):
         return deltas
