@@ -57,8 +57,7 @@ caps of one budget, and repeated requests, share one set of power sums;
 it holds no n-length array.  a* and the rest of the solution are solved
 on every call, and `materialise` builds the weights and runs
 `WeightScheme`'s O(n) self-checks on every call; invalid or infeasible
-inputs raise on every call.  Budgets end at n + n0 = 2**53, past which
-j + n0 is no longer an exact double.
+inputs raise on every call.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InfeasibleError, count, positive
+from .errors import InfeasibleError, budget, positive
 from .oracles import BiasOrder
 
 __all__ = [
@@ -174,18 +173,6 @@ def _bias_exponent(order: BiasOrder) -> float:
     """-alpha q1, the exponent of the per-draw bias factor (j + n0)**(-alpha q1)
     that `WeightScheme` checks the weights' bias sum with."""
     return -order.alpha * order.q1
-
-
-def _check_counts(n: int, n0: int, minimum: int = 1,
-                  error: type[ValueError] = ValueError) -> tuple[int, int]:
-    n = count(n, f"n must be an integer >= {minimum}", minimum, error=error)
-    n0 = count(n0, "n0 must be a non-negative integer", error=error)
-    if n + n0 > 2**53:
-        raise error(
-            f"n + n0 must be at most 2**53, got n={n}, n0={n0}: past it "
-            "j + n0 is not an exact double"
-        )
-    return n, n0
 
 
 class _ExactSum:
@@ -363,7 +350,7 @@ def phi_sum(kappa: float, n: int, n0: int = 0) -> float:
     are made and summed block by block in cache-sized buffers
     (`_exact_sums`), so no n-length array is made.
     """
-    n, n0 = _check_counts(n, n0)
+    n, n0 = budget(n, n0)
     kappa = float(kappa)
     if not math.isfinite(kappa):
         raise ValueError(f"kappa must be finite, got {kappa}")
@@ -408,7 +395,7 @@ def xi_matrix(order: BiasOrder, n: int, n0: int = 0) -> XiMatrix:
         If n < 2 (with a single draw the two constraints make the system
         singular: the 2x2 Gram matrix has rank one).
     """
-    n, n0 = _check_counts(n, n0)
+    n, n0 = budget(n, n0)
     if n < 2:
         raise ValueError(
             f"n must be at least 2, got {n}: with one draw the constraint "
@@ -615,7 +602,7 @@ def _infeasible(xi: XiMatrix, order: BiasOrder, K: float, head: str,
     """The `InfeasibleError` for cap K at xi's n; every such message ends
     by naming the smallest feasible cap."""
     return InfeasibleError(
-        f"{head} at n={xi.n}, K={K}{tail} (needs K >= {_k_min(xi, order):.6g})")
+        f"{head} at n={xi.n}, K={K}{tail} (needs K >= {_k_min(xi, order)!r})")
 
 
 def eta_balance(a: float, xi: XiMatrix) -> float:
@@ -717,8 +704,8 @@ class WeightScheme(WeightSolution):
     """A `WeightSolution` with its read-only weights, shape (n,),
     w_j = lambda1 / (j+n0)**kappa_fast + lambda2 / (j+n0)**kappa_slow.
     Construction self-checks them: finite, summing to one, reproducing
-    a_star, with 0 < eta_star within the finite cap K, a known regime and
-    a finite k_min > 0.
+    a_star, with 0 < eta_star within the finite cap K, a known regime, a
+    finite k_min > 0 and a budget with n + n0 <= 2**53 (`errors.budget`).
 
     The two sums are checked within 1e-10, over blocks of the weights and
     their bias terms w_j (j+n0)**(-alpha q1).  The blocks are read from
@@ -741,6 +728,7 @@ class WeightScheme(WeightSolution):
         if self.regime not in ("boundary", "interior"):
             raise ValueError(f"regime must be 'boundary' or 'interior', got {self.regime!r}")
         positive(self.k_min, "k_min must be positive")
+        budget(self.n, self.n0)
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.n,):
             raise ValueError(f"weights must have shape ({self.n},), got {w.shape}")
@@ -806,7 +794,7 @@ def solve_weights(n: int, n0: int, order: BiasOrder, K: float) -> WeightSolution
     its bits.  Everything else, a* included, is solved on every call, and
     invalid or infeasible inputs raise on every call.
     """
-    n, n0 = _check_counts(n, n0)
+    n, n0 = budget(n, n0)
     q1, q2 = float(order.q1), float(order.q2)
     xi = _memo(("gram", q1, q2, n, n0), lambda: xi_matrix(BiasOrder(q1, q2), n, n0))
     a_star = solve_a_star(xi, order, K)
@@ -913,7 +901,7 @@ def brute_force_weights(n: int, n0: int, order: BiasOrder, a: float) -> np.ndarr
     Deliberately shares no code with `optimal_weights`; intended as an
     independent cross-check for n <= 50.
     """
-    n, n0 = _check_counts(n, n0, minimum=2)
+    n, n0 = budget(n, n0, minimum=2)
     if n > 50:
         raise ValueError(f"brute-force path is restricted to n <= 50, got {n}")
     if not math.isfinite(a):

@@ -41,7 +41,7 @@ from .calibration import (
     amrr_recursive_tied,
     solve_weights,
 )
-from .errors import ConfigurationError, InfeasibleError, count, positive
+from .errors import ConfigurationError, InfeasibleError, budget, count, positive
 from .experiments import (
     MAX_WORKERS,
     EstimatorSetting,
@@ -196,8 +196,8 @@ def _weight_blocks(weights: np.ndarray) -> Iterator[tuple[int, list[float]]]:
 
 
 def _cmd_weights(args) -> int:
-    order, K, n0 = BiasOrder(args.q1, args.q2), args.K, args.n0
-    n = count(args.n, "n must be an integer >= 1", 1)
+    order, K = BiasOrder(args.q1, args.q2), args.K
+    n, n0 = budget(args.n, args.n0)
     if n < 2:
         raise InfeasibleError(
             f"n={n}: the constraint system is singular with fewer than two "
@@ -216,7 +216,7 @@ def _cmd_weights(args) -> int:
     print(f"scaled_s_star: {solution.scaled_s_star:.4g}")
     print(f"amrr_limit: {amrr_general(order, K):.4g}")
     print(f"regime: {solution.regime}")
-    print(f"k_min: {solution.k_min:.6g}")
+    print(f"k_min: {solution.k_min!r}")
     if args.out is None:
         return 0  # printing needs no weights
     weights = solution.materialise().weights

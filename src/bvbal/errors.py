@@ -1,4 +1,4 @@
-"""Shared exception types, and the two input rules every module uses.
+"""Shared exception types, and the three input rules every module uses.
 
 Domain errors on otherwise-valid calls (bad delta, bad coordinate, n too
 small) raise plain ``ValueError``; the types below mark the two failure
@@ -8,7 +8,10 @@ modes callers are expected to branch on.
 replication count): a finite integral number in range, returned as an
 ``int``.  `positive` is the rule for a positive real (a rate, scale or
 cap): finite and > 0, checked but not converted, so stored values keep
-their type.  Both raise ``error(f"{what}, got {x}")``.
+their type.  Both raise ``error(f"{what}, got {x}")``.  `budget` is the
+rule for a budget n drawn at offset n0, which every schedule, coefficient
+vector and weight vector turns into j + n0: two counts with
+n + n0 <= 2**53, past which j + n0 is no longer an exact double.
 """
 
 from __future__ import annotations
@@ -47,3 +50,17 @@ def positive(x, what: str, error: type[ValueError] = ValueError) -> None:
     """Reject x unless it is finite and > 0."""
     if not (x > 0 and math.isfinite(x)):
         raise error(f"{what}, got {x}")
+
+
+def budget(n, n0=0, minimum: int = 1,
+           error: type[ValueError] = ValueError) -> tuple[int, int]:
+    """``(int(n), int(n0))`` for counts n >= minimum and n0 >= 0 with
+    n + n0 <= 2**53."""
+    n = count(n, f"n must be an integer >= {minimum}", minimum, error=error)
+    n0 = count(n0, "n0 must be a non-negative integer", error=error)
+    if n + n0 > 2**53:
+        raise error(
+            f"n + n0 must be at most 2**53, got n={n}, n0={n0}: past it "
+            "j + n0 is not an exact double"
+        )
+    return n, n0

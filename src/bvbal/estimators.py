@@ -28,13 +28,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate
 
 import numpy as np
 
 from .calibration import _BLOCK, WeightScheme, _exact_sum, _exact_sums, _memo
-from .errors import ConfigurationError, count, positive
+from .errors import ConfigurationError, budget, count, positive
 from .oracles import BiasOrder, SampleOracle, StreamKey, SyntheticOracleSpec
 
 __all__ = [
@@ -76,21 +75,21 @@ class DeltaSchedule:
     def delta(self, j: int) -> float:
         """delta_j, bit for bit ``deltas(n)[j - 1]``: the same numpy power
         on a one-element array."""
-        j = count(j, "draw index must be an integer >= 1", 1)
+        j = budget(count(j, "draw index must be an integer >= 1", 1), self.n0)[0]
         size = float(self.scale) * (np.array([j], dtype=float) + self.n0) ** (-float(self.alpha))
         return float(size[0])
 
     def deltas(self, n: int) -> np.ndarray:
         """The n sizes delta_1..delta_n, one shared read-only array per
         (schedule, n) while the plan memo holds it."""
-        n, scale, alpha = _check_budget(n), float(self.scale), float(self.alpha)
+        n, scale, alpha = budget(n, self.n0)[0], float(self.scale), float(self.alpha)
         return _memo(("deltas", scale, alpha, self.n0, n),
                      lambda: scale * (np.arange(1, n + 1, dtype=float) + self.n0) ** (-alpha),
                      lambda a: a)
 
     def terminal(self, n: int) -> float:
         """The size the schedule reaches at the end of an n-draw budget."""
-        _check_budget(n)
+        n = budget(n, self.n0)[0]
         return self.scale * float(n + self.n0) ** (-self.alpha)
 
 
@@ -126,8 +125,6 @@ class EstimatorRun:
         object.__setattr__(self, "estimate", est)
 
 
-_check_budget = partial(count, what="budget n must be a positive integer", minimum=1)
-
 def _check_steps(c: float, beta: float) -> None:
     """The rule for gamma_j = c (j + n0)**(-beta): c finite and > 0, 0 < beta <= 1."""
     positive(c, "step constant c must be positive", ConfigurationError)
@@ -158,8 +155,7 @@ def _coefficients(kind: str, build, c: float, beta: float, n: int, n0: int):
     """``build(c, beta, n, n0)``'s coefficients through the memo; the clamp
     count kept with them is logged on every call, as every build logs it."""
     _check_steps(c, beta)
-    c, beta, n = float(c), float(beta), _check_budget(n)
-    n0 = count(n0, "n0 must be a non-negative integer")
+    c, beta, (n, n0) = float(c), float(beta), budget(n, n0)
     coeffs, t0, clamped = _memo((kind, c, beta, n, n0), lambda: build(c, beta, n, n0),
                                 lambda part: part[0])
     _warn_clamped(clamped, c, beta, n0)
@@ -264,14 +260,14 @@ class LinearPlan:
         each is the terminal size exactly) and the running mean's
         coefficients, the recursion's at c = beta = 1 and n0 = 0; both
         are plan-memo parts, shared and read-only."""
-        n = _check_budget(n)
+        n = budget(n, schedule.n0)[0]
         flat = DeltaSchedule(schedule.terminal(n), 0.0, schedule.n0)
         return cls(flat.deltas(n), recursion_coefficients(1.0, 1.0, n)[0])
 
     @classmethod
     def recursive(cls, n: int, schedule: DeltaSchedule, params: RecursiveParams) -> "LinearPlan":
         """The final iterate of the recursion along the schedule."""
-        n = _check_budget(n)
+        n = budget(n, schedule.n0)[0]
         u, t0 = recursion_coefficients(params.c, params.beta, n, schedule.n0)
         return cls(schedule.deltas(n), u, t0)
 
@@ -281,7 +277,7 @@ class LinearPlan:
         (at beta = 1 the recursion already averages and there is nothing
         to gain, so the combination is rejected rather than silently
         misread)."""
-        n = _check_budget(n)
+        n = budget(n, schedule.n0)[0]
         if params.beta >= 1.0:
             raise ConfigurationError(
                 f"averaging requires beta < 1, got beta = {params.beta}"
@@ -294,7 +290,7 @@ class LinearPlan:
                  scheme: "WeightScheme | np.ndarray") -> "LinearPlan":
         """Explicit weights along the schedule: a solved `WeightScheme` or
         any weight vector of length n."""
-        n = _check_budget(n)
+        n = budget(n, schedule.n0)[0]
         weights = np.asarray(getattr(scheme, "weights", scheme), dtype=float)
         if weights.shape != (n,):
             raise ConfigurationError(
@@ -451,7 +447,7 @@ def predict_mse_leading(kind: str, order: BiasOrder, d: float, B2: float,
     positive(d, "d must be positive")
     if not (0 <= B2 < math.inf and 0 <= sigma2 < math.inf):
         raise ValueError(f"B2 and sigma2 must be finite and non-negative, got {B2}, {sigma2}")
-    n = _check_budget(n)
+    n = budget(n)[0]
     alpha = order.alpha if alpha is None else float(alpha)
     if not alpha > 0:
         raise ValueError(f"prediction requires alpha > 0, got {alpha}")

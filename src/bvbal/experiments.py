@@ -55,19 +55,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .calibration import (
-    _check_counts,
     _memo,
     amrr_general,
     amrr_recursive_free,
     amrr_recursive_tied,
     optimal_weights,
 )
-from .errors import ConfigurationError, count, positive
+from .errors import ConfigurationError, budget, count, positive
 from .estimators import (
     DeltaSchedule,
     LinearPlan,
     RecursiveParams,
-    _check_budget,
     predict_mse_leading,
 )
 from .oracles import BiasOrder, SampleOracle, StreamKey, SyntheticOracleSpec
@@ -213,7 +211,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         C = ConfigurationError
-        budgets = tuple(_check_budget(n, error=C) for n in _entries(self.budgets, "budgets"))
+        budgets = tuple(budget(n, error=C)[0] for n in _entries(self.budgets, "budgets"))
         estimators = _entries(self.estimators, "estimators")
         if not estimators:
             raise C("at least one estimator entry is required")
@@ -228,7 +226,7 @@ class ExperimentConfig:
         if isinstance(self.model, SyntheticOracleSpec):
             _check_synthetic_d(self.baseline_d, self.model.order)
         positive(self.K, "K must be positive", C)
-        n0 = _check_counts(max(budgets), self.n0, error=C)[1]
+        n0 = budget(max(budgets), self.n0, error=C)[1]
         reps = count(self.replications, "replications must be an integer >= 2", 2, error=C)
         seed = count(self.seed, "seed must lie in [0, 2**64)", 0, 2**64, C)
         for name, value in (("estimators", estimators), ("budgets", budgets),
@@ -462,14 +460,14 @@ class ExperimentReport:
     schema_version = 1
 
     def row(self, estimator: str, n: int) -> ReportRow:
-        n = _check_budget(n)
+        n = budget(n)[0]
         for r in self.rows:
             if r.estimator == estimator and r.n == n:
                 return r
         raise KeyError(f"no row for estimator={estimator!r}, n={n}")
 
     def errors(self, estimator: str, n: int) -> np.ndarray:
-        return self.squared_errors[f"{estimator}|{_check_budget(n)}"]
+        return self.squared_errors[f"{estimator}|{budget(n)[0]}"]
 
     def csv_text(self) -> str:
         lines = [CSV_HEADER]

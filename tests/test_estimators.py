@@ -2,8 +2,10 @@
 and averaged schemes, the shared combination kernel, the leading-order
 risk predictions, and the comparison recursion."""
 
+import dataclasses
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from bvbal import (
     recursive_estimate,
     weighted_estimate,
 )
+from bvbal.calibration import WeightScheme, WeightSolution, solve_weights
 import bvbal.calibration as calibration
 import bvbal.estimators as estimators
 from bvbal.estimators import _memo, _steps, averaged_coefficients, recursion_coefficients
@@ -68,6 +71,47 @@ def test_delta_schedule_validation():
             DeltaSchedule(scale=1.0, alpha=0.1).delta(j)
     with pytest.raises(ValueError):
         DeltaSchedule(scale=1.0, alpha=0.1).deltas(0)
+
+
+def _hand_built_scheme(n: int, n0: int) -> WeightScheme:
+    """Equal weights on n draws at offset n0, with the bias sum they
+    reproduce, on the other fields of a solved scheme."""
+    solution = solve_weights(50, 0, Q21, 1.0)
+    w = np.full(n, 1.0 / n)
+    a_star = math.fsum(w * (np.arange(1.0, n + 1) + n0) ** (-Q21.alpha * Q21.q1))
+    fields = {f.name: getattr(solution, f.name) for f in dataclasses.fields(WeightSolution)}
+    return WeightScheme(weights=w, **{**fields, "n": n, "n0": n0, "a_star": a_star})
+
+
+# every entry point that forms j + n0 for a budget n at offset n0
+_BUDGET_ENTRIES = {
+    "deltas": lambda n, n0: DeltaSchedule(1.0, 0.5, n0).deltas(n),
+    "terminal": lambda n, n0: DeltaSchedule(1.0, 0.5, n0).terminal(n),
+    "delta": lambda n, n0: DeltaSchedule(1.0, 0.5, n0).delta(n),
+    "recursion_coefficients": lambda n, n0: recursion_coefficients(1.0, 1.0, n, n0),
+    "averaged_coefficients": lambda n, n0: averaged_coefficients(1.0, 0.5, n, n0),
+    "plan-baseline": lambda n, n0: LinearPlan.baseline(n, DeltaSchedule(1.0, 0.5, n0)),
+    "plan-recursive": lambda n, n0: LinearPlan.recursive(
+        n, DeltaSchedule(1.0, 0.5, n0), RecursiveParams(1.0, 1.0)),
+    "plan-averaged": lambda n, n0: LinearPlan.averaged(
+        n, DeltaSchedule(1.0, 0.5, n0), RecursiveParams(1.0, 0.5)),
+    "plan-weighted": lambda n, n0: LinearPlan.weighted(
+        n, DeltaSchedule(1.0, 0.5, n0), np.full(n, 1.0 / n)),
+    "WeightScheme": _hand_built_scheme,
+}
+
+
+@pytest.mark.parametrize("entry", list(_BUDGET_ENTRIES))
+def test_budgets_end_at_2_53_at_every_entry_point(entry):
+    # past n + n0 = 2**53, j + n0 is not an exact double: deltas(3) at
+    # n0 = 2**53 took 2**53, 2**53 + 2 and 2**53 + 4 and returned three
+    # equal sizes, and the coefficient builders accepted n0 = 2**60
+    build = _BUDGET_ENTRIES[entry]
+    build(2, 2**53 - 2)
+    for n, n0 in ((2, 2**53 - 1), (3, 2**53), (3, 2**60)):
+        message = f"n + n0 must be at most 2**53, got n={n}, n0={n0}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(n, n0)
 
 
 @pytest.mark.parametrize("c, beta", [(1.0, 1.5), (-1.0, 0.5), (1.0, 0.0), (math.nan, 0.5)])

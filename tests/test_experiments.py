@@ -463,7 +463,7 @@ def test_row_and_error_lookup():
     for n in (64.9, 100.9, math.nan, math.inf):
         for lookup in (report.row, report.errors,
                        lambda label, n: paired_risk_ratio(report, label, n)):
-            with pytest.raises(ValueError, match="budget n must be a positive integer"):
+            with pytest.raises(ValueError, match="n must be an integer >= 1"):
                 lookup("recursive", n)
 
 
@@ -840,8 +840,10 @@ def test_paired_risk_ratio_without_a_baseline_entry_needs_one_named():
 def test_config_rejects_fractional_and_repeated_budgets(budgets):
     # a fractional budget used to run at int(n), inf and nan escaped as
     # OverflowError and a bare ValueError, and a repeated budget reported two
-    # rows under one squared-errors key
-    with pytest.raises(ConfigurationError, match="budget"):
+    # rows under one squared-errors key; a budget that is no count gets the
+    # budget rule's message, a repeated one the distinctness check's
+    message = "budgets must be distinct" if len(budgets) > 1 else "n must be an integer >= 1, got"
+    with pytest.raises(ConfigurationError, match=message):
         small_config(budgets=budgets)
     assert small_config(budgets=(64.0, 128)).budgets == (64, 128)
 
@@ -931,7 +933,7 @@ def test_queue_setting_validation_and_mapping():
 
 def test_adversarial_grid_rejects_a_fractional_budget():
     # int(n) used to run n = 64.7 at 64
-    with pytest.raises(ConfigurationError, match="budget n must be a positive integer"):
+    with pytest.raises(ConfigurationError, match="n must be an integer >= 1, got 64.7"):
         adversarial_risk_grid(Q21, 1.0, 64.7, replications=4,
                               B_values=(1.0,), sigma_values=(1.0,))
 

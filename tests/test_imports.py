@@ -41,11 +41,14 @@ def test_positive_rule_is_written_once():
 
 
 def test_budget_rule_is_written_once():
-    # `estimators._check_budget` is the one rule for a budget n; a second
-    # `partial(count, ...)` spelling elsewhere could drift from it
-    copies = [path.name for path in PACKAGE_DIR.glob("*.py")
-              if "budget n must be a positive integer" in path.read_text()]
-    assert copies == ["estimators.py"]
+    # `errors.budget` is the one rule for a budget n at offset n0; the two
+    # spellings it replaced, one of which let n + n0 pass 2**53, must not
+    # come back, nor a hand-written copy of its messages
+    sources = {path.name: path.read_text() for path in PACKAGE_DIR.glob("*.py")}
+    assert [name for name, text in sources.items()
+            if "_check_counts" in text or "_check_budget" in text] == []
+    for message in ("must be at most 2**53", "n must be an integer >="):
+        assert [name for name, text in sources.items() if message in text] == ["errors.py"]
 
 
 def test_cache_is_written_once():
