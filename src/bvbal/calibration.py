@@ -447,14 +447,13 @@ def _quadratic_roots(A: float, B: float, C: float) -> tuple[float, float] | None
     """Real roots of A x**2 + B x + C, sorted; None if there are none.
 
     Uses the sign-safe resolvent so nearly-cancelling roots stay accurate.
-    Callers guarantee C != 0, so a zero root never occurs.
+    Its caller guarantees A != 0, B > 0 and C != 0 (so no zero root).
     """
     disc = B * B - 4.0 * A * C
     if disc < 0.0:
         return None
-    sq = math.sqrt(disc)
-    qq = -0.5 * (B + math.copysign(sq, B) if B != 0.0 else sq)
-    r1 = qq / A if A != 0.0 else math.inf
+    qq = -0.5 * (B + math.sqrt(disc))
+    r1 = qq / A
     r2 = C / qq
     return (r1, r2) if r1 <= r2 else (r2, r1)
 

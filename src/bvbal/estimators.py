@@ -70,7 +70,7 @@ class DeltaSchedule:
         positive(self.scale, "scale must be positive")
         if not (self.alpha >= 0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be non-negative, got {self.alpha}")
-        object.__setattr__(self, "n0", count(self.n0, "n0 must be a non-negative integer"))
+        object.__setattr__(self, "n0", budget(1, self.n0)[1])
 
     def delta(self, j: int) -> float:
         """delta_j, bit for bit ``deltas(n)[j - 1]``: the same numpy power
@@ -288,9 +288,14 @@ class LinearPlan:
     @classmethod
     def weighted(cls, n: int, schedule: DeltaSchedule,
                  scheme: "WeightScheme | np.ndarray") -> "LinearPlan":
-        """Explicit weights along the schedule: a solved `WeightScheme` or
-        any weight vector of length n."""
+        """Explicit weights along the schedule: any weight vector of length
+        n, or a solved `WeightScheme` on a schedule at its n0 and alpha."""
         n = budget(n, schedule.n0)[0]
+        if isinstance(scheme, WeightScheme) and (
+                (scheme.n0, scheme.order.alpha) != (schedule.n0, schedule.alpha)):
+            raise ConfigurationError(
+                f"the scheme was solved for n0={scheme.n0}, alpha={scheme.order.alpha}, "
+                f"the schedule has n0={schedule.n0}, alpha={schedule.alpha}")
         weights = np.asarray(getattr(scheme, "weights", scheme), dtype=float)
         if weights.shape != (n,):
             raise ConfigurationError(
@@ -413,7 +418,7 @@ def weighted_estimate(oracle: SampleOracle, n: int, schedule: DeltaSchedule,
 
     ``scheme`` is a solved `WeightScheme` or any weight vector of length
     n.  The schedule should already carry the calibrated scale (for a
-    solved scheme, scale = eta_star * d).
+    solved scheme, scale = eta_star * d, at the scheme's n0 and alpha).
     """
     return _run(oracle, LinearPlan.weighted(n, schedule, scheme), stream)
 

@@ -30,10 +30,10 @@ column combines the kept sums with the constants in O(dim) per weighted
 row.  The maps depend on the model's constants and are prepared per run.
 
 Reports are deterministic byte-for-byte for a given configuration,
-independent of the worker count: replications are partitioned by index,
-each worker produces the squared errors for its slice, and the slices
-are reassembled in index order.  Serialized artifacts carry a
-configuration hash and the seed, never wall-clock state.
+independent of the worker count: w workers split the replications into
+w index slices, the calling thread runs the first and w - 1 pool threads
+the others, and the slices are joined in index order.  Serialized
+artifacts carry a configuration hash and the seed, never wall-clock state.
 
 Entries are named in one place, `_build_plan`, and the report carries the
 baseline entry's label, so `paired_risk_ratio` and the tables never name it.
@@ -396,32 +396,30 @@ def _theory(e: _Entry, model: SyntheticOracleSpec | QueueSetting, n: int) -> flo
         return None
 
 
-def _run_slice(oracle: SampleOracle, theta: np.ndarray, plan_groups: tuple,
-               maps: list, seed: int, lo: int, hi: int) -> np.ndarray:
+def _run_slice(oracle: SampleOracle, theta: np.ndarray, cells: tuple,
+               seed: int, lo: int, hi: int) -> np.ndarray:
     """Squared errors for replications [lo, hi): shape (hi-lo, plan count).
-    ``maps`` holds each plan's prepared map, grouped as ``plan_groups``;
+    ``cells`` pairs each plan with its prepared map, one tuple per budget;
     the maps are read-only, so every slice of a run shares them."""
-    dim, size = oracle.dim, max(plans[0].deltas.shape[0] for plans in plan_groups)
+    dim, size = oracle.dim, max(cell[0][0].deltas.shape[0] for cell in cells)
     # every (replication, plan) writes its samples into one reused buffer,
     # where the reduction then forms its terms in place: a fresh path per
     # plan re-faulted its pages
     paths = np.empty(dim * size)
-    total = sum(len(g) for g in plan_groups)
-    out = np.empty((hi - lo, total))
+    out = np.empty((hi - lo, sum(map(len, cells))))
     for row, r in enumerate(range(lo, hi)):
         col = 0
-        for bidx, (plans, group) in enumerate(zip(plan_groups, maps)):
-            n = plans[0].deltas.shape[0]
+        for bidx, cell in enumerate(cells):
+            n = cell[0][0].deltas.shape[0]
             # one draw per (replication, budget) cell, replayed by every plan
             block = oracle.draw(n, StreamKey(seed, (r, bidx)))
             terms = paths[:dim * n].reshape(dim, n)
-            for plan, prepared in zip(plans, group):
+            for plan, prepared in cell:
                 samples = prepared.transform(block, terms.T)
                 diff = plan.reduce(samples, terms=terms) - theta
                 out[row, col] = float(diff @ diff)
                 col += 1
             del block  # two blocks alive at once would set the peak RSS
-        assert col == total
     return out
 
 
@@ -507,9 +505,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     kind, whatever its label), and the theory prediction (synthetic
     models only).
 
-    ``workers`` (an integer in 1..MAX_WORKERS) only partitions
-    replications across threads (numpy releases the GIL in its kernels);
-    results are identical for any value.  A model with zero error
+    ``workers`` (an integer in 1..MAX_WORKERS) only splits replications
+    into index slices, the first run on the calling thread and the rest
+    on a pool (numpy releases the GIL in its kernels); results are
+    identical for any value.  A model with zero error
     everywhere (degenerate synthetic spec) reports ratio 1.0 by
     convention and sets the degenerate flag.
 
@@ -533,35 +532,30 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
         oracle = config.model.make_oracle()
         theta = config.model.true_value()
     entries = _build_plans(config, oracle.order)
-    plan_groups = tuple(tuple(e.plan for e in group) for group in entries)
-    # plans that share a deltas array share its map, prepared once
-    arrays = {id(plan.deltas): plan.deltas for plans in plan_groups for plan in plans}
-    prepared = {ident: oracle.prepare(deltas) for ident, deltas in arrays.items()}
-    maps = [[prepared[id(plan.deltas)] for plan in plans] for plans in plan_groups]
+    maps = {}  # plans that share a deltas array share its map, prepared once
+    for deltas in (e.plan.deltas for group in entries for e in group):
+        if id(deltas) not in maps:
+            maps[id(deltas)] = oracle.prepare(deltas)
+    cells = tuple(tuple((e.plan, maps[id(e.plan.deltas)]) for e in group) for group in entries)
 
     R = config.replications
-    # one worker skips the pool: on a worker thread, even a reused one,
-    # reproduce_table(5, replications=8) was slower in 28-33 of 40 pairs
-    if workers == 1:
-        sq = _run_slice(oracle, theta, plan_groups, maps, config.seed, 0, R)
-    else:
-        bounds = np.linspace(0, R, workers + 1, dtype=int)
-        jobs = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda job: _run_slice(oracle, theta, plan_groups, maps, config.seed, *job),
-                jobs))
-        sq = np.vstack(parts)
+    bounds = np.linspace(0, R, workers + 1, dtype=int)
+    jobs = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    # the calling thread runs the first slice: on a pool thread, even a
+    # reused one, reproduce_table(5, replications=8) ran slower
+    with ThreadPoolExecutor(max_workers=max(len(jobs) - 1, 1)) as pool:
+        rest = [pool.submit(_run_slice, oracle, theta, cells, config.seed, *job)
+                for job in jobs[1:]]
+        first = _run_slice(oracle, theta, cells, config.seed, *jobs[0])
+        sq = np.vstack([first] + [part.result() for part in rest])
 
     rows: list[ReportRow] = []
     squared_errors: dict[str, np.ndarray] = {}
     degenerate = synthetic and config.model.degenerate
-    col = 0
     # every baseline entry runs the same plan, so the first stands for all
     base = next((i for i, s in enumerate(config.estimators) if s.kind == "baseline"), None)
-    for n, group in zip(config.budgets, entries):
-        cols = sq[:, col:col + len(group)]
-        col += len(group)
+    # each budget has one plan per entry: its columns are one of equal blocks
+    for n, group, cols in zip(config.budgets, entries, np.split(sq, len(entries), axis=1)):
         base_mse = None if base is None else math.fsum(cols[:, base]) / R
         for entry, e in zip(group, cols.T):
             mse = math.fsum(e) / R
@@ -598,8 +592,8 @@ def _standard_error(e: np.ndarray) -> float:
 
 def paired_risk_ratio(report: ExperimentReport, estimator: str, n: int,
                       baseline: str | None = None) -> RiskRatio:
-    """MSE ratio estimator / baseline on shared replications, with a
-    jackknife (leave-one-replication-out) 95% half-width.
+    """The report row's MSE ratio estimator / baseline, bit for bit, with
+    a jackknife (leave-one-replication-out) 95% half-width.
 
     ``baseline`` defaults to the report's baseline entry, whatever its
     label; a report without one needs it named (else `ConfigurationError`).
@@ -611,12 +605,12 @@ def paired_risk_ratio(report: ExperimentReport, estimator: str, n: int,
         raise ConfigurationError("the report has no baseline entry; name the denominator")
     e = report.errors(estimator, n)
     b = report.errors(baseline, n)
-    Se, Sb = math.fsum(e), math.fsum(b)
-    if Sb == 0.0:
-        return RiskRatio(1.0, 0.0, True)
-    ratio = Se / Sb
-    loo = (Se - e) / (Sb - b)
     R = e.shape[0]
+    Se, Sb = math.fsum(e), math.fsum(b)
+    if Sb / R == 0.0:  # the row's MSEs and its degenerate rule
+        return RiskRatio(1.0, 0.0, True)
+    ratio = (Se / R) / (Sb / R)
+    loo = (Se - e) / (Sb - b)
     center = loo.mean()
     se = math.sqrt((R - 1) / R * float(np.sum((loo - center) ** 2)))
     return RiskRatio(float(ratio), 1.96 * se, False)

@@ -99,6 +99,7 @@ _BUDGET_ENTRIES = {
         n, DeltaSchedule(1.0, 0.5, n0), np.full(n, 1.0 / n)),
     "WeightScheme": _hand_built_scheme,
 }
+_UNSCHEDULED = ("recursion_coefficients", "averaged_coefficients", "WeightScheme")
 
 
 @pytest.mark.parametrize("entry", list(_BUDGET_ENTRIES))
@@ -109,9 +110,25 @@ def test_budgets_end_at_2_53_at_every_entry_point(entry):
     build = _BUDGET_ENTRIES[entry]
     build(2, 2**53 - 2)
     for n, n0 in ((2, 2**53 - 1), (3, 2**53), (3, 2**60)):
-        message = f"n + n0 must be at most 2**53, got n={n}, n0={n0}"
+        # a schedule refuses an offset past the bound when it is made, as
+        # its first draw n = 1 would; n0 = 2**53 - 1 is refused at the call
+        shown = 1 if entry not in _UNSCHEDULED and n0 >= 2**53 else n
+        message = f"n + n0 must be at most 2**53, got n={shown}, n0={n0}"
         with pytest.raises(ValueError, match=re.escape(message)):
             build(n, n0)
+
+
+def test_a_schedule_is_checked_when_it_is_made():
+    # DeltaSchedule(1.0, 0.5, n0=2**60) used to construct and fail only at
+    # its first deltas, terminal or delta call
+    assert DeltaSchedule(1.0, 0.5, 2**53 - 1).n0 == 2**53 - 1
+    for n0 in (2**53, 2**60):
+        message = f"n + n0 must be at most 2**53, got n=1, n0={n0}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DeltaSchedule(1.0, 0.5, n0)
+    for n0 in (-1, 2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="n0 must be a non-negative integer"):
+            DeltaSchedule(1.0, 0.5, n0)
 
 
 @pytest.mark.parametrize("c, beta", [(1.0, 1.5), (-1.0, 0.5), (1.0, 0.0), (math.nan, 0.5)])
@@ -440,6 +457,20 @@ def test_plan_rejects_deltas_and_coeffs_that_do_not_match(deltas, coeffs):
     # one-draw plan while reduce broadcast its coefficient over five samples
     with pytest.raises(ConfigurationError, match="one length"):
         LinearPlan(deltas, coeffs)
+
+
+def test_a_scheme_takes_only_the_schedule_it_was_solved_for():
+    # a scheme solved at n0 = 500 used to run silently on a schedule at
+    # n0 = 0; the scale stays free, and raw weights take any schedule
+    s = optimal_weights(100, 500, Q21, 2.0)
+    LinearPlan.weighted(100, DeltaSchedule(3.0 * s.eta_star, Q21.alpha, 500), s)
+    for schedule, shown in ((DeltaSchedule(s.eta_star, 0.25, 0), "n0=0, alpha=0.25"),
+                            (DeltaSchedule(s.eta_star, Q21.alpha, 0), f"n0=0, alpha={Q21.alpha}"),
+                            (DeltaSchedule(s.eta_star, 0.25, 500), "n0=500, alpha=0.25")):
+        message = f"solved for n0=500, alpha={Q21.alpha}, the schedule has {shown}"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            LinearPlan.weighted(100, schedule, s)
+    LinearPlan.weighted(100, DeltaSchedule(1.0, 0.25, 0), s.weights)
 
 
 def test_weighted_length_mismatch():

@@ -115,6 +115,35 @@ def test_worker_count_does_not_change_the_bytes():
     assert one.csv_text() == two.csv_text()
 
 
+_DRAWS = []  # (thread, replication) of every draw of a _Recording model
+
+
+class _Recording(SyntheticOracleSpec):
+    """A synthetic model that records which thread draws each replication."""
+
+    def draw(self, n, stream):
+        _DRAWS.append((threading.get_ident(), stream.path[0]))
+        return super().draw(n, stream)
+
+
+def test_the_calling_thread_runs_the_first_slice():
+    # w workers split the replications into w index slices: the calling
+    # thread runs the first, so one worker starts no thread, and the pool
+    # runs the others, one slice per thread
+    config = small_config(model=_Recording(theta=[0.0], B=[1.0], noise_scale=[1.0],
+                                           order=Q21), replications=10)
+    here, texts = threading.get_ident(), set()
+    for workers, first in ((1, 10), (2, 5), (3, 3)):
+        _DRAWS.clear()
+        texts.add(run_experiment(config, workers=workers).json_text())
+        mine = sorted({r for thread, r in _DRAWS if thread == here})
+        pool = {thread for thread, _ in _DRAWS} - {here}
+        assert mine == list(range(first))
+        assert sorted({r for thread, r in _DRAWS if thread != here}) == list(range(first, 10))
+        assert not pool if workers == 1 else 0 < len(pool) <= workers - 1
+    assert len(texts) == 1
+
+
 @pytest.mark.parametrize("q", [(2.0, 1.0), (1.5, 0.5)])
 def test_threads_share_the_prepared_maps_off_the_unit_model(monkeypatch, q):
     # every worker replays the same read-only maps, prepared once per
@@ -495,6 +524,17 @@ def test_paired_risk_ratio_properties():
     assert rr.ratio == pytest.approx(math.fsum(e) / math.fsum(b), rel=1e-15)
     assert rr.halfwidth > 0.0 and not rr.degenerate
     assert rr.ratio == report.row("weighted-K1", 128).ratio
+
+
+def test_paired_risk_ratio_is_the_row_ratio_bit_for_bit():
+    # the ratio was fsum(e) / fsum(b) while the row divides the two MSEs,
+    # and 13 of these 60 rows differed in the last bit
+    for seed in range(10):
+        report = run_experiment(small_config(replications=50, seed=seed))
+        for row in report.rows:
+            if row.estimator != report.baseline:
+                rr = paired_risk_ratio(report, row.estimator, row.n)
+                assert rr.ratio == row.ratio and not rr.degenerate, (seed, row)
 
 
 def test_weighted_theory_is_the_exact_finite_n_risk():
