@@ -43,7 +43,12 @@ The self-checks only decide pass or fail, so they first try
 `_bounded_sums`, a plain sum of the same blocks with an error bound that
 holds in any summation order; when both bounds are clear of half the
 1e-10 tolerance that pass decides, and otherwise the exact sums do, so
-every rejection and its message are the exact kernel's.  The solver's
+every rejection and its message are the exact kernel's.  That bound
+needs each sum's sum|x|: for the weights `optimal_weights` builds it
+comes from the Gram sums its solve already holds, Phi |lambda|
+(`_gram_totals`), so the pass sums each block once, and from the
+blocks' own magnitudes for any other weights, or where a Gram total is
+too loose to decide what those would.  The solver's
 O(n) passes make their terms block by block in cache-sized buffers:
 `solve_weights` allocates no n-length array, and `materialise` fills the
 weights, the only n-length array of `optimal_weights`, in the same
@@ -109,6 +114,15 @@ _MIN_NORMAL_EXP = -1022
 _UNIT = 2.0**-53
 _GAMMA = (_BLOCK - 1) * _UNIT / (1.0 - (_BLOCK - 1) * _UNIT)
 _TINY = 2.0**_MIN_NORMAL_EXP
+# `_gram_totals`: the slack on its bounds.  Each term of the sums they
+# bound is within a relative 2**-44 of the Gram terms it stands for,
+# whatever n is: a few roundings (two products and a sum per weight, one
+# more product per bias term, and pow's own error of an ulp or two), and
+# exponents that meet kappa_fast + alpha q1 = 1 and kappa_slow + alpha q1
+# = kappa_fast only to within 4 u, which moves a power of j + n0 <= 2**53
+# by under 4 u ln(2**53) < 2**-45.  The Gram sums are correctly rounded
+# and each total takes four roundings, so 2**-30 covers it all
+_GRAM_SLACK = 1.0 + 2.0**-30
 _GRID_POINTS = 10_000
 _GOLDEN_RTOL = 1e-12
 _PILOT_CAP_FACTOR = 1e3
@@ -274,7 +288,8 @@ def _exact_sums(n: int, blocks, count: int) -> list[_ExactSum]:
     return sums
 
 
-def _bounded_sums(n: int, blocks, count: int) -> list[tuple[float, float]] | None:
+def _bounded_sums(n: int, blocks, count: int,
+                  sizes=None) -> list[tuple[float, float]] | None:
     """``count`` sums of n terms each, in one cheap pass over the blocks
     of `_exact_sums`: for each sum, an estimate t and a bound e with
     |t - s| <= e, where s is the sum's real value; None ("undecided") if
@@ -291,20 +306,29 @@ def _bounded_sums(n: int, blocks, count: int) -> list[tuple[float, float]] | Non
     the factor 2 covers the rounding of the magnitude sums and of e
     itself, and 2**-1022 a product that underflows.  The one scratch
     buffer is a block long.
+
+    ``sizes``, if given, holds one entry per sum: None, or a caller's
+    bound on that sum's sum|x|, which then stands in for the fsum of its
+    magnitude sums, so its blocks are summed once and t is unchanged.  A
+    non-finite term still leaves its block sum, and so t, non-finite.
     """
+    sizes = [None] * count if sizes is None else list(sizes)
     parts: list[list[float]] = [[] for _ in range(count)]
-    mags: list[list[float]] = [[] for _ in range(count)]
+    mags: list[list[float] | None] = [[] if size is None else None for size in sizes]
     scratch = np.empty(min(n, _BLOCK))
     with np.errstate(over="ignore", invalid="ignore"):  # undecided, not warned
         for lo in range(0, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
             for part, mag, block in zip(parts, mags, blocks(lo, hi), strict=True):
                 part.append(float(np.add.reduce(block)))
-                mag.append(float(np.add.reduce(np.abs(block, out=scratch[: hi - lo]))))
+                if mag is not None:
+                    mag.append(float(np.add.reduce(np.abs(block, out=scratch[: hi - lo]))))
     bounded = []
-    for part, mag in zip(parts, mags):
+    for part, mag, size in zip(parts, mags, sizes):
         try:
-            total, size = math.fsum(part), math.fsum(mag)
+            total = math.fsum(part)
+            if mag is not None:
+                size = math.fsum(mag)
         except (OverflowError, ValueError):  # a finite overflow, or inf - inf
             return None
         bound = 2.0 * _GAMMA * size + 2.0 * _UNIT * abs(total) + _TINY
@@ -322,12 +346,10 @@ def _exact_sum(x) -> float:
     return total.value()
 
 
-def _arange_into(out: np.ndarray, first: int, start: float) -> np.ndarray:
-    """start + i for i = first, first + 1, ..., written into out: a block
-    of ``np.arange(start, ..., dtype=float)``, exact below 2**53."""
-    np.add(_STEPS[: out.shape[0]], first, out=out)
-    out += start
-    return out
+def _arange_into(out: np.ndarray, start: int) -> np.ndarray:
+    """start, start + 1, ..., written into out in one add: a block of
+    ``np.arange(start, ..., dtype=float)``, exact up to 2**53."""
+    return np.add(_STEPS[: out.shape[0]], float(start), out=out)
 
 
 def _power_sums(kappas: tuple[float, ...], n: int, n0: int) -> list[float]:
@@ -337,7 +359,7 @@ def _power_sums(kappas: tuple[float, ...], n: int, n0: int) -> list[float]:
     j, power = np.empty(width), np.empty(width)
 
     def blocks(lo: int, hi: int):
-        jb = _arange_into(j[: hi - lo], lo, float(1 + n0))
+        jb = _arange_into(j[: hi - lo], lo + 1 + n0)
         for kappa in kappas:
             yield np.power(jb, -kappa, out=power[: hi - lo])
 
@@ -671,7 +693,7 @@ class WeightSolution:
         is the AMRR."""
         return float(self.n) ** self.order.mse_exponent * self.s_star
 
-    def materialise(self) -> WeightScheme:
+    def materialise(self, _gram: XiMatrix | None = None) -> WeightScheme:
         """The n weights lambda1 (j+n0)**(-kappa_fast) + lambda2
         (j+n0)**(-kappa_slow), as a `WeightScheme` that self-checks them.
 
@@ -680,7 +702,9 @@ class WeightSolution:
         it, so the weights are built and checked in one block pass and
         never re-read.  Where the check's bias power (j+n0)**(-alpha q1)
         is (j+n0)**(-kappa_slow) bit for bit (q1 = 2 q2), the fill reuses
-        it."""
+        it.  `optimal_weights` passes the private ``_gram``, the Gram
+        matrix of its solve, whose sums bound the checks' magnitude totals
+        (`_gram_totals`); no Gram matrix is built here."""
         kf, ks = weight_decay_exponents(self.order)
         shared = -ks == _bias_exponent(self.order)
 
@@ -694,8 +718,26 @@ class WeightSolution:
                 jb *= self.lambda2
             wb += jb
 
-        return WeightScheme(weights=np.empty(self.n), _fill=fill,
+        return WeightScheme(weights=np.empty(self.n), _fill=fill, _sizes=_gram_totals(self, _gram),
                             **{f.name: getattr(self, f.name) for f in fields(WeightSolution)})
+
+
+def _gram_totals(solution: WeightSolution, xi: XiMatrix | None) -> tuple[float, float] | None:
+    """Bounds on sum|w| and sum|w mu| of the weights ``solution.materialise``
+    fills, mu_j = (j+n0)**(-alpha q1), from the Gram sums of xi: with
+    kappa_fast + alpha q1 = 1 and kappa_slow + alpha q1 = kappa_fast,
+
+        sum|w|    <= |lambda1| phi(kappa_fast) + |lambda2| phi(kappa_slow),
+        sum|w mu| <= |lambda1| phi(1)          + |lambda2| phi(kappa_fast),
+
+    each times _GRAM_SLACK for the roundings.  They hold for any lambdas;
+    None when xi is missing or is not the Gram matrix of the solution's
+    (order, n, n0)."""
+    if xi is None or (xi.order, xi.n, xi.n0) != (solution.order, solution.n, solution.n0):
+        return None
+    l1, l2 = abs(solution.lambda1), abs(solution.lambda2)
+    return (_GRAM_SLACK * (l1 * xi.phi12 + l2 * xi.phi22),
+            _GRAM_SLACK * (l1 * xi.phi11 + l2 * xi.phi12))
 
 
 @dataclass(frozen=True)
@@ -715,12 +757,16 @@ class WeightScheme(WeightSolution):
     half the tolerance of its target with its error bound added, which
     also proves every weight finite; otherwise the finished array is
     checked for finiteness and the exact sums (`_exact_sums`, fsum's
-    bits) decide, and name the failing value."""
+    bits) decide, and name the failing value.  The bound's sum|x| is the
+    data's own magnitude sum, except for weights the fill writes: there
+    it is the private ``_sizes``, the Gram totals of the solve
+    (`_gram_totals`), wherever a total is tight enough to decide."""
 
     weights: np.ndarray
     _fill: InitVar[Callable[[np.ndarray, np.ndarray, np.ndarray], None] | None] = None
+    _sizes: InitVar[tuple[float, float] | None] = None
 
-    def __post_init__(self, _fill) -> None:
+    def __post_init__(self, _fill, _sizes) -> None:
         positive(self.K, "K must be positive")
         if not 0 < self.eta_star <= self.K + 1e-9:
             raise ValueError(f"scale inflation eta*={self.eta_star!r} outside (0, K={self.K!r}]")
@@ -738,8 +784,7 @@ class WeightScheme(WeightSolution):
         def blocks(fill, lo: int, hi: int):
             # the terms of sum w and sum (j + n0)**(-alpha q1) w; ``fill``,
             # if any, writes w[lo:hi] from j + n0 and that power first
-            jb = _arange_into(j[: hi - lo], lo, 1.0)
-            jb += self.n0
+            jb = _arange_into(j[: hi - lo], lo + 1 + self.n0)
             pb = np.power(jb, exponent, out=power[: hi - lo])
             if fill is not None:
                 fill(w[lo:hi], jb, pb)
@@ -749,12 +794,21 @@ class WeightScheme(WeightSolution):
 
         # bounds clear of half the tolerance pass both checks, as the exact
         # sums below would; anything else is decided by those
-        bounded = _bounded_sums(n, partial(blocks, _fill), 2)
+        limits = (0.5e-10, 0.5e-10 * max(1.0, abs(self.a_star)))
+        sizes = None
+        if _fill is not None and _sizes is not None:
+            # a Gram total can be far above the data's sum|x| (lambdas of
+            # opposite signs); one whose term 2 gamma M takes more than half
+            # the limit would leave undecided sums the data's magnitudes
+            # decide, so it gives way to those
+            sizes = [size if 2.0 * _GAMMA * size <= 0.5 * limit else None
+                     for size, limit in zip(_sizes, limits)]
+        bounded = _bounded_sums(n, partial(blocks, _fill), 2, sizes)
         w.setflags(write=False)
         if bounded is not None:
             (t0, e0), (t1, e1) = bounded
-            if (abs(t0 - 1.0) + e0 <= 0.5e-10 and math.isfinite(self.a_star)
-                    and abs(t1 - self.a_star) + e1 <= 0.5e-10 * max(1.0, abs(self.a_star))):
+            if (abs(t0 - 1.0) + e0 <= limits[0] and math.isfinite(self.a_star)
+                    and abs(t1 - self.a_star) + e1 <= limits[1]):
                 return
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
@@ -793,6 +847,11 @@ def solve_weights(n: int, n0: int, order: BiasOrder, K: float) -> WeightSolution
     its bits.  Everything else, a* included, is solved on every call, and
     invalid or infeasible inputs raise on every call.
     """
+    return _solve(n, n0, order, K)[0]
+
+
+def _solve(n: int, n0: int, order: BiasOrder, K: float) -> tuple[WeightSolution, XiMatrix]:
+    """`solve_weights`'s solution and the Gram matrix it was solved with."""
     n, n0 = budget(n, n0)
     q1, q2 = float(order.q1), float(order.q2)
     xi = _memo(("gram", q1, q2, n, n0), lambda: xi_matrix(BiasOrder(q1, q2), n, n0))
@@ -814,7 +873,7 @@ def solve_weights(n: int, n0: int, order: BiasOrder, K: float) -> WeightSolution
         order=order,
         regime="boundary" if boundary else "interior",
         k_min=_k_min(xi, order),
-    )
+    ), xi
 
 
 def optimal_weights(n: int, n0: int, order: BiasOrder, K: float) -> WeightScheme:
@@ -825,9 +884,11 @@ def optimal_weights(n: int, n0: int, order: BiasOrder, K: float) -> WeightScheme
     construction; its weights are built and self-checked on every call,
     into a fresh read-only array.  A caller that needs only the O(1)
     fields (a*, eta*, S*, the regime) should call `solve_weights`, which
-    builds no n-length array.
+    builds no n-length array.  The solve's Gram matrix goes to
+    `materialise`, whose checks take their magnitude totals from it.
     """
-    return solve_weights(n, n0, order, K).materialise()
+    solution, xi = _solve(n, n0, order, K)
+    return solution.materialise(_gram=xi)
 
 
 def amrr_general(order: BiasOrder, K: float) -> float:

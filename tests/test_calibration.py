@@ -4,8 +4,11 @@ minimax weight solver, and the closed-form risk-ratio limits."""
 import dataclasses
 import gc
 import hashlib
+import itertools
 import math
 import tracemalloc
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -1068,6 +1071,103 @@ def test_materialise_rejects_weights_its_fill_overflows():
     solution = dataclasses.replace(_hand_solution(3, 0, Q21)[0], lambda1=1e308, lambda2=1e308)
     with pytest.raises(ValueError, match="weights must be finite"):
         solution.materialise()
+
+
+def _solution_and_gram(order, n, n0, K):
+    """`optimal_weights`'s solution and Gram matrix, or None where the solve raises."""
+    try:
+        return calibration._solve(n, n0, order, K)
+    except (InfeasibleError, ValueError, np.linalg.LinAlgError):
+        return None
+
+
+@pytest.mark.parametrize("name", list(_FUSED_ORDERS))
+def test_gram_totals_bound_the_magnitudes_of_the_filled_weights(name, monkeypatch):
+    # the Gram totals are at least the fsum of |w| and of |w mu| over the
+    # finished weights, and the estimates t of the pass that uses them are,
+    # bit for bit, those of the data-magnitude pass over the finished array
+    order = _FUSED_ORDERS[name][0]
+    pairs, bounded = [], calibration._bounded_sums
+
+    def logged(n, blocks, count, sizes=None):
+        pairs.append((sizes, bounded(n, blocks, count, sizes)))
+        return pairs[-1][1]
+
+    monkeypatch.setattr(calibration, "_bounded_sums", logged)
+    used = 0
+    for n, n0, K in itertools.product([2, _BLOCK - 1, _BLOCK + 1, 3 * _BLOCK + 7],
+                                      [0, 500, 10**6], [1.0, 2.0, 10.0]):
+        if (solved := _solution_and_gram(order, n, n0, K)) is None:
+            continue
+        solution, xi = solved
+        totals = calibration._gram_totals(solution, xi)
+        # a Gram matrix of another (order, n, n0) gives no totals
+        for other in (xi_matrix(order, n + 1, n0), xi_matrix(order, n, n0 + 1),
+                      xi_matrix(Q11 if order != Q11 else Q21, n, n0)):
+            assert calibration._gram_totals(solution, other) is None
+        del pairs[:]
+        try:
+            w = solution.materialise(_gram=xi).weights
+        except ValueError:  # weights that fail their checks
+            continue
+        mu = np.power(np.arange(1, n + 1, dtype=float) + n0, -order.alpha * order.q1)
+        assert totals[0] >= math.fsum(np.abs(w)) and totals[1] >= math.fsum(np.abs(w * mu))
+        WeightScheme(weights=w, **{f.name: getattr(solution, f.name)
+                                   for f in dataclasses.fields(WeightSolution)})
+        ((sizes, fused), (no_sizes, data)) = pairs
+        assert no_sizes is None
+        assert [t.hex() for t, _ in fused] == [t.hex() for t, _ in data]
+        used += any(size is not None for size in sizes)
+    assert used >= 10  # most solved inputs take the Gram totals
+
+
+# `scripts/solver_grid.py`'s grid (every n at most 1e4), and the n = 2e5
+# inputs of test_weight_checks_take_the_bounded_pass
+_SAME_PATH_INPUTS = [
+    *itertools.product([2, 3, 10, 100, 10_000], [0, 1, 500, 10**6, 10**9],
+                       [0.7, 1.0, 2.0, 10.0, 1e3],
+                       [(2.0, 1.0), (1.0, 1.0), (0.5, 2.0), (4.0, 0.5), (1.0, 3.0)]),
+    *itertools.product([200_000], [0, 500], [1.0, 2.0], [(2.0, 1.0)]),
+]
+
+
+def test_gram_totals_keep_the_exact_kernel_where_the_data_path_needs_it(monkeypatch):
+    # optimal_weights reaches the exact kernel exactly when the bounded pass
+    # on the data's own magnitudes (materialise without the Gram matrix)
+    # is undecided, with the same weights or message: a Gram total too
+    # loose to decide gives way to those magnitudes
+    calls = _count_exact_adds(monkeypatch)
+    paths = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for n, n0, K, q in _SAME_PATH_INPUTS:
+            if (solved := _solution_and_gram(BiasOrder(*q), n, n0, K)) is None:
+                continue
+            outcomes = []
+            for make in (partial(optimal_weights, n, n0, BiasOrder(*q), K),
+                         solved[0].materialise):
+                del calls[:]  # the Gram matrix is memoised by the solve
+                try:
+                    outcome = make().weights.tobytes()
+                except ValueError as exc:
+                    outcome = str(exc)
+                outcomes.append((bool(calls), outcome))
+            assert outcomes[0] == outcomes[1], (n, n0, K, q)
+            paths.add(outcomes[0][0])
+    assert paths == {False, True}
+
+
+@pytest.mark.parametrize("start, m", [
+    (1, _BLOCK), (1 + 500, _BLOCK - 1), (_BLOCK, _BLOCK), (_BLOCK + 1, 1),
+    (3 * _BLOCK + 1 + 10**9, 7), (2**53 - _BLOCK + 1, _BLOCK), (2**53 - 2, 3), (2**53, 1),
+])
+def test_arange_into_is_an_arange_block(start, m):
+    # one add gives the block of np.arange bit for bit: at the first block,
+    # at block edges and up to n + n0 = 2**53
+    out = np.empty(m)
+    assert calibration._arange_into(out, start) is out
+    assert out.tobytes() == np.arange(start, start + m, dtype=float).tobytes()
+    assert out[-1] == float(start + m - 1)
 
 
 @pytest.mark.parametrize("d", [math.inf, -math.inf, math.nan])
