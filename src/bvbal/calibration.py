@@ -52,7 +52,14 @@ too loose to decide what those would.  The solver's
 O(n) passes make their terms block by block in cache-sized buffers:
 `solve_weights` allocates no n-length array, and `materialise` fills the
 weights, the only n-length array of `optimal_weights`, in the same
-block pass that checks them.
+block pass that checks them.  That bounded pass runs its blocks in
+_BLOCK-aligned spans, one per usable core (`_usable_cores`) but none
+shorter than _SPAN_MIN terms, the first on the calling thread and the
+others on a pool made for the call (`_run_spans`, which also runs
+`bvbal.experiments`' replication slices); each span fills a disjoint
+slice of the weights, and the block sums are joined in block order, so
+the weights and every check decision are those of one span.  The exact
+sums stay on the calling thread.
 
 The package's one cache, `_memo`, lives here: a byte-bounded memo of
 read-only parts, shared with `bvbal.estimators` and `bvbal.experiments`
@@ -69,9 +76,11 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 import threading
 from collections import OrderedDict
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import InitVar, dataclass, fields
 from functools import partial
 from itertools import islice
@@ -114,6 +123,10 @@ _MIN_NORMAL_EXP = -1022
 _UNIT = 2.0**-53
 _GAMMA = (_BLOCK - 1) * _UNIT / (1.0 - (_BLOCK - 1) * _UNIT)
 _TINY = 2.0**_MIN_NORMAL_EXP
+# ... and the fewest terms per span it splits its blocks into: on a
+# 2-core host two spans beat one in 9 of 10 in-process pairs at n = 5e5
+# (about 250_000 terms each) but in 7 of 10 at n = 2.5e5 and 0 at 1e5
+_SPAN_MIN = 250_000
 # `_gram_totals`: the slack on its bounds.  Each term of the sums they
 # bound is within a relative 2**-44 of the Gram terms it stands for,
 # whatever n is: a few roundings (two products and a sum per weight, one
@@ -288,6 +301,57 @@ def _exact_sums(n: int, blocks, count: int) -> list[_ExactSum]:
     return sums
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: ``len(os.sched_getaffinity(0))``,
+    or `os.cpu_count()` where that call does not exist, or 1 where that
+    cannot tell."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _spans(stop: int, pieces: int, step: int = 1) -> list[tuple[int, int]]:
+    """range(0, stop) cut into at most ``pieces`` contiguous non-empty
+    spans (lo, hi), each a whole number of ``step``s but the last: span i
+    starts at step * floor(i * steps / pieces) of the ceil(stop / step)
+    steps, so the spans are as even as whole steps allow."""
+    steps = -(-stop // step)
+    edges = [min(step * (i * steps // pieces), stop) for i in range(pieces + 1)]
+    return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
+
+
+def _run_spans(run, spans) -> list:
+    """``run(*span)`` for each span, the results in span order: the first
+    on the calling thread, which would otherwise wait, and the others on
+    a pool of len(spans) - 1 threads made for this call (numpy releases
+    the GIL in its kernels), so one span starts no thread and no pool
+    outlives the call."""
+    if len(spans) <= 1:
+        return [run(*span) for span in spans]
+    with ThreadPoolExecutor(max_workers=len(spans) - 1) as pool:
+        rest = [pool.submit(run, *span) for span in spans[1:]]
+        return [run(*spans[0])] + [future.result() for future in rest]
+
+
+def _block_sums(sizes: list, lo: int, hi: int, blocks,
+                scratch: np.ndarray) -> tuple[list[list[float]], list[list[float]]]:
+    """One span of `_bounded_sums`: per sum, the `np.add.reduce` of each
+    of its blocks in lo..hi-1, and of the blocks' magnitudes where its
+    size is None, in block order."""
+    sums: list[list[float]] = [[] for _ in sizes]
+    mags: list[list[float]] = [[] for _ in sizes]
+    # numpy's error state is per thread, so each span sets its own
+    with np.errstate(over="ignore", invalid="ignore"):  # undecided, not warned
+        for start in range(lo, hi, _BLOCK):
+            stop = min(start + _BLOCK, hi)
+            for part, mag, size, block in zip(sums, mags, sizes,
+                                              blocks(start, stop), strict=True):
+                part.append(float(np.add.reduce(block)))
+                if size is None:
+                    mag.append(float(np.add.reduce(np.abs(block, out=scratch[: stop - start]))))
+    return sums, mags
+
+
 def _bounded_sums(n: int, blocks, count: int,
                   sizes=None) -> list[tuple[float, float]] | None:
     """``count`` sums of n terms each, in one cheap pass over the blocks
@@ -304,8 +368,15 @@ def _bounded_sums(n: int, blocks, count: int,
     the block sums, within u |t| of their real sum.  So
     e = 2 gamma_{_BLOCK-1} * fsum(magnitude sums) + 2 u |t| + 2**-1022:
     the factor 2 covers the rounding of the magnitude sums and of e
-    itself, and 2**-1022 a product that underflows.  The one scratch
-    buffer is a block long.
+    itself, and 2**-1022 a product that underflows.
+
+    The pass cuts the blocks into _BLOCK-aligned spans (`_spans`), one
+    per usable core but none shorter than _SPAN_MIN terms, and runs them
+    on `_run_spans`.  ``blocks()`` returns a ``(lo, hi) -> count blocks``
+    function of indices lo..hi-1 whose buffers are its own; the calling
+    thread asks for one per span, with a block-long magnitude buffer.
+    The block sums are joined in block order before the fsums, so every
+    (t, e) is the one-span pass's, bit for bit, at any span count.
 
     ``sizes``, if given, holds one entry per sum: None, or a caller's
     bound on that sum's sum|x|, which then stands in for the fsum of its
@@ -313,22 +384,16 @@ def _bounded_sums(n: int, blocks, count: int,
     non-finite term still leaves its block sum, and so t, non-finite.
     """
     sizes = [None] * count if sizes is None else list(sizes)
-    parts: list[list[float]] = [[] for _ in range(count)]
-    mags: list[list[float] | None] = [[] if size is None else None for size in sizes]
-    scratch = np.empty(min(n, _BLOCK))
-    with np.errstate(over="ignore", invalid="ignore"):  # undecided, not warned
-        for lo in range(0, n, _BLOCK):
-            hi = min(lo + _BLOCK, n)
-            for part, mag, block in zip(parts, mags, blocks(lo, hi), strict=True):
-                part.append(float(np.add.reduce(block)))
-                if mag is not None:
-                    mag.append(float(np.add.reduce(np.abs(block, out=scratch[: hi - lo]))))
+    pieces = max(1, min(_usable_cores(), n // _SPAN_MIN))
+    spans = [(lo, hi, blocks(), np.empty(min(hi - lo, _BLOCK)))
+             for lo, hi in _spans(n, pieces, _BLOCK)]
+    per_span = _run_spans(partial(_block_sums, sizes), spans)
     bounded = []
-    for part, mag, size in zip(parts, mags, sizes):
+    for i, size in enumerate(sizes):
         try:
-            total = math.fsum(part)
-            if mag is not None:
-                size = math.fsum(mag)
+            total = math.fsum(x for sums, _ in per_span for x in sums[i])
+            if size is None:
+                size = math.fsum(x for _, mags in per_span for x in mags[i])
         except (OverflowError, ValueError):  # a finite overflow, or inf - inf
             return None
         bound = 2.0 * _GAMMA * size + 2.0 * _UNIT * abs(total) + _TINY
@@ -760,7 +825,11 @@ class WeightScheme(WeightSolution):
     bits) decide, and name the failing value.  The bound's sum|x| is the
     data's own magnitude sum, except for weights the fill writes: there
     it is the private ``_sizes``, the Gram totals of the solve
-    (`_gram_totals`), wherever a total is tight enough to decide."""
+    (`_gram_totals`), wherever a total is tight enough to decide.  The
+    bounded pass runs in spans, one per usable core for n of at least
+    2 _SPAN_MIN (`_bounded_sums`); each span fills and reads its own
+    slice of the weights through buffers of its own, so the weights and
+    the decisions do not depend on the span count."""
 
     weights: np.ndarray
     _fill: InitVar[Callable[[np.ndarray, np.ndarray, np.ndarray], None] | None] = None
@@ -779,18 +848,23 @@ class WeightScheme(WeightSolution):
             raise ValueError(f"weights must have shape ({self.n},), got {w.shape}")
         object.__setattr__(self, "weights", w)
         n, exponent = w.shape[0], _bias_exponent(self.order)
-        j, power = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
 
-        def blocks(fill, lo: int, hi: int):
-            # the terms of sum w and sum (j + n0)**(-alpha q1) w; ``fill``,
-            # if any, writes w[lo:hi] from j + n0 and that power first
-            jb = _arange_into(j[: hi - lo], lo + 1 + self.n0)
-            pb = np.power(jb, exponent, out=power[: hi - lo])
-            if fill is not None:
-                fill(w[lo:hi], jb, pb)
-            yield w[lo:hi]
-            pb *= w[lo:hi]
-            yield pb
+        def new_blocks(fill):
+            # the terms of sum w and sum (j + n0)**(-alpha q1) w, in buffers
+            # of their own; ``fill``, if any, writes w[lo:hi] from j + n0
+            # and that power first
+            j, power = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
+
+            def blocks(lo: int, hi: int):
+                jb = _arange_into(j[: hi - lo], lo + 1 + self.n0)
+                pb = np.power(jb, exponent, out=power[: hi - lo])
+                if fill is not None:
+                    fill(w[lo:hi], jb, pb)
+                yield w[lo:hi]
+                pb *= w[lo:hi]
+                yield pb
+
+            return blocks
 
         # bounds clear of half the tolerance pass both checks, as the exact
         # sums below would; anything else is decided by those
@@ -803,7 +877,7 @@ class WeightScheme(WeightSolution):
             # decide, so it gives way to those
             sizes = [size if 2.0 * _GAMMA * size <= 0.5 * limit else None
                      for size, limit in zip(_sizes, limits)]
-        bounded = _bounded_sums(n, partial(blocks, _fill), 2, sizes)
+        bounded = _bounded_sums(n, partial(new_blocks, _fill), 2, sizes)
         w.setflags(write=False)
         if bounded is not None:
             (t0, e0), (t1, e1) = bounded
@@ -812,7 +886,7 @@ class WeightScheme(WeightSolution):
                 return
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
-        sums = _exact_sums(n, partial(blocks, None), 2)
+        sums = _exact_sums(n, new_blocks(None), 2)
         total = sums[0].value()
         if not abs(total - 1.0) <= 1e-10 * max(1.0, abs(total)):
             raise ValueError(f"weights must sum to 1 within 1e-10, got {total!r}")

@@ -135,8 +135,9 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument("--n0", type=int, default=0, help="schedule offset")
     if "run" in names or "table" in names:
         p.add_argument("--reps", type=int, default=1000, help="replications")
-        p.add_argument("--workers", type=_workers, default=1,
-                       help="worker threads (results identical)")
+        p.add_argument("--workers", type=_workers,
+                       help="worker threads, default: the usable cores, at most --reps "
+                            "(results identical)")
         p.add_argument("--seed", type=_seed, help="root seed; generated and printed if absent")
     if "out" in names:
         p.add_argument("--out", help="output file")

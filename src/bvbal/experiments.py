@@ -32,8 +32,11 @@ row.  The maps depend on the model's constants and are prepared per run.
 Reports are deterministic byte-for-byte for a given configuration,
 independent of the worker count: w workers split the replications into
 w index slices, the calling thread runs the first and w - 1 pool threads
-the others, and the slices are joined in index order.  Serialized
-artifacts carry a configuration hash and the seed, never wall-clock state.
+the others, and the slices are joined in index order (the span runner
+`bvbal.calibration._run_spans`, which also splits the weights' check
+pass).  The worker count defaults to the usable cores, at most the
+replications; ``workers=1`` starts no thread.  Serialized artifacts
+carry a configuration hash and the seed, never wall-clock state.
 
 Entries are named in one place, `_build_plan`, and the report carries the
 baseline entry's label, so `paired_risk_ratio` and the tables never name it.
@@ -48,14 +51,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
 
 from .calibration import (
     _memo,
+    _run_spans,
+    _spans,
+    _usable_cores,
     amrr_general,
     amrr_recursive_free,
     amrr_recursive_tied,
@@ -499,16 +505,19 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig, workers: int | None = None) -> ExperimentReport:
     """Run the paired experiment and aggregate per-(estimator, budget)
     MSE, standard error, risk ratio against the baseline entry (found by
     kind, whatever its label), and the theory prediction (synthetic
     models only).
 
-    ``workers`` (an integer in 1..MAX_WORKERS) only splits replications
-    into index slices, the first run on the calling thread and the rest
-    on a pool (numpy releases the GIL in its kernels); results are
-    identical for any value.  A model with zero error
+    ``workers`` (an integer in 1..MAX_WORKERS; None, the default, is the
+    usable cores, at most the replications and MAX_WORKERS) only splits
+    replications into w contiguous index slices, the first run on the
+    calling thread and the rest on a pool of w - 1 threads made for the
+    call (`bvbal.calibration._run_spans`; numpy releases the GIL in its
+    kernels); results are identical for any value, and ``workers=1``
+    starts no thread.  A model with zero error
     everywhere (degenerate synthetic spec) reports ratio 1.0 by
     convention and sets the degenerate flag.
 
@@ -520,6 +529,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     |h| s**(q1 + 1) and sigma s**-q2 below 2**512 (else
     `ConfigurationError`, naming the entry and the term).
     """
+    if workers is None:
+        workers = min(_usable_cores(), config.replications, MAX_WORKERS)
     what = f"workers must be an integer in [1, {MAX_WORKERS}]"
     if isinstance(workers, bool):
         raise ConfigurationError(f"{what}, got {workers!r}")
@@ -539,15 +550,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentRepo
     cells = tuple(tuple((e.plan, maps[id(e.plan.deltas)]) for e in group) for group in entries)
 
     R = config.replications
-    bounds = np.linspace(0, R, workers + 1, dtype=int)
-    jobs = [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    # the calling thread runs the first slice: on a pool thread, even a
-    # reused one, reproduce_table(5, replications=8) ran slower
-    with ThreadPoolExecutor(max_workers=max(len(jobs) - 1, 1)) as pool:
-        rest = [pool.submit(_run_slice, oracle, theta, cells, config.seed, *job)
-                for job in jobs[1:]]
-        first = _run_slice(oracle, theta, cells, config.seed, *jobs[0])
-        sq = np.vstack([first] + [part.result() for part in rest])
+    sq = np.vstack(_run_spans(partial(_run_slice, oracle, theta, cells, config.seed),
+                              _spans(R, workers)))
 
     rows: list[ReportRow] = []
     squared_errors: dict[str, np.ndarray] = {}
@@ -632,13 +636,16 @@ def adversarial_risk_grid(order: BiasOrder, K: float, n: int, *,
                           d: float = 1.0, n0: int = 0,
                           replications: int = 1000, seed: int = 0,
                           B_values=None, sigma_values=None,
-                          workers: int = 1) -> AdversarialGridResult:
+                          workers: int | None = None) -> AdversarialGridResult:
     """Paired weighted-vs-baseline ratio over a grid of model constants.
 
     The minimax theory makes the predicted ratio independent of (B,
     sigma); this sweep checks that no corner of the grid drives the
     empirical ratio above the asymptotic value by more than Monte Carlo
-    noise.  Defaults: a 5x5 log-spaced grid over [0.1, 10]^2.
+    noise.  Defaults: a 5x5 log-spaced grid over [0.1, 10]^2.  The cells
+    run one after another, each on `run_experiment` at ``workers`` (None:
+    the usable cores, at most the replications); the result does not
+    depend on it.
     """
     seed = count(seed, "seed must lie in [0, 2**64)", 0, 2**64, ConfigurationError)
     B_values = np.geomspace(0.1, 10.0, 5) if B_values is None else np.asarray(B_values, float)
@@ -736,7 +743,7 @@ _TABLE_MC = {
 
 def reproduce_table(table_id: int, *, scale: float = 1.0,
                     replications: int = 1000, seed: int = 0,
-                    max_budget: int = 10_000, workers: int = 1) -> TableResult:
+                    max_budget: int = 10_000, workers: int | None = None) -> TableResult:
     """Rebuild reference table 1-8.
 
     Tables 1-2: closed-form risk ratios of the recursive and averaged
@@ -744,7 +751,9 @@ def reproduce_table(table_id: int, *, scale: float = 1.0,
     asymptotic ratio over K = 0.5..2.0.  Tables 5-8: paired queueing
     experiments (cfd/sp x baseline scale 1 or 2); ``scale`` multiplies
     the budgets (scaled minimum must stay >= 1e3) and budgets above
-    ``max_budget`` are skipped.
+    ``max_budget`` are skipped.  They run on `run_experiment` at
+    ``workers`` (None: the usable cores, at most the replications); the
+    table does not depend on it.
     """
     if table_id in (1, 2):
         order = _TABLE_ORDERS[table_id]

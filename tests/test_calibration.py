@@ -6,6 +6,8 @@ import gc
 import hashlib
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 from functools import partial
@@ -280,7 +282,7 @@ def test_bounded_sum_brackets_fsum(values, size, poison, seed):
     rng.shuffle(x)
     if poison is not None:
         x[rng.integers(size)] = poison
-    bounded = _bounded_sums(size, lambda lo, hi: (x[lo:hi], -x[lo:hi]), 2)
+    bounded = _bounded_sums(size, lambda: lambda lo, hi: (x[lo:hi], -x[lo:hi]), 2)
     if poison is not None:
         assert bounded is None
         return
@@ -297,9 +299,9 @@ def test_bounded_sum_is_undecided_when_a_total_is_not_finite():
     y = np.zeros(2 * _BLOCK)
     y[0], y[_BLOCK] = math.inf, -math.inf
     for z in (x, x[: _BLOCK + 1][::-1].copy(), y):
-        assert _bounded_sums(z.shape[0], lambda lo, hi: (z[lo:hi],), 1) is None
+        assert _bounded_sums(z.shape[0], lambda: lambda lo, hi: (z[lo:hi],), 1) is None
     one = np.ones(3)
-    assert _bounded_sums(3, lambda lo, hi: (one[lo:hi], one[lo:hi] * 1e308), 2) is None
+    assert _bounded_sums(3, lambda: lambda lo, hi: (one[lo:hi], one[lo:hi] * 1e308), 2) is None
 
 
 def _fsum_phi(kappa, n, n0):
@@ -1071,6 +1073,128 @@ def test_materialise_rejects_weights_its_fill_overflows():
     solution = dataclasses.replace(_hand_solution(3, 0, Q21)[0], lambda1=1e308, lambda2=1e308)
     with pytest.raises(ValueError, match="weights must be finite"):
         solution.materialise()
+
+
+def test_the_usable_cores_fall_back_to_the_cpu_count_then_to_one(monkeypatch):
+    monkeypatch.setattr(calibration.os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                        raising=False)
+    assert calibration._usable_cores() == 3
+    monkeypatch.delattr(calibration.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(calibration.os, "cpu_count", lambda: 6)
+    assert calibration._usable_cores() == 6
+    monkeypatch.setattr(calibration.os, "cpu_count", lambda: None)
+    assert calibration._usable_cores() == 1
+
+
+@pytest.mark.parametrize("stop, pieces, step, want", [
+    (10, 1, 1, [(0, 10)]), (10, 2, 1, [(0, 5), (5, 10)]), (10, 3, 1, [(0, 3), (3, 6), (6, 10)]),
+    (2, 5, 1, [(0, 1), (1, 2)]), (5, 2, _BLOCK, [(0, 5)]),
+    (9 * _BLOCK + 5, 3, _BLOCK, [(0, 3 * _BLOCK), (3 * _BLOCK, 6 * _BLOCK),
+                                 (6 * _BLOCK, 9 * _BLOCK + 5)]),
+    (9 * _BLOCK + 5, 4, _BLOCK, [(0, 2 * _BLOCK), (2 * _BLOCK, 5 * _BLOCK),
+                                 (5 * _BLOCK, 7 * _BLOCK), (7 * _BLOCK, 9 * _BLOCK + 5)]),
+])
+def test_spans_cut_a_range_into_contiguous_whole_steps(stop, pieces, step, want):
+    assert calibration._spans(stop, pieces, step) == want
+
+
+@pytest.mark.parametrize("n", [9 * _BLOCK + 5, (1 << 20) + 3])
+def test_the_weights_and_their_checks_do_not_depend_on_the_span_count(n, monkeypatch):
+    # the bounded pass runs one span per usable core (here every n splits,
+    # however short its spans); each span fills its own slice of the
+    # weights, and the block sums join in block order, so every order's
+    # weights and (estimate, bound) pairs are the one-span pass's, bit for
+    # bit, on hand-built solutions and on a solve's Gram totals alike
+    monkeypatch.setattr(calibration, "_SPAN_MIN", _BLOCK)
+    pairs, counts = [], []
+    bounded, run_spans = calibration._bounded_sums, calibration._run_spans
+    monkeypatch.setattr(calibration, "_bounded_sums",
+                        lambda *args: pairs.append(bounded(*args)) or pairs[-1])
+    monkeypatch.setattr(calibration, "_run_spans",
+                        lambda run, spans: counts.append(len(spans)) or run_spans(run, spans))
+    makes = [_hand_solution(n, 500, order)[0].materialise for order, _ in _FUSED_ORDERS.values()]
+    makes.append(partial(optimal_weights, n, 7, Q21, 2.0))
+    for make in makes:
+        got = set()
+        for cores in (1, 2, 3, 5):
+            monkeypatch.setattr(calibration, "_usable_cores", lambda: cores)
+            del pairs[:], counts[:]
+            w = make().weights
+            assert counts == [cores] and len(pairs) == 1 and pairs[0] is not None
+            got.add((w.tobytes(), tuple((t.hex(), e.hex()) for t, e in pairs[0])))
+        assert len(got) == 1
+
+
+@pytest.mark.parametrize("n, cores, want", [
+    (2 * calibration._SPAN_MIN - 1, 2, 1), (2 * calibration._SPAN_MIN, 2, 2),
+    (2 * calibration._SPAN_MIN, 1, 1), (3 * calibration._SPAN_MIN, 5, 3),
+])
+def test_the_check_pass_splits_only_into_spans_of_span_min_terms(n, cores, want, monkeypatch):
+    # one span per usable core, but none shorter than _SPAN_MIN terms, so
+    # n = 1e5 (the CLI workload of the benchmark) stays on one thread
+    counts, run_spans = [], calibration._run_spans
+    monkeypatch.setattr(calibration, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(calibration, "_run_spans",
+                        lambda run, spans: counts.append(len(spans)) or run_spans(run, spans))
+    _hand_solution(n, 0, Q21)[0].materialise()
+    assert counts == [want]
+
+
+def test_a_fill_that_overflows_in_the_last_span_is_rejected(monkeypatch):
+    # the last of three spans runs on a pool thread and overflows there:
+    # its block sums leave the pass undecided, without a warning from any
+    # thread, and the finished array's finiteness check rejects it
+    monkeypatch.setattr(calibration, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(calibration, "_SPAN_MIN", _BLOCK)
+    n = 9 * _BLOCK + 5
+    solution, w = _hand_solution(n, 0, Q21)
+    last = calibration._spans(n, 3, _BLOCK)[-1][0]
+    here, overflowed = threading.get_ident(), []
+
+    def fill(wb, jb, power):
+        np.copyto(wb, w[int(jb[0]) - 1: int(jb[-1])])
+        if jb[0] > last:
+            wb *= 2.0**1000
+            wb *= 2.0**1000
+            overflowed.append(threading.get_ident())
+
+    fields = {f.name: getattr(solution, f.name) for f in dataclasses.fields(WeightSolution)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="weights must be finite"):
+            WeightScheme(weights=np.empty(n), _fill=fill, **fields)
+    assert len(overflowed) == 4 and here not in overflowed  # the last span's four blocks
+
+
+def test_two_threads_solving_at_once_keep_the_pinned_bits(monkeypatch):
+    # two callers, each splitting its own check pass into three spans (six
+    # threads on this many or fewer cores), switching as often as the
+    # interpreter allows, build the weights test_optimal_weights_bit_pins pins
+    monkeypatch.setattr(calibration, "_usable_cores", lambda: 3)
+    key = ((1 << 20) + 3, 7, 2.0)
+    start, digests, errors = threading.Barrier(2), [], []
+
+    def solve():
+        try:
+            for _ in range(3):
+                start.wait(timeout=60)
+                w = optimal_weights(key[0], key[1], Q21, key[2]).weights
+                digests.append(hashlib.sha256(w.tobytes()).hexdigest())
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=solve) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors
+    assert digests == [_SOLVER_PINS[key][0]] * 6
 
 
 def _solution_and_gram(order, n, n0, K):

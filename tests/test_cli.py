@@ -12,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from bvbal import BiasOrder, amrr_general, optimal_weights
+from bvbal import BiasOrder, amrr_general, experiments, optimal_weights
 from bvbal.calibration import _memo
 from bvbal.cli import main
 
@@ -328,6 +328,31 @@ def test_run_synthetic_output_reproducible(capsys, tmp_path):
     _, out_b, _ = run(capsys, *argv, "--out", str(second))
     assert first.read_bytes() == second.read_bytes()
     assert out_a.replace(str(first), "") == out_b.replace(str(second), "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("run-synthetic", "--n", "64", "--reps", "5", "--seed", "11"),
+    ("reproduce-table", "--id", "5", "--scale", "0.1", "--reps", "4",
+     "--max-budget", "1000", "--seed", "1"),
+])
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+def test_the_default_worker_count_writes_the_bytes_of_one_worker(capsys, tmp_path, monkeypatch,
+                                                                 argv, suffix):
+    # without --workers a run takes the usable cores (here three), at most
+    # --reps, and splits its replications that many ways; the files and
+    # the printed lines are those of --workers 1
+    monkeypatch.setattr(experiments, "_usable_cores", lambda: 3)
+    counts, run_spans = [], experiments._run_spans
+    monkeypatch.setattr(experiments, "_run_spans",
+                        lambda run, spans: counts.append(len(spans)) or run_spans(run, spans))
+    texts = []
+    for flags in ((), ("--workers", "1")):
+        path = tmp_path / f"{len(texts)}{suffix}"
+        code, out, _ = run(capsys, *argv, *flags, "--out", str(path))
+        assert code == 0
+        texts.append((path.read_bytes(), out.replace(str(path), "")))
+    assert counts == [3, 1]
+    assert texts[0] == texts[1]
 
 
 def test_run_synthetic_rejects_unknown_estimator(capsys):

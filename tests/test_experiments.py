@@ -349,19 +349,21 @@ def test_a_warm_synthetic_run_allocates_only_its_maps_buffers_and_one_draw(solve
     # a warm run takes its plans, the baseline's parts among them, and a
     # weighted plan's risk sums from the memo, so what it allocates at
     # budget n is the means of its three prepared maps (one per distinct
-    # schedule), the slice's path buffer and one draw block at a time;
-    # the baseline's own two n-length arrays would exceed it
+    # schedule) and, per worker, its slice's path buffer and one draw
+    # block at a time; the baseline's own two n-length arrays would
+    # exceed it at one worker
     n = 20_000
     config = small_config(budgets=(n,), replications=4)
     run_experiment(config)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        run_experiment(dataclasses.replace(config, seed=5))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5 * 8 * n * config.model.dim + 2**16, peak
+    for workers in (1, 2):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            run_experiment(dataclasses.replace(config, seed=5), workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (3 + 2 * workers) * 8 * n * config.model.dim + 2**16, (workers, peak)
 
 
 def test_threads_running_two_configurations_keep_their_bytes():
